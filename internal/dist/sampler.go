@@ -20,6 +20,10 @@ type Sampler func(r *rand.Rand) float64
 // scale the Monte Carlo resolves.
 const truncNormalTableCells = 4096
 
+// guidePerCell sets the guide array at four slots per cell: a draw then
+// almost always starts its inversion walk in its final cell.
+const guidePerCell = 4
+
 // TruncNormalTable is a tabulated inverse-CDF sampler for a TruncNormal.
 //
 // Construction evaluates the exact CDF on a uniform grid of cells spanning
@@ -27,7 +31,7 @@ const truncNormalTableCells = 4096
 // support, so the resolution adapts to the law's scale: a tight-sigma law
 // gets the same ~4096 cells across its actual mass that a wide one does.
 // Sampling inverts the piecewise-linear interpolant; a guide array indexed
-// by ⌊u·cells⌋ starts each inversion in (almost always) the right cell, so
+// by ⌊u·4·cells⌋ starts each inversion in (almost always) the right cell, so
 // a draw costs one table lookup, a short monotone walk and one linear
 // interpolation — no special functions.
 //
@@ -42,7 +46,7 @@ type TruncNormalTable struct {
 	lo    float64   // grid origin
 	h     float64   // cell width
 	cdf   []float64 // cdf[i] = CDF(lo + i·h), i = 0..cells
-	guide []int32   // guide[k] = first cell whose upper CDF can cover u ≥ k/cells
+	guide []int32   // guide[k] = first cell whose upper CDF reaches k/len(guide)
 	maxU  float64   // tabulated mass: cdf[cells]
 }
 
@@ -109,16 +113,29 @@ func NewTruncNormalTable(t TruncNormal, cells int) (*TruncNormalTable, error) {
 		}
 		cdf[i] = c
 	}
-	guide := make([]int32, cells)
+	guide := buildGuide(cdf, guidePerCell*cells)
+	return &TruncNormalTable{law: t, lo: lo, h: h, cdf: cdf, guide: guide, maxU: cdf[cells]}, nil
+}
+
+// buildGuide returns the n-slot guide array over the tabulated cdf:
+// guide[k] is the first cell whose upper CDF reaches k/n. Quantile walks
+// forward from the guide slot to the first cell whose upper CDF reaches u,
+// so every guide built by this rule yields the same cell, and the same
+// output bits, at any n; n only sets how short the walk is. (At the
+// default power-of-two n, u·n and k/n are exact, so the slot a draw reads
+// never starts past its cell.)
+func buildGuide(cdf []float64, n int) []int32 {
+	cells := len(cdf) - 1
+	guide := make([]int32, n)
 	j := 0
 	for k := range guide {
-		u := float64(k) / float64(cells)
+		u := float64(k) / float64(n)
 		for j < cells-1 && cdf[j+1] < u {
 			j++
 		}
 		guide[k] = int32(j)
 	}
-	return &TruncNormalTable{law: t, lo: lo, h: h, cdf: cdf, guide: guide, maxU: cdf[cells]}, nil
+	return guide
 }
 
 // Quantile inverts the tabulated CDF at u in [0, 1]; the ≈1e-13 tails
@@ -129,10 +146,10 @@ func (tb *TruncNormalTable) Quantile(u float64) float64 {
 	if !(u > tb.cdf[0]) || u >= tb.maxU {
 		return tb.law.Quantile(u) // tail (or NaN) delegation stays exact
 	}
-	cells := len(tb.guide)
-	k := int(u * float64(cells))
-	if k >= cells {
-		k = cells - 1
+	slots := len(tb.guide)
+	k := int(u * float64(slots))
+	if k >= slots {
+		k = slots - 1
 	}
 	j := int(tb.guide[k])
 	for tb.cdf[j+1] < u {
@@ -155,10 +172,10 @@ func (tb *TruncNormalTable) Sample(r *rand.Rand) float64 {
 
 // Span returns the width of the tabulated support: the sup-norm quantile
 // error bound is Span()/Cells().
-func (tb *TruncNormalTable) Span() float64 { return tb.h * float64(len(tb.guide)) }
+func (tb *TruncNormalTable) Span() float64 { return tb.h * float64(tb.Cells()) }
 
 // Cells returns the table resolution.
-func (tb *TruncNormalTable) Cells() int { return len(tb.guide) }
+func (tb *TruncNormalTable) Cells() int { return len(tb.cdf) - 1 }
 
 // FastSamplerFor resolves the fastest available sampler for law once, so hot
 // loops avoid per-draw interface dispatch:

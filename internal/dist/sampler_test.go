@@ -256,6 +256,42 @@ func (fallbackLaw) CDF(x float64) float64       { return 0 }
 func (fallbackLaw) Quantile(p float64) float64  { return 42 }
 func (fallbackLaw) Sample(r *rand.Rand) float64 { return 42 }
 
+// The guide array only shortens the inversion walk: a table whose guide has
+// one slot per cell (the original 4096-slot resolution) and the default
+// finer guide must return the same bits for every u, on every test law.
+func TestTruncNormalTableGuideResolutionBitIdentical(t *testing.T) {
+	const draws = 1_000_000
+	for _, law := range samplerTestLaws(t) {
+		fine, err := NewTruncNormalTable(law, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fine.guide) <= fine.Cells() {
+			t.Fatalf("default guide has %d slots for %d cells; want a finer guide", len(fine.guide), fine.Cells())
+		}
+		coarse := *fine
+		coarse.guide = buildGuide(fine.cdf, fine.Cells())
+		check := func(u float64) {
+			if a, b := fine.Quantile(u), coarse.Quantile(u); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("law %+v: Quantile(%v) = %v with the fine guide, %v with the per-cell guide", law, u, a, b)
+			}
+		}
+		r := rng.New(11)
+		for i := 0; i < draws; i++ {
+			check(r.Float64())
+		}
+		// Slot boundaries and the tabulated-mass edges.
+		for k := 0; k <= len(fine.guide); k++ {
+			u := float64(k) / float64(len(fine.guide))
+			check(u)
+			check(math.Nextafter(u, 0))
+			check(math.Nextafter(u, 1))
+		}
+		check(fine.cdf[0])
+		check(fine.maxU)
+	}
+}
+
 // BenchmarkTruncNormalSample compares the exact inverse-CDF draw against the
 // tabulated sampler on the calibrated-pitch-class law. Registered in
 // BENCH_BASELINE.json; the benchgate ratio pins table ≥ 4× exact

@@ -137,6 +137,9 @@ func runMerged[S any](rounds int, newState func() S, f func(r *rand.Rand, state 
 		if newState != nil {
 			state = newState()
 		}
+		// One generator per worker, reseeded in place for every batch it
+		// claims: batch b still reads exactly the stream Derive(seed, b).
+		var r *rand.Rand
 		// Counter flush happens once per worker lifetime: the loop below
 		// counts into plain locals so the per-round cost of observability
 		// is a register increment, not an atomic RMW.
@@ -158,7 +161,11 @@ func runMerged[S any](rounds int, newState func() S, f func(r *rand.Rand, state 
 			if b >= nBatches {
 				return
 			}
-			r := rng.Derive(seed, uint64(b))
+			if r == nil {
+				r = rng.Derive(seed, uint64(b))
+			} else {
+				rng.DeriveInto(r, seed, uint64(b))
+			}
 			lo := b * batch
 			hi := lo + batch
 			if hi > rounds {

@@ -166,3 +166,25 @@ func TestRunSmallRoundsLargeBatch(t *testing.T) {
 		t.Fatalf("est: %+v", est)
 	}
 }
+
+// TestRunStateAllocsScaleWithWorkers: a worker reseeds one generator in
+// place for every batch it claims, so a run's allocations depend on its
+// worker count, not on how many batches it walks.
+func TestRunStateAllocsScaleWithWorkers(t *testing.T) {
+	f := func(r *rand.Rand, _ struct{}) (float64, error) { return r.Float64(), nil }
+	allocs := func(batches, workers int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := RunState(batches*8, nil, f, Options{Seed: 3, Workers: workers, BatchSize: 8}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, workers := range []int{1, 2} {
+		few, many := allocs(4, workers), allocs(400, workers)
+		// 396 extra batches used to cost a fresh source each; allow a
+		// little slack for goroutine bookkeeping.
+		if many-few > 4 {
+			t.Errorf("workers=%d: %v allocs for 4 batches, %v for 400: allocations grow with batches", workers, few, many)
+		}
+	}
+}

@@ -44,10 +44,10 @@ import (
 // replicas; the atomic counters aggregate order-independent run statistics
 // (sums and maxima commute, so they stay deterministic across schedules).
 type splitEngine struct {
+	model        *rowyield.RowModel
 	first, pitch dist.Sampler
 	offsets      []float64
-	probs        []float64
-	lastOcc      int
+	aligned      bool
 	width, span  float64
 	pf           float64
 	nFETs        int
@@ -90,26 +90,20 @@ func newSplitEngine(m *rowyield.RowModel, scenario rowyield.Scenario, opt Option
 		return nil, err
 	}
 	e := &splitEngine{
-		first: first.Sample, pitch: pitch,
+		model: m, first: first.Sample, pitch: pitch,
 		width: m.WidthNM, pf: m.PerCNTFailure, nFETs: nFETs,
 		pop: opt.Population, rho: opt.Rho, moves: opt.Moves,
 	}
 	switch scenario {
 	case rowyield.DirectionalAligned:
 		e.offsets = []float64{0}
-		e.probs = []float64{1}
+		e.aligned = true
 		e.span = m.WidthNM
 	case rowyield.DirectionalUnaligned:
 		e.offsets = m.Offsets.Offsets
-		e.probs = m.Offsets.Probs
 		e.span = m.WidthNM + m.Offsets.Span()
 	default:
 		return nil, fmt.Errorf("rareevent: splitting supports directional scenarios, not %v", scenario)
-	}
-	for i, p := range e.probs {
-		if p > 0 {
-			e.lastOcc = i
-		}
 	}
 	return e, nil
 }
@@ -269,57 +263,15 @@ func (e *splitEngine) sampleState(r *rand.Rand, st *sstate) {
 	st.sev = e.severity(st)
 }
 
-// sampleCounts draws the per-offset CNFET counts by the same sequential-
-// binomial factorization of the multinomial the exact-DP rounds use.
+// sampleCounts draws the per-offset CNFET counts through the occupancy plan
+// the exact-DP rounds use; the aligned layout puts every CNFET on its one
+// window without a draw.
 func (e *splitEngine) sampleCounts(r *rand.Rand, counts []int) {
-	n := e.nFETs
-	rest := 1.0
-	for i, p := range e.probs {
-		counts[i] = 0
-		if p <= 0 || n == 0 {
-			continue
-		}
-		if i == e.lastOcc || rest <= p {
-			counts[i] = n
-			n = 0
-			continue
-		}
-		ni := binomialSample(r, n, p/rest)
-		counts[i] = ni
-		n -= ni
-		rest -= p
+	if e.aligned {
+		counts[0] = e.nFETs
+		return
 	}
-}
-
-// binomialSample draws Bin(n, p) by CDF inversion, falling back to Bernoulli
-// counting when the zero term underflows (mirrors the rowyield sampler).
-func binomialSample(r *rand.Rand, n int, p float64) int {
-	if p <= 0 || n <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	pmf := math.Exp(float64(n) * math.Log1p(-p))
-	if pmf < 1e-300 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	u := r.Float64()
-	cdf := pmf
-	ratio := p / (1 - p)
-	k := 0
-	for u > cdf && k < n {
-		k++
-		pmf *= ratio * float64(n-k+1) / float64(k)
-		cdf += pmf
-	}
-	return k
+	e.model.SampleOccupancy(r, counts)
 }
 
 // severity scores a state: the worst window's killed-run fraction.
@@ -330,8 +282,8 @@ func (e *splitEngine) severity(st *sstate) float64 {
 			continue
 		}
 		off := e.offsets[i]
-		lo := searchF(st.tracks, off)
-		hi := searchF(st.tracks, off+e.width) - 1
+		lo := sort.SearchFloat64s(st.tracks, off)
+		hi := sort.SearchFloat64s(st.tracks, off+e.width) - 1
 		if hi < lo {
 			return 1 // a window with zero tracks fails with certainty
 		}
@@ -355,20 +307,6 @@ func (e *splitEngine) severity(st *sstate) float64 {
 		}
 	}
 	return maxS
-}
-
-// searchF returns the smallest index with xs[i] >= x.
-func searchF(xs []float64, x float64) int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // copyState copies src into dst, reusing dst's buffers.

@@ -35,8 +35,14 @@ func New(seed uint64) *rand.Rand {
 // given root seed. Substreams are decorrelated by double SplitMix64 mixing,
 // so worker i and worker i+1 do not share low-bit structure.
 func Derive(seed, stream uint64) *rand.Rand {
-	mixed := SplitMix64(seed ^ SplitMix64(stream*0xA5A5A5A5_5A5A5A5B+1))
-	return rand.New(rand.NewSource(int64(mixed)))
+	return rand.New(rand.NewSource(int64(deriveSeed(seed, stream))))
+}
+
+// DeriveInto reseeds r in place onto the stream-th substream of seed: r then
+// produces exactly the stream Derive(seed, stream) would, without allocating
+// a new ~5 KB source. Loops that walk many substreams keep one generator.
+func DeriveInto(r *rand.Rand, seed, stream uint64) {
+	r.Seed(int64(deriveSeed(seed, stream)))
 }
 
 // Seeds returns n derived substream seeds, useful when the caller wants to
@@ -44,7 +50,13 @@ func Derive(seed, stream uint64) *rand.Rand {
 func Seeds(seed uint64, n int) []uint64 {
 	out := make([]uint64, n)
 	for i := range out {
-		out[i] = SplitMix64(seed ^ SplitMix64(uint64(i)*0xA5A5A5A5_5A5A5A5B+1))
+		out[i] = deriveSeed(seed, uint64(i))
 	}
 	return out
+}
+
+// deriveSeed mixes a root seed and a substream index into the substream's
+// source seed.
+func deriveSeed(seed, stream uint64) uint64 {
+	return SplitMix64(seed ^ SplitMix64(stream*0xA5A5A5A5_5A5A5A5B+1))
 }

@@ -93,3 +93,26 @@ func TestQuickSplitMixNotIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: a generator reseeded in place by DeriveInto — after it has
+// already been drawn from, by every method the Monte Carlo rounds use —
+// produces exactly the stream of a fresh Derive.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	r := New(1)
+	f := func(seed, stream uint64) bool {
+		_ = r.Float64()
+		_ = r.ExpFloat64()
+		DeriveInto(r, seed, stream)
+		fresh := Derive(seed, stream)
+		for i := 0; i < 64; i++ {
+			if r.Float64() != fresh.Float64() || r.Intn(1000) != fresh.Intn(1000) ||
+				r.NormFloat64() != fresh.NormFloat64() || r.Uint64() != fresh.Uint64() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -59,24 +59,173 @@ type RowModel struct {
 	// library, used by the DirectionalUnaligned scenario.
 	Offsets OffsetDist
 
-	// fr is the cached stationary forward-recurrence sampler for Pitch; it
-	// doubles as the "prepared" marker.
+	// fr is the cached stationary forward-recurrence sampler for Pitch (the
+	// first gap of every realization); it doubles as the "prepared" marker.
 	fr *dist.ForwardRecurrence
-	// sampleFirst and samplePitch are the devirtualized samplers resolved
-	// once by Prepare: the first-gap law and the (tabulated, for TruncNormal)
-	// pitch law. Rounds call these funcs directly instead of dispatching
-	// through the Continuous interface per draw.
-	sampleFirst dist.Sampler
-	samplePitch dist.Sampler
-	// nFETs and offSpan cache FETsPerRow and Offsets.Span for the rounds;
-	// lastOcc is the last offset index carrying probability mass (the final
-	// bin of the sequential-binomial occupancy chain).
+	// pitch draws the later gaps, resolved once by Prepare.
+	pitch pitchSampler
+	// nFETs and offSpan cache FETsPerRow and Offsets.Span for the rounds.
 	nFETs   int
 	offSpan float64
-	lastOcc int
+	// plan is the unaligned rounds' occupancy plan (see occupancy).
+	plan []occupancy
 	// pfPow[n] = PerCNTFailure^n, math.Pow-filled so lookups are
 	// bit-identical to the per-round math.Pow they replace.
 	pfPow []float64
+}
+
+// pitchSampler draws one inter-track gap. A truncated-normal law inverts its
+// shared tabulated CDF directly, with no function-value call per draw;
+// other laws keep the devirtualized dist.Sampler. Both consume one draw of
+// the stream exactly as the law's own Sample does.
+type pitchSampler struct {
+	tab  *dist.TruncNormalTable
+	draw dist.Sampler
+}
+
+// newPitchSampler resolves the sampler for law once.
+func newPitchSampler(law dist.Continuous) (pitchSampler, error) {
+	if tn, ok := law.(*dist.TruncNormal); ok {
+		law = *tn
+	}
+	if tn, ok := law.(dist.TruncNormal); ok {
+		if tab, err := dist.TruncNormalTableFor(tn); err == nil {
+			return pitchSampler{tab: tab}, nil
+		}
+	}
+	draw, err := dist.FastSamplerFor(law)
+	return pitchSampler{draw: draw}, err
+}
+
+// sample draws one gap.
+//
+//yield:noalloc
+func (p pitchSampler) sample(r *rand.Rand) float64 {
+	if p.tab != nil {
+		return p.tab.Quantile(r.Float64())
+	}
+	return p.draw(r)
+}
+
+// occupancy is one step of the unaligned rounds' occupancy plan. A round
+// places the row's nFETs CNFETs on the library offsets by the
+// sequential-binomial factorization of the multinomial: each occupied
+// offset in index order takes Bin(remaining, p_i/rest_i) of the CNFETs not
+// yet placed, where rest_i is the probability mass of offset i and every
+// later offset. rest_i depends only on i, so everything a step draws from
+// is fixed by the model and Prepare computes it once; the last step takes
+// every remaining CNFET.
+type occupancy struct {
+	idx int     // offset index
+	off float64 // the offset
+	all bool    // last step: takes every remaining CNFET without a draw
+	// p is the conditional probability p_i/rest_i and ratio = p/(1-p) the
+	// binomial pmf recursion factor; pmf0[n] = exp(n·log1p(-p)) is the
+	// zero term of Bin(n, p), tabulated for n ≤ min(nFETs, occupancyTableMax).
+	p, ratio float64
+	pmf0     []float64
+}
+
+// occupancyTableMax bounds the per-step pmf0 table, so a model with an
+// enormous CNFET count cannot pin an enormous plan; larger counts evaluate
+// the zero term inline, with the same expression.
+const occupancyTableMax = 1 << 12
+
+// newOccupancy builds the plan step for offset idx with conditional
+// probability p.
+func newOccupancy(idx int, off, p float64, nFETs int) occupancy {
+	o := occupancy{idx: idx, off: off, p: p, ratio: p / (1 - p)}
+	o.pmf0 = make([]float64, min(nFETs, occupancyTableMax)+1)
+	for n := range o.pmf0 {
+		o.pmf0[n] = math.Exp(float64(n) * math.Log1p(-p))
+	}
+	return o
+}
+
+// draw returns how many of the n remaining CNFETs land on this step's
+// offset: Bin(n, p) exactly, by CDF inversion from a single uniform; when
+// the zero term underflows (enormous n·p) it falls back to counting n
+// Bernoulli draws, which is exact at any size.
+//
+//yield:noalloc
+func (o *occupancy) draw(r *rand.Rand, n int) int {
+	if o.all {
+		return n
+	}
+	p := o.p
+	if p <= 0 || n <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	var pmf float64
+	if n < len(o.pmf0) {
+		pmf = o.pmf0[n]
+	} else {
+		pmf = math.Exp(float64(n) * math.Log1p(-p))
+	}
+	if pmf < 1e-300 {
+		k := 0
+		for i := 0; i < n; i++ {
+			if r.Float64() < p {
+				k++
+			}
+		}
+		return k
+	}
+	u := r.Float64()
+	cdf := pmf
+	k := 0
+	for u > cdf && k < n {
+		k++
+		pmf *= o.ratio * float64(n-k+1) / float64(k)
+		cdf += pmf
+	}
+	return k
+}
+
+// buildPlan derives the occupancy plan from the normalized offset
+// probabilities: one step per offset carrying mass, up to and including the
+// first step that takes every remaining CNFET (later offsets never receive
+// any).
+func (m *RowModel) buildPlan() {
+	lastOcc := 0
+	for i, p := range m.Offsets.Probs {
+		if p > 0 {
+			lastOcc = i
+		}
+	}
+	m.plan = nil
+	rest := 1.0
+	for i, p := range m.Offsets.Probs {
+		if p <= 0 {
+			continue
+		}
+		if i == lastOcc || rest <= p {
+			m.plan = append(m.plan, occupancy{idx: i, off: m.Offsets.Offsets[i], all: true})
+			return
+		}
+		m.plan = append(m.plan, newOccupancy(i, m.Offsets.Offsets[i], p/rest, m.nFETs))
+		rest -= p
+	}
+}
+
+// SampleOccupancy draws one row's per-offset CNFET counts into counts
+// (indexed like Offsets.Offsets, at least that long) from the occupancy
+// plan the unaligned rounds use, consuming r exactly as they do. The model
+// must be prepared.
+//
+//yield:noalloc
+func (m *RowModel) SampleOccupancy(r *rand.Rand, counts []int) {
+	clear(counts)
+	n := m.nFETs
+	for k := 0; k < len(m.plan) && n > 0; k++ {
+		o := &m.plan[k]
+		ni := o.draw(r, n)
+		counts[o.idx] = ni
+		n -= ni
+	}
 }
 
 // pfPowHeadroom scales the expected per-window track count into the pf^n
@@ -85,9 +234,9 @@ type RowModel struct {
 const pfPowHeadroom = 4
 
 // Prepare resolves everything the Monte Carlo rounds need: the stationary
-// first-gap sampler, devirtualized (tabulated) pitch and offset samplers,
-// and the precomputed pf-power table. Estimators call it automatically;
-// calling it up front moves the one-time cost out of timed sections and
+// first-gap sampler, the devirtualized (tabulated) pitch sampler, the
+// occupancy plan and the precomputed pf-power table. Estimators call it
+// automatically; calling it up front moves the one-time cost out of timed sections and
 // surfaces configuration errors early. A prepared model is immutable and
 // safe to share across goroutines (each goroutine needs its own RoundState).
 func (m *RowModel) Prepare() error {
@@ -104,14 +253,14 @@ func (m *RowModel) Prepare() error {
 	if err != nil {
 		return fmt.Errorf("rowyield: stationary sampler: %w", err)
 	}
-	m.sampleFirst = fr.Sample
-	m.samplePitch, err = dist.FastSamplerFor(m.Pitch)
+	m.pitch, err = newPitchSampler(m.Pitch)
 	if err != nil {
 		return fmt.Errorf("rowyield: pitch sampler: %w", err)
 	}
 	if m.Offsets.alias == nil {
-		// Literal offset distribution: normalize it so the rounds get the
-		// O(1) alias sampler (and invalid literals fail here, not mid-run).
+		// Literal offset distribution: normalize it so the occupancy plan
+		// reads normalized probabilities (and invalid literals fail here,
+		// not mid-run).
 		od, err := NewOffsetDist(m.Offsets.Offsets, m.Offsets.Probs)
 		if err != nil {
 			return err
@@ -123,12 +272,7 @@ func (m *RowModel) Prepare() error {
 		return err
 	}
 	m.offSpan = m.Offsets.Span()
-	m.lastOcc = 0
-	for i, p := range m.Offsets.Probs {
-		if p > 0 {
-			m.lastOcc = i
-		}
-	}
+	m.buildPlan()
 	n := pfPowTableLen(m.WidthNM, m.Pitch.Mean())
 	m.pfPow = make([]float64, n)
 	for i := range m.pfPow {
@@ -326,19 +470,19 @@ func (m *RowModel) roundUncorrelated(r *rand.Rand) float64 {
 //yield:noalloc
 func (m *RowModel) roundDirectional(r *rand.Rand, st *RoundState, aligned bool) (float64, error) {
 	// The capacity compare is the whole cost of growth accounting on the
-	// steady-state path: sampleTracksInto only reallocates while the buffer
+	// steady-state path: drawTracks only reallocates while the buffer
 	// has not yet covered the realized span.
 	c0 := cap(st.tracks)
+	span := m.WidthNM + m.offSpan
 	if aligned {
-		st.tracks = m.sampleTracksInto(r, m.WidthNM, st.tracks[:0])
-		if cap(st.tracks) != c0 {
-			st.scratchAllocs++
-		}
-		return m.alignedFromTracks(st)
+		span = m.WidthNM
 	}
-	st.tracks = m.sampleTracksInto(r, m.WidthNM+m.offSpan, st.tracks[:0])
+	st.tracks, _ = drawTracks(r, m.fr, m.pitch, span, st.tracks[:0])
 	if cap(st.tracks) != c0 {
 		st.scratchAllocs++
+	}
+	if aligned {
+		return m.alignedFromTracks(st)
 	}
 	return m.unalignedFromTracks(r, st)
 }
@@ -360,93 +504,75 @@ func (m *RowModel) alignedFromTracks(st *RoundState) (float64, error) {
 }
 
 // unalignedFromTracks finishes an unaligned round on the realization already
-// in st.tracks: sample per-offset CNFET counts, dedup the occupied windows,
-// run the exact interval DP. Shared by the plain and importance-sampled
-// rounds; r only feeds the offset draws.
+// in st.tracks: walk the occupancy plan, collect the window of every
+// occupied offset, run the exact interval DP. Shared by the plain and
+// importance-sampled rounds; r only feeds the occupancy draws.
+//
+// Windows come from two forward cursors rather than per-offset binary
+// searches: the plan visits offsets in index order, so for a sorted library
+// both window edges only move forward. An offset below the previous one (a
+// literal distribution given out of order) re-seats the cursors by search.
+// Two offsets may share a window; the DP reads intervals only through the
+// shortest length ending on each track and the longest length overall, so
+// a repeated interval changes nothing and is not filtered out.
 //
 //yield:noalloc
 func (m *RowModel) unalignedFromTracks(r *rand.Rand, st *RoundState) (float64, error) {
+	tracks := st.tracks
 	st.intervals = st.intervals[:0]
-	st.seen.reset()
+	lo, hi := 0, 0 // first track ≥ the window's start, first track ≥ its end
+	prev := math.Inf(-1)
 	n := m.nFETs
-	rest := 1.0
-	for i, p := range m.Offsets.Probs {
-		if n == 0 {
-			break
-		}
-		if p <= 0 {
-			continue
-		}
-		var ni int
-		if i == m.lastOcc || rest <= p {
-			ni = n // the last occupied offset takes every remaining CNFET
-			n = 0
-		} else {
-			ni = binomialSample(r, n, p/rest)
-			n -= ni
-			rest -= p
-		}
+	for k := 0; k < len(m.plan) && n > 0; k++ {
+		o := &m.plan[k]
+		ni := o.draw(r, n)
+		n -= ni
 		if ni == 0 {
 			continue
 		}
-		off := m.Offsets.Offsets[i]
-		iv := windowInterval(st.tracks, off, off+m.WidthNM)
-		if iv.Empty() {
-			return 1, nil // a CNFET with zero tracks fails with certainty
-		}
-		if st.seen.add(iv) {
-			st.intervals = append(st.intervals, iv) //yield:allow(noalloc) appends into NewRoundState's pre-sized scratch; grows only until the model's interval population is covered
-		}
-	}
-	return exactRowFailureInto(st, st.intervals, len(st.tracks), m.PerCNTFailure)
-}
-
-// binomialSample draws Bin(n, p) exactly by CDF inversion from a single
-// uniform; when the zero term underflows (enormous n·p) it falls back to
-// counting n Bernoulli draws, which is exact at any size.
-//
-//yield:noalloc
-func binomialSample(r *rand.Rand, n int, p float64) int {
-	if p <= 0 || n <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	pmf := math.Exp(float64(n) * math.Log1p(-p))
-	if pmf < 1e-300 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
+		start, end := o.off, o.off+m.WidthNM
+		if start < prev {
+			lo, hi = searchTracks(tracks, start), searchTracks(tracks, end)
+		} else {
+			for lo < len(tracks) && tracks[lo] < start {
+				lo++
+			}
+			for hi < len(tracks) && tracks[hi] < end {
+				hi++
 			}
 		}
-		return k
+		prev = start
+		if hi <= lo {
+			return 1, nil // a CNFET with zero tracks fails with certainty
+		}
+		st.intervals = append(st.intervals, Interval{Lo: lo, Hi: hi - 1}) //yield:allow(noalloc) appends into NewRoundState's pre-sized scratch, which holds one interval per occupied offset
 	}
-	u := r.Float64()
-	cdf := pmf
-	ratio := p / (1 - p)
-	k := 0
-	for u > cdf && k < n {
-		k++
-		pmf *= ratio * float64(n-k+1) / float64(k)
-		cdf += pmf
-	}
-	return k
+	return exactRowFailureInto(st, st.intervals, len(tracks), m.PerCNTFailure)
 }
 
-// sampleTracksInto realizes stationary renewal track positions over
-// [0, span) into the provided buffer: the first gap follows the exact
-// forward-recurrence law, later gaps the pitch law.
+// drawTracks realizes stationary renewal track positions over [0, span)
+// into the provided buffer: the first gap follows the exact
+// forward-recurrence law fr, later gaps the pitch sampler. It also returns
+// the summed pitch draws, the displacement from the first track to the
+// final overshoot (the importance-sampling weight needs it).
 //
 //yield:noalloc
-func (m *RowModel) sampleTracksInto(r *rand.Rand, span float64, tracks []float64) []float64 {
-	y := m.sampleFirst(r)
+func drawTracks(r *rand.Rand, fr *dist.ForwardRecurrence, pitch pitchSampler, span float64, tracks []float64) ([]float64, float64) {
+	y0 := fr.Sample(r)
+	y := y0
+	if tab := pitch.tab; tab != nil {
+		// The common case, with the table lookup in the loop body.
+		for y < span {
+			tracks = append(tracks, y) //yield:allow(noalloc) appends into NewRoundState's pre-sized track buffer; capacity stops growing once it covers the realized span
+			y += tab.Quantile(r.Float64())
+		}
+		return tracks, y - y0
+	}
 	for y < span {
 		tracks = append(tracks, y) //yield:allow(noalloc) appends into NewRoundState's pre-sized track buffer; capacity stops growing once it covers the realized span
-		y += m.samplePitch(r)
+		y += pitch.draw(r)
 	}
-	return tracks
+	return tracks, y - y0
 }
 
 // countInWindow samples the CNT count of one independent window of width w.
@@ -454,22 +580,22 @@ func (m *RowModel) sampleTracksInto(r *rand.Rand, span float64, tracks []float64
 //yield:noalloc
 func (m *RowModel) countInWindow(r *rand.Rand, w float64) int {
 	n := 0
-	y := m.sampleFirst(r)
+	y := m.fr.Sample(r)
 	for y < w {
 		n++
-		y += m.samplePitch(r)
+		y += m.pitch.sample(r)
 	}
 	return n
 }
 
 // windowInterval returns the inclusive index range of sorted track
-// positions falling inside [lo, hi). The search is a hand-inlined
-// sort.SearchFloat64s: no closure, nothing to spill into the heap.
+// positions falling inside [lo, hi).
 func windowInterval(tracks []float64, lo, hi float64) Interval {
 	return Interval{Lo: searchTracks(tracks, lo), Hi: searchTracks(tracks, hi) - 1}
 }
 
-// searchTracks returns the smallest index with tracks[i] >= x.
+// searchTracks returns the smallest index with tracks[i] >= x: a
+// hand-inlined sort.SearchFloat64s, with no closure to spill into the heap.
 func searchTracks(tracks []float64, x float64) int {
 	lo, hi := 0, len(tracks)
 	for lo < hi {

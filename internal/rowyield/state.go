@@ -7,103 +7,10 @@ import (
 
 // This file holds the reusable per-goroutine scratch of the Monte Carlo
 // round functions. A steady-state round — track realization, interval
-// extraction, dedup, exact DP — touches only memory owned by its RoundState,
+// extraction, exact DP — touches only memory owned by its RoundState,
 // so it performs zero heap allocations and needs no locking: the parallel
 // estimators give every worker goroutine its own state via
 // montecarlo.RunState.
-
-// intervalSet is a small open-addressing hash set of Intervals. It replaces
-// the per-round map[Interval]bool of the directional rounds: probing a flat
-// array beats map overhead at the ~dozen distinct intervals a round sees,
-// and generation-stamped slots make reset O(1) instead of O(capacity).
-type intervalSet struct {
-	keys []Interval
-	gens []uint32
-	gen  uint32
-	n    int // live entries in the current generation
-	// grows counts table doublings over the set's lifetime — scratch-growth
-	// events surfaced through RoundState.ScratchAllocs.
-	grows uint64
-}
-
-// initCap rounds up to a power of two ≥ 4·want/3 so the load factor stays
-// below 3/4 without growth for the expected population.
-func (s *intervalSet) init(want int) {
-	capacity := 16
-	for capacity*3 < want*4 {
-		capacity *= 2
-	}
-	s.keys = make([]Interval, capacity)
-	s.gens = make([]uint32, capacity)
-	s.gen = 1
-	s.n = 0
-}
-
-// reset empties the set without touching the slots.
-func (s *intervalSet) reset() {
-	s.gen++
-	s.n = 0
-	if s.gen == 0 { // uint32 wrap: stale stamps could alias, clear for real
-		for i := range s.gens {
-			s.gens[i] = 0
-		}
-		s.gen = 1
-	}
-}
-
-// hash mixes the interval endpoints SplitMix64-style; the low bits index the
-// table.
-func (s *intervalSet) hash(iv Interval) uint64 {
-	z := uint64(uint32(iv.Lo))<<32 | uint64(uint32(iv.Hi))
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// add inserts iv and reports whether it was absent. The set grows (the only
-// allocating path, which stops once the capacity covers the model's interval
-// population) when a generation fills 3/4 of the slots.
-func (s *intervalSet) add(iv Interval) bool {
-	if len(s.keys) == 0 {
-		s.init(16)
-	}
-	mask := uint64(len(s.keys) - 1)
-	i := s.hash(iv) & mask
-	for s.gens[i] == s.gen {
-		if s.keys[i] == iv {
-			return false
-		}
-		i = (i + 1) & mask
-	}
-	s.keys[i] = iv
-	s.gens[i] = s.gen
-	s.n++
-	if s.n*4 >= len(s.keys)*3 {
-		s.grow()
-	}
-	return true
-}
-
-// grow doubles the table, rehashing the live generation.
-func (s *intervalSet) grow() {
-	s.grows++ // init leaves the lifetime counter alone
-	oldKeys, oldGens, oldGen := s.keys, s.gens, s.gen
-	s.init(len(oldKeys) * 2)
-	for i, g := range oldGens {
-		if g != oldGen {
-			continue
-		}
-		iv := oldKeys[i]
-		mask := uint64(len(s.keys) - 1)
-		j := s.hash(iv) & mask
-		for s.gens[j] == s.gen {
-			j = (j + 1) & mask
-		}
-		s.keys[j] = iv
-		s.gens[j] = s.gen
-		s.n++
-	}
-}
 
 // RoundState is the reusable scratch of one Monte Carlo round. States are
 // not safe for concurrent use; give each goroutine its own (the parallel
@@ -111,7 +18,6 @@ func (s *intervalSet) grow() {
 type RoundState struct {
 	tracks    []float64
 	intervals []Interval
-	seen      intervalSet
 	// Exact-DP scratch (see exactRowFailureInto).
 	minLenEnd []int32
 	ring      []float64
@@ -121,13 +27,13 @@ type RoundState struct {
 }
 
 // ScratchAllocs returns the state's cumulative scratch-growth events:
-// capacity-miss reallocations in the DP scratch, track-buffer growth past
-// NewRoundState's pre-sizing, and interval-set doublings. It implements
+// capacity-miss reallocations in the DP scratch and track-buffer growth
+// past NewRoundState's pre-sizing. It implements
 // obs.ScratchCounter, so the montecarlo engine folds the count into a
 // span's counters at worker exit; a non-zero steady-state value flags a
 // pre-sizing regression worth investigating.
 func (st *RoundState) ScratchAllocs() uint64 {
-	return st.scratchAllocs + st.seen.grows
+	return st.scratchAllocs
 }
 
 // NewRoundState returns scratch pre-sized for the model's expected track and
@@ -148,9 +54,7 @@ func (m *RowModel) NewRoundState() *RoundState {
 		}
 	}
 	st.tracks = make([]float64, 0, expect)
-	nIvs := m.Offsets.DistinctCount() + 1
-	st.intervals = make([]Interval, 0, nIvs)
-	st.seen.init(nIvs)
+	st.intervals = make([]Interval, 0, m.Offsets.DistinctCount()+1)
 	st.minLenEnd = make([]int32, 0, expect)
 	ringCap := 1
 	for ringCap < expect {
@@ -167,7 +71,9 @@ func (m *RowModel) NewRoundState() *RoundState {
 // and the uniform pf-scaling of surviving runs is carried in a scalar
 // `scale` factored out of the buffer. The per-track cost is O(1) plus the
 // width of the run range an ending interval kills, so a realization costs
-// O(nTracks + total killed range) instead of O(nTracks × maxLen).
+// O(nTracks + total killed range) instead of O(nTracks × maxLen). The
+// chain stops at the last track an interval ends on: past it nothing can
+// be killed, so the surviving mass is final.
 //
 //yield:noalloc
 func exactRowFailureInto(st *RoundState, intervals []Interval, nTracks int, pf float64) (float64, error) {
@@ -185,7 +91,7 @@ func exactRowFailureInto(st *RoundState, intervals []Interval, nTracks int, pf f
 	for i := range minLenEnd {
 		minLenEnd[i] = 0
 	}
-	maxLen := 0
+	maxLen, lastEnd := 0, -1
 	for _, iv := range intervals {
 		if iv.Empty() {
 			// A CNFET with no tracks fails with certainty.
@@ -201,6 +107,7 @@ func exactRowFailureInto(st *RoundState, intervals []Interval, nTracks int, pf f
 		if cur := minLenEnd[iv.Hi]; cur == 0 || int32(l) < cur {
 			minLenEnd[iv.Hi] = int32(l)
 		}
+		lastEnd = max(lastEnd, iv.Hi)
 	}
 	if len(intervals) == 0 {
 		return 0, nil
@@ -237,7 +144,7 @@ func exactRowFailureInto(st *RoundState, intervals []Interval, nTracks int, pf f
 	invPf := 1 / pf
 	q := 1 - pf
 	alive := 1.0
-	for t := 0; t < nTracks; t++ {
+	for t := 0; t <= lastEnd; t++ {
 		// Transition: every run extends by one (×pf, carried by scale),
 		// the saturation cap absorbs the run falling off the window, and
 		// the new zero-run slot collects (1-pf)·(surviving mass).

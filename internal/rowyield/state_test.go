@@ -2,15 +2,18 @@ package rowyield
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"github.com/cnfet/yieldlab/internal/dist"
 	"github.com/cnfet/yieldlab/internal/rng"
 )
 
 // A steady-state Monte Carlo round must not touch the heap: the tracks,
-// intervals, dedup set and DP buffers all live in the reusable RoundState.
+// intervals and DP buffers all live in the reusable RoundState.
 func TestRoundZeroSteadyStateAllocs(t *testing.T) {
 	offsets, err := NewOffsetDist(
 		[]float64{0, 20, 40, 60, 80, 100, 120, 140},
@@ -106,6 +109,13 @@ func TestSharedModelConcurrentEstimatesRace(t *testing.T) {
 	}
 }
 
+// binomialSample draws Bin(n, p) through a one-step occupancy plan: the
+// draw the unaligned rounds make at each occupied offset.
+func binomialSample(r *rand.Rand, n int, p float64) int {
+	o := newOccupancy(0, 0, p, n)
+	return o.draw(r, n)
+}
+
 // binomialSample must reproduce binomial moments and stay exact at the
 // degenerate edges.
 func TestBinomialSample(t *testing.T) {
@@ -162,28 +172,19 @@ func TestUnalignedOccupancyMatchesPerFETSampling(t *testing.T) {
 	const rounds = 60_000
 	r := rng.New(31)
 	got := make([]float64, len(offsets.Offsets))
+	counts := make([]int, len(offsets.Offsets))
 	n := m.nFETs
 	for round := 0; round < rounds; round++ {
-		rem := n
-		rest := 1.0
-		for i, p := range offsets.Probs {
-			if rem == 0 {
-				break
-			}
-			if p <= 0 {
-				continue
-			}
-			var ni int
-			if i == m.lastOcc || rest <= p {
-				ni, rem = rem, 0
-			} else {
-				ni = binomialSample(r, rem, p/rest)
-				rem -= ni
-				rest -= p
-			}
-			if ni > 0 {
+		m.SampleOccupancy(r, counts)
+		total := 0
+		for i, c := range counts {
+			total += c
+			if c > 0 {
 				got[i]++
 			}
+		}
+		if total != n {
+			t.Fatalf("round %d placed %d CNFETs, want %d", round, total, n)
 		}
 	}
 	for i, p := range offsets.Probs {
@@ -248,42 +249,112 @@ func TestPrepareNormalizesLiteralOffsets(t *testing.T) {
 	}
 }
 
-// The interval dedup set must behave like the map it replaced, across
-// resets and growth.
-func TestIntervalSet(t *testing.T) {
-	var s intervalSet
-	ref := map[Interval]bool{}
-	r := rng.New(5)
-	for round := 0; round < 50; round++ {
-		s.reset()
-		for k := range ref {
-			delete(ref, k)
-		}
-		for i := 0; i < 300; i++ {
-			iv := Interval{Lo: r.Intn(40), Hi: r.Intn(40)}
-			got := s.add(iv)
-			want := !ref[iv]
-			ref[iv] = true
-			if got != want {
-				t.Fatalf("round %d: add(%v) = %v, want %v", round, iv, got, want)
+// The cursor windows of the unaligned rounds must equal per-offset binary
+// searches (windowInterval) on arbitrary track sets — including repeated
+// track positions and windows holding no track — for sorted, unsorted and
+// repeated offset lists.
+func TestCursorWindowsMatchSearch(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		offsets []float64
+	}{
+		{"sorted", []float64{0, 10, 25, 40, 70, 75, 110}},
+		{"unsorted", []float64{70, 0, 110, 25, 10, 75, 40}},
+		{"repeated", []float64{25, 0, 25, 10, 0, 70, 10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			probs := make([]float64, len(tc.offsets))
+			for i := range probs {
+				probs[i] = 1
 			}
-		}
+			od, err := NewOffsetDist(tc.offsets, probs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := testRowModel(t, 12, od)
+			m.LCNTNM = 3_000 // 5 CNFETs: offsets often stay unoccupied
+			if err := m.Prepare(); err != nil {
+				t.Fatal(err)
+			}
+			st := m.NewRoundState()
+			gen := rng.New(41)
+			counts := make([]int, len(tc.offsets))
+			span := m.WidthNM + m.offSpan
+			for trial := 0; trial < 5_000; trial++ {
+				// Gaps mix repeats (0), ordinary pitches and holes wider
+				// than a window.
+				st.tracks = st.tracks[:0]
+				for y := 6 * gen.Float64(); y < span; {
+					st.tracks = append(st.tracks, y)
+					switch gen.Intn(8) {
+					case 0:
+					case 1:
+						y += 15 * gen.Float64()
+					default:
+						y += 4 * gen.Float64()
+					}
+				}
+				seed := gen.Uint64()
+				p, err := m.unalignedFromTracks(rng.New(seed), st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SampleOccupancy(rng.New(seed), counts)
+				var want []Interval
+				empty := false
+				for _, o := range m.plan {
+					if counts[o.idx] == 0 {
+						continue
+					}
+					iv := windowInterval(st.tracks, o.off, o.off+m.WidthNM)
+					if iv.Empty() {
+						empty = true
+						break
+					}
+					want = append(want, iv)
+				}
+				if empty && p != 1 {
+					t.Fatalf("trial %d: a window holds no track but the round returned %v", trial, p)
+				}
+				if !slices.Equal(st.intervals, want) {
+					t.Fatalf("trial %d: cursor windows %v, searched windows %v (tracks %v)", trial, st.intervals, want, st.tracks)
+				}
+			}
+		})
 	}
 }
 
-// Generation-stamp wraparound must clear the table rather than resurrect
-// stale entries.
-func TestIntervalSetGenerationWrap(t *testing.T) {
-	var s intervalSet
-	s.init(4)
-	iv := Interval{1, 2}
-	if !s.add(iv) {
-		t.Fatal("fresh add")
+// Property: the DP reads intervals only through the shortest length ending
+// on each track and the longest length overall, so duplicating and
+// permuting intervals returns the same bits. The unaligned rounds rely on
+// this instead of deduplicating the windows of offsets that share tracks.
+func TestExactRowFailureDuplicatePermuteBitIdentical(t *testing.T) {
+	var st RoundState // shared across calls: scratch reuse must not leak either
+	f := func(seed int64) bool {
+		r := rng.New(uint64(seed))
+		nTracks := 1 + r.Intn(150)
+		ivs := make([]Interval, 1+r.Intn(8))
+		for i := range ivs {
+			lo := r.Intn(nTracks)
+			ivs[i] = Interval{lo, lo + r.Intn(min(nTracks-lo, 30))}
+		}
+		pf := 0.05 + 0.9*r.Float64()
+		want, err := exactRowFailureInto(&st, ivs, nTracks, pf)
+		if err != nil {
+			return false
+		}
+		var dup []Interval
+		for _, iv := range ivs {
+			for k := r.Intn(3); k >= 0; k-- {
+				dup = append(dup, iv)
+			}
+		}
+		r.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
+		got, err := exactRowFailureInto(&st, dup, nTracks, pf)
+		return err == nil && math.Float64bits(got) == math.Float64bits(want)
 	}
-	s.gen = ^uint32(0) // next reset wraps
-	s.reset()
-	if !s.add(iv) {
-		t.Fatal("entry resurrected across generation wrap")
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -29,10 +29,10 @@ import (
 // use; rounds need a per-goroutine RoundState from the base model's
 // NewRoundState.
 type TiltedRowModel struct {
-	base        *RowModel
-	theta       float64
-	logM        float64
-	samplePitch dist.Sampler
+	base  *RowModel
+	theta float64
+	logM  float64
+	pitch pitchSampler
 }
 
 // Tilted builds the importance sampler for tilt parameter theta. The model's
@@ -57,11 +57,11 @@ func (m *RowModel) Tilted(theta float64) (*TiltedRowModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	sampler, err := dist.FastSamplerFor(tilted)
+	pitch, err := newPitchSampler(tilted)
 	if err != nil {
 		return nil, err
 	}
-	return &TiltedRowModel{base: m, theta: theta, logM: logM, samplePitch: sampler}, nil
+	return &TiltedRowModel{base: m, theta: theta, logM: logM, pitch: pitch}, nil
 }
 
 // Base returns the untilted model the sampler was built from.
@@ -74,22 +74,6 @@ func (t *TiltedRowModel) Theta() float64 { return t.theta }
 // have no more tracks than the base law's sizing expects for theta ≥ 0, and
 // the buffers grow on demand for theta < 0).
 func (t *TiltedRowModel) NewRoundState() *RoundState { return t.base.NewRoundState() }
-
-// sampleTracks realizes the track process over [0, span) with tilted pitch
-// draws, returning the buffer and the total tilted displacement D = Σ tilted
-// draws (the distance from the first track to the final overshoot). The
-// number of tilted draws equals the returned track count.
-//
-//yield:noalloc
-func (t *TiltedRowModel) sampleTracks(r *rand.Rand, span float64, tracks []float64) ([]float64, float64) {
-	y0 := t.base.sampleFirst(r)
-	y := y0
-	for y < span {
-		tracks = append(tracks, y) //yield:allow(noalloc) appends into NewRoundState's pre-sized track buffer; capacity stops growing once it covers the realized span
-		y += t.samplePitch(r)
-	}
-	return tracks, y - y0
-}
 
 // Round runs one importance-sampled realization of scenario s and returns
 // p·W: the realization's exact conditional failure probability times its
@@ -127,8 +111,11 @@ func (t *TiltedRowModel) Moments(r *rand.Rand, s Scenario, st *RoundState) (pw, 
 	default:
 		return 0, 0, fmt.Errorf("rowyield: tilted rounds support directional scenarios, not %v", s) //yield:allow(noalloc) cold error path for an unsupported scenario, never taken in steady state
 	}
+	// The realization draws its gaps from the tilted law; D = Σ tilted
+	// draws is the displacement drawTracks returns, and the number of tilted
+	// draws equals the track count.
 	var disp float64
-	st.tracks, disp = t.sampleTracks(r, span, st.tracks[:0])
+	st.tracks, disp = drawTracks(r, m.fr, t.pitch, span, st.tracks[:0])
 	logW := float64(len(st.tracks))*t.logM - t.theta*disp
 	var p float64
 	if s == DirectionalAligned {

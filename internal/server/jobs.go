@@ -384,7 +384,9 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 	// Query sweeps checkpoint partial results as the completed prefix
 	// grows, so a polling client watches the sweep fill in. The journal
 	// write is throttled to a stride: re-marshaling the growing prefix on
-	// every result would cost O(n²) over a large sweep.
+	// every result would cost O(n²) over a large sweep. The last result
+	// gets no checkpoint: run journals the terminal record, carrying the
+	// same full prefix, as soon as this returns.
 	stride := journalStride(j.qtotal)
 	_, err = j.session.EvaluateAllFunc(ctx, *j.spec,
 		func(done, total int, r query.Result) {
@@ -392,7 +394,7 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 			j.qresults = append(j.qresults, r)
 			j.qdone, j.qtotal = done, total
 			e.mu.Unlock()
-			if e.journal != nil && (done%stride == 0 || done == total) {
+			if e.journal != nil && done%stride == 0 && done < total {
 				e.journalPut(j)
 			}
 			// The job.result site fires on the sweep's collector goroutine,
@@ -447,7 +449,7 @@ func (e *jobEngine) resumeQuery(ctx context.Context, j *jobRecord) error {
 }
 
 // journalStride spaces progress checkpoints so a sweep journals ~64 times
-// regardless of size (plus always the final result).
+// regardless of size (the terminal record carries the final result).
 func journalStride(total int) int {
 	if s := total / 64; s > 1 {
 		return s

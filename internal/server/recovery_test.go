@@ -84,6 +84,46 @@ func submitAsync(t *testing.T, base string, spec query.Spec) JobJSON {
 	return job
 }
 
+// TestJobJournalPutsPerJob pins the journal traffic of a job: one put when
+// queued, one when it starts running, one per progress checkpoint and one
+// terminal put. The last result gets no checkpoint of its own, because the
+// terminal record written right after carries the same prefix.
+func TestJobJournalPutsPerJob(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec query.Spec
+		want uint64
+	}{
+		{"single", query.Spec{Kind: "pf", WidthNM: 155}, 3},
+		{"sweep", query.Spec{Kind: "pf", WidthNM: 155,
+			Sweep: &query.Sweep{WidthsNM: []float64{100, 150, 200}}}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			journal, err := jobstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(Config{Params: testParams(), Jobs: journal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			job := pollJob(t, ts.URL, submitAsync(t, ts.URL, tc.spec).ID)
+			if job.State != JobDone {
+				t.Fatalf("job = %+v", job)
+			}
+			// Close drains the engine, so the terminal put has landed.
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := journal.Stats().Puts; got != tc.want {
+				t.Fatalf("journal puts = %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestJobRecoveryAcrossRestart is the crash-recovery acceptance test: a
 // journal holding a terminal record and a mid-sweep "running" record (the
 // exact state a SIGKILL leaves behind) is adopted by a fresh server, the
