@@ -181,8 +181,11 @@ func ComputeFactsGraph(jobs []FactJob, analyzers []*Analyzer, fs *FactSet, worke
 		workers = 1
 	}
 	type node struct {
-		job        FactJob
-		blocked    int
+		job     FactJob
+		blocked int
+		// failedDep is the smallest path among the node's failed
+		// dependencies; a node with one never runs.
+		failedDep  string
 		dependents []*node
 	}
 	byPath := make(map[string]*node, len(jobs))
@@ -210,34 +213,35 @@ func ComputeFactsGraph(jobs []FactJob, analyzers []*Analyzer, fs *FactSet, worke
 		pending  = len(jobs)
 		failures = make(map[string]error)
 	)
-	// markFailed records n as failed and cascades to dependents that have
-	// no other blockers left: dependents of a failed job must not run —
-	// their facts would be computed against a hole in the graph. Caller
-	// holds mu. Import graphs are acyclic, so the recursion terminates.
-	var markFailed func(n *node, err error)
-	markFailed = func(n *node, err error) {
-		failures[n.job.Path] = err
+	// settle records n's outcome and releases its dependents. A dependent
+	// of a failed job must not run — its facts would be computed against a
+	// hole in the graph — however its other dependencies end, so the
+	// failure is remembered on the dependent and decides its fate once its
+	// last blocker settles. Caller holds mu. Import graphs are acyclic, so
+	// the recursion terminates.
+	var settle func(n *node, err error)
+	settle = func(n *node, err error) {
 		pending--
+		if err != nil {
+			failures[n.job.Path] = err
+		}
 		for _, dep := range n.dependents {
+			if err != nil && (dep.failedDep == "" || n.job.Path < dep.failedDep) {
+				dep.failedDep = n.job.Path
+			}
 			dep.blocked--
-			if dep.blocked == 0 {
-				markFailed(dep, fmt.Errorf("dependency %s failed", n.job.Path))
+			switch {
+			case dep.blocked > 0:
+			case dep.failedDep != "":
+				settle(dep, fmt.Errorf("dependency %s failed", dep.failedDep))
+			default:
+				ready = append(ready, dep)
 			}
 		}
 	}
 	finish := func(n *node, err error) {
 		mu.Lock()
-		if err != nil {
-			markFailed(n, err)
-		} else {
-			pending--
-			for _, dep := range n.dependents {
-				dep.blocked--
-				if dep.blocked == 0 {
-					ready = append(ready, dep)
-				}
-			}
-		}
+		settle(n, err)
 		cond.Broadcast()
 		mu.Unlock()
 	}

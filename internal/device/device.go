@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/cnfet/yieldlab/internal/dist"
 	"github.com/cnfet/yieldlab/internal/numeric"
@@ -50,8 +51,15 @@ const (
 // a truncated normal on [PitchMinNM, ∞) with post-truncation mean
 // MeanPitchNM and parent sigma PitchSigmaRatio·MeanPitchNM.
 func CalibratedPitch() (dist.TruncNormal, error) {
-	return dist.TruncNormalWithMean(MeanPitchNM, PitchSigmaRatio*MeanPitchNM, PitchMinNM)
+	return calibratedPitch()
 }
+
+// calibratedPitch solves the frozen law's parent location once: the solve
+// is a bisection on the truncated mean, and its inputs are constants, so
+// every call would reach the same value.
+var calibratedPitch = sync.OnceValues(func() (dist.TruncNormal, error) {
+	return dist.TruncNormalWithMean(MeanPitchNM, PitchSigmaRatio*MeanPitchNM, PitchMinNM)
+})
 
 // FailureParams carries the processing probabilities of Section 2.1.
 type FailureParams struct {
@@ -166,26 +174,16 @@ func (m *FailureModel) PerCNTFailure() float64 { return m.pf }
 // CountModel exposes the underlying renewal model.
 func (m *FailureModel) CountModel() *renewal.Model { return m.count }
 
-// FailureProb returns pF(w) per Eq. 2.2.
+// FailureProb returns pF(w) per Eq. 2.2: the count PGF at pf, read through
+// the count model's per-cell memo, which FailureModels of every corner over
+// one shared count model fill together.
 func (m *FailureModel) FailureProb(w float64) (float64, error) {
-	pmf, err := m.count.CountPMF(w)
-	if err != nil {
-		return 0, err
-	}
-	return pmf.PGF(m.pf), nil
+	return m.count.PGF(w, m.pf)
 }
 
 // FailureProbs evaluates pF over many widths in one batched sweep.
 func (m *FailureModel) FailureProbs(ws []float64) ([]float64, error) {
-	pmfs, err := m.count.CountPMFs(ws)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(ws))
-	for i, pmf := range pmfs {
-		out[i] = pmf.PGF(m.pf)
-	}
-	return out, nil
+	return m.count.PGFs(ws, m.pf)
 }
 
 // WidthForFailureProb returns the smallest width whose failure probability

@@ -2,6 +2,7 @@ package device
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -350,5 +351,77 @@ func TestSampleDeviceCurrentZeroCNTs(t *testing.T) {
 	ion, err := c.SampleDeviceCurrent(rng.New(2), 0)
 	if err != nil || ion != 0 {
 		t.Fatalf("zero CNTs: %v, %v", ion, err)
+	}
+}
+
+// TestFailureProbMatchesCountPGF checks that the memoized pF carries the
+// exact bits of the count PMF's PGF at pf, for random widths and for
+// widths on and half a cell either side of grid points, with probes
+// repeated so later ones are served from the memo; out-of-range widths
+// fail with the count model's own errors.
+func TestFailureProbMatchesCountPGF(t *testing.T) {
+	m := testModel(t, WorstCorner(), 120)
+	count := m.CountModel()
+	step := count.Step()
+	r := rand.New(rand.NewSource(7))
+	var ws []float64
+	for i := 0; i < 200; i++ {
+		ws = append(ws, step+r.Float64()*(count.MaxWidth()-step))
+	}
+	for _, i := range []float64{1, 2, 17, 1031, 1199} {
+		ws = append(ws, i*step, (i-0.5)*step, (i+0.5)*step)
+	}
+	ws = append(ws, ws...)
+	for _, w := range ws {
+		got, err := m.FailureProb(w)
+		if err != nil {
+			t.Fatalf("w=%g: %v", w, err)
+		}
+		pmf, err := count.CountPMF(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pmf.PGF(m.PerCNTFailure()); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pF(%g) = %v, PGF of the count PMF = %v", w, got, want)
+		}
+	}
+	batch, err := m.FailureProbs(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ws {
+		want, _ := m.FailureProb(w)
+		if math.Float64bits(batch[i]) != math.Float64bits(want) {
+			t.Fatalf("FailureProbs[%d] (w=%g) = %v, FailureProb = %v", i, w, batch[i], want)
+		}
+	}
+	for _, w := range []float64{0, -1, math.NaN(), count.MaxWidth() + step} {
+		_, errMemo := m.FailureProb(w)
+		_, errCount := count.CountPMF(w)
+		if errMemo == nil || errCount == nil || errMemo.Error() != errCount.Error() {
+			t.Fatalf("w=%g: FailureProb error %v, CountPMF error %v", w, errMemo, errCount)
+		}
+		if _, err := m.FailureProbs([]float64{50, w}); err == nil || err.Error() != errCount.Error() {
+			t.Fatalf("w=%g: FailureProbs error %v, want %v", w, err, errCount)
+		}
+	}
+}
+
+// TestCalibratedPitchFrozen checks the calibrated law is solved once: later
+// calls return the same law without allocating.
+func TestCalibratedPitchFrozen(t *testing.T) {
+	first, err := CalibratedPitch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dist.TruncNormalWithMean(MeanPitchNM, PitchSigmaRatio*MeanPitchNM, PitchMinNM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != want {
+		t.Fatalf("frozen law %+v, fresh solve %+v", first, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = CalibratedPitch() }); allocs != 0 {
+		t.Fatalf("CalibratedPitch allocates %v per call", allocs)
 	}
 }

@@ -1,7 +1,8 @@
 package dist
 
 import (
-	"fmt"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 )
 
@@ -30,27 +31,45 @@ func Fingerprint(d Continuous) (string, bool) {
 	return f.Fingerprint(), true
 }
 
-// hexBits renders a float64 through its exact bit pattern, so fingerprints
-// distinguish values a decimal format would conflate (and normalize nothing:
-// -0 and +0 differ, as do NaN payloads — construction validation rejects
-// those anyway).
-func hexBits(v float64) string {
-	return fmt.Sprintf("%016x", math.Float64bits(v))
+// AppendHexBits appends v's exact bit pattern as 16 lowercase hex digits —
+// the "%016x" rendering of math.Float64bits(v) — so identity strings
+// distinguish values a decimal format would conflate (and normalize
+// nothing: -0 and +0 differ, as do NaN payloads — construction validation
+// rejects those anyway). Fingerprints and the renewal grid keys built from
+// it name sweep-store files, so the format is frozen.
+func AppendHexBits(dst []byte, v float64) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
+	return hex.AppendEncode(dst, b[:])
+}
+
+// fingerprintOf renders a law tag followed by its parameters' bit patterns,
+// colon-separated.
+func fingerprintOf(tag string, params ...float64) string {
+	b := make([]byte, 0, len(tag)+17*len(params))
+	b = append(b, tag...)
+	for i, v := range params {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = AppendHexBits(b, v)
+	}
+	return string(b)
 }
 
 // Fingerprint implements Fingerprinter.
 func (e Exponential) Fingerprint() string {
-	return "exp:" + hexBits(e.Rate)
+	return fingerprintOf("exp:", e.Rate)
 }
 
 // Fingerprint implements Fingerprinter.
 func (d Deterministic) Fingerprint() string {
-	return "det:" + hexBits(d.V)
+	return fingerprintOf("det:", d.V)
 }
 
 // Fingerprint implements Fingerprinter. The parent parameters and bounds
 // fully determine a truncated normal; the precomputed moments derive from
 // them.
 func (t TruncNormal) Fingerprint() string {
-	return "tnorm:" + hexBits(t.Mu) + ":" + hexBits(t.Sigma) + ":" + hexBits(t.Lower) + ":" + hexBits(t.Upper)
+	return fingerprintOf("tnorm:", t.Mu, t.Sigma, t.Lower, t.Upper)
 }

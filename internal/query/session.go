@@ -232,6 +232,13 @@ func (s *Session) Evaluate(ctx context.Context, q Spec) (Result, error) {
 	if !canon.Sweep.empty() {
 		return Result{}, badRequest(fmt.Errorf("query: spec has sweep axes; use EvaluateAll"))
 	}
+	return s.evaluate(ctx, canon, fp)
+}
+
+// evaluate computes one concrete canonical spec whose fingerprint is fp —
+// the body of Evaluate, entered directly by EvaluateAllFunc with the
+// canonical forms expansion already produced.
+func (s *Session) evaluate(ctx context.Context, canon Spec, fp string) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -244,6 +251,7 @@ func (s *Session) Evaluate(ctx context.Context, q Spec) (Result, error) {
 	sp.SetAttr("kind", canon.Kind)
 	sp.SetAttr("fingerprint", fp)
 	res := Result{Spec: canon, Fingerprint: fp}
+	var err error
 	switch canon.Kind {
 	case KindPF:
 		res.PF, err = s.evalPF(ctx, canon)
@@ -278,8 +286,7 @@ func (s *Session) evalPF(ctx context.Context, q Spec) (*PFResult, error) {
 		return nil, err
 	}
 	// The sweep span covers model acquisition and the probability lookup:
-	// swept tables grow lazily, so a cached model can still sweep here when
-	// asked for a width it has not seen.
+	// a model fresh from the cache sweeps its full grid here on first use.
 	sp := obs.StartLeaf(ctx, "sweep")
 	m, hit, err := s.model(params, q)
 	if err != nil {
@@ -599,7 +606,7 @@ func (s *Session) EvaluateAll(ctx context.Context, q Spec) ([]Result, error) {
 // disk as the sweep proceeds, so an interrupted design-space exploration
 // restarts warm.
 func (s *Session) EvaluateAllFunc(ctx context.Context, q Spec, progress SweepProgress) ([]Result, error) {
-	specs, err := q.Expand()
+	specs, fps, err := q.expand()
 	if err != nil {
 		return nil, err
 	}
@@ -625,7 +632,7 @@ func (s *Session) EvaluateAllFunc(ctx context.Context, q Spec, progress SweepPro
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				res, err := s.Evaluate(ctx, specs[idx])
+				res, err := s.evaluate(ctx, specs[idx], fps[idx])
 				if err != nil {
 					failed.Store(true)
 				}
@@ -637,7 +644,11 @@ func (s *Session) EvaluateAllFunc(ctx context.Context, q Spec, progress SweepPro
 	// The collector drains outcomes as they land and checkpoints the
 	// growing completed prefix in expansion order: progress callbacks fire
 	// while later specs are still computing, and newly swept tables are
-	// persisted mid-sweep, not just at the end.
+	// persisted mid-sweep, not just at the end. Done is deliberately not
+	// deferred: a progress callback that panics kills the process, and a
+	// deferred Done would run while the panic unwinds, letting this call
+	// return the partial prefix as a finished sweep in the meantime — the
+	// job engine would journal it as a done job with missing results.
 	out := make([]Result, len(specs))
 	completed := make([]bool, len(specs))
 	firstErrIdx := -1
@@ -645,7 +656,6 @@ func (s *Session) EvaluateAllFunc(ctx context.Context, q Spec, progress SweepPro
 	var collectWg sync.WaitGroup
 	collectWg.Add(1)
 	go func() {
-		defer collectWg.Done()
 		next := 0
 		for oc := range outcomes {
 			if oc.err != nil {
@@ -665,6 +675,7 @@ func (s *Session) EvaluateAllFunc(ctx context.Context, q Spec, progress SweepPro
 				next++
 			}
 		}
+		collectWg.Done()
 	}()
 
 	// Dispatch in expansion order and stop handing out work on the first

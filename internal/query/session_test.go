@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/cnfet/yieldlab/internal/device"
 	"github.com/cnfet/yieldlab/internal/experiments"
@@ -331,6 +334,31 @@ func TestEvaluateAllProgressPrefixOrder(t *testing.T) {
 	}
 }
 
+// TestEvaluateAllAbortedProgressNeverReturns stops the collector goroutine
+// inside a progress callback — runtime.Goexit unwinds it the way a panic
+// does, minus the process exit — and requires EvaluateAllFunc to stay
+// blocked rather than return the partial prefix as a finished sweep. (In
+// production the panic ends the process; here the blocked call is left
+// behind on purpose.)
+func TestEvaluateAllAbortedProgressNeverReturns(t *testing.T) {
+	spec := Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{WidthsNM: []float64{50, 100, 150}}}
+	s := newTestSession(t, Options{Workers: 2})
+	returned := make(chan int, 1)
+	go func() {
+		results, _ := s.EvaluateAllFunc(context.Background(), spec, func(done, total int, r Result) {
+			if done == 2 {
+				runtime.Goexit()
+			}
+		})
+		returned <- len(results)
+	}()
+	select {
+	case n := <-returned:
+		t.Fatalf("EvaluateAllFunc returned %d results after its progress callback aborted", n)
+	case <-time.After(300 * time.Millisecond):
+	}
+}
+
 func TestEvaluateAllFirstErrorWins(t *testing.T) {
 	// Width 300 exceeds the 200 nm test grid: specs 2 and 4 fail; the
 	// error must name the earliest (index 2, 1-based).
@@ -402,6 +430,49 @@ func TestSessionCheckpointPersists(t *testing.T) {
 	}
 	if res.PF.PF != first.PF.PF {
 		t.Fatalf("warm pF %g != cold pF %g", res.PF.PF, first.PF.PF)
+	}
+}
+
+// TestCheckpointPersistsAfterEviction sweeps a second law after the first
+// was checkpointed and evicted from a one-entry cache: the sweep total must
+// still grow, so Checkpoint sees the new table and writes it.
+func TestCheckpointPersistsAfterEviction(t *testing.T) {
+	store, err := sweepstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestSession(t, Options{Store: store})
+	s.Cache().SetMaxEntries(1)
+	ctx := context.Background()
+	if _, err := s.Evaluate(ctx, Spec{Kind: KindPF, WidthNM: 155}); err != nil {
+		t.Fatal(err)
+	}
+	s.Checkpoint()
+	res, err := s.Evaluate(ctx, Spec{Kind: KindPF, WidthNM: 155, PitchMeanNM: 3.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Checkpoint()
+	if msg := s.LastPersistError(); msg != "" {
+		t.Fatalf("persist error: %s", msg)
+	}
+	if st := s.Cache().Stats(); st.Evictions != 1 || st.Sweeps != 2 {
+		t.Fatalf("cache stats = %+v, want 1 eviction and 2 sweeps", st)
+	}
+	pitch, err := s.pitchLaw(res.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := store.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps []string
+	for _, rec := range recs {
+		fps = append(fps, rec.Fingerprint)
+	}
+	if want := pitch.Fingerprint(); !slices.Contains(fps, want) {
+		t.Fatalf("store holds %q, missing the second law %q", fps, want)
 	}
 }
 

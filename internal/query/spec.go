@@ -613,13 +613,20 @@ func (q Spec) ExpandCount() int {
 // relax factors, scenarios. A spec without sweep axes expands to its
 // canonical self.
 func (q Spec) Expand() ([]Spec, error) {
-	base, _, err := q.Canonical()
+	specs, _, err := q.expand()
+	return specs, err
+}
+
+// expand is Expand that also returns each concrete spec's fingerprint
+// (fps[i] belongs to specs[i]), so the evaluation path canonicalizes every
+// spec exactly once.
+func (q Spec) expand() (specs []Spec, fps []string, err error) {
+	base, fp, err := q.Canonical()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if base.Sweep.empty() {
-		base.Sweep = nil
-		return []Spec{base}, nil
+		return []Spec{base}, []string{fp}, nil
 	}
 	s := *base.Sweep
 	base.Sweep = nil
@@ -650,14 +657,13 @@ func (q Spec) Expand() ([]Spec, error) {
 	}
 	// Re-canonicalize: axis values were validated, but node names still
 	// need the reference-node normalization and kind-irrelevant zeroing.
+	fps = make([]string, len(out))
 	for i := range out {
-		c, _, err := out[i].Canonical()
-		if err != nil {
-			return nil, err
+		if out[i], fps[i], err = out[i].Canonical(); err != nil {
+			return nil, nil, err
 		}
-		out[i] = c
 	}
-	return out, nil
+	return out, fps, nil
 }
 
 // expandAxis replaces each spec with len(values) copies, one per value.

@@ -1,9 +1,9 @@
 package renewal
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"github.com/cnfet/yieldlab/internal/dist"
@@ -38,6 +38,9 @@ type SweepCache struct {
 	hits       uint64
 	misses     uint64
 	evictions  uint64
+	// evictedSweeps carries the sweep counts of evicted models, so Stats'
+	// sweep total never goes backwards.
+	evictedSweeps uint64
 }
 
 type cacheEntry struct {
@@ -79,6 +82,7 @@ func (c *SweepCache) evictOverLimit() {
 				oldestKey = key
 			}
 		}
+		c.evictedSweeps += c.entries[oldestKey].model.Sweeps()
 		delete(c.entries, oldestKey)
 		c.evictions++
 	}
@@ -135,9 +139,14 @@ func (c *SweepCache) ModelTracked(spacing dist.Continuous, opts ...Option) (m *M
 // exact bits. Both the cache key and Snapshot.Key (hence the sweep store's
 // file naming) derive from this one format, so they cannot drift apart.
 func identityKey(fp string, step, maxWidth, tailEps float64, ordinary bool, conv ConvMode) string {
-	return fmt.Sprintf("%s|step=%016x|max=%016x|eps=%016x|ord=%t|conv=%d",
-		fp, math.Float64bits(step), math.Float64bits(maxWidth),
-		math.Float64bits(tailEps), ordinary, conv)
+	b := make([]byte, 0, len(fp)+96)
+	b = append(b, fp...)
+	b = dist.AppendHexBits(append(b, "|step="...), step)
+	b = dist.AppendHexBits(append(b, "|max="...), maxWidth)
+	b = dist.AppendHexBits(append(b, "|eps="...), tailEps)
+	b = strconv.AppendBool(append(b, "|ord="...), ordinary)
+	b = strconv.AppendInt(append(b, "|conv="...), int64(conv), 10)
+	return string(b)
 }
 
 // cacheKey derives the cache identity of a configured (not necessarily
@@ -165,10 +174,12 @@ type CacheStats struct {
 	Evictions uint64
 	// Entries is the current model count (== Len()).
 	Entries int
-	// Sweeps sums the arrival sweeps actually computed across cached
-	// models — zero after a warm start that answered only from restored
-	// tables, which is how tests and /v1/stats verify the persistent store
-	// did its job.
+	// Sweeps totals the arrival sweeps actually computed by every model
+	// the cache has held, evicted ones included (counted up to their
+	// eviction), so it never decreases — zero after a warm start that
+	// answered only from restored tables, which is how tests and /v1/stats
+	// verify the persistent store did its job, and a reliable "something
+	// new was swept" signal for checkpointing.
 	Sweeps uint64
 }
 
@@ -195,12 +206,13 @@ func (c *SweepCache) Stats() CacheStats {
 		return CacheStats{}
 	}
 	c.mu.Lock()
-	entries := c.snapshotLocked()
-	s := CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries)}
-	c.mu.Unlock()
-	// Model counters take the per-model lock; read them outside the cache
-	// lock so a long sweep cannot stall unrelated cache traffic.
-	for _, e := range entries {
+	defer c.mu.Unlock()
+	// Model sweep counters are atomics, so reading them under the cache
+	// lock cannot stall behind a running sweep, and the total is consistent
+	// with concurrent evictions.
+	s := CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries),
+		Sweeps: c.evictedSweeps}
+	for _, e := range c.entries {
 		s.Sweeps += e.model.Sweeps()
 	}
 	return s

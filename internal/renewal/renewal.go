@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/cnfet/yieldlab/internal/dist"
 	"github.com/cnfet/yieldlab/internal/numeric"
@@ -56,11 +57,28 @@ type Model struct {
 	gMass []float64 // first-arrival mass at grid points j·h
 
 	mu        sync.Mutex
-	sweepDone *sync.Cond // signalled when an in-flight sweep finishes
-	sweeping  bool       // an arrival sweep is running outside the lock
-	sweeps    uint64     // arrival sweeps actually computed (not deduplicated)
+	sweepDone *sync.Cond    // signalled when an in-flight sweep finishes
+	sweeping  bool          // an arrival sweep is running outside the lock
+	sweeps    atomic.Uint64 // arrival sweeps actually computed (not deduplicated)
 	cache     map[int]dist.PMF
 	sweptTo   int // every grid index ≤ sweptTo is cached
+
+	// pgf memoizes PGF values, one lazily filled column per distinct
+	// evaluation point z, at most pgfColumns of them (see PGF).
+	pgf []pgfColumn
+}
+
+// pgfColumns bounds how many distinct evaluation points one model memoizes
+// PGF values for. The paper's three processing corners fit with room for a
+// few explicit ones; further points are evaluated directly, uncached, so
+// the memo never holds more than pgfColumns × grid cells float64s.
+const pgfColumns = 8
+
+// pgfColumn holds PGF(z) of the count PMF at every grid index; NaN marks a
+// cell not evaluated yet (a PGF at a valid point z ∈ [0, 1] is finite).
+type pgfColumn struct {
+	z    uint64 // math.Float64bits of the evaluation point
+	vals []float64
 }
 
 // Option configures a Model.
@@ -90,7 +108,8 @@ func New(spacing dist.Continuous, opts ...Option) (*Model, error) {
 }
 
 // newConfigured validates the configuration without paying for the grid
-// discretization, so SweepCache can compute a cache key first.
+// discretization or the width table, so SweepCache can compute a cache key
+// first — on a cache hit the configured model is simply dropped.
 func newConfigured(spacing dist.Continuous, opts ...Option) (*Model, error) {
 	if spacing == nil {
 		return nil, errors.New("renewal: nil spacing distribution")
@@ -100,9 +119,7 @@ func newConfigured(spacing dist.Continuous, opts ...Option) (*Model, error) {
 		step:     DefaultStep,
 		maxWidth: DefaultMaxWidth,
 		tailEps:  DefaultTailEps,
-		cache:    make(map[int]dist.PMF),
 	}
-	m.sweepDone = sync.NewCond(&m.mu)
 	for _, o := range opts {
 		o(m)
 	}
@@ -124,6 +141,8 @@ func newConfigured(spacing dist.Continuous, opts ...Option) (*Model, error) {
 
 // finish bins the distributions onto the grid and seeds the width cache.
 func (m *Model) finish() {
+	m.cache = make(map[int]dist.PMF)
+	m.sweepDone = sync.NewCond(&m.mu)
 	m.discretize()
 	// Index 0 (sub-grid window) always holds zero CNTs.
 	m.cache[0] = mustPoint(0)
@@ -256,6 +275,109 @@ func (m *Model) CountPMF(w float64) (dist.PMF, error) {
 	return pmfs[0], nil
 }
 
+// PGF returns the probability generating function of N(w) evaluated at z —
+// exactly CountPMF(w).PGF(z) — memoized per (grid cell, Float64bits(z)).
+// pF(w) = PGF(pf) is a step function of the grid, so the bisection probes
+// of a Wmin search, repeated searches and repeated requests mostly land on
+// cells some earlier call already evaluated. A memoized value was computed
+// by the same PMF.PGF call on the same cached PMF, so it carries the same
+// bits as a fresh evaluation. The memo lives and dies with the model and is
+// never persisted.
+func (m *Model) PGF(w, z float64) (float64, error) {
+	idx, err := m.gridIndex(w)
+	if err != nil {
+		return 0, err
+	}
+	m.mu.Lock()
+	col := m.pgfColumnLocked(z)
+	if col != nil && !math.IsNaN(col[idx]) {
+		v := col[idx]
+		m.mu.Unlock()
+		return v, nil
+	}
+	pmf, ok := m.cache[idx]
+	m.mu.Unlock()
+	if !ok {
+		if pmf, err = m.CountPMF(w); err != nil {
+			return 0, err
+		}
+	}
+	v := pmf.PGF(z)
+	if col != nil {
+		m.mu.Lock()
+		col[idx] = v
+		m.mu.Unlock()
+	}
+	return v, nil
+}
+
+// PGFs is PGF over many widths: it validates every width first and runs at
+// most one sweep, like CountPMFs. The result order matches ws.
+func (m *Model) PGFs(ws []float64, z float64) ([]float64, error) {
+	idxs := make([]int, len(ws))
+	for i, w := range ws {
+		idx, err := m.gridIndex(w)
+		if err != nil {
+			return nil, err
+		}
+		idxs[i] = idx
+	}
+	out := make([]float64, len(ws))
+	missing := false
+	m.mu.Lock()
+	col := m.pgfColumnLocked(z)
+	for i, idx := range idxs {
+		if col == nil || math.IsNaN(col[idx]) {
+			out[i] = math.NaN()
+			missing = true
+			continue
+		}
+		out[i] = col[idx]
+	}
+	m.mu.Unlock()
+	if !missing {
+		return out, nil
+	}
+	pmfs, err := m.CountPMFs(ws)
+	if err != nil {
+		return nil, err
+	}
+	for i, pmf := range pmfs {
+		if math.IsNaN(out[i]) {
+			out[i] = pmf.PGF(z)
+		}
+	}
+	if col != nil {
+		m.mu.Lock()
+		for i, idx := range idxs {
+			col[idx] = out[i]
+		}
+		m.mu.Unlock()
+	}
+	return out, nil
+}
+
+// pgfColumnLocked returns the memo column for z, allocating it on first use
+// while fewer than pgfColumns exist; nil means z goes unmemoized. Caller
+// holds m.mu.
+func (m *Model) pgfColumnLocked(z float64) []float64 {
+	bits := math.Float64bits(z)
+	for _, c := range m.pgf {
+		if c.z == bits {
+			return c.vals
+		}
+	}
+	if len(m.pgf) == pgfColumns {
+		return nil
+	}
+	vals := make([]float64, m.fullHorizon()+1)
+	for i := range vals {
+		vals[i] = math.NaN()
+	}
+	m.pgf = append(m.pgf, pgfColumn{z: bits, vals: vals})
+	return vals
+}
+
 // CountPMFs computes count PMFs for several widths in a single arrival
 // sweep, which is far cheaper than separate CountPMF calls for curve
 // generation. The result order matches ws.
@@ -330,7 +452,7 @@ func (m *Model) sweep(maxIdx int) error {
 		m.sweepDone.Wait()
 	}
 	m.sweeping = true
-	m.sweeps++
+	m.sweeps.Add(1)
 	m.mu.Unlock()
 
 	err := m.runSweep(m.fullHorizon())
@@ -351,9 +473,7 @@ func (m *Model) fullHorizon() int {
 // Sweeps returns how many arrival sweeps this model has actually computed.
 // Deduplicated concurrent requests and cache-served queries do not count.
 func (m *Model) Sweeps() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sweeps
+	return m.sweeps.Load()
 }
 
 // runSweep performs the convolution work for one claimed sweep.

@@ -7,7 +7,10 @@
 //yield:compute
 package tech
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Node describes one technology node.
 type Node struct {
@@ -26,15 +29,20 @@ type Node struct {
 // Library geometry).
 var Reference = Node{Name: "45nm", DrawnNM: 45, CellHeightNM: 1400, PolyPitchNM: 190}
 
+// paperNodes is the node table of PaperNodes, built once at package
+// initialization: every spec canonicalization and node-scaled query looks a
+// node up by name, and rebuilding the table formats four names each time.
+var paperNodes = []Node{
+	Reference,
+	scaled(32),
+	scaled(22),
+	scaled(16),
+}
+
 // PaperNodes returns the four nodes of the scaling analysis in Fig. 2.2b,
-// largest first.
+// largest first. The slice is the caller's own copy.
 func PaperNodes() []Node {
-	return []Node{
-		Reference,
-		scaled(32),
-		scaled(22),
-		scaled(16),
-	}
+	return slices.Clone(paperNodes)
 }
 
 func scaled(drawn float64) Node {
@@ -49,7 +57,7 @@ func scaled(drawn float64) Node {
 
 // ByName returns the node with the given name from PaperNodes.
 func ByName(name string) (Node, error) {
-	for _, n := range PaperNodes() {
+	for _, n := range paperNodes {
 		if n.Name == name {
 			return n, nil
 		}

@@ -53,3 +53,20 @@ func TestValidate(t *testing.T) {
 		t.Fatal("zero drawn should error")
 	}
 }
+
+// TestNodeTableFrozen checks lookups read the table built at package
+// initialization — no allocation per call — and that PaperNodes hands out
+// a copy callers cannot use to corrupt it.
+func TestNodeTableFrozen(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = ByName("22nm") }); allocs != 0 {
+		t.Fatalf("ByName allocates %v per call", allocs)
+	}
+	nodes := PaperNodes()
+	nodes[2].Name = "mutated"
+	if n, err := ByName("22nm"); err != nil || n.DrawnNM != 22 {
+		t.Fatalf("ByName(22nm) after mutating a PaperNodes copy = %+v, %v", n, err)
+	}
+	if PaperNodes()[2].Name != "22nm" {
+		t.Fatal("PaperNodes returned the shared table")
+	}
+}
