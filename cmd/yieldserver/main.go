@@ -52,7 +52,6 @@ import (
 
 	"github.com/cnfet/yieldlab"
 	"github.com/cnfet/yieldlab/internal/fault"
-	"github.com/cnfet/yieldlab/internal/renewal"
 )
 
 func main() {
@@ -73,7 +72,6 @@ func run() error {
 		rounds    = flag.Int("rounds", 0, "Monte Carlo rounds for jobs (0 = default 200000)")
 		instances = flag.Int("instances", 0, "synthetic netlist instances (0 = default 20000)")
 		workers   = flag.Int("workers", 0, "worker goroutines for jobs and Monte Carlo (0 = NumCPU)")
-		calibrate = flag.Bool("calibrate", true, "measure the FFT/direct convolution crossover at startup")
 		pprofOn   = flag.Bool("pprof", false, "expose /debug/pprof profiling endpoints")
 		reqTO     = flag.Duration("request-timeout", 0, "per-request handling deadline (0 = none)")
 		inflight  = flag.Int("max-inflight", 0, "concurrent synchronous /v2/query sweeps before shedding (0 = default, negative = unbounded)")
@@ -154,10 +152,6 @@ func run() error {
 		cfg.Jobs = journal
 		log.Printf("job journal at %s", journal.Dir())
 	}
-	if *calibrate {
-		log.Printf("convolution crossover ratio: %.2f", renewal.Calibrate())
-	}
-
 	srv, err := yieldlab.NewServer(cfg)
 	if err != nil {
 		return err

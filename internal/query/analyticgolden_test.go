@@ -25,8 +25,11 @@ type analyticGoldenCase struct {
 
 // analyticGoldenSpecs returns the pinned spec set: pf at three grid cells
 // and the widths exactly between each and its successor, for every corner
-// and node; wmin for every corner × node × yield × relax factor; and one
-// explicit pm/prs corner and one pitch-law override of each kind.
+// and node; wmin for every corner × node × yield × relax factor; one
+// explicit pm/prs corner and one pitch-law override of each kind; and the
+// specs whose bits moved with the convolution crossover when it could be
+// measured per host — low pitch-variability laws and the paper law on a
+// 0.1 nm grid.
 func analyticGoldenSpecs() []mcGoldenSpec {
 	step := experiments.DefaultParams().GridStepNM
 	corners := []string{"worst", "mid", "best"}
@@ -59,6 +62,13 @@ func analyticGoldenSpecs() []mcGoldenSpec {
 		mcGoldenSpec{"wmin/pm0.2-prs0.1", Spec{Kind: KindWmin, PM: &pm, PRS: &prs}},
 		mcGoldenSpec{"pf/pitch3.5/w155", Spec{Kind: KindPF, PitchMeanNM: 3.5, WidthNM: 155}},
 		mcGoldenSpec{"wmin/pitch3.5", Spec{Kind: KindWmin, PitchMeanNM: 3.5}})
+	for _, ratio := range []float64{0.1, 0.5} {
+		for _, w := range []float64{103, 155, 200} {
+			out = append(out, mcGoldenSpec{fmt.Sprintf("pf/sigma%g/w%g", ratio, w),
+				Spec{Kind: KindPF, PitchSigmaRatio: ratio, WidthNM: w}})
+		}
+	}
+	out = append(out, mcGoldenSpec{"pf/grid0.1/w155", Spec{Kind: KindPF, GridStepNM: 0.1, WidthNM: 155}})
 	return out
 }
 
@@ -289,4 +299,14 @@ var analyticGolden = []analyticGoldenCase{
 	{"wmin/pm0.2-prs0.1", "qs1-ac5f9d40c2da2b71adee558e", 0x405624cc00666666, 0x3e4189529b245336, 0x3fc0a3d70a3d70a4, ""},
 	{"pf/pitch3.5/w155", "qs1-1e0f41b7e0c4878c76eb512b", 0x3de9e50d3c1023b1, 0x3fe0fdf3b645a1cb, 0x0, ""},
 	{"wmin/pitch3.5", "qs1-1cdf0d17f480598bbedcfec6", 0x4060ed9d01000000, 0x3e2b640eafef6a90, 0x3fd51eb851eb851f, ""},
+	// Captured at the fixed crossover ratio 4.0, before the ratio stopped
+	// being settable: a ratio of 6.6 moved the σ/µ = 0.1 values, 16 moved
+	// all seven.
+	{"pf/sigma0.1/w103", "qs1-dcfc226a11dc02191b873022", 0x3e787702829a38fa, 0x3fe0fdf3b645a1cb, 0x0, ""},
+	{"pf/sigma0.1/w155", "qs1-1236b2e94a27e59647d3c447", 0x3dbb6fe09741dd15, 0x3fe0fdf3b645a1cb, 0x0, ""},
+	{"pf/sigma0.1/w200", "qs1-85ccff909fcd1d114b0ade72", 0x3d17b19cda0796b6, 0x3fe0fdf3b645a1cb, 0x0, ""},
+	{"pf/sigma0.5/w103", "qs1-dce9737a129643c5c4b224d9", 0x3e900831facb1ba3, 0x3fe0fdf3b645a1cb, 0x0, ""},
+	{"pf/sigma0.5/w155", "qs1-cdbcf391951520882c1bb475", 0x3ddd36cfd4ed2b53, 0x3fe0fdf3b645a1cb, 0x0, ""},
+	{"pf/sigma0.5/w200", "qs1-c7eb94fd836eb9258510b871", 0x3d42e43c8e242f09, 0x3fe0fdf3b645a1cb, 0x0, ""},
+	{"pf/grid0.1/w155", "qs1-d5b4da716592e453bb602c4e", 0x3e2ac74581b3682a, 0x3fe0fdf3b645a1cb, 0x0, ""},
 }

@@ -19,26 +19,23 @@ func benchPitch(b *testing.B) dist.TruncNormal {
 }
 
 // BenchmarkSweep measures one full cold arrival sweep to 440 nm at the
-// paper's default 0.05 nm grid, per kernel mode. The auto mode is the
-// shipping default and the number the CI bench gate watches; direct is the
+// paper's default 0.05 nm grid, per kernel. auto is the size rule every
+// sweep runs and the number the CI bench gate watches; direct is the
 // pre-optimization reference.
 func BenchmarkSweep(b *testing.B) {
 	tn := benchPitch(b)
 	for _, tc := range []struct {
 		name string
-		mode ConvMode
+		k    kernel
 	}{
-		{"direct", DirectConv},
-		{"blocked", BlockedConv},
-		{"fft", FFTConv},
-		{"auto", AutoConv},
+		{"direct", directKernel},
+		{"blocked", blockedKernel},
+		{"fft", fftKernel},
+		{"auto", sizeRule},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, err := New(tn, WithStep(0.05), WithMaxWidth(440), WithConvMode(tc.mode))
-				if err != nil {
-					b.Fatal(err)
-				}
+				m := newForced(b, tn, tc.k, WithStep(0.05), WithMaxWidth(440))
 				if _, err := m.CountPMF(440); err != nil {
 					b.Fatal(err)
 				}
@@ -69,27 +66,17 @@ func BenchmarkConvolve(b *testing.B) {
 	dst := make([]float64, n)
 	for _, tc := range []struct {
 		name string
-		mode ConvMode
+		k    kernel
 	}{
-		{"direct", DirectConv},
-		{"blocked", BlockedConv},
-		{"fft", FFTConv},
+		{"direct", directKernel},
+		{"blocked", blockedKernel},
+		{"fft", fftKernel},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			cs := newConvState(tc.mode, f)
+			cs := newConvState(tc.k, f)
 			for i := 0; i < b.N; i++ {
 				cs.convolve(dst, d, lo, hi)
 			}
 		})
-	}
-}
-
-// BenchmarkCalibrate bounds the cost of the in-package crossover
-// calibration a long-lived process pays once at startup.
-func BenchmarkCalibrate(b *testing.B) {
-	old := fftCostRatio()
-	defer SetFFTCostRatio(old)
-	for i := 0; i < b.N; i++ {
-		Calibrate()
 	}
 }

@@ -20,7 +20,7 @@ import (
 //
 // Keys combine the law's dist.Fingerprint with every Model option that
 // affects the numbers (grid step, max width, tail epsilon, initial
-// condition, convolution mode), so a cache hit can never change a result.
+// condition), so a cache hit can never change a result.
 // Laws without a fingerprint get a fresh model each call.
 //
 // A SweepCache is safe for concurrent use. Models fill their internal width
@@ -138,21 +138,20 @@ func (c *SweepCache) ModelTracked(spacing dist.Continuous, opts ...Option) (m *M
 // fingerprint plus every numerically relevant option, floats compared by
 // exact bits. Both the cache key and Snapshot.Key (hence the sweep store's
 // file naming) derive from this one format, so they cannot drift apart.
-func identityKey(fp string, step, maxWidth, tailEps float64, ordinary bool, conv ConvMode) string {
+func identityKey(fp string, step, maxWidth, tailEps float64, ordinary bool) string {
 	b := make([]byte, 0, len(fp)+96)
 	b = append(b, fp...)
 	b = dist.AppendHexBits(append(b, "|step="...), step)
 	b = dist.AppendHexBits(append(b, "|max="...), maxWidth)
 	b = dist.AppendHexBits(append(b, "|eps="...), tailEps)
 	b = strconv.AppendBool(append(b, "|ord="...), ordinary)
-	b = strconv.AppendInt(append(b, "|conv="...), int64(conv), 10)
 	return string(b)
 }
 
 // cacheKey derives the cache identity of a configured (not necessarily
 // discretized) model.
 func cacheKey(fp string, m *Model) string {
-	return identityKey(fp, m.step, m.maxWidth, m.tailEps, m.ordinary, m.convMode)
+	return identityKey(fp, m.step, m.maxWidth, m.tailEps, m.ordinary)
 }
 
 // Len returns the number of distinct models currently cached.

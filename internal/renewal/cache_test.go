@@ -36,7 +36,6 @@ func TestSweepCacheSharesByLawAndGrid(t *testing.T) {
 		{"maxWidth", []Option{WithStep(0.1), WithMaxWidth(80)}},
 		{"tailEps", []Option{WithStep(0.1), WithMaxWidth(60), WithTailEps(1e-12)}},
 		{"ordinary", []Option{WithStep(0.1), WithMaxWidth(60), Ordinary()}},
-		{"convMode", []Option{WithStep(0.1), WithMaxWidth(60), WithConvMode(DirectConv)}},
 	}
 	for _, tc := range diff {
 		m, err := c.Model(tn, tc.opts...)

@@ -3,117 +3,47 @@ package renewal
 import (
 	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/cnfet/yieldlab/internal/fft"
 )
 
-// ConvMode selects the convolution kernel used by the arrival sweep.
-type ConvMode int
-
-const (
-	// AutoConv picks per convolution between the blocked direct kernel and
-	// FFT convolution based on the calibrated crossover (the default).
-	AutoConv ConvMode = iota
-	// DirectConv forces the naive direct kernel (the reference path).
-	DirectConv
-	// BlockedConv forces the register-blocked direct kernel.
-	BlockedConv
-	// FFTConv forces FFT convolution regardless of support size.
-	FFTConv
-)
-
-// WithConvMode overrides the sweep's convolution kernel selection. The
-// default AutoConv is right for everything except correctness tests and
-// calibration benchmarks.
-func WithConvMode(mode ConvMode) Option { return func(m *Model) { m.convMode = mode } }
-
 // Crossover model: one direct convolution costs (support cells)·(kernel
 // taps) multiply-adds; one FFT convolution of padded size N costs roughly
 // N·log2(N) "butterfly units", each fftCostRatio times more expensive than a
-// direct multiply-add. The ratio ships with a conservative default measured
-// on commodity x86 and can be re-measured on the host with Calibrate.
-const defaultFFTCostRatio = 4.0
+// direct multiply-add. The kernels round differently, so the choice shows
+// in swept bits: the ratio is a constant, never measured on the host, to
+// keep each sweep a pure function of (law, grid). At 4.0 a paper-grid sweep
+// is as fast as all-FFT and ~3.6× faster than all-blocked (BenchmarkSweep).
+const fftCostRatio = 4.0
 
 // blockedMinTaps is the smallest kernel length worth the blocked kernel's
 // edge handling; below it the plain direct loop wins.
 const blockedMinTaps = 8
 
-var fftCostRatioBits atomic.Uint64
+// kernel names one convolution implementation. Sweeps dispatch by sizeRule;
+// only this package's tests force another, through Model.kernel, so no
+// cache key, snapshot or store record can depend on one.
+type kernel uint8
 
-func init() { fftCostRatioBits.Store(math.Float64bits(defaultFFTCostRatio)) }
+const (
+	sizeRule      kernel = iota // blockedKernel or fftKernel, by pickKernel
+	directKernel                // the naive reference loop
+	blockedKernel               // the register-blocked direct loop
+	fftKernel                   // spectral multiplication
+)
 
-// fftCostRatio returns the current crossover constant.
-func fftCostRatio() float64 { return math.Float64frombits(fftCostRatioBits.Load()) }
-
-// SetFFTCostRatio overrides the crossover constant (cost of one FFT
-// butterfly unit in direct multiply-adds). Exposed for tests; most callers
-// want Calibrate.
-func SetFFTCostRatio(r float64) {
-	if r > 0 && !math.IsInf(r, 0) && !math.IsNaN(r) {
-		fftCostRatioBits.Store(math.Float64bits(r))
+// pickKernel is the sweep's one dispatch rule: blocked direct convolution
+// while its multiply-adds cost no more than the FFT's butterflies, FFT
+// beyond. It reads only sizes — the support [lo, hi), the reachable output
+// end outEnd and the kernel length nf.
+func pickKernel(lo, hi, outEnd, nf int) kernel {
+	taps := min(nf, outEnd-lo)
+	directCost := float64(hi-lo) * float64(taps)
+	padded := fft.NextPow2(hi - lo + nf - 1)
+	if directCost > fftCostRatio*float64(padded)*math.Log2(float64(padded)) {
+		return fftKernel
 	}
-}
-
-// Calibrate times the blocked direct kernel against FFT convolution on a
-// sweep-shaped workload and installs the measured crossover ratio, returning
-// it. It runs in a few tens of milliseconds and is safe to call
-// concurrently with sweeps; benchmarks and long-lived servers can call it
-// once at startup for machine-accurate kernel selection.
-func Calibrate() float64 {
-	const (
-		supp = 6144 // d-support cells, mid-sweep shaped
-		taps = 1024 // kernel cells
-		reps = 3
-	)
-	d := make([]float64, supp)
-	f := make([]float64, taps)
-	for i := range d {
-		d[i] = 1 / float64(supp)
-	}
-	for i := range f {
-		f[i] = 1 / float64(taps)
-	}
-	dst := make([]float64, supp+taps)
-
-	directNS := math.MaxFloat64
-	for r := 0; r < reps; r++ {
-		t0 := time.Now() //yield:allow(determinism) Calibrate measures wall-clock kernel cost by design; it only tunes the FFT/direct crossover, never a result
-		for i := range dst {
-			dst[i] = 0
-		}
-		convolveBlocked(dst, d, f, 0, supp)
-		if ns := float64(time.Since(t0).Nanoseconds()); ns < directNS { //yield:allow(determinism) timing readback of the calibration stopwatch
-			directNS = ns
-		}
-	}
-	directUnit := directNS / (supp * taps)
-
-	n := fft.NextPow2(supp + taps - 1)
-	plan := planFor(n)
-	spec := make([]complex128, plan.SpectrumLen())
-	fs := make([]complex128, plan.SpectrumLen())
-	work := make([]complex128, n/2)
-	out := make([]float64, n)
-	fftNS := math.MaxFloat64
-	for r := 0; r < reps; r++ {
-		t0 := time.Now() //yield:allow(determinism) Calibrate measures wall-clock kernel cost by design; it only tunes the FFT/direct crossover, never a result
-		plan.RealForward(fs, f)
-		plan.RealForward(spec, d)
-		fft.MulSpectra(spec, spec, fs)
-		plan.RealInverse(out, spec, work)
-		if ns := float64(time.Since(t0).Nanoseconds()); ns < fftNS { //yield:allow(determinism) timing readback of the calibration stopwatch
-			fftNS = ns
-		}
-	}
-	// The sweep transforms d and inverts once per step; the kernel spectrum
-	// is cached, so charge 2/3 of the measured three-transform cost.
-	fftUnit := fftNS * 2 / 3 / (float64(n) * math.Log2(float64(n)))
-
-	ratio := fftUnit / directUnit
-	SetFFTCostRatio(ratio)
-	return ratio
+	return blockedKernel
 }
 
 // planCache shares FFT plans (immutable twiddle tables) across all models.
@@ -135,7 +65,7 @@ func planFor(n int) *fft.Plan {
 // and the kernel spectra cached per padded size. It is created per sweep
 // call, so concurrent sweeps never share mutable state.
 type convState struct {
-	mode  ConvMode
+	force kernel               // sizeRule, or a kernel forced by tests
 	f     []float64            // pitch kernel
 	fSpec map[int][]complex128 // padded size → cached spectrum of f
 	spec  []complex128         // d spectrum scratch
@@ -143,8 +73,8 @@ type convState struct {
 	out   []float64            // full conv output scratch
 }
 
-func newConvState(mode ConvMode, f []float64) *convState {
-	return &convState{mode: mode, f: f, fSpec: make(map[int][]complex128)}
+func newConvState(force kernel, f []float64) *convState {
+	return &convState{force: force, f: f, fSpec: make(map[int][]complex128)}
 }
 
 // convolve computes dst = d ⊛ f truncated to len(dst), given that d is zero
@@ -154,34 +84,20 @@ func (cs *convState) convolve(dst, d []float64, lo, hi int) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	n := len(dst)
 	if lo >= hi {
 		return
 	}
-	outEnd := hi + len(cs.f) - 1
-	if outEnd > n {
-		outEnd = n
+	outEnd := min(hi+len(cs.f)-1, len(dst))
+	k := cs.force
+	if k == sizeRule {
+		k = pickKernel(lo, hi, outEnd, len(cs.f))
 	}
-	mode := cs.mode
-	if mode == AutoConv {
-		mode = BlockedConv
-		taps := len(cs.f)
-		if reach := outEnd - lo; reach < taps {
-			taps = reach
-		}
-		directCost := float64(hi-lo) * float64(taps)
-		padded := fft.NextPow2(hi - lo + len(cs.f) - 1)
-		fftCost := fftCostRatio() * float64(padded) * math.Log2(float64(padded))
-		if directCost > fftCost {
-			mode = FFTConv
-		}
-	}
-	switch mode {
-	case DirectConv:
+	switch k {
+	case directKernel:
 		convolveFrom(dst, d, cs.f, lo)
-	case BlockedConv:
+	case blockedKernel:
 		convolveBlocked(dst, d, cs.f, lo, hi)
-	case FFTConv:
+	case fftKernel:
 		cs.convolveFFT(dst, d, lo, hi, outEnd)
 	}
 }

@@ -63,11 +63,11 @@ func TestConvolveKernelsMatchDirect(t *testing.T) {
 		blocked := make([]float64, s.n)
 		convolveBlocked(blocked, d, f, s.lo, s.hi)
 
-		cs := newConvState(FFTConv, f)
+		cs := newConvState(fftKernel, f)
 		viaFFT := make([]float64, s.n)
 		cs.convolve(viaFFT, d, s.lo, s.hi)
 
-		auto := newConvState(AutoConv, f)
+		auto := newConvState(sizeRule, f)
 		viaAuto := make([]float64, s.n)
 		auto.convolve(viaAuto, d, s.lo, s.hi)
 
@@ -102,7 +102,7 @@ func TestConvolveFFTNonNegative(t *testing.T) {
 	for i := range f {
 		f[i] = r.Float64() / 700
 	}
-	cs := newConvState(FFTConv, f)
+	cs := newConvState(fftKernel, f)
 	dst := make([]float64, 2000)
 	cs.convolve(dst, d, 0, 1200)
 	for i, v := range dst {
@@ -142,18 +142,12 @@ func TestSweepKernelEquivalence(t *testing.T) {
 	const pf = 0.531
 	for _, tc := range sweepLaws(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			direct, err := New(tc.law, WithStep(0.05), WithMaxWidth(200), WithConvMode(DirectConv))
-			if err != nil {
-				t.Fatal(err)
-			}
+			direct := newForced(t, tc.law, directKernel, WithStep(0.05), WithMaxWidth(200))
 			for _, mode := range []struct {
 				name string
-				mode ConvMode
-			}{{"fft", FFTConv}, {"auto", AutoConv}, {"blocked", BlockedConv}} {
-				m, err := New(tc.law, WithStep(0.05), WithMaxWidth(200), WithConvMode(mode.mode))
-				if err != nil {
-					t.Fatal(err)
-				}
+				k    kernel
+			}{{"fft", fftKernel}, {"auto", sizeRule}, {"blocked", blockedKernel}} {
+				m := newForced(t, tc.law, mode.k, WithStep(0.05), WithMaxWidth(200))
 				for _, w := range []float64{10, 55.5, 103, 155, 200} {
 					a, err := direct.CountPMF(w)
 					if err != nil {
@@ -199,11 +193,8 @@ func TestAnchorPF155AcrossKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref float64
-	for _, mode := range []ConvMode{DirectConv, BlockedConv, FFTConv, AutoConv} {
-		m, err := New(tn, WithStep(0.05), WithMaxWidth(440), WithConvMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, mode := range []kernel{directKernel, blockedKernel, fftKernel, sizeRule} {
+		m := newForced(t, tn, mode, WithStep(0.05), WithMaxWidth(440))
 		pmf, err := m.CountPMF(155)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +203,7 @@ func TestAnchorPF155AcrossKernels(t *testing.T) {
 		if pf < 2.8e-9 || pf > 3.4e-9 {
 			t.Fatalf("mode %d: pF(155) = %g outside the paper anchor band", mode, pf)
 		}
-		if mode == DirectConv {
+		if mode == directKernel {
 			ref = pf
 			continue
 		}
@@ -222,33 +213,80 @@ func TestAnchorPF155AcrossKernels(t *testing.T) {
 	}
 }
 
-func TestCalibrateSetsSaneRatio(t *testing.T) {
-	old := fftCostRatio()
-	defer SetFFTCostRatio(old)
-	ratio := Calibrate()
-	if !(ratio > 0.01 && ratio < 1000) {
-		t.Fatalf("implausible calibrated ratio %g", ratio)
+// newForced builds a model whose sweeps run kernel k instead of the size
+// rule: the only way to pick a kernel, and only from this package's tests.
+func newForced(tb testing.TB, law dist.Continuous, k kernel, opts ...Option) *Model {
+	tb.Helper()
+	m, err := New(law, opts...)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if got := fftCostRatio(); got != ratio {
-		t.Fatalf("ratio not installed: %g vs %g", got, ratio)
-	}
-	// Invalid overrides must be ignored.
-	SetFFTCostRatio(math.NaN())
-	if got := fftCostRatio(); got != ratio {
-		t.Fatalf("NaN override should be ignored, got %g", got)
-	}
+	m.kernel = k
+	return m
 }
 
-func TestWithConvModeOption(t *testing.T) {
-	tn, err := dist.TruncNormalWithMean(4, 9.2, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestConvDispatchPinned pins the size rule on both sides of its crossover.
+// The kernels round differently, so the pick shows in every swept bit: a
+// change to the rule must fail here rather than silently re-number served
+// results. Each case is checked twice — pickKernel's verdict, and that the
+// rule-driven convolution is bit-identical to the forced kernel — with
+// expectations captured from the sweep's dispatch before the crossover
+// became a constant.
+func TestConvDispatchPinned(t *testing.T) {
+	cases := []struct {
+		n, lo, hi, taps int
+		want            kernel
+	}{
+		// The default-grid pitch kernel (1143 taps): FFT from 79 support
+		// cells on, wherever the support sits.
+		{10000, 0, 78, 1143, blockedKernel},
+		{10000, 0, 79, 1143, fftKernel},
+		{10000, 500, 578, 1143, blockedKernel},
+		{10000, 500, 579, 1143, fftKernel},
+		{10000, 1200, 7344, 1143, fftKernel},
+		{8800, 0, 8800, 1143, fftKernel},
+		// Truncated output reach caps the direct cost.
+		{10000, 0, 100, 1143, fftKernel},
+		{150, 0, 100, 1143, blockedKernel},
+		{1100, 1000, 1100, 1143, blockedKernel},
+		{1300, 1000, 1300, 1143, blockedKernel},
+		// A 64-tap kernel crosses over at 3073 support cells.
+		{10000, 0, 1000, 64, blockedKernel},
+		{10000, 0, 3072, 64, blockedKernel},
+		{10000, 0, 3073, 64, fftKernel},
+		{10000, 0, 4000, 64, fftKernel},
+		// Short kernels never reach it.
+		{10000, 0, 16, 4, blockedKernel},
+		{10000, 0, 4000, 7, blockedKernel},
+		{10000, 0, 4000, 8, blockedKernel},
+		// Long kernels over short supports.
+		{10000, 0, 1, 2000, blockedKernel},
+		{10000, 0, 61, 2000, blockedKernel},
+		{2000, 0, 200, 200, fftKernel},
+		{2000, 0, 400, 400, fftKernel},
 	}
-	m, err := New(tn, WithStep(0.1), WithMaxWidth(60), WithConvMode(FFTConv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.convMode != FFTConv {
-		t.Fatalf("convMode = %d, want %d", m.convMode, FFTConv)
+	r := rand.New(rand.NewSource(3))
+	for _, tc := range cases {
+		outEnd := min(tc.hi+tc.taps-1, tc.n)
+		if got := pickKernel(tc.lo, tc.hi, outEnd, tc.taps); got != tc.want {
+			t.Errorf("%+v: pickKernel = %d, pinned %d", tc, got, tc.want)
+		}
+		d := randomSupport(r, tc.n, tc.lo, tc.hi)
+		f := make([]float64, tc.taps)
+		for i := range f {
+			f[i] = r.Float64()
+		}
+		run := func(k kernel) []float64 {
+			dst := make([]float64, tc.n)
+			newConvState(k, f).convolve(dst, d, tc.lo, tc.hi)
+			return dst
+		}
+		got, want := run(sizeRule), run(tc.want)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%+v: dispatched convolution differs from kernel %d at cell %d", tc, tc.want, i)
+				break
+			}
+		}
 	}
 }

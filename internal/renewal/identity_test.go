@@ -8,10 +8,10 @@ import (
 
 // TestSnapshotKeyPinned pins the identity strings that name sweep-store
 // records, for the paper-default grid over the calibrated pitch law and for
-// an ordinary-renewal exponential law on a coarser grid with a forced
-// kernel. A store written by any earlier build files its tables under these
-// exact strings, so a formatting change here would orphan every stored
-// table (and re-sweep it) even though no number changed.
+// an ordinary-renewal exponential law on a coarser grid. Every record of
+// the current store format is filed under these exact strings, so a
+// formatting change here would orphan every stored table (and re-sweep it)
+// even though no number changed.
 func TestSnapshotKeyPinned(t *testing.T) {
 	paper, err := dist.TruncNormalWithMean(4, 9.2, 0)
 	if err != nil {
@@ -23,9 +23,9 @@ func TestSnapshotKeyPinned(t *testing.T) {
 		want string
 	}{
 		{paper, []Option{WithStep(0.05), WithMaxWidth(440)},
-			"tnorm:c02c152a87242667:4022666666666666:0000000000000000:7ff0000000000000|step=3fa999999999999a|max=407b800000000000|eps=3cd203af9ee75616|ord=false|conv=0"},
-		{dist.Exponential{Rate: 0.25}, []Option{WithStep(0.1), WithMaxWidth(200), WithTailEps(1e-12), Ordinary(), WithConvMode(DirectConv)},
-			"exp:3fd0000000000000|step=3fb999999999999a|max=4069000000000000|eps=3d719799812dea11|ord=true|conv=1"},
+			"tnorm:c02c152a87242667:4022666666666666:0000000000000000:7ff0000000000000|step=3fa999999999999a|max=407b800000000000|eps=3cd203af9ee75616|ord=false"},
+		{dist.Exponential{Rate: 0.25}, []Option{WithStep(0.1), WithMaxWidth(200), WithTailEps(1e-12), Ordinary()},
+			"exp:3fd0000000000000|step=3fb999999999999a|max=4069000000000000|eps=3d719799812dea11|ord=true"},
 	}
 	for i, tc := range cases {
 		m, err := New(tc.law, tc.opts...)

@@ -51,7 +51,7 @@ type Model struct {
 	tailEps  float64
 	ordinary bool
 
-	convMode ConvMode
+	kernel kernel // sizeRule; this package's tests may force a kernel
 
 	fMass []float64 // pitch mass at grid points j·h
 	gMass []float64 // first-arrival mass at grid points j·h
@@ -500,7 +500,7 @@ func (m *Model) runSweep(maxIdx int) error {
 	// not to individual entries — shrinks along with the remaining mass and
 	// the tail convergence check below stays trustworthy.
 	scale := 1.0
-	cs := newConvState(m.convMode, m.fMass)
+	cs := newConvState(m.kernel, m.fMass)
 	const trimEps = 1e-25
 	const rescaleBelow = 0x1p-30
 

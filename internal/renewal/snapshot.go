@@ -22,7 +22,6 @@ type Snapshot struct {
 	MaxWidth float64
 	TailEps  float64
 	Ordinary bool
-	ConvMode ConvMode
 	SweptTo  int
 	PMFs     []dist.PMF
 }
@@ -38,7 +37,6 @@ func (m *Model) Snapshot() *Snapshot {
 		MaxWidth: m.maxWidth,
 		TailEps:  m.tailEps,
 		Ordinary: m.ordinary,
-		ConvMode: m.convMode,
 		SweptTo:  m.sweptTo,
 		PMFs:     make([]dist.PMF, m.sweptTo),
 	}
@@ -107,8 +105,6 @@ func (m *Model) matches(s *Snapshot) error {
 		return fmt.Errorf("renewal: snapshot tail eps %g != model tail eps %g", s.TailEps, m.tailEps)
 	case s.Ordinary != m.ordinary:
 		return fmt.Errorf("renewal: snapshot initial condition (ordinary=%t) != model (ordinary=%t)", s.Ordinary, m.ordinary)
-	case s.ConvMode != m.convMode:
-		return fmt.Errorf("renewal: snapshot conv mode %d != model conv mode %d", s.ConvMode, m.convMode)
 	}
 	return nil
 }
@@ -117,14 +113,14 @@ func (m *Model) matches(s *Snapshot) error {
 // under — the exact key the SweepCache files its model by, so persistent
 // stores naming records after it stay collision-consistent with the cache.
 func (s *Snapshot) Key(fingerprint string) string {
-	return identityKey(fingerprint, s.Step, s.MaxWidth, s.TailEps, s.Ordinary, s.ConvMode)
+	return identityKey(fingerprint, s.Step, s.MaxWidth, s.TailEps, s.Ordinary)
 }
 
 // Options returns the option list that reconstructs a model with this
 // snapshot's grid configuration — the bridge the sweep store uses to rebuild
 // a cache entry from its serialized form.
 func (s *Snapshot) Options() []Option {
-	opts := []Option{WithStep(s.Step), WithMaxWidth(s.MaxWidth), WithTailEps(s.TailEps), WithConvMode(s.ConvMode)}
+	opts := []Option{WithStep(s.Step), WithMaxWidth(s.MaxWidth), WithTailEps(s.TailEps)}
 	if s.Ordinary {
 		opts = append(opts, Ordinary())
 	}

@@ -6,12 +6,14 @@
 //
 // Each record pairs a spacing law's dist.Fingerprint with a renewal.Snapshot
 // (grid configuration + the per-width count PMFs swept so far). Records are
-// stored one per file under a content-derived name, in a versioned binary
-// format with a CRC-32 integrity trailer; corrupt, truncated or
-// foreign-version files are rejected at load time and never reach the cache.
-// Fingerprints encode parameters by exact float64 bits, so a decoded record
-// rebuilds the identical law and the restored tables are bit-exact — a warm
-// start can never change a result.
+// stored one per file under a content-derived name, in binary format
+// version 2: fingerprint, grid (step, max width, tail epsilon, initial
+// condition) and PMFs, with a CRC-32 integrity trailer (see encode).
+// Corrupt, truncated or foreign-version files, version 1 included, are
+// rejected at load time and never reach the cache. Fingerprints encode
+// parameters by exact float64 bits, so a decoded record rebuilds the
+// identical law and the restored tables are bit-exact — a warm start can
+// never change a result.
 package sweepstore
 
 import (
@@ -36,8 +38,10 @@ import (
 )
 
 // magic identifies a sweep-table file; the trailing byte is the format
-// version. Decoders reject any other version outright rather than guessing.
-var magic = [8]byte{'C', 'N', 'F', 'S', 'W', 'P', 0, 1}
+// version. Decoders reject any other version outright rather than guessing;
+// version 1 carried a convolution-mode byte and may hold tables swept under
+// a host-measured kernel crossover.
+var magic = [8]byte{'C', 'N', 'F', 'S', 'W', 'P', 0, 2}
 
 const (
 	// fileExt names store files; LoadAll only considers this extension.
@@ -303,7 +307,7 @@ func (s *Store) loadFile(path string) (Record, error) {
 //
 //	uvarint len(fingerprint) | fingerprint bytes
 //	step, maxWidth, tailEps as raw float64 bits (8 each, little-endian)
-//	ordinary (1) | convMode (1)
+//	ordinary (1)
 //	uvarint sweptTo
 //	sweptTo × PMF (uvarint support length + raw float64 bits per mass)
 func encode(fingerprint string, snap *renewal.Snapshot) []byte {
@@ -317,7 +321,7 @@ func encode(fingerprint string, snap *renewal.Snapshot) []byte {
 	if snap.Ordinary {
 		ord = 1
 	}
-	body = append(body, ord, byte(snap.ConvMode))
+	body = append(body, ord)
 	body = binary.AppendUvarint(body, uint64(snap.SweptTo))
 	for _, pmf := range snap.PMFs {
 		body = pmf.AppendBinary(body)
@@ -349,7 +353,7 @@ func decode(data []byte) (Record, error) {
 	body = body[used:]
 	fp := string(body[:fpLen])
 	body = body[fpLen:]
-	if len(body) < 3*8+2 {
+	if len(body) < 3*8+1 {
 		return Record{}, errors.New("header truncated")
 	}
 	snap := &renewal.Snapshot{}
@@ -357,8 +361,7 @@ func decode(data []byte) (Record, error) {
 	snap.MaxWidth = math.Float64frombits(binary.LittleEndian.Uint64(body[8:]))
 	snap.TailEps = math.Float64frombits(binary.LittleEndian.Uint64(body[16:]))
 	snap.Ordinary = body[24] == 1
-	snap.ConvMode = renewal.ConvMode(body[25])
-	body = body[26:]
+	body = body[25:]
 	sweptTo, used := binary.Uvarint(body)
 	if used <= 0 {
 		return Record{}, errors.New("sweep horizon corrupt")

@@ -24,7 +24,7 @@ go build -race -o "$BIN" ./cmd/yieldserver
 
 SERVER_PID=
 start_server() { # $1 = YIELD_FAILPOINTS spec (empty = no faults)
-  YIELD_FAILPOINTS="${1:-}" "$BIN" -addr "$ADDR" -store "$STORE" -calibrate=false &
+  YIELD_FAILPOINTS="${1:-}" "$BIN" -addr "$ADDR" -store "$STORE" &
   SERVER_PID=$!
   for _ in $(seq 1 100); do
     if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
