@@ -6,8 +6,10 @@
 //
 // Endpoints: /healthz, /metrics (Prometheus text), /v1/corners, /v1/pf,
 // /v1/pf/batch, /v1/wmin, /v1/rowyield, /v2/query (declarative QuerySpec,
-// single or sweep, sync or ?async=1 job-backed), /v1/experiments (jobs),
-// /v1/jobs/{id}, /v1/stats.
+// single or sweep, sync or ?async=1 job-backed), /v1/experiments (paper
+// artifacts as an experiment-kind query job), /v1/jobs/{id}, /v1/stats.
+// Every compute route is a spec evaluated through one shared query
+// session.
 //
 // With -store DIR the server persists swept renewal tables: a restart (or a
 // second process on the same directory) answers its first pF query from the
@@ -17,9 +19,9 @@
 // checkpointed results.
 //
 // Overload protection: -request-timeout bounds each request's handling
-// time and -max-inflight bounds synchronous /v2/query sweeps computing at
-// once; excess sweeps are shed with a retryable 503 and Retry-After while
-// ETag revalidations keep answering 304. On SIGTERM the server stops
+// time and -max-inflight bounds synchronous evaluations on all compute
+// routes at once; excess requests are shed with a retryable 503 and
+// Retry-After while ETag revalidations keep answering 304. On SIGTERM the server stops
 // accepting requests, waits -drain-timeout for running jobs, then persists
 // its caches; jobs still running at the deadline resume on the next start.
 //
@@ -74,7 +76,7 @@ func run() error {
 		workers   = flag.Int("workers", 0, "worker goroutines for jobs and Monte Carlo (0 = NumCPU)")
 		pprofOn   = flag.Bool("pprof", false, "expose /debug/pprof profiling endpoints")
 		reqTO     = flag.Duration("request-timeout", 0, "per-request handling deadline (0 = none)")
-		inflight  = flag.Int("max-inflight", 0, "concurrent synchronous /v2/query sweeps before shedding (0 = default, negative = unbounded)")
+		inflight  = flag.Int("max-inflight", 0, "concurrent synchronous evaluations on all compute routes before shedding (0 = default, negative = unbounded)")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "SIGTERM grace for running jobs before they are left to resume on next start (0 = wait forever)")
 		failpoint = flag.String("failpoints", "", "arm fault-injection sites, e.g. \"store.save=error@p=0.1,seed=7\" (also via "+fault.EnvVar+")")
 		slowCap   = flag.Int("slowlog-entries", 0, "slow-query ring capacity for /debug/slowlog (0 = default 64)")

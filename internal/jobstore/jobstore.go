@@ -51,23 +51,19 @@ const (
 type Record struct {
 	// ID is the job's stable identity ("job-17"); it names the file.
 	ID string `json:"id"`
-	// Kind distinguishes query sweeps from experiment batches.
+	// Kind is the job kind; the engine adopts only the kinds it writes.
 	Kind string `json:"kind"`
 	// State is the last journaled lifecycle state
 	// (queued/running/done/failed).
 	State string `json:"state"`
 	// Error carries a failed job's message.
 	Error string `json:"error,omitempty"`
-	// Experiments lists an experiments job's artifact names; Workers its
-	// requested parallelism.
-	Experiments []string `json:"experiments,omitempty"`
-	Workers     int      `json:"workers,omitempty"`
-	// Spec is a query job's canonical spec (JSON), Fingerprint its stable
-	// qs1- identity.
+	// Spec is the job's canonical spec (JSON), Fingerprint its stable qs1-
+	// identity.
 	Spec        json.RawMessage `json:"spec,omitempty"`
 	Fingerprint string          `json:"fingerprint,omitempty"`
-	// Results holds the checkpointed result prefix of a query job (a JSON
-	// array in expansion order) or a finished experiments job's artifacts.
+	// Results holds the checkpointed result prefix (a JSON array in
+	// expansion order).
 	Results json.RawMessage `json:"results,omitempty"`
 	// Done and Total report sweep progress at the last checkpoint.
 	Done  int `json:"done,omitempty"`

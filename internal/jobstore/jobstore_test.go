@@ -45,8 +45,8 @@ func TestPutLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second record, and an update of the first (atomic replace).
-	if err := s.Put(Record{ID: "job-1", Kind: "experiments", State: "done",
-		Experiments: []string{"table1"}, Created: rec.Created}); err != nil {
+	if err := s.Put(Record{ID: "job-1", Kind: "query", State: "done",
+		Spec: json.RawMessage(`{"kind":"wmin"}`), Created: rec.Created}); err != nil {
 		t.Fatal(err)
 	}
 	rec.State = "done"

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/cnfet/yieldlab/internal/experiments"
 	"github.com/cnfet/yieldlab/internal/fault"
 	"github.com/cnfet/yieldlab/internal/jobstore"
 	"github.com/cnfet/yieldlab/internal/obs"
@@ -26,24 +25,19 @@ const (
 	JobFailed  = "failed"
 )
 
-// Job kinds.
-const (
-	JobKindExperiments = "experiments"
-	JobKindQuery       = "query"
-)
+// JobKindQuery is the one job kind: a QuerySpec evaluated by the job
+// engine, submitted by POST /v2/query?async=1 or, as an experiment-kind
+// spec, by POST /v1/experiments. Journal records of any other kind are
+// dropped on adoption.
+const JobKindQuery = "query"
 
-// JobJSON is the wire form of one job: an experiment batch (POST
-// /v1/experiments) or a query sweep (POST /v2/query?async=1).
+// JobJSON is the wire form of one job.
 type JobJSON struct {
-	ID   string `json:"id"`
-	Kind string `json:"kind"`
-	// Experiments lists the artifact names of an experiments job.
-	Experiments []string `json:"experiments,omitempty"`
-	State       string   `json:"state"`
-	Error       string   `json:"error,omitempty"`
-	// Results carries a finished experiments job's artifacts.
-	Results []ResultJSON `json:"results,omitempty"`
-	// Query echoes a query job's canonical spec and Fingerprint its stable
+	ID    string `json:"id"`
+	Kind  string `json:"kind"`
+	State string `json:"state"`
+	Error string `json:"error,omitempty"`
+	// Query echoes the job's canonical spec and Fingerprint its stable
 	// identity; QueryResults grows in expansion order while the sweep runs
 	// (checkpointed partial results), and Done/Total report its progress.
 	Query        *query.Spec    `json:"query,omitempty"`
@@ -66,19 +60,11 @@ type jobRecord struct {
 	// tracer) before evaluating, keeping only the request's values.
 	ctx context.Context
 
-	// Experiments jobs.
-	names   []string
-	runner  *experiments.Runner
-	workers int
-	results []ResultJSON
-
-	// Query jobs.
-	spec        *query.Spec
+	spec        query.Spec
 	fingerprint string
-	session     *query.Session
-	qresults    []query.Result
-	qdone       int
-	qtotal      int
+	results     []query.Result
+	done        int
+	total       int
 
 	created  time.Time
 	started  time.Time
@@ -86,9 +72,8 @@ type jobRecord struct {
 }
 
 // jobEngine runs jobs on a bounded pool and retains a bounded history.
-// Each job parallelizes internally (the concurrent Runner for experiment
-// batches, the session's worker pool for query sweeps); the engine's own
-// bound limits how many jobs compute at once.
+// Each job parallelizes internally on the session's worker pool; the
+// engine's own bound limits how many jobs compute at once.
 //
 // With a journal attached, every admitted job is durable: its spec,
 // state transitions and a stride-throttled prefix of its results are
@@ -96,15 +81,16 @@ type jobRecord struct {
 // checkpoint, never the job itself. adopt restores the journal on the
 // next start.
 type jobEngine struct {
+	session *query.Session
+
 	mu      sync.Mutex
 	jobs    map[string]*jobRecord
 	order   []string // creation order, for eviction of finished jobs
 	maxJobs int
 	nextID  int
 
-	sem    chan struct{} // bounds concurrently running jobs
-	wg     sync.WaitGroup
-	onDone func() // called after each job finishes (cache persistence hook)
+	sem chan struct{} // bounds concurrently running jobs
+	wg  sync.WaitGroup
 
 	// journal, when non-nil, persists job records across restarts.
 	// Journal writes are best-effort: a failed Put degrades durability
@@ -114,7 +100,7 @@ type jobEngine struct {
 	lastJournalErr atomic.Pointer[string]
 }
 
-func newJobEngine(maxJobs, concurrent int, onDone func(), journal *jobstore.Store) *jobEngine {
+func newJobEngine(session *query.Session, maxJobs, concurrent int, journal *jobstore.Store) *jobEngine {
 	// Config defaults are applied in server.New; these floors only guard
 	// direct construction in tests.
 	if maxJobs <= 0 {
@@ -124,10 +110,10 @@ func newJobEngine(maxJobs, concurrent int, onDone func(), journal *jobstore.Stor
 		concurrent = 1
 	}
 	return &jobEngine{
+		session: session,
 		jobs:    make(map[string]*jobRecord),
 		maxJobs: maxJobs,
 		sem:     make(chan struct{}, concurrent),
-		onDone:  onDone,
 		journal: journal,
 	}
 }
@@ -137,9 +123,12 @@ func newJobEngine(maxJobs, concurrent int, onDone func(), journal *jobstore.Stor
 // error envelope: the condition clears as soon as a running job finishes.
 var errJobsFull = fmt.Errorf("job queue full, retry later")
 
-// enqueue admits a populated record under the open-job bound and starts it
-// as soon as a pool slot frees up.
-func (e *jobEngine) enqueue(j *jobRecord) (JobJSON, error) {
+// submit queues a job over a canonical spec and starts it as soon as a pool
+// slot frees up. Open (queued or running) jobs are bounded by the same
+// maxJobs knob as the retained history, so a submit flood is refused
+// instead of growing records and goroutines without limit.
+func (e *jobEngine) submit(ctx context.Context, spec query.Spec, fingerprint string) (JobJSON, error) {
+	j := &jobRecord{ctx: ctx, spec: spec, fingerprint: fingerprint, total: spec.ExpandCount()}
 	e.mu.Lock()
 	open := 0
 	for _, rec := range e.jobs {
@@ -153,11 +142,6 @@ func (e *jobEngine) enqueue(j *jobRecord) (JobJSON, error) {
 	}
 	e.nextID++
 	j.id = fmt.Sprintf("job-%d", e.nextID)
-	if j.ctx == nil {
-		// Direct construction in tests; handlers always pass a request
-		// context through submit/submitQuery.
-		j.ctx = context.Background()
-	}
 	j.state = JobQueued
 	j.created = time.Now()
 	e.jobs[j.id] = j
@@ -173,40 +157,15 @@ func (e *jobEngine) enqueue(j *jobRecord) (JobJSON, error) {
 	return snap, nil
 }
 
-// submit queues an experiments job over pre-validated experiment names.
-// Open (queued or running) jobs are bounded by the same maxJobs knob as the
-// retained history, so a submit flood is refused instead of growing records
-// and goroutines without limit.
-func (e *jobEngine) submit(ctx context.Context, runner *experiments.Runner, names []string, workers int) (JobJSON, error) {
-	return e.enqueue(&jobRecord{
-		ctx:     ctx,
-		names:   append([]string(nil), names...),
-		runner:  runner,
-		workers: workers,
-	})
-}
-
-// submitQuery queues a query-sweep job over a canonical spec.
-func (e *jobEngine) submitQuery(ctx context.Context, session *query.Session, spec query.Spec, fingerprint string) (JobJSON, error) {
-	specCopy := spec
-	return e.enqueue(&jobRecord{
-		ctx:         ctx,
-		spec:        &specCopy,
-		fingerprint: fingerprint,
-		session:     session,
-		qtotal:      spec.ExpandCount(),
-	})
-}
-
 // adopt restores the journal into the engine: terminal records come back
 // as served history, open (queued/running) records are re-enqueued and
 // resumed from their checkpointed result prefix. It must run before the
 // server accepts requests; the ID counter continues above every adopted
 // ID so restarts never recycle a job identity. Corrupt journal files were
 // already quarantined by LoadAll; records that fail semantic decode here
-// (e.g. an unknown kind) are dropped from the journal and counted as
-// journal errors.
-func (e *jobEngine) adopt(session *query.Session, runner *experiments.Runner, workers int) (resumed int, err error) {
+// (e.g. an unknown kind, such as the retired "experiments" kind) are
+// dropped from the journal and counted as journal errors.
+func (e *jobEngine) adopt() (resumed int, err error) {
 	if e.journal == nil {
 		return 0, nil
 	}
@@ -219,7 +178,7 @@ func (e *jobEngine) adopt(session *query.Session, runner *experiments.Runner, wo
 	sort.SliceStable(recs, func(i, j int) bool { return jobSeq(recs[i].ID) < jobSeq(recs[j].ID) })
 	var drop []string
 	for _, rec := range recs {
-		j, ok := e.restore(rec, session, runner, workers)
+		j, ok := e.restore(rec)
 		if !ok {
 			drop = append(drop, rec.ID)
 			continue
@@ -251,15 +210,17 @@ func (e *jobEngine) adopt(session *query.Session, runner *experiments.Runner, wo
 }
 
 // restore rebuilds one in-memory record from its journaled form.
-func (e *jobEngine) restore(rec jobstore.Record, session *query.Session, runner *experiments.Runner, workers int) (*jobRecord, bool) {
+func (e *jobEngine) restore(rec jobstore.Record) (*jobRecord, bool) {
 	j := &jobRecord{
-		id:       rec.ID,
-		state:    rec.State,
-		err:      rec.Error,
-		ctx:      context.Background(),
-		created:  rec.Created,
-		started:  rec.Started,
-		finished: rec.Finished,
+		id:          rec.ID,
+		state:       rec.State,
+		err:         rec.Error,
+		ctx:         context.Background(),
+		fingerprint: rec.Fingerprint,
+		total:       rec.Total,
+		created:     rec.Created,
+		started:     rec.Started,
+		finished:    rec.Finished,
 	}
 	switch rec.State {
 	case JobQueued, JobRunning, JobDone, JobFailed:
@@ -267,46 +228,26 @@ func (e *jobEngine) restore(rec jobstore.Record, session *query.Session, runner 
 		e.noteJournalErr(fmt.Errorf("job %s: unknown state %q", rec.ID, rec.State))
 		return nil, false
 	}
-	switch rec.Kind {
-	case JobKindQuery:
-		var spec query.Spec
-		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-			e.noteJournalErr(fmt.Errorf("job %s: spec: %w", rec.ID, err))
-			return nil, false
-		}
-		j.spec = &spec
-		j.fingerprint = rec.Fingerprint
-		j.session = session
-		j.qtotal = rec.Total
-		if j.qtotal == 0 {
-			j.qtotal = spec.ExpandCount()
-		}
-		if len(rec.Results) > 0 {
-			if err := json.Unmarshal(rec.Results, &j.qresults); err != nil {
-				e.noteJournalErr(fmt.Errorf("job %s: results: %w", rec.ID, err))
-				return nil, false
-			}
-		}
-		// The decoded prefix is the truth about progress, not the
-		// journaled counter (a crash can land between the two).
-		j.qdone = len(j.qresults)
-	case JobKindExperiments:
-		j.names = append([]string(nil), rec.Experiments...)
-		j.runner = runner
-		j.workers = rec.Workers
-		if j.workers <= 0 {
-			j.workers = workers
-		}
-		if len(rec.Results) > 0 {
-			if err := json.Unmarshal(rec.Results, &j.results); err != nil {
-				e.noteJournalErr(fmt.Errorf("job %s: results: %w", rec.ID, err))
-				return nil, false
-			}
-		}
-	default:
+	if rec.Kind != JobKindQuery {
 		e.noteJournalErr(fmt.Errorf("job %s: unknown kind %q", rec.ID, rec.Kind))
 		return nil, false
 	}
+	if err := json.Unmarshal(rec.Spec, &j.spec); err != nil {
+		e.noteJournalErr(fmt.Errorf("job %s: spec: %w", rec.ID, err))
+		return nil, false
+	}
+	if j.total == 0 {
+		j.total = j.spec.ExpandCount()
+	}
+	if len(rec.Results) > 0 {
+		if err := json.Unmarshal(rec.Results, &j.results); err != nil {
+			e.noteJournalErr(fmt.Errorf("job %s: results: %w", rec.ID, err))
+			return nil, false
+		}
+	}
+	// The decoded prefix is the truth about progress, not the journaled
+	// counter (a crash can land between the two).
+	j.done = len(j.results)
 	return j, true
 }
 
@@ -348,9 +289,6 @@ func (e *jobEngine) run(j *jobRecord) {
 	}
 	e.mu.Unlock()
 	e.journalPut(j)
-	if e.onDone != nil {
-		e.onDone()
-	}
 }
 
 // execute runs one job's work and converts panics — genuine bugs or an
@@ -365,18 +303,8 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 	if err := fault.InjectContext(ctx, fault.SiteJobRun); err != nil {
 		return err
 	}
-	if j.spec == nil {
-		results, err := j.runner.RunMany(j.names, j.workers)
-		if err != nil {
-			return err
-		}
-		e.mu.Lock()
-		j.results = EncodeResults(results)
-		e.mu.Unlock()
-		return nil
-	}
 	e.mu.Lock()
-	resume := len(j.qresults) > 0
+	resume := len(j.results) > 0
 	e.mu.Unlock()
 	if resume {
 		return e.resumeQuery(ctx, j)
@@ -387,12 +315,12 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 	// every result would cost O(n²) over a large sweep. The last result
 	// gets no checkpoint: run journals the terminal record, carrying the
 	// same full prefix, as soon as this returns.
-	stride := journalStride(j.qtotal)
-	_, err = j.session.EvaluateAllFunc(ctx, *j.spec,
+	stride := journalStride(j.total)
+	_, err = e.session.EvaluateAllFunc(ctx, j.spec,
 		func(done, total int, r query.Result) {
 			e.mu.Lock()
-			j.qresults = append(j.qresults, r)
-			j.qdone, j.qtotal = done, total
+			j.results = append(j.results, r)
+			j.done, j.total = done, total
 			e.mu.Unlock()
 			if e.journal != nil && done%stride == 0 && done < total {
 				e.journalPut(j)
@@ -419,27 +347,27 @@ func (e *jobEngine) resumeQuery(ctx context.Context, j *jobRecord) error {
 		return err
 	}
 	e.mu.Lock()
-	if len(j.qresults) > len(specs) {
+	if len(j.results) > len(specs) {
 		// A journaled prefix longer than the expansion means the spec and
 		// results disagree; distrust the prefix entirely.
-		j.qresults = nil
-		j.qdone = 0
+		j.results = nil
+		j.done = 0
 	}
-	j.qtotal = len(specs)
-	start := len(j.qresults)
+	j.total = len(specs)
+	start := len(j.results)
 	e.mu.Unlock()
 	for idx := start; idx < len(specs); idx++ {
-		res, err := j.session.Evaluate(ctx, specs[idx])
+		res, err := e.session.Evaluate(ctx, specs[idx])
 		if err != nil {
 			// Mirror EvaluateAllFunc's error shape so a resumed failure
 			// reads identically to a fresh one.
 			return fmt.Errorf("query: spec %d/%d: %w", idx+1, len(specs), err)
 		}
 		e.mu.Lock()
-		j.qresults = append(j.qresults, res)
-		j.qdone = idx + 1
+		j.results = append(j.results, res)
+		j.done = idx + 1
 		e.mu.Unlock()
-		j.session.Checkpoint()
+		e.session.Checkpoint()
 		e.journalPut(j)
 		if ferr := fault.Inject(fault.SiteJobResult); ferr != nil {
 			return ferr
@@ -492,34 +420,22 @@ func (e *jobEngine) journalStats() (errs uint64, last string) {
 // journalRecordLocked builds j's durable form; e.mu must be held.
 func (j *jobRecord) journalRecordLocked() (jobstore.Record, error) {
 	rec := jobstore.Record{
-		ID:       j.id,
-		Kind:     JobKindExperiments,
-		State:    j.state,
-		Error:    j.err,
-		Created:  j.created,
-		Started:  j.started,
-		Finished: j.finished,
+		ID:          j.id,
+		Kind:        JobKindQuery,
+		State:       j.state,
+		Error:       j.err,
+		Fingerprint: j.fingerprint,
+		Done:        j.done,
+		Total:       j.total,
+		Created:     j.created,
+		Started:     j.started,
+		Finished:    j.finished,
 	}
-	if j.spec != nil {
-		rec.Kind = JobKindQuery
-		rec.Fingerprint = j.fingerprint
-		rec.Done, rec.Total = j.qdone, j.qtotal
-		spec, err := json.Marshal(j.spec)
-		if err != nil {
-			return rec, fmt.Errorf("journal %s: spec: %w", j.id, err)
-		}
-		rec.Spec = spec
-		if len(j.qresults) > 0 {
-			results, err := json.Marshal(j.qresults)
-			if err != nil {
-				return rec, fmt.Errorf("journal %s: results: %w", j.id, err)
-			}
-			rec.Results = results
-		}
-		return rec, nil
+	spec, err := json.Marshal(j.spec)
+	if err != nil {
+		return rec, fmt.Errorf("journal %s: spec: %w", j.id, err)
 	}
-	rec.Experiments = append([]string(nil), j.names...)
-	rec.Workers = j.workers
+	rec.Spec = spec
 	if len(j.results) > 0 {
 		results, err := json.Marshal(j.results)
 		if err != nil {
@@ -611,22 +527,18 @@ func (e *jobEngine) evictLocked() []string {
 }
 
 func (j *jobRecord) snapshotLocked() JobJSON {
+	spec := j.spec
 	out := JobJSON{
-		ID:          j.id,
-		Kind:        JobKindExperiments,
-		Experiments: append([]string(nil), j.names...),
-		State:       j.state,
-		Error:       j.err,
-		Results:     j.results,
-		CreatedAt:   j.created,
-	}
-	if j.spec != nil {
-		out.Kind = JobKindQuery
-		specCopy := *j.spec
-		out.Query = &specCopy
-		out.Fingerprint = j.fingerprint
-		out.QueryResults = append([]query.Result(nil), j.qresults...)
-		out.Done, out.Total = j.qdone, j.qtotal
+		ID:           j.id,
+		Kind:         JobKindQuery,
+		State:        j.state,
+		Error:        j.err,
+		Query:        &spec,
+		Fingerprint:  j.fingerprint,
+		QueryResults: append([]query.Result(nil), j.results...),
+		Done:         j.done,
+		Total:        j.total,
+		CreatedAt:    j.created,
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -13,7 +13,6 @@ import (
 	"github.com/cnfet/yieldlab/internal/fault"
 	"github.com/cnfet/yieldlab/internal/jobstore"
 	"github.com/cnfet/yieldlab/internal/obs"
-	"github.com/cnfet/yieldlab/internal/renewal"
 	"github.com/cnfet/yieldlab/internal/sweepstore"
 )
 
@@ -77,8 +76,7 @@ func (m *metricsRegistry) observeStage(stage string, seconds float64) {
 // promSnapshot carries the point-in-time gauges sampled at scrape.
 type promSnapshot struct {
 	uptimeSeconds float64
-	cache         renewal.CacheStats
-	deduped       uint64
+	cache         SweepCacheStatsJSON
 	shed          uint64
 	jobs          map[string]int
 	build         buildinfo.Info
@@ -184,10 +182,7 @@ func (m *metricsRegistry) write(w http.ResponseWriter, snap promSnapshot) {
 	b.WriteString("# HELP yieldserver_sweeps_total Renewal arrival sweeps computed.\n")
 	b.WriteString("# TYPE yieldserver_sweeps_total counter\n")
 	fmt.Fprintf(&b, "yieldserver_sweeps_total %d\n", snap.cache.Sweeps)
-	b.WriteString("# HELP yieldserver_deduped_requests_total Computations served by another caller's in-flight evaluation.\n")
-	b.WriteString("# TYPE yieldserver_deduped_requests_total counter\n")
-	fmt.Fprintf(&b, "yieldserver_deduped_requests_total %d\n", snap.deduped)
-	b.WriteString("# HELP yieldserver_shed_requests_total Synchronous sweeps refused at the in-flight bound with a retryable 503.\n")
+	b.WriteString("# HELP yieldserver_shed_requests_total Synchronous evaluations refused at the in-flight bound with a retryable 503.\n")
 	b.WriteString("# TYPE yieldserver_shed_requests_total counter\n")
 	fmt.Fprintf(&b, "yieldserver_shed_requests_total %d\n", snap.shed)
 

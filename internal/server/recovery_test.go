@@ -1,18 +1,23 @@
 package server
 
 // Robustness acceptance suite: crash recovery from the job journal,
-// overload shedding, request deadlines, admission-bound contracts and an
-// in-process chaos run with armed failpoints. The fault registry is global
+// overload shedding on every compute route, per-request isolation,
+// request deadlines, admission-bound contracts and an in-process chaos run
+// with armed failpoints. The fault registry is global
 // process state, so none of these tests run in parallel and every one that
 // arms a site registers fault.Reset as cleanup first.
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -278,28 +283,48 @@ func TestJobsFullRetryAfter(t *testing.T) {
 	}
 }
 
-// TestSyncSweepShedding pins graceful degradation under load: with one
-// in-flight slot held by a stalled sweep, further cold sweeps shed with a
-// retryable 503, ETag revalidations still answer 304, and the shed counter
-// surfaces in /v1/stats.
+// TestSyncSweepShedding pins graceful degradation under load on every
+// compute route: with the one in-flight slot held by a stalled evaluation,
+// further requests shed with a retryable 503, ETag revalidations still
+// answer 304, and the shed counter surfaces in /v1/stats.
 func TestSyncSweepShedding(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	_, ts := newTestServer(t, Config{MaxInFlightSweeps: 1})
 
-	// Warm the cache (and learn the ETag) before arming the stall: cached
-	// evaluations never reach Session.Evaluate, so probes stay fast.
 	warm := query.Spec{Kind: "pf", WidthNM: 120}
-	code, _, hdr := postRaw(t, ts.URL+"/v2/query", warm, nil)
-	if code != http.StatusOK {
-		t.Fatalf("warm status %d", code)
+	routes := []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodGet, "/v1/pf?width=120", nil},
+		{http.MethodGet, "/v1/wmin?corner=mid", nil},
+		{http.MethodGet, "/v1/rowyield?scenario=aligned&width=120", nil},
+		{http.MethodPost, "/v1/pf/batch", map[string]any{"points": []map[string]any{{"width_nm": 120.0}}}},
+		{http.MethodPost, "/v2/query", warm},
 	}
-	etag := hdr.Get("ETag")
-	if etag == "" {
-		t.Fatal("warm response carried no ETag")
+	send := func(method, path string, body any, hdr map[string]string) (int, []byte, http.Header) {
+		if method == http.MethodGet {
+			return getBody(t, ts.URL+path, hdr)
+		}
+		return postRaw(t, ts.URL+path, body, hdr)
+	}
+
+	// Warm every route (and learn the ETags) before arming the stall:
+	// revalidations never reach Session.Evaluate, so probes stay fast.
+	etags := make([]string, len(routes))
+	for i, rt := range routes {
+		code, body, hdr := send(rt.method, rt.path, rt.body, nil)
+		if code != http.StatusOK {
+			t.Fatalf("warm %s: status %d: %s", rt.path, code, body)
+		}
+		etags[i] = hdr.Get("ETag")
+		if etags[i] == "" && rt.path != "/v1/pf/batch" {
+			t.Fatalf("warm %s carried no ETag", rt.path)
+		}
 	}
 
 	// times=1: only the stalled goroutine's evaluation sleeps; the probes
-	// below either shed at the admission gate or run at full speed.
+	// below either shed at the admission gate or answer 304 before it.
 	if err := fault.Enable(fault.SiteQueryEvaluate, "delay(2500ms)@times=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -333,28 +358,33 @@ func TestSyncSweepShedding(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// With the slot held, a cold sync sweep must shed: retryable 503 with a
-	// Retry-After hint.
-	c, shedBody, h := postRaw(t, ts.URL+"/v2/query", warm, nil)
-	if c != http.StatusServiceUnavailable {
-		t.Fatalf("probe while saturated: status %d: %s", c, shedBody)
-	}
-	if ra := h.Get("Retry-After"); ra != "1" {
-		t.Fatalf("shed Retry-After = %q", ra)
-	}
-	var envelope ErrorJSON
-	if err := json.Unmarshal(shedBody, &envelope); err != nil {
-		t.Fatal(err)
-	}
-	if envelope.Error.Code != "unavailable" || !envelope.Error.Retryable {
-		t.Fatalf("shed envelope = %+v", envelope)
-	}
+	for i, rt := range routes {
+		// With the slot held, every compute route sheds: retryable 503 with
+		// a Retry-After hint.
+		c, shedBody, h := send(rt.method, rt.path, rt.body, nil)
+		if c != http.StatusServiceUnavailable {
+			t.Fatalf("%s while saturated: status %d: %s", rt.path, c, shedBody)
+		}
+		if ra := h.Get("Retry-After"); ra != "1" {
+			t.Fatalf("%s shed Retry-After = %q", rt.path, ra)
+		}
+		var envelope ErrorJSON
+		if err := json.Unmarshal(shedBody, &envelope); err != nil {
+			t.Fatal(err)
+		}
+		if envelope.Error.Code != "unavailable" || !envelope.Error.Retryable {
+			t.Fatalf("%s shed envelope = %+v", rt.path, envelope)
+		}
 
-	// Degradation contract: revalidation answers before the in-flight
-	// bound, so a 304 goes out even while cold sweeps are being shed.
-	code, _, _ = postRaw(t, ts.URL+"/v2/query", warm, map[string]string{"If-None-Match": etag})
-	if code != http.StatusNotModified {
-		t.Fatalf("revalidation while shedding: status %d", code)
+		// Degradation contract: revalidation answers before the in-flight
+		// bound, so a 304 goes out even while cold work is being shed.
+		if etags[i] == "" {
+			continue
+		}
+		code, _, _ := send(rt.method, rt.path, rt.body, map[string]string{"If-None-Match": etags[i]})
+		if code != http.StatusNotModified {
+			t.Fatalf("%s revalidation while shedding: status %d", rt.path, code)
+		}
 	}
 
 	if c := <-stalled; c != http.StatusOK {
@@ -364,8 +394,88 @@ func TestSyncSweepShedding(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
-	if stats.ShedRequests == 0 {
-		t.Fatal("shed_requests = 0 after shedding")
+	if stats.ShedRequests != uint64(len(routes)) {
+		t.Fatalf("shed_requests = %d, want %d", stats.ShedRequests, len(routes))
+	}
+}
+
+// TestLeaderDisconnectIsolated pins per-request evaluation: when a client
+// disconnects mid-evaluation, a second client asking for the same answer
+// at the same time still gets it. The first evaluation is held in a delay
+// failpoint; the http.request site is armed with a no-op delay only to
+// count requests entering the server.
+func TestLeaderDisconnectIsolated(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	_, ts := newTestServer(t, Config{})
+	url := ts.URL + "/v1/pf?width=155&corner=worst"
+	if err := fault.EnableSpecs("query.evaluate=delay(300ms)@nth=1;http.request=delay(0s)"); err != nil {
+		t.Fatal(err)
+	}
+	counts := func(site string) (calls, fired uint64) {
+		for _, fs := range fault.Stats() {
+			if fs.Site == site {
+				return fs.Calls, fs.Fired
+			}
+		}
+		return 0, 0
+	}
+	waitFor := func(what string, cond func() bool) {
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor("the leader's evaluation", func() bool { _, fired := counts(fault.SiteQueryEvaluate); return fired == 1 })
+
+	type reply struct {
+		code int
+		body []byte
+		err  error
+	}
+	follower := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get(url)
+		if err != nil {
+			follower <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		follower <- reply{code: resp.StatusCode, body: body, err: err}
+	}()
+	waitFor("the follower's request", func() bool { calls, _ := counts(fault.SiteHTTPRequest); return calls == 2 })
+	cancel()
+	<-leaderDone
+
+	got := <-follower
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.code != http.StatusOK {
+		t.Fatalf("follower status %d after the leader disconnected: %s", got.code, got.body)
+	}
+	fault.Reset()
+	code, want, _ := getBody(t, url, nil)
+	if code != http.StatusOK || compact(t, got.body) != compact(t, want) {
+		t.Fatalf("follower body differs from an undisturbed request (status %d)\n%s\n%s", code, got.body, want)
 	}
 }
 
@@ -535,5 +645,58 @@ func TestEvictionCleansJournal(t *testing.T) {
 	}
 	if recordFiles > 2 {
 		t.Fatalf("journal holds %d records, retention bound is 2", recordFiles)
+	}
+}
+
+// TestRetiredJobKindDropped pins adoption of a journal written before
+// experiment jobs became experiment-kind query jobs: a record of the
+// retired "experiments" kind, hand-encoded in the journal's on-disk format
+// with its old fields, is dropped and counted as a journal error, while
+// the open query record next to it resumes.
+func TestRetiredJobKindDropped(t *testing.T) {
+	dir := t.TempDir()
+	created := time.Date(2026, 8, 8, 1, 2, 3, 0, time.UTC)
+	retired := []byte(`{"id":"job-1","kind":"experiments","state":"done",` +
+		`"experiments":["fig2.2a"],"workers":2,"results":[{"name":"fig2.2a"}],` +
+		`"created":"2026-08-08T01:02:03Z"}`)
+	file := append([]byte("CNFJOB\x00\x01"), retired...)
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(retired))
+	if err := os.WriteFile(filepath.Join(dir, "job-1.job"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := jobstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, fp, err := query.Spec{Kind: "pf", WidthNM: 155}.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Put(jobstore.Record{ID: "job-2", Kind: JobKindQuery, State: JobRunning,
+		Spec: spec, Fingerprint: fp, Total: 1, Created: created}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{Jobs: journal})
+	if code := getJSON(t, ts.URL+"/v1/jobs/job-1", nil); code != http.StatusNotFound {
+		t.Fatalf("retired-kind job status %d, want 404", code)
+	}
+	if job := pollJob(t, ts.URL, "job-2"); job.State != JobDone || len(job.QueryResults) != 1 {
+		t.Fatalf("resumed query job = %+v", job)
+	}
+	var stats StatsJSON
+	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats status %d", code)
+	}
+	if stats.Journal == nil || stats.Journal.EngineErrors != 1 ||
+		!strings.Contains(stats.Journal.LastError, `unknown kind "experiments"`) {
+		t.Fatalf("journal stats = %+v, want the retired record counted", stats.Journal)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-1.job")); !os.IsNotExist(err) {
+		t.Fatalf("retired record still journaled: %v", err)
 	}
 }

@@ -15,22 +15,27 @@
 //	GET  /v1/rowyield             row failure probability per scenario
 //	POST /v2/query                declarative QuerySpec: single or sweep,
 //	                              sync or job-backed (?async=1)
-//	POST /v1/experiments          submit an experiment job → job id
+//	POST /v1/experiments          submit a paper-artifact job → job id
 //	GET  /v1/jobs/{id}            job status and (partial) results
 //	GET  /v1/stats                cache hit rates, sweeps, jobs in flight
 //
-// Every /v1 evaluation endpoint is a thin translation onto a QuerySpec
-// (internal/query) evaluated by the shared Session, so /v1 answers are
-// byte-identical to their /v2/query counterparts and all endpoints share
-// one validation/evaluation/encoding path. Deterministic GETs carry an
-// ETag derived from the spec's canonical fingerprint and honor
-// If-None-Match with 304. Errors use one envelope:
-// {"error": {"code", "message"}} — including 404/405 on unknown paths.
+// Every compute endpoint is a thin translation onto QuerySpecs
+// (internal/query) evaluated by the shared Session through one server
+// path: the spec is canonicalized once for its ETag, If-None-Match is
+// answered with 304, the request takes a slot under the in-flight bound
+// (or is shed with a retryable 503), and the session evaluates it under
+// the request's own context. So /v1 answers are byte-identical to their
+// /v2/query counterparts, and all compute routes share one validation,
+// overload and encoding contract. Async work has one job kind: a spec
+// evaluated by the job engine, whether submitted as /v2/query?async=1 or
+// as an experiment-kind spec by POST /v1/experiments. Errors use one
+// envelope: {"error": {"code", "message"}} — including 404/405 on unknown
+// paths.
 //
-// Request cost is dominated by cold renewal sweeps; three layers keep them
-// rare: renewal.SweepCache shares swept tables across corners and requests,
-// identical concurrent computations are deduplicated singleflight-style on
-// top of it, and an optional sweepstore directory persists the tables so a
+// Request cost is dominated by cold renewal sweeps; two layers keep them
+// rare: the session's sweep cache shares swept tables across corners and
+// requests (concurrent cold requests for one table wait on a single
+// sweep), and an optional sweepstore directory persists the tables so a
 // restarted server (or a parallel process) warms instantly.
 package server
 
@@ -44,6 +49,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -56,8 +62,6 @@ import (
 	"github.com/cnfet/yieldlab/internal/jobstore"
 	"github.com/cnfet/yieldlab/internal/obs"
 	"github.com/cnfet/yieldlab/internal/query"
-	"github.com/cnfet/yieldlab/internal/renewal"
-	"github.com/cnfet/yieldlab/internal/rowyield"
 	"github.com/cnfet/yieldlab/internal/sweepstore"
 )
 
@@ -73,8 +77,8 @@ const (
 	// query.DefaultAdaptiveRounds, and the limit must not reject the
 	// service's own default.
 	DefaultMaxRowRounds = query.DefaultAdaptiveRounds
-	// DefaultMaxInFlightSweeps bounds synchronous /v2/query sweeps computing
-	// at once before the server sheds load with a retryable 503.
+	// DefaultMaxInFlightSweeps bounds synchronous evaluations on all compute
+	// routes at once before the server sheds load with a retryable 503.
 	DefaultMaxInFlightSweeps = 32
 	// Transient sweep-store write failures are retried with jittered
 	// exponential backoff: storeRetryAttempts total tries, storeRetryBase
@@ -112,9 +116,10 @@ type Config struct {
 	// context gets this deadline, and an evaluation that exceeds it answers
 	// with a retryable 503 (0 = no deadline).
 	RequestTimeout time.Duration
-	// MaxInFlightSweeps bounds synchronous /v2/query sweeps computing at
-	// once; excess requests are shed with a retryable 503 and Retry-After
-	// while ETag revalidations still answer 304
+	// MaxInFlightSweeps bounds synchronous evaluations computing at once on
+	// all compute routes (/v1/pf, /v1/pf/batch, /v1/wmin, /v1/rowyield and
+	// sync /v2/query); excess requests are shed with a retryable 503 and
+	// Retry-After while ETag revalidations still answer 304
 	// (0 = DefaultMaxInFlightSweeps, negative = unbounded).
 	MaxInFlightSweeps int
 	// Logger receives one structured line per request (nil = discard, which
@@ -132,11 +137,7 @@ type Config struct {
 // Close on shutdown to drain jobs and persist the sweep store.
 type Server struct {
 	cfg     Config
-	params  experiments.Params
 	session *query.Session
-	runner  *experiments.Runner
-	cache   *renewal.SweepCache
-	flight  flightGroup
 	jobs    *jobEngine
 	mux     *http.ServeMux
 	metrics *metricsRegistry
@@ -151,8 +152,8 @@ type Server struct {
 	// with each spec's canonical fingerprint so two servers with different
 	// grids or seeds can never validate each other's cached responses.
 	paramsTag string
-	// inflight bounds synchronous sweep evaluations (nil = unbounded);
-	// shed counts requests refused at that bound.
+	// inflight bounds synchronous evaluations (nil = unbounded); shed
+	// counts requests refused at that bound.
 	inflight chan struct{}
 	shed     atomic.Uint64
 }
@@ -204,10 +205,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		params:    cfg.Params,
 		session:   session,
-		runner:    session.Runner(),
-		cache:     session.Cache(),
 		metrics:   newMetricsRegistry(),
 		slowlog:   obs.NewSlowLog(cfg.SlowLogEntries, cfg.SlowLogThreshold),
 		logger:    logger,
@@ -215,12 +213,12 @@ func New(cfg Config) (*Server, error) {
 		paramsTag: paramsTag(cfg.Params),
 	}
 	s.ridPrefix = fmt.Sprintf("%08x", uint32(s.start.UnixNano()))
-	s.cache.SetMaxEntries(cfg.CacheEntries)
+	session.Cache().SetMaxEntries(cfg.CacheEntries)
 	if cfg.MaxInFlightSweeps > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlightSweeps)
 	}
-	s.jobs = newJobEngine(cfg.MaxJobs, cfg.ConcurrentJobs, s.session.Checkpoint, cfg.Jobs)
-	if resumed, err := s.jobs.adopt(session, s.runner, cfg.Params.Workers); err != nil {
+	s.jobs = newJobEngine(session, cfg.MaxJobs, cfg.ConcurrentJobs, cfg.Jobs)
+	if resumed, err := s.jobs.adopt(); err != nil {
 		session.Close()
 		return nil, fmt.Errorf("adopting job journal: %w", err)
 	} else if resumed > 0 {
@@ -315,56 +313,124 @@ func corners() []CornerJSON {
 }
 
 // cornerSpec fills the spec's corner fields from query-string values: a
-// named corner, or explicit pm/prs overrides.
-func cornerSpec(spec *query.Spec, name, pmStr, prsStr string) error {
-	if pmStr == "" && prsStr == "" {
-		spec.Corner = name
-		return nil
+// named corner, or explicit pm/prs overrides. Mixing the two is left to
+// the session's validation.
+func cornerSpec(spec *query.Spec, q url.Values) error {
+	spec.Corner = q.Get("corner")
+	if q.Get("pm") != "" {
+		spec.PM = new(float64)
 	}
-	if name != "" {
-		return errors.New("give either corner or pm/prs, not both")
+	if q.Get("prs") != "" {
+		spec.PRS = new(float64)
 	}
-	pm, err := parseFloat("pm", pmStr)
-	if err != nil {
-		return err
-	}
-	prs, err := parseFloat("prs", prsStr)
-	if err != nil {
-		return err
-	}
-	spec.PM, spec.PRS = &pm, &prs
-	return nil
+	return errors.Join(floatParam(q, "pm", spec.PM), floatParam(q, "prs", spec.PRS))
 }
 
-// deviceModel builds (or fetches) the shared failure model for a corner on
-// the server's grid. Concurrent first calls collapse onto one build.
-func (s *Server) deviceModel(p device.FailureParams) (*device.FailureModel, error) {
-	key := fmt.Sprintf("model|%x|%x", math.Float64bits(p.PMetallic), math.Float64bits(p.PRemoveSemi))
-	v, err := s.flight.do(key, func() (any, error) {
-		return device.NewCalibratedModelWith(s.cache, p,
-			renewal.WithStep(s.params.GridStepNM), renewal.WithMaxWidth(s.params.MaxWidthNM))
-	})
-	if err != nil {
-		return nil, err
+// --- the evaluation path ---------------------------------------------------
+
+// compute is the one synchronous evaluation path behind every compute
+// route. In order it canonicalizes spec once for the ETag, answers a
+// matching If-None-Match with 304, takes a slot under the in-flight bound
+// (shedding with a retryable 503 at the bound), and runs eval under the
+// request's own context, encoding the payload it returns. eval receives
+// the spec's canonical form and fingerprint. Revalidation is answered
+// before the bound: a 304 costs nothing, so clients holding a previous
+// response keep getting answers even while cold work is being shed. A nil
+// spec marks a route without one response identity (the batch), which
+// skips the ETag steps and passes eval zero values.
+func (s *Server) compute(w http.ResponseWriter, r *http.Request, spec *query.Spec,
+	eval func(ctx context.Context, canon query.Spec, fp string) (any, error)) {
+	var canon query.Spec
+	var fp, etag string
+	if spec != nil {
+		var err error
+		if canon, fp, err = s.canonical(*spec); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		etag = s.etagFor(fp)
+		if notModified(w, r, etag) {
+			return
+		}
 	}
-	return v.(*device.FailureModel), nil
+	release, ok := s.acquireSweep()
+	if !ok {
+		writeUnavailable(w, fmt.Errorf("sweep capacity reached (%d in flight), retry later", cap(s.inflight)))
+		return
+	}
+	defer release()
+	out, err := eval(r.Context(), canon, fp)
+	if err != nil {
+		writeEvalError(w, err)
+		return
+	}
+	switch {
+	case etag == "":
+	case r.Method == http.MethodGet:
+		setCacheHeaders(w, etag)
+	default:
+		// Shared caches never store POST responses: they carry only the
+		// validator.
+		w.Header().Set("ETag", etag)
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
-// evaluate runs one concrete spec through the session, deduplicating
-// identical concurrent evaluations singleflight-style on the spec's
-// canonical fingerprint.
-func (s *Server) evaluate(r *http.Request, spec query.Spec) (query.Result, error) {
-	_, fp, err := spec.Canonical()
+// canonical canonicalizes a request spec and bounds its sweep expansion
+// before anything is expanded: the validation step shared by the sync and
+// async paths.
+func (s *Server) canonical(spec query.Spec) (query.Spec, string, error) {
+	canon, fp, err := spec.Canonical()
+	if err != nil {
+		return query.Spec{}, "", err
+	}
+	if n := canon.ExpandCount(); n > s.cfg.BatchLimit {
+		return query.Spec{}, "", fmt.Errorf("sweep of %d specs exceeds limit %d", n, s.cfg.BatchLimit)
+	}
+	return canon, fp, nil
+}
+
+// evaluate runs one concrete spec through the session and persists any
+// table the evaluation swept.
+func (s *Server) evaluate(ctx context.Context, spec query.Spec) (query.Result, error) {
+	res, err := s.session.Evaluate(ctx, spec)
 	if err != nil {
 		return query.Result{}, err
 	}
-	v, err := s.flight.do(fp, func() (any, error) {
-		return s.session.Evaluate(r.Context(), spec)
-	})
-	if err != nil {
-		return query.Result{}, err
+	s.session.Checkpoint()
+	return res, nil
+}
+
+// acquireSweep reserves an in-flight evaluation slot, reporting false (and
+// counting a shed) when the server is saturated.
+func (s *Server) acquireSweep() (release func(), ok bool) {
+	if s.inflight == nil {
+		return func() {}, true
 	}
-	return v.(query.Result), nil
+	select {
+	case s.inflight <- struct{}{}:
+		return func() { <-s.inflight }, true
+	default:
+		s.shed.Add(1)
+		return nil, false
+	}
+}
+
+// submit queues spec as an async job — the one path of /v2/query?async=1
+// and POST /v1/experiments.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, spec query.Spec) {
+	canon, fp, err := s.canonical(spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	job, err := s.jobs.submit(r.Context(), canon, fp)
+	if err != nil {
+		writeUnavailable(w, err)
+		return
+	}
+	w.Header().Set("Location", "/v1/jobs/"+job.ID)
+	writeJSON(w, http.StatusAccepted, job)
 }
 
 // --- caching headers -------------------------------------------------------
@@ -428,35 +494,15 @@ type PFJSON = query.PFResult
 
 func (s *Server) handlePF(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	spec := query.Spec{Kind: query.KindPF}
-	if err := cornerSpec(&spec, q.Get("corner"), q.Get("pm"), q.Get("prs")); err != nil {
+	spec := query.Spec{Kind: query.KindPF, Node: q.Get("node")}
+	if err := errors.Join(cornerSpec(&spec, q), floatParam(q, "width", &spec.WidthNM)); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	width, err := s.parseWidth(q.Get("width"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec.WidthNM = width
-	spec.Node = q.Get("node")
-	_, fp, err := spec.Canonical()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	etag := s.etagFor(fp)
-	if notModified(w, r, etag) {
-		return
-	}
-	res, err := s.evaluate(r, spec)
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	defer s.session.Checkpoint()
-	setCacheHeaders(w, etag)
-	writeJSON(w, http.StatusOK, res.PF)
+	s.compute(w, r, &spec, func(ctx context.Context, canon query.Spec, _ string) (any, error) {
+		res, err := s.evaluate(ctx, canon)
+		return res.PF, err
+	})
 }
 
 // BatchPointJSON is one requested (corner, width) evaluation.
@@ -467,6 +513,8 @@ type BatchPointJSON struct {
 	WidthNM float64  `json:"width_nm"`
 }
 
+// handlePFBatch evaluates each point as its own pf spec, in input order,
+// under one in-flight slot: every result is the /v1/pf body of that point.
 func (s *Server) handlePFBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Points []BatchPointJSON `json:"points"`
@@ -484,58 +532,19 @@ func (s *Server) handlePFBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d points exceeds limit %d", len(req.Points), s.cfg.BatchLimit))
 		return
 	}
-	// Group the points per corner so each distinct model serves all its
-	// widths in one batched sweep, then scatter results back in input order.
-	type group struct {
-		params device.FailureParams
-		name   string
-		idxs   []int
-		widths []float64
-	}
-	groups := make(map[string]*group)
-	out := make([]PFJSON, len(req.Points))
-	for i, pt := range req.Points {
-		spec := query.Spec{Kind: query.KindPF, Corner: pt.Corner, PM: pt.PM, PRS: pt.PRS}
-		if pt.Corner != "" && (pt.PM != nil || pt.PRS != nil) {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("point %d: give either corner or pm/prs, not both", i))
-			return
+	s.compute(w, r, nil, func(ctx context.Context, _ query.Spec, _ string) (any, error) {
+		out := make([]PFJSON, len(req.Points))
+		for i, pt := range req.Points {
+			res, err := s.session.Evaluate(ctx, query.Spec{Kind: query.KindPF,
+				Corner: pt.Corner, PM: pt.PM, PRS: pt.PRS, WidthNM: pt.WidthNM})
+			if err != nil {
+				return nil, fmt.Errorf("point %d: %w", i, err)
+			}
+			out[i] = *res.PF
 		}
-		params, cornerName, err := spec.FailureParams()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("point %d: %w", i, err))
-			return
-		}
-		width, err := s.parseWidth(strconv.FormatFloat(pt.WidthNM, 'g', -1, 64))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("point %d: %w", i, err))
-			return
-		}
-		g, ok := groups[cornerName]
-		if !ok {
-			g = &group{params: params, name: cornerName}
-			groups[cornerName] = g
-		}
-		g.idxs = append(g.idxs, i)
-		g.widths = append(g.widths, width)
-	}
-	for _, g := range groups {
-		m, err := s.deviceModel(g.params)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		pfs, err := m.FailureProbs(g.widths)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		for k, idx := range g.idxs {
-			out[idx] = PFJSON{Corner: g.name, WidthNM: g.widths[k], PFCNT: m.PerCNTFailure(), PF: pfs[k]}
-		}
-	}
-	defer s.session.Checkpoint()
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
+		s.session.Checkpoint()
+		return map[string]any{"results": out}, nil
+	})
 }
 
 // WminJSON is one chip-level sizing solution — the /v1 wire name of the
@@ -544,141 +553,50 @@ type WminJSON = query.WminResult
 
 func (s *Server) handleWmin(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	spec := query.Spec{Kind: query.KindWmin}
-	if err := cornerSpec(&spec, q.Get("corner"), q.Get("pm"), q.Get("prs")); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	// Only explicitly given parameters enter the spec: the session resolves
 	// the defaults, so an unqualified /v1 request canonicalizes to the same
 	// fingerprint (and ETag) as its zero-valued /v2 spec.
-	var err error
-	if v := q.Get("relax"); v != "" {
-		if spec.RelaxFactor, err = parseFloat("relax", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if v := q.Get("m"); v != "" {
-		if spec.M, err = parseFloat("m", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if v := q.Get("yield"); v != "" {
-		if spec.DesiredYield, err = parseFloat("yield", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	spec.Node = q.Get("node")
-	_, fp, err := spec.Canonical()
-	if err != nil {
+	spec := query.Spec{Kind: query.KindWmin, Node: q.Get("node")}
+	if err := errors.Join(cornerSpec(&spec, q),
+		floatParam(q, "relax", &spec.RelaxFactor),
+		floatParam(q, "m", &spec.M),
+		floatParam(q, "yield", &spec.DesiredYield)); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	etag := s.etagFor(fp)
-	if notModified(w, r, etag) {
-		return
-	}
-	res, err := s.evaluate(r, spec)
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	defer s.session.Checkpoint()
-	setCacheHeaders(w, etag)
-	writeJSON(w, http.StatusOK, res.Wmin)
+	s.compute(w, r, &spec, func(ctx context.Context, canon query.Spec, _ string) (any, error) {
+		res, err := s.evaluate(ctx, canon)
+		return res.Wmin, err
+	})
 }
 
 // RowYieldJSON is one row-correlation scenario evaluation — the /v1 wire
 // name of the shared query result payload.
 type RowYieldJSON = query.RowYieldResult
 
-var rowScenarios = map[string]rowyield.Scenario{
-	"uncorrelated": rowyield.UncorrelatedGrowth,
-	"unaligned":    rowyield.DirectionalUnaligned,
-	"aligned":      rowyield.DirectionalAligned,
-}
-
 func (s *Server) handleRowYield(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	spec := query.Spec{Kind: query.KindRowYield}
-	if err := cornerSpec(&spec, q.Get("corner"), q.Get("pm"), q.Get("prs")); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec.Scenario = q.Get("scenario")
-	if _, ok := rowScenarios[spec.Scenario]; !ok {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown scenario %q (have uncorrelated, unaligned, aligned)", spec.Scenario))
-		return
-	}
-	width, err := s.parseWidth(q.Get("width"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec.WidthNM = width
+	spec := query.Spec{Kind: query.KindRowYield, Node: q.Get("node"),
+		Scenario: q.Get("scenario"), MCMethod: q.Get("mc_method")}
+	err := errors.Join(cornerSpec(&spec, q),
+		floatParam(q, "width", &spec.WidthNM),
+		floatParam(q, "rel_err", &spec.RelErrTarget),
+		floatParam(q, "krows", &spec.KRows))
 	if v := q.Get("rounds"); v != "" {
-		spec.Rounds, err = strconv.Atoi(v)
-		if err != nil || spec.Rounds < 2 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("rounds %q must be an integer ≥ 2", v))
-			return
+		n, perr := strconv.Atoi(v)
+		if perr != nil {
+			err = errors.Join(err, fmt.Errorf("parameter rounds=%q is not an integer", v))
 		}
-		if spec.Rounds > s.cfg.MaxRowRounds {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("rounds %d exceeds limit %d", spec.Rounds, s.cfg.MaxRowRounds))
-			return
-		}
+		spec.Rounds = n
 	}
-	spec.MCMethod = q.Get("mc_method")
-	if v := q.Get("rel_err"); v != "" {
-		if spec.RelErrTarget, err = parseFloat("rel_err", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	krows := 0.0
-	if v := q.Get("krows"); v != "" {
-		if krows, err = parseFloat("krows", v); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	spec.Node = q.Get("node")
-
-	// The ETag covers the full request (krows included); the evaluation —
-	// and its singleflight key — leaves krows out on purpose: it only
-	// scales the final closed form, so requests differing in krows alone
-	// still share one computation and the scaling is applied per caller.
-	spec.KRows = krows
-	_, fullFP, err := spec.Canonical()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	etag := s.etagFor(fullFP)
-	if notModified(w, r, etag) {
-		return
-	}
-	spec.KRows = 0
-	res, err := s.evaluate(r, spec)
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	out := *res.RowYield
-	if krows > 0 {
-		out.KRows = krows
-		if out.ChipYield, err = rowyield.CorrelatedYield(krows, out.PRF); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	defer s.session.Checkpoint()
-	setCacheHeaders(w, etag)
-	writeJSON(w, http.StatusOK, out)
+	s.compute(w, r, &spec, func(ctx context.Context, canon query.Spec, _ string) (any, error) {
+		res, err := s.evaluate(ctx, canon)
+		return res.RowYield, err
+	})
 }
 
 // --- /v2/query -------------------------------------------------------------
@@ -697,64 +615,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	canon, fp, err := spec.Canonical()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if n := canon.ExpandCount(); n > s.cfg.BatchLimit {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sweep of %d specs exceeds limit %d", n, s.cfg.BatchLimit))
-		return
-	}
-
 	if isAsync(r) {
-		job, err := s.jobs.submitQuery(r.Context(), s.session, canon, fp)
+		s.submit(w, r, spec)
+		return
+	}
+	s.compute(w, r, &spec, func(ctx context.Context, canon query.Spec, fp string) (any, error) {
+		results, err := s.session.EvaluateAll(ctx, canon)
 		if err != nil {
-			writeUnavailable(w, err)
-			return
+			return nil, err
 		}
-		w.Header().Set("Location", "/v1/jobs/"+job.ID)
-		writeJSON(w, http.StatusAccepted, job)
-		return
-	}
-
-	// Revalidation is answered before the in-flight bound: a 304 costs
-	// nothing, so clients holding a previous response keep getting answers
-	// even while cold work is being shed.
-	etag := s.etagFor(fp)
-	if notModified(w, r, etag) {
-		return
-	}
-	release, ok := s.acquireSweep()
-	if !ok {
-		writeUnavailable(w, fmt.Errorf("sweep capacity reached (%d in flight), retry later", cap(s.inflight)))
-		return
-	}
-	defer release()
-	results, err := s.session.EvaluateAll(r.Context(), canon)
-	if err != nil {
-		writeEvalError(w, err)
-		return
-	}
-	defer s.session.Checkpoint()
-	w.Header().Set("ETag", etag)
-	writeJSON(w, http.StatusOK, QueryResponseJSON{Fingerprint: fp, Count: len(results), Results: results})
-}
-
-// acquireSweep reserves a synchronous-sweep slot, reporting false (and
-// counting a shed) when the server is saturated.
-func (s *Server) acquireSweep() (release func(), ok bool) {
-	if s.inflight == nil {
-		return func() {}, true
-	}
-	select {
-	case s.inflight <- struct{}{}:
-		return func() { <-s.inflight }, true
-	default:
-		s.shed.Add(1)
-		return nil, false
-	}
+		return QueryResponseJSON{Fingerprint: fp, Count: len(results), Results: results}, nil
+	})
 }
 
 // isAsync reports whether the request asked for job-backed execution.
@@ -768,15 +639,13 @@ func isAsync(r *http.Request) bool {
 
 // --- experiment jobs -------------------------------------------------------
 
-// ExperimentRequestJSON submits a job.
+// ExperimentRequestJSON submits a paper-artifact job: an experiment-kind
+// spec run by the job engine.
 type ExperimentRequestJSON struct {
 	// Experiments lists experiment names; ["all"] expands to the paper set.
 	Experiments []string `json:"experiments"`
-	// Optional parameter overrides (zero = server default).
-	Seed      uint64 `json:"seed,omitempty"`
-	Rounds    int    `json:"rounds,omitempty"`
-	Instances int    `json:"instances,omitempty"`
-	Workers   int    `json:"workers,omitempty"`
+	// Seed overrides the Monte Carlo root seed (0 = server default).
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -785,59 +654,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Experiments) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no experiments requested"))
-		return
-	}
-	var names []string
-	for _, n := range req.Experiments {
-		if n == "all" {
-			names = append(names, experiments.Names()...)
-			continue
-		}
-		if !experiments.Known(n) {
-			msg := fmt.Sprintf("unknown experiment %q", n)
-			if hint, ok := experiments.Suggest(n); ok {
-				msg += fmt.Sprintf(" (did you mean %q?)", hint)
-			}
-			writeError(w, http.StatusBadRequest, errors.New(msg))
-			return
-		}
-		names = append(names, n)
-	}
-
-	runner := s.runner
-	params := s.params
-	if req.Seed != 0 || req.Rounds != 0 || req.Instances != 0 {
-		if req.Seed != 0 {
-			params.Seed = req.Seed
-		}
-		if req.Rounds != 0 {
-			params.MCRounds = req.Rounds
-		}
-		if req.Instances != 0 {
-			params.NetlistInstances = req.Instances
-		}
-		if err := params.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		// Override runners share the server's sweep cache, so even custom
-		// jobs reuse (and contribute) swept tables.
-		runner = experiments.NewWithCache(params, s.cache)
-	}
-	workers := params.Workers
-	if req.Workers != 0 {
-		workers = req.Workers
-	}
-
-	job, err := s.jobs.submit(r.Context(), runner, names, workers)
-	if err != nil {
-		writeUnavailable(w, err)
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, job)
+	s.submit(w, r, query.Spec{Kind: query.KindExperiment, Experiments: req.Experiments, Seed: req.Seed})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -854,17 +671,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // StatsJSON is the /v1/stats payload.
 type StatsJSON struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	SweepCache    struct {
-		Hits      uint64 `json:"hits"`
-		Misses    uint64 `json:"misses"`
-		Evictions uint64 `json:"evictions"`
-		Entries   int    `json:"entries"`
-		Sweeps    uint64 `json:"sweeps"`
-	} `json:"sweep_cache"`
-	DedupedRequests uint64 `json:"deduped_requests"`
-	// ShedRequests counts synchronous sweeps refused at the in-flight bound
-	// with a retryable 503.
+	UptimeSeconds float64             `json:"uptime_seconds"`
+	SweepCache    SweepCacheStatsJSON `json:"sweep_cache"`
+	// ShedRequests counts synchronous evaluations refused at the in-flight
+	// bound with a retryable 503.
 	ShedRequests uint64            `json:"shed_requests"`
 	Jobs         map[string]int    `json:"jobs"`
 	Store        *StoreStatsJSON   `json:"store,omitempty"`
@@ -872,6 +682,21 @@ type StatsJSON struct {
 	// Faults lists armed fault-injection sites and their firing counts;
 	// absent in normal operation (the registry is disarmed).
 	Faults []fault.SiteStats `json:"faults,omitempty"`
+}
+
+// SweepCacheStatsJSON reports the session's sweep-cache traffic.
+type SweepCacheStatsJSON struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Entries   int    `json:"entries"`
+	Sweeps    uint64 `json:"sweeps"`
+}
+
+func (s *Server) sweepCacheStats() SweepCacheStatsJSON {
+	cs := s.session.Cache().Stats()
+	return SweepCacheStatsJSON{Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
+		Entries: cs.Entries, Sweeps: cs.Sweeps}
 }
 
 // StoreStatsJSON reports sweep-store traffic.
@@ -906,13 +731,7 @@ type JournalStatsJSON struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var out StatsJSON
 	out.UptimeSeconds = time.Since(s.start).Seconds()
-	cs := s.cache.Stats()
-	out.SweepCache.Hits = cs.Hits
-	out.SweepCache.Misses = cs.Misses
-	out.SweepCache.Evictions = cs.Evictions
-	out.SweepCache.Entries = cs.Entries
-	out.SweepCache.Sweeps = cs.Sweeps
-	out.DedupedRequests = s.flight.sharedCount()
+	out.SweepCache = s.sweepCacheStats()
 	out.ShedRequests = s.shed.Load()
 	out.Jobs = s.jobs.counts()
 	if store := s.session.Store(); store != nil {
@@ -937,11 +756,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Stats()
 	snap := promSnapshot{
 		uptimeSeconds: time.Since(s.start).Seconds(),
-		cache:         cs,
-		deduped:       s.flight.sharedCount(),
+		cache:         s.sweepCacheStats(),
 		shed:          s.shed.Load(),
 		jobs:          s.jobs.counts(),
 		build:         buildinfo.Get(),
@@ -1038,26 +855,20 @@ func (rec *headerRecorder) Write(b []byte) (int, error) {
 
 // --- helpers ---------------------------------------------------------------
 
-func (s *Server) parseWidth(v string) (float64, error) {
+// floatParam parses the optional query parameter name into dst as a finite
+// number. An absent or empty parameter leaves dst untouched, so the session
+// resolves its default.
+func floatParam(q url.Values, name string, dst *float64) error {
+	v := q.Get(name)
 	if v == "" {
-		return 0, errors.New("missing width parameter (nm)")
+		return nil
 	}
-	width, err := parseFloat("width", v)
-	if err != nil {
-		return 0, err
-	}
-	if !(width > 0) || width > s.params.MaxWidthNM {
-		return 0, fmt.Errorf("width %g nm out of (0, %g]", width, s.params.MaxWidthNM)
-	}
-	return width, nil
-}
-
-func parseFloat(name, v string) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("parameter %s=%q is not a finite number", name, v)
+		return fmt.Errorf("parameter %s=%q is not a finite number", name, v)
 	}
-	return f, nil
+	*dst = f
+	return nil
 }
 
 // decodeBody strictly decodes a bounded JSON body.

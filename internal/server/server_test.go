@@ -166,34 +166,57 @@ func TestPFExplicitParams(t *testing.T) {
 	}
 }
 
+// Each batch point is its own pf spec: its result is byte-equal to the
+// /v1/pf body of the same point.
 func TestPFBatch(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	req := map[string]any{"points": []map[string]any{
-		{"width_nm": 155.0, "corner": "worst"},
-		{"width_nm": 103.0, "corner": "worst"},
-		{"width_nm": 155.0, "corner": "best"},
-		{"width_nm": 155.0}, // default corner = worst
-	}}
-	var out struct {
-		Results []PFJSON `json:"results"`
+	points := []struct {
+		v1    string
+		point map[string]any
+	}{
+		{"width=155&corner=worst", map[string]any{"width_nm": 155.0, "corner": "worst"}},
+		{"width=103&corner=worst", map[string]any{"width_nm": 103.0, "corner": "worst"}},
+		{"width=155&corner=best", map[string]any{"width_nm": 155.0, "corner": "best"}},
+		{"width=155", map[string]any{"width_nm": 155.0}}, // default corner = worst
+		{"width=120&pm=0.25&prs=0.125", map[string]any{"width_nm": 120.0, "pm": 0.25, "prs": 0.125}},
 	}
-	if code := postJSON(t, ts.URL+"/v1/pf/batch", req, &out); code != http.StatusOK {
+	pts := make([]map[string]any, len(points))
+	for i, p := range points {
+		pts[i] = p.point
+	}
+	var raw struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if code := postJSON(t, ts.URL+"/v1/pf/batch", map[string]any{"points": pts}, &raw); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if len(out.Results) != 4 {
-		t.Fatalf("%d results", len(out.Results))
+	if len(raw.Results) != len(points) {
+		t.Fatalf("%d results", len(raw.Results))
 	}
-	if out.Results[0].PF == 0 || out.Results[0].PF != out.Results[3].PF {
-		t.Fatalf("order not preserved: %+v", out.Results)
+	pfs := make([]PFJSON, len(points))
+	for i, p := range points {
+		code, body, _ := getBody(t, ts.URL+"/v1/pf?"+p.v1, nil)
+		if code != http.StatusOK {
+			t.Fatalf("/v1/pf?%s: status %d", p.v1, code)
+		}
+		if got, want := compact(t, raw.Results[i]), compact(t, body); got != want {
+			t.Errorf("point %d differs from /v1/pf?%s\nbatch: %s\n/v1:   %s", i, p.v1, got, want)
+		}
+		if err := json.Unmarshal(raw.Results[i], &pfs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !(out.Results[1].PF > out.Results[0].PF) {
-		t.Fatalf("pF(103) %g should exceed pF(155) %g", out.Results[1].PF, out.Results[0].PF)
+	if pfs[0].PF == 0 || pfs[0].PF != pfs[3].PF {
+		t.Fatalf("order not preserved: %+v", pfs)
 	}
-	if !(out.Results[2].PF < out.Results[0].PF) {
-		t.Fatalf("best corner %g should beat worst %g", out.Results[2].PF, out.Results[0].PF)
+	if !(pfs[1].PF > pfs[0].PF) {
+		t.Fatalf("pF(103) %g should exceed pF(155) %g", pfs[1].PF, pfs[0].PF)
+	}
+	if !(pfs[2].PF < pfs[0].PF) {
+		t.Fatalf("best corner %g should beat worst %g", pfs[2].PF, pfs[0].PF)
 	}
 	// All three corners share one pitch law: exactly one model sweep ran.
-	if st := srv.cache.Stats(); st.Entries != 1 {
+	if st := srv.Session().Cache().Stats(); st.Entries != 1 {
 		t.Fatalf("cache entries = %d, want 1 (corners share the count model)", st.Entries)
 	}
 
@@ -320,10 +343,16 @@ func TestJobLifecycle(t *testing.T) {
 	if job.State != JobDone {
 		t.Fatalf("job failed: %s", job.Error)
 	}
-	if len(job.Results) != 2 || job.Results[0].Name != "ext-pitch" || job.Results[1].Name != "fig2.2a" {
-		t.Fatalf("results = %d entries", len(job.Results))
+	// An experiments job is an experiment-kind query job: one spec, whose
+	// result carries the artifacts in request order.
+	if job.Kind != JobKindQuery || job.Query == nil || job.Query.Kind != "experiment" || len(job.QueryResults) != 1 {
+		t.Fatalf("job = %+v", job)
 	}
-	if job.Results[0].Table == nil || len(job.Results[0].Table.Rows) == 0 {
+	results := job.QueryResults[0].Experiments
+	if len(results) != 2 || results[0].Name != "ext-pitch" || results[1].Name != "fig2.2a" {
+		t.Fatalf("results = %d entries", len(results))
+	}
+	if results[0].Table == nil || len(results[0].Table.Rows) == 0 {
 		t.Fatal("missing table in job result")
 	}
 	if job.StartedAt == nil || job.FinishedAt == nil {
@@ -349,9 +378,11 @@ func TestJobValidation(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequestJSON{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty: status %d", code)
 	}
-	bad := ExperimentRequestJSON{Experiments: []string{"fig2.2a"}, Rounds: 1}
+	// The request is {experiments, seed}: parameter overrides are unknown
+	// fields.
+	bad := map[string]any{"experiments": []string{"fig2.2a"}, "rounds": 1}
 	if code := postJSON(t, ts.URL+"/v1/experiments", bad, &out); code != http.StatusBadRequest {
-		t.Fatalf("bad override: status %d", code)
+		t.Fatalf("override: status %d", code)
 	}
 }
 
@@ -435,7 +466,7 @@ func TestWarmStartAnswersWithoutSweeping(t *testing.T) {
 	if code := getJSON(t, ts1.URL+"/v1/pf?width=155&corner=worst", &first); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if st := srv1.cache.Stats(); st.Sweeps == 0 {
+	if st := srv1.Session().Cache().Stats(); st.Sweeps == 0 {
 		t.Fatal("cold server should have swept")
 	}
 	if err := srv1.Close(); err != nil {
@@ -462,7 +493,7 @@ func TestWarmStartAnswersWithoutSweeping(t *testing.T) {
 	if stats.SweepCache.Sweeps != 0 {
 		t.Fatalf("warm server ran %d sweeps, want 0", stats.SweepCache.Sweeps)
 	}
-	if srv2.cache.Stats().Sweeps != 0 {
+	if srv2.Session().Cache().Stats().Sweeps != 0 {
 		t.Fatal("cache-level sweep count should also be 0")
 	}
 	if stats.Store == nil || stats.Store.Loads == 0 {
@@ -471,8 +502,8 @@ func TestWarmStartAnswersWithoutSweeping(t *testing.T) {
 }
 
 // Hammer identical and overlapping requests from many goroutines: the
-// sweep must run exactly once per distinct model (singleflight on top of
-// the shared cache), and everything stays race-clean.
+// sweep must run exactly once per distinct model (concurrent cold requests
+// wait on the model's one sweep), and everything stays race-clean.
 func TestConcurrentRequestDedup(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	const goroutines = 24
@@ -506,7 +537,7 @@ func TestConcurrentRequestDedup(t *testing.T) {
 	}
 	// All corners share one pitch law and grid: one model, one sweep, no
 	// matter how many concurrent cold requests raced.
-	st := srv.cache.Stats()
+	st := srv.Session().Cache().Stats()
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)
 	}

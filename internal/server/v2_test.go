@@ -104,6 +104,13 @@ func TestV1V2Equivalence(t *testing.T) {
 			func(r rawQueryResponse) json.RawMessage { return r.Results[0].PF },
 		},
 		{
+			// The width is the 45 nm reference; only the node-scaled width
+			// (250·16/45 ≈ 89 nm) must fit the grid.
+			"pf node-scaled width", "/v1/pf?width=250&node=16nm",
+			query.Spec{Kind: "pf", WidthNM: 250, Node: "16nm"},
+			func(r rawQueryResponse) json.RawMessage { return r.Results[0].PF },
+		},
+		{
 			"pf explicit params", "/v1/pf?width=120&pm=0.25&prs=0.125",
 			query.Spec{Kind: "pf", WidthNM: 120, PM: f64(0.25), PRS: f64(0.125)},
 			func(r rawQueryResponse) json.RawMessage { return r.Results[0].PF },

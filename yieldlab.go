@@ -148,33 +148,9 @@ func NewDeviceModelWithRange(p FailureParams, stepNM, maxWidthNM float64) (*Devi
 // SweepCache shares swept renewal count tables between device models whose
 // pitch law and grid coincide. Process corners differ only in pf, which
 // enters after the count distribution, so models for all corners of one
-// technology share a single table. The runner returned by NewRunner carries
-// its own cache; construct one explicitly to pool custom corner studies.
+// technology share a single table. Every Session owns one (Session.Cache);
+// passing it as another session's SessionOptions.Cache shares the tables.
 type SweepCache = renewal.SweepCache
-
-// NewSweepCache returns an empty sweep cache.
-func NewSweepCache() *SweepCache { return renewal.NewSweepCache() }
-
-// NewSharedDeviceModel is NewDeviceModel drawing the count model from the
-// given sweep cache (nil behaves like NewDeviceModel).
-func NewSharedDeviceModel(cache *SweepCache, p FailureParams) (*DeviceModel, error) {
-	return device.NewCalibratedModelWith(cache, p)
-}
-
-// NewSharedDeviceModelWithRange is NewDeviceModelWithRange drawing the
-// count model from the given sweep cache (nil behaves like
-// NewDeviceModelWithRange).
-func NewSharedDeviceModelWithRange(cache *SweepCache, p FailureParams, stepNM, maxWidthNM float64) (*DeviceModel, error) {
-	return device.NewCalibratedModelWith(cache, p, renewal.WithStep(stepNM), renewal.WithMaxWidth(maxWidthNM))
-}
-
-// NewSweepCacheSized returns a sweep cache bounded to n models (LRU
-// eviction beyond that) — the right construction for long-lived services.
-func NewSweepCacheSized(n int) *SweepCache {
-	c := renewal.NewSweepCache()
-	c.SetMaxEntries(n)
-	return c
-}
 
 // Persistent sweep store and HTTP service surface.
 type (
@@ -197,18 +173,6 @@ func OpenSweepStore(dir string) (*SweepStore, error) { return sweepstore.Open(di
 // OpenJobStore opens (creating if needed) a job-journal directory.
 func OpenJobStore(dir string) (*JobStore, error) { return jobstore.Open(dir) }
 
-// WarmSweepCache loads every intact stored record into the cache, returning
-// how many were restored.
-func WarmSweepCache(store *SweepStore, cache *SweepCache) (int, error) {
-	return sweepstore.WarmCache(store, cache)
-}
-
-// PersistSweepCache saves every fingerprinted swept model to the store,
-// returning how many records were written.
-func PersistSweepCache(store *SweepStore, cache *SweepCache) (int, error) {
-	return sweepstore.PersistCache(store, cache)
-}
-
 // NewServer builds the HTTP yield service (serve its Handler; Close on
 // shutdown to drain jobs and persist the sweep store).
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
@@ -216,7 +180,7 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 // WriteResultsJSON renders experiment results as the service's JSON schema —
 // the encoding behind both the job API and `cnfetyield -json`.
 func WriteResultsJSON(w io.Writer, results []*Result) error {
-	return server.WriteResults(w, results)
+	return query.WriteResults(w, results)
 }
 
 // KnownExperiment reports whether name is a paper or extension experiment.

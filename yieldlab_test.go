@@ -33,8 +33,7 @@ func TestFacadeQuerySession(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("results = %d, want 2", len(results))
 	}
-	model, err := yieldlab.NewSharedDeviceModelWithRange(session.Cache(),
-		yieldlab.WorstCorner(), params.GridStepNM, params.MaxWidthNM)
+	model, err := yieldlab.NewDeviceModelWithRange(yieldlab.WorstCorner(), params.GridStepNM, params.MaxWidthNM)
 	if err != nil {
 		t.Fatal(err)
 	}
