@@ -44,12 +44,12 @@ func benchExperiment(b *testing.B, name string) {
 	b.Helper()
 	r := runner(b)
 	// Warm the shared caches outside the timed region.
-	if _, err := r.Run(name); err != nil {
+	if _, err := r.Run(b.Context(), name); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.Run(name)
+		res, err := r.Run(b.Context(), name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -307,12 +307,12 @@ func BenchmarkRunnerParallel(b *testing.B) {
 	r := runner(b)
 	names := []string{"fig2.1", "fig2.2a", "fig2.2b", "fig3.2"}
 	// Warm shared caches (sweeps, libraries, Wmin solves) outside the timer.
-	if _, err := r.RunMany(names, 4); err != nil {
+	if _, err := r.RunMany(b.Context(), names, 4); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.RunMany(names, 4)
+		res, err := r.RunMany(b.Context(), names, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -349,10 +349,11 @@ func BenchmarkRowScenarioRound(b *testing.B) {
 	if err := m.Prepare(); err != nil {
 		b.Fatal(err)
 	}
+	st := m.NewRoundState()
 	r := rng.New(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.EstimateRowFailure(r, rowyield.DirectionalUnaligned, 2); err != nil {
+		if _, err := m.Round(r, rowyield.DirectionalUnaligned, st); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -125,7 +125,7 @@ func run() error {
 	}
 
 	runner := yieldlab.NewRunner(params)
-	results, err := runner.RunMany(names, params.Workers)
+	results, err := runner.RunMany(context.Background(), names, params.Workers)
 	if err != nil {
 		return err
 	}

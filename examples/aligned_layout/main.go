@@ -1,13 +1,15 @@
 // aligned_layout demonstrates the paper's Section 3: enforcing the
 // aligned-active restriction on the synthetic Nangate-like library, the
 // area it costs (Table 2 / Fig. 3.2), and the row-failure-probability
-// benefit it buys (Table 1), estimated by Monte Carlo on the correlated
-// row model.
+// benefit it buys (Table 1): the uncorrelated baseline in closed form
+// through a query session, the directional scenarios by Monte Carlo on the
+// correlated row model.
 //
 //	go run ./examples/aligned_layout [-rounds N]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -16,7 +18,7 @@ import (
 )
 
 func main() {
-	rounds := flag.Int("rounds", 40_000, "Monte Carlo rounds per scenario")
+	rounds := flag.Int("rounds", 40_000, "Monte Carlo rounds per directional scenario")
 	flag.Parse()
 	lib, err := yieldlab.NangateLike45()
 	if err != nil {
@@ -38,16 +40,26 @@ func main() {
 		}
 	}
 
-	// 2. Row-level benefit: Monte Carlo over shared CNT tracks.
+	// 2. Row-level benefit. Uncorrelated growth is the paper's Section 2
+	// baseline in closed form, pRF = 1-(1-pF)^MRmin: the query session
+	// serves it, together with the device-level pF at the same width.
+	ctx := context.Background()
+	session, err := yieldlab.NewSession(yieldlab.SessionOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := session.Evaluate(ctx, yieldlab.QuerySpec{
+		Kind: "rowyield", Scenario: "uncorrelated", Corner: "worst",
+		WidthNM: 142.7, // Table 1 operating point
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	uncorrelated := res.RowYield
+
+	// The directional scenarios share CNT tracks across the row: Monte
+	// Carlo over track realizations.
 	pitch, err := yieldlab.CalibratedPitch()
-	if err != nil {
-		log.Fatal(err)
-	}
-	model, err := yieldlab.NewDeviceModel(yieldlab.WorstCorner())
-	if err != nil {
-		log.Fatal(err)
-	}
-	devicePF, err := model.FailureProb(142.7) // Table 1 operating point
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,22 +70,22 @@ func main() {
 		LCNTNM:        200_000,
 		DensityPerUM:  1.8,
 		// A compact stand-in for the library's lateral offsets; the full
-		// experiment extracts them from the placed netlist.
+		// experiment extracts them from the synthetic netlist.
 		Offsets: mustOffsets(),
 	}
-	fmt.Printf("\nrow failure probability (MRmin = 360 devices per CNT span):\n")
+	fmt.Printf("\nrow failure probability (MRmin = %.0f devices per CNT span):\n", uncorrelated.MRmin)
+	fmt.Printf("  %-38s pRF = %.2e (closed form)\n", yieldlab.UncorrelatedGrowth, uncorrelated.PRF)
 	for _, s := range []yieldlab.RowScenario{
-		yieldlab.UncorrelatedGrowth,
 		yieldlab.DirectionalUnaligned,
 		yieldlab.DirectionalAligned,
 	} {
-		est, err := row.EstimateRowFailureParallel(1, s, *rounds, 0)
+		est, err := row.EstimateRowFailureParallel(ctx, 1, s, *rounds, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-38s pRF = %.2e (± %.0e)\n", s, est.Mean, est.StdErr)
 	}
-	fmt.Printf("  device-level pF at this width:        %.2e\n", devicePF)
+	fmt.Printf("  device-level pF at this width:        %.2e\n", uncorrelated.DevicePF)
 	fmt.Println("\naligned rows fail like single devices: pRF ≈ pF — the 350× of the paper")
 }
 

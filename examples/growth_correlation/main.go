@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,7 +22,7 @@ func main() {
 		p.CorrelationRounds = 400
 		return p
 	}())
-	res, err := runner.Run("fig3.1")
+	res, err := runner.Run(context.Background(), "fig3.1")
 	if err != nil {
 		log.Fatal(err)
 	}

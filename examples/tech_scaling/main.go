@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,13 +17,13 @@ import (
 func main() {
 	runner := yieldlab.NewRunner(yieldlab.DefaultParams())
 
-	before, err := runner.Run("fig2.2b")
+	before, err := runner.Run(context.Background(), "fig2.2b")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(before.Text())
 
-	both, err := runner.Run("fig3.3")
+	both, err := runner.Run(context.Background(), "fig3.3")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -147,19 +147,6 @@ func (a *Array) CountUsable(rect Rect) int {
 	return n
 }
 
-// CountSurvivingMetallic returns the number of metallic tubes that escaped
-// removal and cross rect (the noise-margin hazard of [Zhang 09b]).
-func (a *Array) CountSurvivingMetallic(rect Rect) int {
-	n := 0
-	for _, i := range a.Crossing(rect) {
-		c := &a.CNTs[i]
-		if c.Type == Metallic && !c.Removed {
-			n++
-		}
-	}
-	return n
-}
-
 // DensityPerUM returns the average track density (tracks per µm of lateral
 // extent) of a directional array.
 func (a *Array) DensityPerUM() float64 {

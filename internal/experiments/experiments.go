@@ -18,6 +18,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,8 +27,9 @@ import (
 	"github.com/cnfet/yieldlab/internal/celllib"
 	"github.com/cnfet/yieldlab/internal/device"
 	"github.com/cnfet/yieldlab/internal/dist"
+	"github.com/cnfet/yieldlab/internal/fault"
 	"github.com/cnfet/yieldlab/internal/netlist"
-	"github.com/cnfet/yieldlab/internal/place"
+	"github.com/cnfet/yieldlab/internal/obs"
 	"github.com/cnfet/yieldlab/internal/renewal"
 	"github.com/cnfet/yieldlab/internal/report"
 	"github.com/cnfet/yieldlab/internal/rng"
@@ -48,9 +50,8 @@ type Params struct {
 	// LCNTUM is the CNT length in µm (paper: 200).
 	LCNTUM float64
 	// PminPerUM is Pmin-CNFET, the critical-device density the paper
-	// measured on its placed OpenRISC design (1.8 FETs/µm). Table 1 uses
-	// this published value; the placement experiments also report our own
-	// measured density.
+	// measured on its placed OpenRISC design (1.8 FETs/µm). Table 1 and the
+	// row-yield queries use this published value.
 	PminPerUM float64
 	// GridStepNM and MaxWidthNM configure the renewal engine.
 	GridStepNM float64
@@ -61,11 +62,9 @@ type Params struct {
 	Workers int
 	// CorrelationRounds is the growth-simulation round count for Fig. 3.1.
 	CorrelationRounds int
-	// NetlistInstances sizes the synthetic OpenRISC netlist used for
-	// placement statistics.
+	// NetlistInstances sizes the synthetic OpenRISC netlist whose cell mix
+	// weights the library's lateral offsets and width statistics.
 	NetlistInstances int
-	// RowWidthUM is the placement row capacity.
-	RowWidthUM float64
 }
 
 // DefaultParams returns the frozen paper configuration.
@@ -82,7 +81,6 @@ func DefaultParams() Params {
 		Workers:           0,
 		CorrelationRounds: 600,
 		NetlistInstances:  20_000,
-		RowWidthUM:        50,
 	}
 }
 
@@ -105,8 +103,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("experiments: CorrelationRounds %d too small", p.CorrelationRounds)
 	case p.NetlistInstances < 100:
 		return fmt.Errorf("experiments: NetlistInstances %d too small", p.NetlistInstances)
-	case !(p.RowWidthUM > 0):
-		return fmt.Errorf("experiments: row width %g must be positive", p.RowWidthUM)
 	}
 	return nil
 }
@@ -145,7 +141,7 @@ func (r *Result) Text() string {
 }
 
 // Runner executes experiments over shared, lazily built state (device
-// model, libraries, placement), so running `all` does not repeat the
+// model, libraries, synthetic netlist), so running `all` does not repeat the
 // expensive renewal sweeps.
 type Runner struct {
 	params Params
@@ -159,11 +155,9 @@ type Runner struct {
 	lib45      *celllib.Library
 	lib65      *celllib.Library
 	netlist45  *netlist.Netlist
-	placement  *place.Placement
-	density45  float64
 	solveCache map[float64]float64
 	// rowModels caches prepared Monte Carlo row models by (width, corner,
-	// pitch law). Preparation builds sampler and pf-power tables and
+	// pitch law). Preparation builds sampler, alias and occupancy tables and
 	// re-measures the library offset distribution; a scenario sweep asks
 	// for the same model once per scenario and a server asks once per
 	// request, so sharing the immutable prepared model pays everywhere.
@@ -203,8 +197,21 @@ func Names() []string {
 	return []string{"fig2.1", "fig2.2a", "fig2.2b", "table1", "fig3.1", "fig3.2", "fig3.3", "table2"}
 }
 
-// Run dispatches one experiment by name.
-func (r *Runner) Run(name string) (*Result, error) {
+// Run dispatches one experiment by name, under an "experiment.<name>" span
+// when ctx carries an obs.Tracer. A done ctx stops the run before it starts
+// and cancels Table 1's Monte Carlo at its next round batch; ctx's error is
+// returned, never a partial artifact.
+func (r *Runner) Run(ctx context.Context, name string) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// Chaos-testing hook: artifacts honor the query.evaluate failpoint that
+	// every evaluated spec passes.
+	if err := fault.InjectContext(ctx, fault.SiteQueryEvaluate); err != nil {
+		return nil, err
+	}
+	ctx, sp := obs.Start(ctx, "experiment."+name)
+	defer sp.End()
 	switch name {
 	case "fig2.1":
 		return r.Fig21()
@@ -213,7 +220,7 @@ func (r *Runner) Run(name string) (*Result, error) {
 	case "fig2.2b":
 		return r.Fig22b()
 	case "table1":
-		return r.Table1()
+		return r.Table1(ctx)
 	case "fig3.1":
 		return r.Fig31()
 	case "fig3.2":
@@ -232,21 +239,17 @@ func (r *Runner) Run(name string) (*Result, error) {
 	}
 }
 
-// All runs every experiment, in paper order, on the runner's worker pool
-// (Params.Workers; 0 = NumCPU).
-func (r *Runner) All() ([]*Result, error) {
-	return r.RunMany(Names(), r.params.Workers)
-}
-
 // RunMany executes the named experiments on a bounded pool of `workers`
 // goroutines (≤ 0 means NumCPU). Every experiment is deterministic given the
 // runner's parameters — Monte Carlo streams derive from Params.Seed per
 // experiment, and the shared lazily-built state (device model, libraries,
-// placement) is built once under the runner's lock — so the results are
+// netlist) is built once under the runner's lock — so the results are
 // identical to a serial run, in input order. On failure the error of the
 // earliest-ordered failing experiment is returned (matching what a serial
-// run would report) and no further experiments are started.
-func (r *Runner) RunMany(names []string, workers int) ([]*Result, error) {
+// run would report) and no further experiments are started. Cancelling ctx
+// stops dispatch and cancels the experiments in flight (see Run); the
+// context's error is returned.
+func (r *Runner) RunMany(ctx context.Context, names []string, workers int) ([]*Result, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
@@ -259,7 +262,7 @@ func (r *Runner) RunMany(names []string, workers int) ([]*Result, error) {
 	if workers == 1 {
 		out := make([]*Result, len(names))
 		for i, name := range names {
-			res, err := r.Run(name)
+			res, err := r.Run(ctx, name)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s: %w", name, err)
 			}
@@ -282,7 +285,7 @@ func (r *Runner) RunMany(names []string, workers int) ([]*Result, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				res, err := r.Run(names[idx])
+				res, err := r.Run(ctx, names[idx])
 				if err != nil {
 					failed.Store(true)
 				}
@@ -291,11 +294,11 @@ func (r *Runner) RunMany(names []string, workers int) ([]*Result, error) {
 		}()
 	}
 	// Dispatch in input order and stop handing out work after the first
-	// failure; experiments already in flight drain normally. Because
+	// failure or cancellation; experiments already in flight drain. Because
 	// dispatch is ordered, every experiment preceding a failure has been
 	// dispatched, so the earliest failing index is always observed.
 	for idx := range names {
-		if failed.Load() {
+		if failed.Load() || ctx.Err() != nil {
 			break
 		}
 		jobs <- idx
@@ -319,6 +322,9 @@ func (r *Runner) RunMany(names []string, workers int) ([]*Result, error) {
 	}
 	if firstErr != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", names[firstErrIdx], firstErr)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -459,54 +465,38 @@ func (r *Runner) libraries() (*celllib.Library, *celllib.Library, error) {
 	return r.lib45, r.lib65, nil
 }
 
-// placedDesign lazily builds the synthetic OpenRISC placement on the 45 nm
-// library and measures its critical-device density.
-func (r *Runner) placedDesign(wmin float64) (*place.Placement, float64, error) {
+// openRISC45 lazily builds the synthetic OpenRISC netlist on the 45 nm
+// library; every read of it goes through here, under the runner's lock.
+func (r *Runner) openRISC45() (*netlist.Netlist, error) {
 	lib45, _, err := r.libraries()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.placement == nil {
+	if r.netlist45 == nil {
 		nl, err := netlist.OpenRISCLike(lib45, r.params.NetlistInstances)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		r.netlist45 = nl
-		p, err := place.PlaceRows(lib45, nl, r.params.RowWidthUM*1000, r.params.Seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		r.placement = p
 	}
-	d, err := r.placement.CriticalDensityPerUM(wmin)
-	if err != nil {
-		return nil, 0, err
-	}
-	r.density45 = d
-	return r.placement, d, nil
+	return r.netlist45, nil
 }
 
-// RowModelAt builds a Table 1-style correlated row model at device width
-// w (nm) for an arbitrary processing corner: calibrated pitch, the runner's
-// LCNT/density parameters, and the lateral offset distribution measured on
-// the shared synthetic 45 nm library (built lazily on first use). The
-// returned model is prepared and ready for Monte Carlo estimation; the
-// query Session behind the server's rowyield endpoints is the main caller.
-func (r *Runner) RowModelAt(width float64, corner device.FailureParams) (*rowyield.RowModel, error) {
-	return r.RowModelAtPitch(width, corner, nil)
-}
-
-// RowModelAtPitch is RowModelAt over an explicit inter-CNT pitch law (nil =
-// the calibrated truncated normal), so pitch-axis design-space sweeps reach
-// the row Monte Carlo too.
+// RowModelAtPitch builds a Table 1-style correlated row model at device
+// width w (nm) for an arbitrary processing corner and inter-CNT pitch law
+// (nil = the calibrated truncated normal): the runner's LCNT/density
+// parameters and the lateral offset distribution measured on the shared
+// synthetic 45 nm library, weighted by the OpenRISC cell mix. The returned
+// model is prepared and ready for Monte Carlo estimation; Table 1 and the
+// query Session's rowyield evaluations are its callers.
 //
 // Prepared models are cached by (width, corner, pitch law): a prepared
-// RowModel is immutable and safe to share, so a Table 1 scenario sweep, the
-// server's repeated /v1/rowyield answers and /v2 design-space sweeps all
-// reuse one set of sampler, alias and pf-power tables per distinct
-// operating point. Laws without a fingerprint bypass the cache.
+// RowModel is immutable and safe to share, so Table 1, the server's
+// repeated /v1/rowyield answers and /v2 design-space sweeps all reuse one
+// set of sampler, alias and occupancy tables per distinct operating point.
+// Laws without a fingerprint bypass the cache.
 func (r *Runner) RowModelAtPitch(width float64, corner device.FailureParams, pitch dist.Continuous) (*rowyield.RowModel, error) {
 	if err := r.params.Validate(); err != nil {
 		return nil, err
@@ -535,12 +525,10 @@ func (r *Runner) RowModelAtPitch(width float64, corner device.FailureParams, pit
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := r.placedDesign(width); err != nil {
+	nl, err := r.openRISC45()
+	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	nl := r.netlist45
-	r.mu.Unlock()
 	offsets, err := celllib.CriticalNFETOffsets(lib45, nl.Usage(), width)
 	if err != nil {
 		return nil, err

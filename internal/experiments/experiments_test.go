@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -39,7 +40,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.MCRounds = 1 },
 		func(p *Params) { p.CorrelationRounds = 0 },
 		func(p *Params) { p.NetlistInstances = 1 },
-		func(p *Params) { p.RowWidthUM = 0 },
 	}
 	for i, m := range mutations {
 		p := DefaultParams()
@@ -55,7 +55,7 @@ func TestNamesAndDispatch(t *testing.T) {
 		t.Fatalf("names: %v", Names())
 	}
 	r := testRunner()
-	if _, err := r.Run("nonsense"); err == nil {
+	if _, err := r.Run(context.Background(), "nonsense"); err == nil {
 		t.Fatal("unknown experiment should error")
 	}
 }
@@ -67,7 +67,7 @@ func TestAllExperimentsWithinTolerance(t *testing.T) {
 		t.Skip("integration experiment suite")
 	}
 	r := testRunner()
-	results, err := r.All()
+	results, err := r.RunMany(context.Background(), Names(), r.Params().Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTable2RowsAndNotes(t *testing.T) {
 func TestExtensionExperiments(t *testing.T) {
 	r := testRunner()
 	for _, name := range ExtensionNames() {
-		res, err := r.Run(name)
+		res, err := r.Run(context.Background(), name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -202,11 +202,11 @@ func TestRunnerSweepCacheSharesAcrossModels(t *testing.T) {
 func TestTable1Deterministic(t *testing.T) {
 	p := fastParams()
 	p.MCRounds = 5_000
-	a, err := New(p).Table1()
+	a, err := New(p).Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(p).Table1()
+	b, err := New(p).Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTable1Deterministic(t *testing.T) {
 	}
 	// A different seed moves the Monte Carlo columns.
 	p.Seed++
-	c, err := New(p).Table1()
+	c, err := New(p).Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

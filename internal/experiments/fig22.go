@@ -52,13 +52,11 @@ func (r *Runner) Fig22a() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nlShare := 0.0
-	if r.netlist45 == nil {
-		if _, _, err := r.placedDesign(155); err != nil {
-			return nil, err
-		}
+	nl, err := r.openRISC45()
+	if err != nil {
+		return nil, err
 	}
-	nlShare, err = r.netlist45.ShareBelow(lib45, 155)
+	nlShare, err := nl.ShareBelow(lib45, 155)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"math"
 
-	"github.com/cnfet/yieldlab/internal/celllib"
 	"github.com/cnfet/yieldlab/internal/device"
 	"github.com/cnfet/yieldlab/internal/report"
 	"github.com/cnfet/yieldlab/internal/rowyield"
@@ -16,6 +15,12 @@ import (
 // (1.5e-8); both give pF ≈ 1.47e-8.
 const table1ImpliedDevicePF = 5.3e-6 / 360
 
+// table1SeedStride separates the Monte Carlo streams of Table 1's columns:
+// column i runs on Seed + i·table1SeedStride. The directional columns keep
+// their indices 1 (unaligned) and 2 (aligned), and with them their
+// published estimates, although column 0 (uncorrelated) draws nothing.
+const table1SeedStride = 0x9E37
+
 // Table1 regenerates Table 1: the row failure probability pRF under
 // (1) uncorrelated growth, (2) directional growth with the stock cell
 // library, and (3) directional growth with aligned-active cells.
@@ -24,12 +29,13 @@ const table1ImpliedDevicePF = 5.3e-6 / 360
 // 1.8 FETs/µm (so MRmin ≈ 360 devices share one CNT span), worst process
 // corner (pf = 0.531), and a device width chosen so the analytic device
 // failure probability matches the value implied by the published table.
-// The non-aligned column uses the lateral-offset distribution measured on
-// the synthetic 45 nm library weighted by the OpenRISC cell mix.
-func (r *Runner) Table1() (*Result, error) {
-	if err := r.params.Validate(); err != nil {
-		return nil, err
-	}
+// The uncorrelated column is the paper's Section 2 baseline in closed form,
+// 1-(1-pF)^MRmin. The directional columns are Monte Carlo over shared
+// tracks on the cached row model the query session also serves: the
+// non-aligned one over the lateral-offset distribution of the synthetic
+// 45 nm library weighted by the OpenRISC cell mix, the aligned one as the
+// simulation check of the renewal pF it equals.
+func (r *Runner) Table1(ctx context.Context) (*Result, error) {
 	model, err := r.failureModel()
 	if err != nil {
 		return nil, err
@@ -42,35 +48,27 @@ func (r *Runner) Table1() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lib45, _, err := r.libraries()
+	rm, err := r.RowModelAtPitch(width, device.WorstCorner(), nil)
 	if err != nil {
-		return nil, err
-	}
-	if r.netlist45 == nil {
-		if _, _, err := r.placedDesign(width); err != nil {
-			return nil, err
-		}
-	}
-	offsets, err := celllib.CriticalNFETOffsets(lib45, r.netlist45.Usage(), width)
-	if err != nil {
-		return nil, err
-	}
-	pitch, err := device.CalibratedPitch()
-	if err != nil {
-		return nil, err
-	}
-	rm := &rowyield.RowModel{
-		Pitch:         pitch,
-		PerCNTFailure: device.WorstCorner().PerCNTFailure(),
-		WidthNM:       width,
-		LCNTNM:        r.params.LCNTUM * 1000,
-		DensityPerUM:  r.params.PminPerUM,
-		Offsets:       offsets,
-	}
-	if err := rm.Prepare(); err != nil {
 		return nil, err
 	}
 	mrmin, err := rowyield.MRmin(rm.LCNTNM, rm.DensityPerUM)
+	if err != nil {
+		return nil, err
+	}
+	unc, err := rowyield.IndependentRowFailure(devicePF, mrmin)
+	if err != nil {
+		return nil, err
+	}
+	mc := func(column int, s rowyield.Scenario) (rowyield.Estimate, error) {
+		return rm.EstimateRowFailureParallel(ctx, r.params.Seed+uint64(column)*table1SeedStride,
+			s, r.params.MCRounds, r.params.Workers)
+	}
+	unal, err := mc(1, rowyield.DirectionalUnaligned)
+	if err != nil {
+		return nil, err
+	}
+	al, err := mc(2, rowyield.DirectionalAligned)
 	if err != nil {
 		return nil, err
 	}
@@ -85,53 +83,41 @@ func (r *Runner) Table1() (*Result, error) {
 			width, mrmin, r.params.MCRounds),
 		Columns: []string{"scenario", "pRF (MC)", "± stderr", "pRF (analytic)", "paper"},
 	}
-	rows, err := rm.Table1Parallel(r.params.Seed, devicePF, r.params.MCRounds, r.params.Workers)
-	if err != nil {
-		return nil, err
-	}
 	cmp := &report.ComparisonSet{Name: "table1"}
-	est := make(map[rowyield.Scenario]rowyield.Estimate, 3)
-	for _, row := range rows {
-		analytic := "—"
-		if !math.IsNaN(row.Analytic) {
-			analytic = fmt.Sprintf("%.2e", row.Analytic)
-		}
-		if err := table.AddRow(
-			row.Scenario.String(),
-			fmt.Sprintf("%.2e", row.PRF.Mean),
-			fmt.Sprintf("%.1e", row.PRF.StdErr),
-			analytic,
-			fmt.Sprintf("%.1e", paperPRF[row.Scenario]),
-		); err != nil {
+	// measured is the column's best value: the closed form where one
+	// exists, the Monte Carlo mean otherwise.
+	for _, row := range []struct {
+		s                    rowyield.Scenario
+		mc, stderr, analytic string
+		measured             float64
+	}{
+		{rowyield.UncorrelatedGrowth, "—", "—", fmt.Sprintf("%.2e", unc), unc},
+		{rowyield.DirectionalUnaligned, fmt.Sprintf("%.2e", unal.Mean), fmt.Sprintf("%.1e", unal.StdErr), "—", unal.Mean},
+		{rowyield.DirectionalAligned, fmt.Sprintf("%.2e", al.Mean), fmt.Sprintf("%.1e", al.StdErr), fmt.Sprintf("%.2e", devicePF), devicePF},
+	} {
+		if err := table.AddRow(row.s.String(), row.mc, row.stderr, row.analytic,
+			fmt.Sprintf("%.1e", paperPRF[row.s])); err != nil {
 			return nil, err
-		}
-		est[row.Scenario] = row.PRF
-		best := row.PRF.Mean
-		if !math.IsNaN(row.Analytic) {
-			best = row.Analytic
 		}
 		cmp.Add(report.Comparison{
 			Artifact:  "Table 1",
-			Quantity:  "pRF, " + row.Scenario.String(),
-			Paper:     paperPRF[row.Scenario],
-			Measured:  best,
+			Quantity:  "pRF, " + row.s.String(),
+			Paper:     paperPRF[row.s],
+			Measured:  row.measured,
 			TolFactor: 2.5,
 		})
 	}
-	unc := est[rowyield.UncorrelatedGrowth].Mean
-	unal := est[rowyield.DirectionalUnaligned].Mean
-	al := est[rowyield.DirectionalAligned].Mean
-	table.AddNote("benefit of directional growth alone: %.1f× (paper: 26.5×)", unc/unal)
-	table.AddNote("additional benefit of aligned-active: %.1f× (paper: 13×)", unal/al)
-	table.AddNote("total: %.0f× (paper: ≈350×); closed-form total is MRmin = %.0f×", unc/al, mrmin)
-	table.AddNote("library offsets: %d distinct lateral positions over %.0f nm", offsets.DistinctCount(), offsets.Span())
+	table.AddNote("benefit of directional growth alone: %.1f× (paper: 26.5×)", unc/unal.Mean)
+	table.AddNote("additional benefit of aligned-active: %.1f× (paper: 13×)", unal.Mean/al.Mean)
+	table.AddNote("total: %.0f× (paper: ≈350×); closed-form total is MRmin = %.0f×", unc/al.Mean, mrmin)
+	table.AddNote("library offsets: %d distinct lateral positions over %.0f nm", rm.Offsets.DistinctCount(), rm.Offsets.Span())
 
 	cmp.Add(report.Comparison{Artifact: "Table 1", Quantity: "directional-growth benefit",
-		Paper: 26.5, Measured: unc / unal, TolFactor: 1.8})
+		Paper: 26.5, Measured: unc / unal.Mean, TolFactor: 1.8})
 	cmp.Add(report.Comparison{Artifact: "Table 1", Quantity: "aligned-active extra benefit",
-		Paper: 13, Measured: unal / al, TolFactor: 1.8})
+		Paper: 13, Measured: unal.Mean / al.Mean, TolFactor: 1.8})
 	cmp.Add(report.Comparison{Artifact: "Table 1", Quantity: "total benefit",
-		Paper: 353, Measured: unc / al, TolFactor: 1.6})
+		Paper: 353, Measured: unc / al.Mean, TolFactor: 1.6})
 
 	return &Result{Name: "table1", Table: table, Comparisons: cmp}, nil
 }

@@ -131,17 +131,6 @@ func Enable(site, spec string) error {
 	return nil
 }
 
-// Disable disarms one site. Other armed sites stay active.
-func Disable(site string) {
-	mu.Lock()
-	delete(sites, site)
-	empty := len(sites) == 0
-	mu.Unlock()
-	if empty {
-		armed.Store(false)
-	}
-}
-
 // Reset disarms every site and restores the zero-cost disabled state.
 func Reset() {
 	mu.Lock()

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -41,8 +42,9 @@ const defaultMinAdaptiveRounds = 4096
 // The block schedule (MinRounds, then ×2 per block, capped at the remaining
 // budget) is part of that identity; the same target reached on machines
 // with different worker counts stops at the same total round count with the
-// same bits.
-func RunStateAdaptive[S any](newState func() S, f func(r *rand.Rand, state S) (float64, error), opt AdaptiveOptions) (Estimate, error) {
+// same bits. Cancelling ctx stops the run at the next batch claim and
+// returns ctx's error, discarding the blocks already merged.
+func RunStateAdaptive[S any](ctx context.Context, newState func() S, f func(r *rand.Rand, state S) (float64, error), opt AdaptiveOptions) (Estimate, error) {
 	if f == nil {
 		return Estimate{}, errors.New("montecarlo: nil round function")
 	}
@@ -74,7 +76,7 @@ func RunStateAdaptive[S any](newState func() S, f func(r *rand.Rand, state S) (f
 		}
 		blockOpt := opt.Options
 		blockOpt.Seed = blockSeed(seed, blockIdx)
-		w, err := runMerged(block, newState, f, blockOpt)
+		w, err := runMerged(ctx, block, newState, f, blockOpt)
 		if err != nil {
 			return Estimate{}, err
 		}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -20,7 +21,7 @@ func TestAdaptiveStopsAtTarget(t *testing.T) {
 		MaxRounds:    1 << 20,
 		MinRounds:    256,
 	}
-	est, err := RunStateAdaptive(nil, expRound, opt)
+	est, err := RunStateAdaptive(context.Background(), nil, expRound, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestAdaptiveStopsAtTarget(t *testing.T) {
 
 func TestAdaptiveSpendsCapWithoutTarget(t *testing.T) {
 	opt := AdaptiveOptions{MaxRounds: 3000, MinRounds: 1024}
-	est, err := RunStateAdaptive(nil, expRound, opt)
+	est, err := RunStateAdaptive(context.Background(), nil, expRound, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestAdaptiveSpendsCapWithoutTarget(t *testing.T) {
 
 func TestAdaptiveBitIdenticalAcrossWorkers(t *testing.T) {
 	run := func(workers int) Estimate {
-		est, err := RunStateAdaptive(nil, expRound, AdaptiveOptions{
+		est, err := RunStateAdaptive(context.Background(), nil, expRound, AdaptiveOptions{
 			Options:      Options{Workers: workers},
 			RelErrTarget: 0.05,
 			MaxRounds:    1 << 18,
@@ -77,14 +78,14 @@ func TestAdaptiveMatchesManualBlockMerge(t *testing.T) {
 	// per-block RunState runs with the derived block seeds: the adaptive
 	// schedule is part of the result's identity.
 	opt := AdaptiveOptions{MaxRounds: 1536, MinRounds: 512}
-	est, err := RunStateAdaptive(nil, expRound, opt)
+	est, err := RunStateAdaptive(context.Background(), nil, expRound, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want float64
 	var n int
 	for blockIdx, rounds := range []int{512, 1024} {
-		e, err := RunState(rounds, nil, expRound, Options{Seed: blockSeed(rng.DefaultSeed, blockIdx)})
+		e, err := RunState(context.Background(), rounds, nil, expRound, Options{Seed: blockSeed(rng.DefaultSeed, blockIdx)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,17 +101,17 @@ func TestAdaptiveMatchesManualBlockMerge(t *testing.T) {
 }
 
 func TestAdaptiveValidation(t *testing.T) {
-	if _, err := RunStateAdaptive(nil, expRound, AdaptiveOptions{MaxRounds: 1}); err == nil {
+	if _, err := RunStateAdaptive(context.Background(), nil, expRound, AdaptiveOptions{MaxRounds: 1}); err == nil {
 		t.Fatal("MaxRounds 1 accepted")
 	}
-	if _, err := RunStateAdaptive(nil, expRound, AdaptiveOptions{MaxRounds: 100, RelErrTarget: -1}); err == nil {
+	if _, err := RunStateAdaptive(context.Background(), nil, expRound, AdaptiveOptions{MaxRounds: 100, RelErrTarget: -1}); err == nil {
 		t.Fatal("negative target accepted")
 	}
-	if _, err := RunStateAdaptive[struct{}](nil, nil, AdaptiveOptions{MaxRounds: 100}); err == nil {
+	if _, err := RunStateAdaptive[struct{}](context.Background(), nil, nil, AdaptiveOptions{MaxRounds: 100}); err == nil {
 		t.Fatal("nil round function accepted")
 	}
 	boom := errors.New("boom")
-	_, err := RunStateAdaptive(nil, func(*rand.Rand, struct{}) (float64, error) {
+	_, err := RunStateAdaptive(context.Background(), nil, func(*rand.Rand, struct{}) (float64, error) {
 		return 0, boom
 	}, AdaptiveOptions{MaxRounds: 100})
 	if !errors.Is(err, boom) {

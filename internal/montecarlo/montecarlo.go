@@ -8,10 +8,15 @@
 // blocks with per-block derived seeds, so even an adaptively stopped
 // estimate is a pure function of (seed, options, round function).
 //
+// Runs are cancellable: every worker checks the context each time it claims
+// a round batch, and a cancelled run returns the context's error — never a
+// partial estimate — so cancellation cannot leak into a served number.
+//
 //yield:compute
 package montecarlo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -56,12 +61,13 @@ type Options struct {
 //
 // Reproducibility: round batch b always uses the stream derived from
 // (seed, b), so the estimate is a pure function of (seed, rounds, f)
-// regardless of scheduling or worker count.
-func Run(rounds int, f RoundFunc, opt Options) (Estimate, error) {
+// regardless of scheduling or worker count. Cancelling ctx stops the run at
+// the next batch claim and returns ctx's error.
+func Run(ctx context.Context, rounds int, f RoundFunc, opt Options) (Estimate, error) {
 	if f == nil {
 		return Estimate{}, errors.New("montecarlo: nil round function")
 	}
-	return RunState(rounds, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
+	return RunState(ctx, rounds, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
 		return f(r)
 	}, opt)
 }
@@ -76,14 +82,14 @@ func Run(rounds int, f RoundFunc, opt Options) (Estimate, error) {
 // to run, so any state influence on the returned values would break the
 // reproducibility guarantee. As with Run, per-batch accumulators merge in
 // batch order, keeping the estimate bit-identical across worker counts.
-func RunState[S any](rounds int, newState func() S, f func(r *rand.Rand, state S) (float64, error), opt Options) (Estimate, error) {
+func RunState[S any](ctx context.Context, rounds int, newState func() S, f func(r *rand.Rand, state S) (float64, error), opt Options) (Estimate, error) {
 	if f == nil {
 		return Estimate{}, errors.New("montecarlo: nil round function")
 	}
 	if rounds < 2 {
 		return Estimate{}, fmt.Errorf("montecarlo: need ≥ 2 rounds, got %d", rounds)
 	}
-	merged, err := runMerged(rounds, newState, f, opt)
+	merged, err := runMerged(ctx, rounds, newState, f, opt)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -95,7 +101,7 @@ func RunState[S any](rounds int, newState func() S, f func(r *rand.Rand, state S
 // runner) can keep merging exactly instead of reconstructing moments from an
 // Estimate. Accepts rounds ≥ 1 — single-round tails of an adaptive schedule
 // are meaningful once merged into a larger accumulator.
-func runMerged[S any](rounds int, newState func() S, f func(r *rand.Rand, state S) (float64, error), opt Options) (stat.Welford, error) {
+func runMerged[S any](ctx context.Context, rounds int, newState func() S, f func(r *rand.Rand, state S) (float64, error), opt Options) (stat.Welford, error) {
 	seed := opt.Seed
 	if seed == 0 {
 		seed = rng.DefaultSeed
@@ -113,11 +119,18 @@ func runMerged[S any](rounds int, newState func() S, f func(r *rand.Rand, state 
 	if workers > nBatches {
 		workers = nBatches
 	}
+	if err := ctx.Err(); err != nil {
+		return stat.Welford{}, err
+	}
+	// done is nil for a context that can never be cancelled, which makes
+	// the per-batch check below a no-op select.
+	done := ctx.Done()
 	// The batch queue is a single atomic counter: claiming work is one
 	// uncontended fetch-add instead of a mutex round-trip, which stops the
 	// queue from serializing short batches at high worker counts. The
-	// failed flag keeps first-error semantics: after any error, no new
-	// batch starts and the earliest-recorded error is returned.
+	// failed flag keeps first-error semantics: after any error (a round's,
+	// or the context's at a batch claim), no new batch starts and the
+	// earliest-recorded error is returned.
 	var (
 		wg      sync.WaitGroup
 		nextIdx atomic.Int64
@@ -131,6 +144,14 @@ func runMerged[S any](rounds int, newState func() S, f func(r *rand.Rand, state 
 	// break the bit-identical reproducibility the response caches and
 	// ETags rely on.
 	accs := make([]stat.Welford, nBatches)
+	fail := func(err error) {
+		errMu.Lock()
+		if firstEr == nil {
+			firstEr = err
+		}
+		errMu.Unlock()
+		failed.Store(true)
+	}
 	work := func() {
 		defer wg.Done()
 		var state S
@@ -157,6 +178,12 @@ func runMerged[S any](rounds int, newState func() S, f func(r *rand.Rand, state 
 			if failed.Load() {
 				return
 			}
+			select {
+			case <-done:
+				fail(ctx.Err())
+				return
+			default:
+			}
 			b := int(nextIdx.Add(1) - 1)
 			if b >= nBatches {
 				return
@@ -176,12 +203,7 @@ func runMerged[S any](rounds int, newState func() S, f func(r *rand.Rand, state 
 			for i := lo; i < hi; i++ {
 				v, err := f(r, state)
 				if err != nil {
-					errMu.Lock()
-					if firstEr == nil {
-						firstEr = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
+					fail(err)
 					return
 				}
 				local.Add(v)

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestRunEstimatesMean(t *testing.T) {
-	est, err := Run(200_000, func(r *rand.Rand) (float64, error) {
+	est, err := Run(context.Background(), 200_000, func(r *rand.Rand) (float64, error) {
 		return r.Float64(), nil
 	}, Options{Seed: 1})
 	if err != nil {
@@ -29,11 +30,11 @@ func TestRunEstimatesMean(t *testing.T) {
 
 func TestRunReproducibleAcrossWorkerCounts(t *testing.T) {
 	f := func(r *rand.Rand) (float64, error) { return r.NormFloat64(), nil }
-	a, err := Run(10_000, f, Options{Seed: 42, Workers: 1})
+	a, err := Run(context.Background(), 10_000, f, Options{Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(10_000, f, Options{Seed: 42, Workers: 16})
+	b, err := Run(context.Background(), 10_000, f, Options{Seed: 42, Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func TestRunReproducibleAcrossWorkerCounts(t *testing.T) {
 
 func TestRunSeedChangesStream(t *testing.T) {
 	f := func(r *rand.Rand) (float64, error) { return r.Float64(), nil }
-	a, _ := Run(1000, f, Options{Seed: 1})
-	b, _ := Run(1000, f, Options{Seed: 2})
+	a, _ := Run(context.Background(), 1000, f, Options{Seed: 1})
+	b, _ := Run(context.Background(), 1000, f, Options{Seed: 2})
 	if a.Mean == b.Mean {
 		t.Fatal("different seeds should give different estimates")
 	}
@@ -54,7 +55,7 @@ func TestRunSeedChangesStream(t *testing.T) {
 func TestRunPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	n := 0
-	_, err := Run(1000, func(r *rand.Rand) (float64, error) {
+	_, err := Run(context.Background(), 1000, func(r *rand.Rand) (float64, error) {
 		n++
 		if n > 100 {
 			return 0, boom
@@ -67,10 +68,10 @@ func TestRunPropagatesError(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(10, nil, Options{}); err == nil {
+	if _, err := Run(context.Background(), 10, nil, Options{}); err == nil {
 		t.Error("nil function")
 	}
-	if _, err := Run(1, func(r *rand.Rand) (float64, error) { return 0, nil }, Options{}); err == nil {
+	if _, err := Run(context.Background(), 1, func(r *rand.Rand) (float64, error) { return 0, nil }, Options{}); err == nil {
 		t.Error("too few rounds")
 	}
 }
@@ -85,7 +86,7 @@ func TestRunStatePerWorkerScratch(t *testing.T) {
 		return &scratch{}
 	}
 	const rounds, workers = 10_000, 4
-	est, err := RunState(rounds, newState, func(r *rand.Rand, s *scratch) (float64, error) {
+	est, err := RunState(context.Background(), rounds, newState, func(r *rand.Rand, s *scratch) (float64, error) {
 		s.rounds++
 		return r.Float64(), nil
 	}, Options{Seed: 3, Workers: workers})
@@ -110,12 +111,12 @@ func TestRunStateBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		return (buf[0] + buf[1] + buf[2]) / 3, nil
 	}
 	newState := func() []float64 { return make([]float64, 3) }
-	base, err := RunState(9_999, newState, f, Options{Seed: 77, Workers: 1})
+	base, err := RunState(context.Background(), 9_999, newState, f, Options{Seed: 77, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 32} {
-		got, err := RunState(9_999, newState, f, Options{Seed: 77, Workers: workers})
+		got, err := RunState(context.Background(), 9_999, newState, f, Options{Seed: 77, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func TestRunStateBitIdenticalAcrossWorkerCounts(t *testing.T) {
 
 // A nil factory means the zero value of S is the state.
 func TestRunStateNilFactory(t *testing.T) {
-	est, err := RunState(100, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
+	est, err := RunState(context.Background(), 100, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
 		return 1, nil
 	}, Options{Seed: 1})
 	if err != nil || est.Mean != 1 {
@@ -138,7 +139,7 @@ func TestRunStateNilFactory(t *testing.T) {
 func TestRunStatePropagatesFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	_, err := RunState(100_000, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
+	_, err := RunState(context.Background(), 100_000, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
 		if calls.Add(1) > 50 {
 			return 0, boom
 		}
@@ -152,13 +153,13 @@ func TestRunStatePropagatesFirstError(t *testing.T) {
 	if n := calls.Load(); n >= 100_000 {
 		t.Fatalf("error did not stop the run: %d rounds", n)
 	}
-	if _, err := RunState[struct{}](100, nil, nil, Options{}); err == nil {
+	if _, err := RunState[struct{}](context.Background(), 100, nil, nil, Options{}); err == nil {
 		t.Error("nil round function")
 	}
 }
 
 func TestRunSmallRoundsLargeBatch(t *testing.T) {
-	est, err := Run(5, func(r *rand.Rand) (float64, error) { return 2, nil }, Options{Seed: 9, BatchSize: 1000})
+	est, err := Run(context.Background(), 5, func(r *rand.Rand) (float64, error) { return 2, nil }, Options{Seed: 9, BatchSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestRunStateAllocsScaleWithWorkers(t *testing.T) {
 	f := func(r *rand.Rand, _ struct{}) (float64, error) { return r.Float64(), nil }
 	allocs := func(batches, workers int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := RunState(batches*8, nil, f, Options{Seed: 3, Workers: workers, BatchSize: 8}); err != nil {
+			if _, err := RunState(context.Background(), batches*8, nil, f, Options{Seed: 3, Workers: workers, BatchSize: 8}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -186,5 +187,49 @@ func TestRunStateAllocsScaleWithWorkers(t *testing.T) {
 		if many-few > 4 {
 			t.Errorf("workers=%d: %v allocs for 4 batches, %v for 400: allocations grow with batches", workers, few, many)
 		}
+	}
+}
+
+// A run under an already-cancelled context does no work and returns the
+// context's error; a cancel during the run stops it at the next batch
+// claim, again with the context's error and never a partial estimate.
+func TestRunCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var calls atomic.Int64
+	f := func(r *rand.Rand) (float64, error) {
+		calls.Add(1)
+		return r.Float64(), nil
+	}
+	if _, err := Run(ctx, 10_000, f, Options{Seed: 1, Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("cancelled run executed %d rounds", n)
+	}
+	if _, err := RunStateAdaptive(ctx, nil, expRound, AdaptiveOptions{MaxRounds: 10_000}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled adaptive run: err = %v, want context.Canceled", err)
+	}
+
+	// Mid-run: the round that lands in batch 3 cancels; with one worker the
+	// engine must stop before claiming batch 4.
+	const batch = 8
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	calls.Store(0)
+	est, err := RunState(ctx, 1_000*batch, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
+		if calls.Add(1) == 3*batch+1 {
+			cancel()
+		}
+		return r.Float64(), nil
+	}, Options{Seed: 1, Workers: 1, BatchSize: batch})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)
+	}
+	if est != (Estimate{}) {
+		t.Fatalf("mid-run cancel returned a partial estimate %+v", est)
+	}
+	if n := calls.Load(); n != 4*batch {
+		t.Fatalf("mid-run cancel ran %d rounds, want %d (stop at the next batch)", n, 4*batch)
 	}
 }

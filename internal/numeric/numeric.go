@@ -57,77 +57,6 @@ func Bisect(f func(float64) float64, lo, hi, tol float64, maxIter int) (float64,
 	return 0.5 * (lo + hi), ErrMaxIter
 }
 
-// Brent finds a root of f in [lo, hi] using Brent's method (inverse quadratic
-// interpolation with bisection safeguards). It needs the same sign change as
-// Bisect but typically converges in far fewer function evaluations, which
-// matters when f is itself an expensive renewal-model evaluation.
-func Brent(f func(float64) float64, lo, hi, tol float64, maxIter int) (float64, error) {
-	a, b := lo, hi
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	c, fc := a, fa
-	d, e := b-a, b-a
-	for i := 0; i < maxIter; i++ {
-		if math.Abs(fc) < math.Abs(fb) {
-			a, b, c = b, c, b
-			fa, fb, fc = fb, fc, fb
-		}
-		tol1 := 2*math.Nextafter(math.Abs(b), math.Inf(1))*0x1p-52 + 0.5*tol
-		xm := 0.5 * (c - b)
-		if math.Abs(xm) <= tol1 || fb == 0 {
-			return b, nil
-		}
-		if math.Abs(e) >= tol1 && math.Abs(fa) > math.Abs(fb) {
-			s := fb / fa
-			var p, q float64
-			if a == c {
-				p = 2 * xm * s
-				q = 1 - s
-			} else {
-				q = fa / fc
-				r := fb / fc
-				p = s * (2*xm*q*(q-r) - (b-a)*(r-1))
-				q = (q - 1) * (r - 1) * (s - 1)
-			}
-			if p > 0 {
-				q = -q
-			}
-			p = math.Abs(p)
-			min1 := 3*xm*q - math.Abs(tol1*q)
-			min2 := math.Abs(e * q)
-			if 2*p < math.Min(min1, min2) {
-				e, d = d, p/q
-			} else {
-				d, e = xm, xm
-			}
-		} else {
-			d, e = xm, xm
-		}
-		a, fa = b, fb
-		if math.Abs(d) > tol1 {
-			b += d
-		} else if xm > 0 {
-			b += tol1
-		} else {
-			b -= tol1
-		}
-		fb = f(b)
-		if math.Signbit(fb) == math.Signbit(fc) {
-			c, fc = a, fa
-			d, e = b-a, b-a
-		}
-	}
-	return b, ErrMaxIter
-}
-
 // Simpson integrates f over [a, b] with n panels (n is rounded up to even).
 func Simpson(f func(float64) float64, a, b float64, n int) float64 {
 	if n < 2 {
@@ -224,17 +153,4 @@ func Linspace(a, b float64, n int) []float64 {
 	}
 	out[n-1] = b
 	return out
-}
-
-// Logspace returns n logarithmically spaced points from a to b inclusive;
-// a and b must be positive.
-func Logspace(a, b float64, n int) []float64 {
-	pts := Linspace(math.Log(a), math.Log(b), n)
-	for i, p := range pts {
-		pts[i] = math.Exp(p)
-	}
-	if n > 0 {
-		pts[0], pts[n-1] = a, b
-	}
-	return pts
 }

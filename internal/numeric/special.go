@@ -65,16 +65,6 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// NormalCDFIntegral returns ∫_{-∞}^{u} Φ(v) dv = u·Φ(u) + φ(u), the
-// antiderivative of the standard normal CDF (up to the constant fixed by the
-// u → -∞ limit being 0).
-func NormalCDFIntegral(u float64) float64 {
-	if math.IsInf(u, -1) {
-		return 0
-	}
-	return u*NormalCDF(u) + NormalPDF(u)
-}
-
 // Log1mExp returns log(1 - exp(x)) for x < 0 using the numerically stable
 // split recommended by Mächler.
 func Log1mExp(x float64) float64 {

@@ -108,9 +108,6 @@ func (s *Session) Cache() *renewal.SweepCache { return s.cache }
 // Store returns the session's persistent sweep store (nil when none).
 func (s *Session) Store() *sweepstore.Store { return s.store }
 
-// Runner returns the session's shared experiment runner.
-func (s *Session) Runner() *experiments.Runner { return s.runner }
-
 // Checkpoint persists the sweep cache to the store when new sweeps have
 // been computed since the last persist. It runs synchronously but is cheap
 // when nothing changed; sessions without a store no-op.
@@ -262,7 +259,7 @@ func (s *Session) evaluate(ctx context.Context, canon Spec, fp string) (Result, 
 	case KindNoise:
 		res.Noise, err = s.evalNoise(ctx, canon)
 	case KindExperiment:
-		res.Experiments, err = s.evalExperiment(canon)
+		res.Experiments, err = s.evalExperiment(ctx, canon)
 	default:
 		err = fmt.Errorf("query: unknown kind %q", canon.Kind)
 	}
@@ -455,7 +452,7 @@ func (s *Session) evalRowYield(ctx context.Context, q Spec) (*RowYieldResult, er
 			break
 		}
 		msp := obs.StartLeaf(ctx, "mc.run")
-		est, err := rm.EstimateRowFailureWith(scenario, rounds,
+		est, err := rm.EstimateRowFailureWith(ctx, scenario, rounds,
 			montecarlo.Options{Seed: seed, Workers: s.params.Workers, Counters: msp.MC()})
 		if err != nil {
 			msp.End()
@@ -570,7 +567,7 @@ func (s *Session) evalNoise(ctx context.Context, q Spec) (*NoiseResult, error) {
 	}, nil
 }
 
-func (s *Session) evalExperiment(q Spec) ([]ResultJSON, error) {
+func (s *Session) evalExperiment(ctx context.Context, q Spec) ([]ResultJSON, error) {
 	runner := s.runner
 	if q.Seed != 0 && q.Seed != s.params.Seed {
 		// Seed overrides get their own runner but share the sweep cache, so
@@ -579,7 +576,7 @@ func (s *Session) evalExperiment(q Spec) ([]ResultJSON, error) {
 		p.Seed = q.Seed
 		runner = experiments.NewWithCache(p, s.cache)
 	}
-	results, err := runner.RunMany(q.Experiments, s.params.Workers)
+	results, err := runner.RunMany(ctx, q.Experiments, s.params.Workers)
 	if err != nil {
 		return nil, err
 	}

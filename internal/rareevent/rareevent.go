@@ -204,24 +204,24 @@ func (e Estimate) RelErr() float64 {
 }
 
 // EstimateRowFailureContext estimates pRF for a directional scenario of the
-// prepared row model. The uncorrelated scenario is rejected for the
-// rare-event methods — it has the closed form rowyield.IndependentRowFailure
-// and needs no sampling. A model with per-CNT failure zero short-circuits to
-// an exact zero.
+// prepared row model. The uncorrelated scenario is rejected for every
+// method — it has the closed form rowyield.IndependentRowFailure and no
+// Monte Carlo round. A model with per-CNT failure zero short-circuits to an
+// exact zero.
 //
 // When the context carries an obs.Tracer, the estimator records "mc.pilot"
 // spans for its tilt-selection pilots and an "mc.run" span (method, rounds,
 // tilt θ, achieved rel-err, engine counters) for the main run. Tracing never
-// changes the numbers — the context is observability-only, not
-// cancellation: runs are deterministic in (seed, options) and always
-// complete.
+// changes the numbers. Cancelling the context stops the pilots and the main
+// run at their next round batch and returns the context's error, never a
+// partial estimate: a completed run is deterministic in (seed, options).
 func EstimateRowFailureContext(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, opt Options) (Estimate, error) {
 	if err := m.Prepare(); err != nil {
 		return Estimate{}, err
 	}
 	opt = opt.withDefaults()
-	if scenario == rowyield.UncorrelatedGrowth && opt.Method != Plain {
-		return Estimate{}, fmt.Errorf("rareevent: %v has a closed form (rowyield.IndependentRowFailure); rare-event methods apply to the directional scenarios", scenario)
+	if scenario == rowyield.UncorrelatedGrowth {
+		return Estimate{}, fmt.Errorf("rareevent: %v has a closed form (rowyield.IndependentRowFailure) and no Monte Carlo round; the estimators apply to the directional scenarios", scenario)
 	}
 	if m.PerCNTFailure == 0 {
 		// No track ever fails: pRF is exactly zero for every scenario.
@@ -236,7 +236,7 @@ func EstimateRowFailureContext(ctx context.Context, m *rowyield.RowModel, scenar
 			return Estimate{}, err
 		}
 		psp := obs.StartLeaf(ctx, "mc.pilot")
-		theta, pilotRounds, err := bestTilt(m, scenario, ladder, opt)
+		theta, pilotRounds, err := bestTilt(ctx, m, scenario, ladder, opt)
 		psp.SetAttr("candidates", len(ladder))
 		psp.SetAttr("rounds", pilotRounds)
 		psp.SetAttr("tilt_theta", theta)
@@ -287,7 +287,7 @@ func endRunSpan(sp *obs.Span, est Estimate, err error) {
 // estimatePlain runs the base rounds under adaptive stopping.
 func estimatePlain(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, opt Options, extraRounds int) (Estimate, error) {
 	sp := obs.StartLeaf(ctx, "mc.run")
-	est, err := montecarlo.RunStateAdaptive(m.NewRoundState,
+	est, err := montecarlo.RunStateAdaptive(ctx, m.NewRoundState,
 		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
 			return m.Round(r, scenario, st)
 		}, adaptiveOptions(opt, extraRounds, sp.MC()))
@@ -307,7 +307,7 @@ func estimateTilted(ctx context.Context, m *rowyield.RowModel, scenario rowyield
 		return Estimate{}, err
 	}
 	sp := obs.StartLeaf(ctx, "mc.run")
-	est, err := montecarlo.RunStateAdaptive(tm.NewRoundState,
+	est, err := montecarlo.RunStateAdaptive(ctx, tm.NewRoundState,
 		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
 			return tm.Round(r, scenario, st)
 		}, adaptiveOptions(opt, extraRounds, sp.MC()))
@@ -356,7 +356,7 @@ func estimateAuto(ctx context.Context, m *rowyield.RowModel, scenario rowyield.S
 		ladder = nil // non-tiltable pitch law: auto degrades to plain vs splitting
 	}
 	psp := obs.StartLeaf(ctx, "mc.pilot")
-	plain, err := runPilot(m, scenario, 0, 0, opt)
+	plain, err := runPilot(ctx, m, scenario, 0, 0, opt)
 	if err != nil {
 		psp.End()
 		return Estimate{}, err
@@ -364,7 +364,7 @@ func estimateAuto(ctx context.Context, m *rowyield.RowModel, scenario rowyield.S
 	spent := plain.rounds
 	best := pilotResult{relvar: math.Inf(1)}
 	for i, theta := range ladder {
-		p, err := runPilot(m, scenario, theta, i+1, opt)
+		p, err := runPilot(ctx, m, scenario, theta, i+1, opt)
 		if err != nil {
 			psp.End()
 			return Estimate{}, err
@@ -376,7 +376,7 @@ func estimateAuto(ctx context.Context, m *rowyield.RowModel, scenario rowyield.S
 	}
 	plainRelvar := plain.relvar
 	if !math.IsInf(best.relvar, 1) && best.mean > 0 {
-		m2, rounds, err := runSecondMomentPilot(m, scenario, best.theta, len(ladder)+1, opt)
+		m2, rounds, err := runSecondMomentPilot(ctx, m, scenario, best.theta, len(ladder)+1, opt)
 		if err != nil {
 			psp.End()
 			return Estimate{}, err
@@ -407,12 +407,12 @@ func estimateAuto(ctx context.Context, m *rowyield.RowModel, scenario rowyield.S
 // runSecondMomentPilot estimates the base law's second moment E[p²] of the
 // conditional failure probability by averaging p²·W over tilted
 // realizations at tilt theta. Returns the estimate and the rounds spent.
-func runSecondMomentPilot(m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, idx int, opt Options) (float64, int, error) {
+func runSecondMomentPilot(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, idx int, opt Options) (float64, int, error) {
 	tm, err := m.Tilted(theta)
 	if err != nil {
 		return 0, 0, err
 	}
-	est, err := montecarlo.RunState(opt.PilotRounds, tm.NewRoundState,
+	est, err := montecarlo.RunState(ctx, opt.PilotRounds, tm.NewRoundState,
 		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
 			_, p2w, err := tm.Moments(r, scenario, st)
 			return p2w, err
@@ -430,11 +430,11 @@ func runSecondMomentPilot(m *rowyield.RowModel, scenario rowyield.Scenario, thet
 // (the ladder's third rung) is trusted outright — it was chosen to center
 // the sampler on the dominant failure point, and a deeper event only makes
 // the un-tilted alternative worse.
-func bestTilt(m *rowyield.RowModel, scenario rowyield.Scenario, ladder []float64, opt Options) (float64, int, error) {
+func bestTilt(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, ladder []float64, opt Options) (float64, int, error) {
 	best := pilotResult{relvar: math.Inf(1)}
 	spent := 0
 	for i, theta := range ladder {
-		p, err := runPilot(m, scenario, theta, i+1, opt)
+		p, err := runPilot(ctx, m, scenario, theta, i+1, opt)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -461,7 +461,7 @@ type pilotResult struct {
 
 // runPilot measures one candidate tilt (theta 0 = plain rounds) over the
 // pilot budget with its own derived stream, deterministically.
-func runPilot(m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, idx int, opt Options) (pilotResult, error) {
+func runPilot(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, idx int, opt Options) (pilotResult, error) {
 	round := m.Round
 	newState := m.NewRoundState
 	if theta != 0 {
@@ -472,7 +472,7 @@ func runPilot(m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, i
 		round = tm.Round
 		newState = tm.NewRoundState
 	}
-	est, err := montecarlo.RunState(opt.PilotRounds, newState,
+	est, err := montecarlo.RunState(ctx, opt.PilotRounds, newState,
 		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
 			return round(r, scenario, st)
 		}, montecarlo.Options{Seed: pilotSeed(opt.Seed, idx), Workers: opt.Workers})

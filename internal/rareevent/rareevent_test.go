@@ -97,6 +97,9 @@ func TestUncorrelatedRejectsRareEventMethods(t *testing.T) {
 	if _, err := EstimateRowFailureContext(context.Background(), m, rowyield.UncorrelatedGrowth, Options{Method: Splitting}); err == nil {
 		t.Fatal("splitting estimator accepted the uncorrelated scenario")
 	}
+	if _, err := EstimateRowFailureContext(context.Background(), m, rowyield.UncorrelatedGrowth, Options{Method: Plain}); err == nil {
+		t.Fatal("plain estimator accepted the uncorrelated scenario")
+	}
 }
 
 // TestTiltedMatchesPlain cross-validates the importance sampler against
@@ -262,7 +265,7 @@ func TestVarianceReductionGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 1 << 16
-	e2, err := montecarlo.RunState(rounds, tm.NewRoundState,
+	e2, err := montecarlo.RunState(context.Background(), rounds, tm.NewRoundState,
 		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
 			_, p2w, err := tm.Moments(r, rowyield.DirectionalUnaligned, st)
 			return p2w, err

@@ -123,7 +123,7 @@ func estimateSplitting(ctx context.Context, m *rowyield.RowModel, scenario rowyi
 		minReplicas = maxReplicas
 	}
 	sp := obs.StartLeaf(ctx, "mc.run")
-	est, err := montecarlo.RunStateAdaptive(e.newScratch,
+	est, err := montecarlo.RunStateAdaptive(ctx, e.newScratch,
 		func(r *rand.Rand, sc *splitScratch) (float64, error) {
 			return e.replica(r, sc), nil
 		}, montecarlo.AdaptiveOptions{

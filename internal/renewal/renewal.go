@@ -148,9 +148,6 @@ func (m *Model) finish() {
 	m.cache[0] = mustPoint(0)
 }
 
-// Spacing returns the pitch distribution the model was built with.
-func (m *Model) Spacing() dist.Continuous { return m.spacing }
-
 // Step returns the grid resolution.
 func (m *Model) Step() float64 { return m.step }
 

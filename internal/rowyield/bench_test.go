@@ -42,7 +42,7 @@ func benchModel(b *testing.B) *RowModel {
 }
 
 // BenchmarkRowYieldMC measures one steady-state Monte Carlo round per
-// scenario at the default Table 1 grid — the inner-loop cost behind
+// directional scenario at the default Table 1 grid — the inner-loop cost behind
 // /v1/rowyield, /v2/query row sweeps and `cnfetyield table1`. Registered in
 // BENCH_BASELINE.json and gated in CI.
 func BenchmarkRowYieldMC(b *testing.B) {
@@ -51,7 +51,6 @@ func BenchmarkRowYieldMC(b *testing.B) {
 		name string
 		s    Scenario
 	}{
-		{"uncorrelated", UncorrelatedGrowth},
 		{"aligned", DirectionalAligned},
 		{"unaligned", DirectionalUnaligned},
 	} {
@@ -79,7 +78,7 @@ func BenchmarkRowYieldMCParallel(b *testing.B) {
 	m := benchModel(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.EstimateRowFailureParallel(7, DirectionalUnaligned, 512, 0); err != nil {
+		if _, err := m.EstimateRowFailureParallel(b.Context(), 7, DirectionalUnaligned, 512, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +102,7 @@ func BenchmarkRowYieldObsOverhead(b *testing.B) {
 				_, sp = obs.Start(obs.WithTracer(b.Context(), obs.New()), "mc.run")
 				opt.Counters = sp.MC()
 			}
-			if _, err := m.EstimateRowFailureWith(DirectionalUnaligned, rounds, opt); err != nil {
+			if _, err := m.EstimateRowFailureWith(b.Context(), DirectionalUnaligned, rounds, opt); err != nil {
 				b.Fatal(err)
 			}
 			sp.End()

@@ -1,6 +1,7 @@
 package rowyield
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -8,7 +9,6 @@ import (
 
 	"github.com/cnfet/yieldlab/internal/dist"
 	"github.com/cnfet/yieldlab/internal/montecarlo"
-	"github.com/cnfet/yieldlab/internal/stat"
 )
 
 // Scenario selects one of Table 1's growth/layout combinations.
@@ -17,6 +17,8 @@ type Scenario int
 // The three columns of Table 1.
 const (
 	// UncorrelatedGrowth: non-directional growth, no CNT sharing anywhere.
+	// Its row failure probability is the closed form
+	// IndependentRowFailure; it has no Monte Carlo round.
 	UncorrelatedGrowth Scenario = iota
 	// DirectionalUnaligned: directional growth, stock cell library (active
 	// regions at library-dependent lateral offsets).
@@ -40,9 +42,9 @@ func (s Scenario) String() string {
 	}
 }
 
-// RowModel describes one row of minimum-width CNFETs for the Table 1
-// Monte Carlo. Build the stationary sampler once with Prepare (or let the
-// estimators do it lazily).
+// RowModel describes one row of minimum-width CNFETs for the directional
+// scenarios' Monte Carlo. Build the stationary sampler once with Prepare
+// (or let the estimators do it lazily).
 type RowModel struct {
 	// Pitch is the inter-track spacing law (calibrated truncated normal).
 	Pitch dist.Continuous
@@ -69,10 +71,11 @@ type RowModel struct {
 	offSpan float64
 	// plan is the unaligned rounds' occupancy plan (see occupancy).
 	plan []occupancy
-	// pfPow[n] = PerCNTFailure^n, math.Pow-filled so lookups are
-	// bit-identical to the per-round math.Pow they replace.
-	pfPow []float64
 }
+
+// errUncorrelatedRound is Round's answer for the uncorrelated scenario,
+// which is served by its closed form and never simulated.
+var errUncorrelatedRound = errors.New("rowyield: the uncorrelated scenario has no Monte Carlo round; its pRF is the closed form IndependentRowFailure = 1-(1-pF)^MRmin")
 
 // pitchSampler draws one inter-track gap. A truncated-normal law inverts its
 // shared tabulated CDF directly, with no function-value call per draw;
@@ -95,16 +98,6 @@ func newPitchSampler(law dist.Continuous) (pitchSampler, error) {
 	}
 	draw, err := dist.FastSamplerFor(law)
 	return pitchSampler{draw: draw}, err
-}
-
-// sample draws one gap.
-//
-//yield:noalloc
-func (p pitchSampler) sample(r *rand.Rand) float64 {
-	if p.tab != nil {
-		return p.tab.Quantile(r.Float64())
-	}
-	return p.draw(r)
 }
 
 // occupancy is one step of the unaligned rounds' occupancy plan. A round
@@ -228,16 +221,11 @@ func (m *RowModel) SampleOccupancy(r *rand.Rand, counts []int) {
 	}
 }
 
-// pfPowHeadroom scales the expected per-window track count into the pf^n
-// table length; counts beyond it (astronomically rare pitch fluctuations)
-// fall back to math.Pow.
-const pfPowHeadroom = 4
-
 // Prepare resolves everything the Monte Carlo rounds need: the stationary
-// first-gap sampler, the devirtualized (tabulated) pitch sampler, the
-// occupancy plan and the precomputed pf-power table. Estimators call it
-// automatically; calling it up front moves the one-time cost out of timed sections and
-// surfaces configuration errors early. A prepared model is immutable and
+// first-gap sampler, the devirtualized (tabulated) pitch sampler and the
+// occupancy plan. Estimators call it automatically; calling it up front
+// moves the one-time cost out of timed sections and surfaces configuration
+// errors early. A prepared model is immutable and
 // safe to share across goroutines (each goroutine needs its own RoundState).
 func (m *RowModel) Prepare() error {
 	if err := m.Validate(); err != nil {
@@ -273,28 +261,8 @@ func (m *RowModel) Prepare() error {
 	}
 	m.offSpan = m.Offsets.Span()
 	m.buildPlan()
-	n := pfPowTableLen(m.WidthNM, m.Pitch.Mean())
-	m.pfPow = make([]float64, n)
-	for i := range m.pfPow {
-		m.pfPow[i] = math.Pow(m.PerCNTFailure, float64(i))
-	}
 	m.fr = fr
 	return nil
-}
-
-// pfPowTableLen sizes the pf^n table to the expected window count with
-// pfPowHeadroom× margin, bounded to keep degenerate parameters (e.g. a
-// near-zero pitch mean, which would overflow the int conversion) from
-// requesting huge tables.
-func pfPowTableLen(widthNM, meanPitch float64) int {
-	n := 64
-	if meanPitch > 0 {
-		n = clampCount(widthNM/meanPitch)*pfPowHeadroom + 64
-	}
-	if n > 1<<16 {
-		n = 1 << 16
-	}
-	return n
 }
 
 // clampCount converts an expected-count ratio to int, clamping non-finite
@@ -358,36 +326,16 @@ func (e Estimate) RelErr() float64 {
 	return e.StdErr / e.Mean
 }
 
-// EstimateRowFailure estimates pRF for the scenario using `rounds` Monte
-// Carlo realizations of the track process (and offsets, for the unaligned
-// scenario). Each round contributes an exact conditional probability, not a
-// Bernoulli outcome, which is what makes 1e-8-scale probabilities reachable
-// without rare-event tricks.
-func (m *RowModel) EstimateRowFailure(r *rand.Rand, s Scenario, rounds int) (Estimate, error) {
-	if err := m.Prepare(); err != nil {
-		return Estimate{}, err
-	}
-	if rounds < 2 {
-		return Estimate{}, fmt.Errorf("rowyield: need ≥ 2 rounds, got %d", rounds)
-	}
-	st := m.NewRoundState()
-	var w stat.Welford
-	for i := 0; i < rounds; i++ {
-		p, err := m.Round(r, s, st)
-		if err != nil {
-			return Estimate{}, err
-		}
-		w.Add(p)
-	}
-	return Estimate{Mean: w.Mean(), StdErr: w.StdErr(), Rounds: rounds}, nil
-}
-
-// EstimateRowFailureParallel runs the same estimator across worker
-// goroutines via the montecarlo engine, each worker reusing its own
+// EstimateRowFailureParallel estimates pRF for a directional scenario from
+// `rounds` Monte Carlo realizations of the track process (and offsets, for
+// the unaligned scenario). Each round contributes an exact conditional
+// probability, not a Bernoulli outcome, which is what makes 1e-8-scale
+// probabilities reachable without rare-event tricks. Rounds run across
+// worker goroutines via the montecarlo engine, each worker reusing its own
 // RoundState; the result is bit-identical across worker counts for a fixed
-// (seed, rounds).
-func (m *RowModel) EstimateRowFailureParallel(seed uint64, s Scenario, rounds, workers int) (Estimate, error) {
-	return m.EstimateRowFailureWith(s, rounds, montecarlo.Options{Seed: seed, Workers: workers})
+// (seed, rounds). Cancelling ctx stops the run at the next round batch.
+func (m *RowModel) EstimateRowFailureParallel(ctx context.Context, seed uint64, s Scenario, rounds, workers int) (Estimate, error) {
+	return m.EstimateRowFailureWith(ctx, s, rounds, montecarlo.Options{Seed: seed, Workers: workers})
 }
 
 // EstimateRowFailureWith is EstimateRowFailureParallel with the full engine
@@ -395,11 +343,11 @@ func (m *RowModel) EstimateRowFailureParallel(seed uint64, s Scenario, rounds, w
 // observability callers attach per evaluation span. The estimate is a pure
 // function of (Seed, BatchSize, rounds, scenario): Counters and Workers
 // never change the numbers.
-func (m *RowModel) EstimateRowFailureWith(s Scenario, rounds int, opt montecarlo.Options) (Estimate, error) {
+func (m *RowModel) EstimateRowFailureWith(ctx context.Context, s Scenario, rounds int, opt montecarlo.Options) (Estimate, error) {
 	if err := m.Prepare(); err != nil {
 		return Estimate{}, err
 	}
-	est, err := montecarlo.RunState(rounds, m.NewRoundState,
+	est, err := montecarlo.RunState(ctx, rounds, m.NewRoundState,
 		func(r *rand.Rand, st *RoundState) (float64, error) {
 			return m.Round(r, s, st)
 		}, opt)
@@ -409,10 +357,11 @@ func (m *RowModel) EstimateRowFailureWith(s Scenario, rounds int, opt montecarlo
 	return Estimate{Mean: est.Mean, StdErr: est.StdErr, Rounds: est.Rounds}, nil
 }
 
-// Round runs one Monte Carlo realization of scenario s using st as scratch.
-// A steady-state round allocates nothing; st must not be shared between
-// goroutines. The model must be prepared before concurrent use (the
-// estimator entry points do this).
+// Round runs one Monte Carlo realization of directional scenario s using st
+// as scratch. A steady-state round allocates nothing; st must not be shared
+// between goroutines. The model must be prepared before concurrent use (the
+// estimator entry points do this). The uncorrelated scenario has no round:
+// its row failure probability is the closed form IndependentRowFailure.
 //
 //yield:noalloc
 func (m *RowModel) Round(r *rand.Rand, s Scenario, st *RoundState) (float64, error) {
@@ -423,7 +372,7 @@ func (m *RowModel) Round(r *rand.Rand, s Scenario, st *RoundState) (float64, err
 	}
 	switch s {
 	case UncorrelatedGrowth:
-		return m.roundUncorrelated(r), nil
+		return 0, errUncorrelatedRound
 	case DirectionalUnaligned:
 		return m.roundDirectional(r, st, false)
 	case DirectionalAligned:
@@ -431,29 +380,6 @@ func (m *RowModel) Round(r *rand.Rand, s Scenario, st *RoundState) (float64, err
 	default:
 		return 0, fmt.Errorf("rowyield: unknown scenario %d", int(s)) //yield:allow(noalloc) cold error path for an invalid scenario, never taken in steady state
 	}
-}
-
-// roundUncorrelated: every CNFET sees its own independent track window.
-// Row survives iff every CNFET survives:
-// P(fail | counts) = 1 - Π_i (1 - pf^{N_i}).
-//
-//yield:noalloc
-func (m *RowModel) roundUncorrelated(r *rand.Rand) float64 {
-	logSurv := 0.0
-	for i := 0; i < m.nFETs; i++ {
-		n := m.countInWindow(r, m.WidthNM)
-		var pFail float64 // pf^0 = 1: empty window always fails
-		if n < len(m.pfPow) {
-			pFail = m.pfPow[n]
-		} else {
-			pFail = math.Pow(m.PerCNTFailure, float64(n))
-		}
-		if pFail >= 1 {
-			return 1
-		}
-		logSurv += math.Log1p(-pFail)
-	}
-	return -math.Expm1(logSurv)
 }
 
 // roundDirectional: one shared track realization; each CNFET covers the
@@ -575,19 +501,6 @@ func drawTracks(r *rand.Rand, fr *dist.ForwardRecurrence, pitch pitchSampler, sp
 	return tracks, y - y0
 }
 
-// countInWindow samples the CNT count of one independent window of width w.
-//
-//yield:noalloc
-func (m *RowModel) countInWindow(r *rand.Rand, w float64) int {
-	n := 0
-	y := m.fr.Sample(r)
-	for y < w {
-		n++
-		y += m.pitch.sample(r)
-	}
-	return n
-}
-
 // windowInterval returns the inclusive index range of sorted track
 // positions falling inside [lo, hi).
 func windowInterval(tracks []float64, lo, hi float64) Interval {
@@ -607,75 +520,4 @@ func searchTracks(tracks []float64, x float64) int {
 		}
 	}
 	return lo
-}
-
-// Table1Row is one scenario line of the Table 1 reproduction.
-type Table1Row struct {
-	Scenario Scenario
-	PRF      Estimate
-	// Analytic carries the closed-form value where one exists
-	// (uncorrelated: 1-(1-pF)^MRmin; aligned: pF), NaN otherwise.
-	Analytic float64
-}
-
-// Table1Parallel runs all three scenarios on worker goroutines.
-func (m *RowModel) Table1Parallel(seed uint64, devicePF float64, rounds, workers int) ([]Table1Row, error) {
-	if devicePF < 0 || devicePF > 1 || math.IsNaN(devicePF) {
-		return nil, fmt.Errorf("rowyield: devicePF %g out of [0,1]", devicePF)
-	}
-	mr, err := MRmin(m.LCNTNM, m.DensityPerUM)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Table1Row, 0, 3)
-	for si, s := range []Scenario{UncorrelatedGrowth, DirectionalUnaligned, DirectionalAligned} {
-		est, err := m.EstimateRowFailureParallel(seed+uint64(si)*0x9E37, s, rounds, workers)
-		if err != nil {
-			return nil, err
-		}
-		analytic := math.NaN()
-		switch s {
-		case UncorrelatedGrowth:
-			analytic, err = IndependentRowFailure(devicePF, mr)
-			if err != nil {
-				return nil, err
-			}
-		case DirectionalAligned:
-			analytic = devicePF
-		}
-		out = append(out, Table1Row{Scenario: s, PRF: est, Analytic: analytic})
-	}
-	return out, nil
-}
-
-// Table1 runs all three scenarios. devicePF is the analytic device failure
-// probability at WidthNM (from the device model), used for the closed-form
-// columns.
-func (m *RowModel) Table1(r *rand.Rand, devicePF float64, rounds int) ([]Table1Row, error) {
-	if devicePF < 0 || devicePF > 1 || math.IsNaN(devicePF) {
-		return nil, fmt.Errorf("rowyield: devicePF %g out of [0,1]", devicePF)
-	}
-	mr, err := MRmin(m.LCNTNM, m.DensityPerUM)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Table1Row, 0, 3)
-	for _, s := range []Scenario{UncorrelatedGrowth, DirectionalUnaligned, DirectionalAligned} {
-		est, err := m.EstimateRowFailure(r, s, rounds)
-		if err != nil {
-			return nil, err
-		}
-		analytic := math.NaN()
-		switch s {
-		case UncorrelatedGrowth:
-			analytic, err = IndependentRowFailure(devicePF, mr)
-			if err != nil {
-				return nil, err
-			}
-		case DirectionalAligned:
-			analytic = devicePF
-		}
-		out = append(out, Table1Row{Scenario: s, PRF: est, Analytic: analytic})
-	}
-	return out, nil
 }

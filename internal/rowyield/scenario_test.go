@@ -1,10 +1,13 @@
 package rowyield
 
 import (
+	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/device"
+	"github.com/cnfet/yieldlab/internal/montecarlo"
 	"github.com/cnfet/yieldlab/internal/renewal"
 	"github.com/cnfet/yieldlab/internal/rng"
 )
@@ -84,8 +87,7 @@ func TestFETsPerRow(t *testing.T) {
 func TestAlignedMatchesDevicePF(t *testing.T) {
 	const w = 30.0
 	m := testRowModel(t, w, Aligned())
-	r := rng.New(101)
-	est, err := m.EstimateRowFailure(r, DirectionalAligned, 40_000)
+	est, err := m.EstimateRowFailureParallel(context.Background(), 101, DirectionalAligned, 40_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +97,41 @@ func TestAlignedMatchesDevicePF(t *testing.T) {
 	}
 }
 
-// Uncorrelated scenario must match 1-(1-pF)^m.
+// uncorrelatedRound is the independent-window round the closed form is
+// checked against: every CNFET draws its own stationary track window, and
+// the row fails unless every window keeps a surviving CNT,
+// P(fail | counts) = 1 - Π_i (1 - pf^{N_i}).
+func uncorrelatedRound(m *RowModel, r *rand.Rand) float64 {
+	logSurv := 0.0
+	for i := 0; i < m.nFETs; i++ {
+		n := 0
+		for y := m.fr.Sample(r); y < m.WidthNM; n++ {
+			if m.pitch.tab != nil {
+				y += m.pitch.tab.Quantile(r.Float64())
+			} else {
+				y += m.pitch.draw(r)
+			}
+		}
+		pFail := math.Pow(m.PerCNTFailure, float64(n))
+		if pFail >= 1 {
+			return 1
+		}
+		logSurv += math.Log1p(-pFail)
+	}
+	return -math.Expm1(logSurv)
+}
+
+// The uncorrelated scenario is served by its closed form 1-(1-pF)^m; an
+// independent-window simulation must agree with it.
 func TestUncorrelatedMatchesClosedForm(t *testing.T) {
 	const w = 30.0
 	m := testRowModel(t, w, Aligned())
-	r := rng.New(103)
-	est, err := m.EstimateRowFailure(r, UncorrelatedGrowth, 20_000)
+	if err := m.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	est, err := montecarlo.Run(context.Background(), 20_000, func(r *rand.Rand) (float64, error) {
+		return uncorrelatedRound(&m, r), nil
+	}, montecarlo.Options{Seed: 103})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +145,8 @@ func TestUncorrelatedMatchesClosedForm(t *testing.T) {
 	}
 }
 
-// The Table 1 ordering: uncorrelated ≫ unaligned ≫ aligned, with the
-// aligned benefit equal to the full MRmin factor.
+// The Table 1 ordering: uncorrelated (closed form) ≫ unaligned ≫ aligned
+// (Monte Carlo), with the aligned benefit equal to the full MRmin factor.
 func TestScenarioOrdering(t *testing.T) {
 	const w = 30.0
 	offsets, err := NewOffsetDist(
@@ -126,15 +157,20 @@ func TestScenarioOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testRowModel(t, w, offsets)
-	r := rng.New(rng.DefaultSeed)
-	rows, err := m.Table1(r, analyticPF(t, w), 30_000)
+	unc, err := IndependentRowFailure(analyticPF(t, w), 36)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows: %d", len(rows))
+	ctx := context.Background()
+	unalEst, err := m.EstimateRowFailureParallel(ctx, rng.DefaultSeed, DirectionalUnaligned, 30_000, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	unc, unal, al := rows[0].PRF.Mean, rows[1].PRF.Mean, rows[2].PRF.Mean
+	alEst, err := m.EstimateRowFailureParallel(ctx, rng.DefaultSeed, DirectionalAligned, 30_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unal, al := unalEst.Mean, alEst.Mean
 	if !(unc > unal && unal > al) {
 		t.Fatalf("ordering violated: %v > %v > %v expected", unc, unal, al)
 	}
@@ -146,13 +182,6 @@ func TestScenarioOrdering(t *testing.T) {
 	// non-overlapping offsets (offsets spaced ≥ 2W apart here).
 	if ratio := unc / unal; ratio < 3.5 || ratio > 10 {
 		t.Fatalf("unaligned benefit %v, want ≈ 6", ratio)
-	}
-	// Closed-form columns.
-	if math.IsNaN(rows[0].Analytic) || math.IsNaN(rows[2].Analytic) {
-		t.Fatal("closed forms missing")
-	}
-	if !math.IsNaN(rows[1].Analytic) {
-		t.Fatal("unaligned should have no closed form")
 	}
 }
 
@@ -168,8 +197,7 @@ func TestUnalignedGroupApproximation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testRowModel(t, w, offsets)
-	r := rng.New(7)
-	est, err := m.EstimateRowFailure(r, DirectionalUnaligned, 40_000)
+	est, err := m.EstimateRowFailureParallel(context.Background(), 7, DirectionalUnaligned, 40_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,20 +209,20 @@ func TestUnalignedGroupApproximation(t *testing.T) {
 
 func TestEstimateErrors(t *testing.T) {
 	m := testRowModel(t, 30, Aligned())
-	r := rng.New(1)
-	if _, err := m.EstimateRowFailure(r, DirectionalAligned, 1); err == nil {
+	ctx := context.Background()
+	if _, err := m.EstimateRowFailureParallel(ctx, 1, DirectionalAligned, 1, 0); err == nil {
 		t.Error("too few rounds")
 	}
-	if _, err := m.EstimateRowFailure(r, Scenario(99), 10); err == nil {
+	if _, err := m.EstimateRowFailureParallel(ctx, 1, Scenario(99), 10, 0); err == nil {
 		t.Error("unknown scenario")
+	}
+	if _, err := m.EstimateRowFailureParallel(ctx, 1, UncorrelatedGrowth, 10, 0); err == nil {
+		t.Error("uncorrelated scenario has no Monte Carlo round")
 	}
 	bad := m
 	bad.WidthNM = -1
-	if _, err := bad.EstimateRowFailure(r, DirectionalAligned, 10); err == nil {
+	if _, err := bad.EstimateRowFailureParallel(ctx, 1, DirectionalAligned, 10, 0); err == nil {
 		t.Error("invalid model")
-	}
-	if _, err := m.Table1(r, 2.0, 10); err == nil {
-		t.Error("devicePF out of range")
 	}
 }
 
@@ -221,8 +249,7 @@ func TestUnalignedFirstOrderMatchesMC(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testRowModel(t, w, offsets)
-	r := rng.New(41)
-	est, err := m.EstimateRowFailure(r, DirectionalUnaligned, 60_000)
+	est, err := m.EstimateRowFailureParallel(context.Background(), 41, DirectionalUnaligned, 60_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rowyield
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -30,7 +31,6 @@ func TestRoundZeroSteadyStateAllocs(t *testing.T) {
 		name string
 		s    Scenario
 	}{
-		{"uncorrelated", UncorrelatedGrowth},
 		{"aligned", DirectionalAligned},
 		{"unaligned", DirectionalUnaligned},
 	} {
@@ -64,13 +64,13 @@ func TestEstimateParallelBitIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testRowModel(t, 30, offsets)
-	for _, s := range []Scenario{UncorrelatedGrowth, DirectionalUnaligned, DirectionalAligned} {
-		base, err := m.EstimateRowFailureParallel(41, s, 4_000, 1)
+	for _, s := range []Scenario{DirectionalUnaligned, DirectionalAligned} {
+		base, err := m.EstimateRowFailureParallel(context.Background(), 41, s, 4_000, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 5, 16} {
-			got, err := m.EstimateRowFailureParallel(41, s, 4_000, workers)
+			got, err := m.EstimateRowFailureParallel(context.Background(), 41, s, 4_000, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestSharedModelConcurrentEstimatesRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, errs[g] = m.EstimateRowFailureParallel(uint64(g+1), DirectionalUnaligned, 400, 4)
+			_, errs[g] = m.EstimateRowFailureParallel(context.Background(), uint64(g+1), DirectionalUnaligned, 400, 4)
 		}(g)
 	}
 	wg.Wait()
@@ -359,16 +359,10 @@ func TestExactRowFailureDuplicatePermuteBitIdentical(t *testing.T) {
 }
 
 // Degenerate width/pitch ratios must clamp, not overflow the int
-// conversions sizing the pf-power table and the round scratch (a tiny
+// conversion sizing the round scratch (a tiny
 // positive pitch mean is accepted by the query layer, so this is reachable
 // from the server).
 func TestPrepareClampsDegeneratePitchRatio(t *testing.T) {
-	if got := pfPowTableLen(155, 5e-17); got != 1<<16 {
-		t.Fatalf("pfPowTableLen = %d, want clamp to %d", got, 1<<16)
-	}
-	if got := pfPowTableLen(math.Inf(1), 1); got != 1<<16 {
-		t.Fatalf("pfPowTableLen(inf) = %d", got)
-	}
 	if got := clampCount(math.NaN()); got != 0 {
 		t.Fatalf("clampCount(NaN) = %d", got)
 	}

@@ -506,6 +506,40 @@ func TestRequestTimeoutSheds(t *testing.T) {
 	}
 }
 
+// A sync Monte Carlo query that cannot finish inside the request deadline
+// must answer the retryable 503 at the deadline, not after its rounds: the
+// engine checks the request context at every round batch. Uncancelled,
+// this 1M-round unaligned run takes several seconds on two workers.
+func TestRequestTimeoutCancelsMonteCarlo(t *testing.T) {
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Second})
+	// Warm the sweep so the deadline lands in the Monte Carlo rounds.
+	spec := query.Spec{Kind: "rowyield", Scenario: "unaligned", WidthNM: 142.7, Rounds: 2}
+	if code, body, _ := postRaw(t, ts.URL+"/v2/query", spec, nil); code != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", code, body)
+	}
+
+	spec.Rounds = 1_000_000
+	start := time.Now()
+	code, body, _ := postRaw(t, ts.URL+"/v2/query", spec, nil)
+	elapsed := time.Since(start)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d after %s: %s", code, elapsed, body)
+	}
+	var envelope ErrorJSON
+	if err := json.Unmarshal(body, &envelope); err != nil {
+		t.Fatal(err)
+	}
+	if !envelope.Error.Retryable {
+		t.Fatalf("envelope = %+v", envelope)
+	}
+	// The deadline is 1 s and a round batch takes about a millisecond;
+	// the bound leaves room for a loaded test host.
+	if elapsed > 2*time.Second {
+		t.Fatalf("Monte Carlo ignored the request deadline: 503 after %s", elapsed)
+	}
+	t.Logf("503 after %s", elapsed)
+}
+
 // TestChaosJobsReachTerminalStates is the in-process chaos harness: with
 // journal writes failing probabilistically, evaluations randomly delayed
 // and one injected job failure, every submitted job still reaches a

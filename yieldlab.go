@@ -39,7 +39,7 @@
 //	model, _ := yieldlab.NewDeviceModel(yieldlab.WorstCorner())
 //	pf155, _ := model.FailureProb(155)
 //	runner := yieldlab.NewRunner(yieldlab.DefaultParams())
-//	res, _ := runner.Run("table1")                 // regenerate Table 1
+//	res, _ := runner.Run(ctx, "table1")            // regenerate Table 1
 //
 // The sub-experiments, calibration constants and deviations from the paper
 // are documented in DESIGN.md and EXPERIMENTS.md.
