@@ -110,26 +110,12 @@ func (s *Session) Store() *sweepstore.Store { return s.store }
 
 // Checkpoint persists the sweep cache to the store when new sweeps have
 // been computed since the last persist. It runs synchronously but is cheap
-// when nothing changed; sessions without a store no-op.
+// when nothing changed; sessions without a store no-op. A failure (disk
+// full, permissions) must not fail the evaluation that triggered it, but it
+// must not vanish either: it stays readable through LastPersistError until
+// a later persist succeeds.
 func (s *Session) Checkpoint() {
-	if s.store == nil {
-		return
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	sweeps := s.cache.Stats().Sweeps
-	if sweeps == s.persistedSweeps {
-		return
-	}
-	// A failure (disk full, permissions) must not fail the evaluation that
-	// triggered it, but it must not vanish either: the last error stays
-	// readable until a later persist succeeds.
-	if _, err := sweepstore.PersistCache(s.store, s.cache); err != nil {
-		s.persistErr = err.Error()
-		return
-	}
-	s.persistErr = ""
-	s.persistedSweeps = sweeps
+	s.persist()
 }
 
 // LastPersistError returns the most recent cache-persistence failure,
@@ -140,14 +126,33 @@ func (s *Session) LastPersistError() string {
 	return s.persistErr
 }
 
-// Close persists the sweep cache to the store and releases nothing else:
-// sessions hold no goroutines.
+// Close persists the sweep cache to the store, like Checkpoint, and returns
+// the persist's error. It releases nothing else: sessions hold no
+// goroutines.
 func (s *Session) Close() error {
+	return s.persist()
+}
+
+// persist is the one path to the store: under persistMu, it writes the
+// tables the store does not hold yet when sweeps have run since the last
+// successful persist, and records the outcome for LastPersistError.
+func (s *Session) persist() error {
 	if s.store == nil {
 		return nil
 	}
-	_, err := sweepstore.PersistCache(s.store, s.cache)
-	return err
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	sweeps := s.cache.Stats().Sweeps
+	if sweeps == s.persistedSweeps {
+		return nil
+	}
+	if _, err := sweepstore.PersistCache(s.store, s.cache); err != nil {
+		s.persistErr = err.Error()
+		return err
+	}
+	s.persistErr = ""
+	s.persistedSweeps = sweeps
+	return nil
 }
 
 // grid returns the spec's renewal grid, falling back to session params.

@@ -13,6 +13,7 @@ import (
 
 	"github.com/cnfet/yieldlab/internal/device"
 	"github.com/cnfet/yieldlab/internal/experiments"
+	"github.com/cnfet/yieldlab/internal/fault"
 	"github.com/cnfet/yieldlab/internal/renewal"
 	"github.com/cnfet/yieldlab/internal/sweepstore"
 	"github.com/cnfet/yieldlab/internal/tech"
@@ -488,5 +489,83 @@ func TestEvaluateExperiment(t *testing.T) {
 	}
 	if res.Experiments[0].Table == nil || len(res.Experiments[0].Table.Rows) == 0 {
 		t.Fatal("missing table")
+	}
+}
+
+// TestCheckpointsNeverReadStore runs a store-backed 12-law pF sweep with a
+// never-firing failpoint armed on store.load, so the site counts every
+// record read: the checkpoints the sweep takes as it goes must write each
+// new table without reading a single store file.
+func TestCheckpointsNeverReadStore(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	store, err := sweepstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestSession(t, Options{Store: store})
+	if err := fault.Enable(fault.SiteStoreLoad, "error(x)@nth=1000000000"); err != nil {
+		t.Fatal(err)
+	}
+	means := []float64{3, 3.2, 3.4, 3.6, 3.8, 4, 4.2, 4.4, 4.6, 4.8, 5, 5.2}
+	res, err := s.EvaluateAll(context.Background(),
+		Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{PitchMeansNM: means}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(means) {
+		t.Fatalf("sweep returned %d results, want %d", len(res), len(means))
+	}
+	var loads uint64
+	for _, st := range fault.Stats() {
+		if st.Site == fault.SiteStoreLoad {
+			loads = st.Calls
+		}
+	}
+	if loads != 0 {
+		t.Fatalf("checkpoints read %d store files, want 0", loads)
+	}
+	if st := store.Stats(); st.Saves != uint64(len(means)) {
+		t.Fatalf("store saved %d records, want %d", st.Saves, len(means))
+	}
+	if msg := s.LastPersistError(); msg != "" {
+		t.Fatalf("persist error: %s", msg)
+	}
+}
+
+// TestWarmSessionCloseWritesNothing warms a session from a store, queries
+// it and closes it: every table it served came from the store, so Close
+// must write no record.
+func TestWarmSessionCloseWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	store, err := sweepstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Kind: KindPF, WidthNM: 155}
+	cold := newTestSession(t, Options{Store: store})
+	if _, err := cold.Evaluate(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Saves != 1 {
+		t.Fatalf("cold session saved %d records, want 1", st.Saves)
+	}
+
+	store2, err := sweepstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := newTestSession(t, Options{Store: store2})
+	if _, err := warm.Evaluate(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := store2.Stats(); st.Loads != 1 || st.Saves != 0 {
+		t.Fatalf("warm session store stats = %+v, want 1 load and 0 saves", st)
 	}
 }

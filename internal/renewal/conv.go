@@ -161,6 +161,30 @@ func (cs *convState) convolveFFT(dst, d []float64, lo, hi, outEnd int) {
 	}
 }
 
+// convolveFrom computes dst = (d ⊛ f) truncated to len(dst) = len(d),
+// skipping source entries below lo (known-zero trimmed region).
+func convolveFrom(dst, d, f []float64, lo int) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	n := len(dst)
+	for j := lo; j < n; j++ {
+		dv := d[j]
+		if dv == 0 {
+			continue
+		}
+		lim := n - j
+		if lim > len(f) {
+			lim = len(f)
+		}
+		df := dst[j : j+lim]
+		ff := f[:lim]
+		for i := range ff {
+			df[i] += dv * ff[i]
+		}
+	}
+}
+
 // convolveBlocked is the register-blocked direct kernel: four source cells
 // per pass share each loaded output cell, quartering the dst load/store
 // traffic of convolveFrom. Results match convolveFrom up to float addition

@@ -60,8 +60,10 @@ type Model struct {
 	sweepDone *sync.Cond    // signalled when an in-flight sweep finishes
 	sweeping  bool          // an arrival sweep is running outside the lock
 	sweeps    atomic.Uint64 // arrival sweeps actually computed (not deduplicated)
-	cache     map[int]dist.PMF
-	sweptTo   int // every grid index ≤ sweptTo is cached
+	// table holds the count PMF of every grid index 1..fullHorizon() at
+	// table[idx-1] — the layout Snapshot.PMFs shares — and is nil until the
+	// canonical sweep or a Restore installs it whole. Index 0 is zeroCount.
+	table []dist.PMF
 
 	// pgf memoizes PGF values, one lazily filled column per distinct
 	// evaluation point z, at most pgfColumns of them (see PGF).
@@ -139,13 +141,14 @@ func newConfigured(spacing dist.Continuous, opts ...Option) (*Model, error) {
 	return m, nil
 }
 
-// finish bins the distributions onto the grid and seeds the width cache.
+// zeroCount is the count PMF at grid index 0: a sub-grid window always
+// holds zero CNTs, so that index answers without a sweep.
+var zeroCount = dist.PMF{P: []float64{1}}
+
+// finish bins the distributions onto the grid.
 func (m *Model) finish() {
-	m.cache = make(map[int]dist.PMF)
 	m.sweepDone = sync.NewCond(&m.mu)
 	m.discretize()
-	// Index 0 (sub-grid window) always holds zero CNTs.
-	m.cache[0] = mustPoint(0)
 }
 
 // Step returns the grid resolution.
@@ -253,23 +256,26 @@ func (m *Model) gridIndex(w float64) (int, error) {
 }
 
 // CountPMF returns the PMF of the CNT count in a window of width w (nm).
-// Results are cached per grid-quantized width.
+// The first query of a nonzero grid index sweeps the whole grid once.
 func (m *Model) CountPMF(w float64) (dist.PMF, error) {
 	idx, err := m.gridIndex(w)
 	if err != nil {
 		return dist.PMF{}, err
 	}
-	m.mu.Lock()
-	if pmf, ok := m.cache[idx]; ok {
-		m.mu.Unlock()
-		return pmf, nil
+	return m.countPMF(idx)
+}
+
+// countPMF returns the count PMF at grid index idx, sweeping first if the
+// table is not installed yet.
+func (m *Model) countPMF(idx int) (dist.PMF, error) {
+	if idx == 0 {
+		return zeroCount, nil
 	}
-	m.mu.Unlock()
-	pmfs, err := m.CountPMFs([]float64{w})
+	table, err := m.sweep()
 	if err != nil {
 		return dist.PMF{}, err
 	}
-	return pmfs[0], nil
+	return table[idx-1], nil
 }
 
 // PGF returns the probability generating function of N(w) evaluated at z —
@@ -292,12 +298,10 @@ func (m *Model) PGF(w, z float64) (float64, error) {
 		m.mu.Unlock()
 		return v, nil
 	}
-	pmf, ok := m.cache[idx]
 	m.mu.Unlock()
-	if !ok {
-		if pmf, err = m.CountPMF(w); err != nil {
-			return 0, err
-		}
+	pmf, err := m.countPMF(idx)
+	if err != nil {
+		return 0, err
 	}
 	v := pmf.PGF(z)
 	if col != nil {
@@ -375,90 +379,81 @@ func (m *Model) pgfColumnLocked(z float64) []float64 {
 	return vals
 }
 
-// CountPMFs computes count PMFs for several widths in a single arrival
-// sweep, which is far cheaper than separate CountPMF calls for curve
-// generation. The result order matches ws.
+// CountPMFs returns count PMFs for several widths. It validates every width
+// before running at most one sweep; the result order matches ws.
 func (m *Model) CountPMFs(ws []float64) ([]dist.PMF, error) {
 	idxs := make([]int, len(ws))
-	maxIdx := 0
-	m.mu.Lock()
-	swept := m.sweptTo
-	m.mu.Unlock()
 	for i, w := range ws {
 		idx, err := m.gridIndex(w)
 		if err != nil {
 			return nil, err
 		}
 		idxs[i] = idx
-		if idx > maxIdx {
-			maxIdx = idx
-		}
-	}
-	if maxIdx > swept {
-		if err := m.sweep(maxIdx); err != nil {
-			return nil, err
-		}
 	}
 	out := make([]dist.PMF, len(ws))
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for i, idx := range idxs {
-		pmf, ok := m.cache[idx]
-		if !ok {
-			return nil, fmt.Errorf("renewal: internal: missing cache for index %d", idx)
+		pmf, err := m.countPMF(idx)
+		if err != nil {
+			return nil, err
 		}
 		out[i] = pmf
 	}
 	return out, nil
 }
 
-// sweep runs the arrival-position convolution once and caches the count PMF
-// for every index of the full grid, so every later query on this model is
-// free. A sweep costs one discrete convolution per arrival order k —
-// dispatched per step between the direct, blocked and FFT kernels (see
-// conv.go) — and the per-k prefix sum that serves all indexes at once is
-// what makes whole-curve generation cheap.
+// sweep returns the model's count table, running the arrival-position
+// convolution once to install it if neither a sweep nor a Restore has, so
+// every later query on this model is free. A sweep costs one discrete
+// convolution per arrival order k — dispatched per step between the direct,
+// blocked and FFT kernels (see conv.go) — and the per-k prefix sum that
+// serves all indexes at once is what makes whole-curve generation cheap.
 //
 // The horizon is deliberately canonical — always the whole grid, never just
-// the requested index. Kernel dispatch and FFT roundoff depend on the sweep
-// length, so lazily grown tables would make a cached PMF depend on which
-// query happened to be swept first (and, under concurrent requests, on
-// goroutine scheduling). One fixed horizon makes every PMF a pure function
-// of the model configuration — the property behind the sweep cache's "a hit
-// can never change a result" contract, the persistent store's snapshots,
-// and the job journal's byte-identical crash resumption.
+// the requested index: a table is whole or absent. Kernel dispatch and FFT
+// roundoff depend on the sweep length, so lazily grown tables would make a
+// cached PMF depend on which query happened to be swept first (and, under
+// concurrent requests, on goroutine scheduling). One fixed horizon makes
+// every PMF a pure function of the model configuration — the property behind the sweep cache's "a hit
+// can never change a result" contract, the persistent store's whole-table
+// records (written once, never re-read to compare), and the job journal's
+// byte-identical crash resumption.
 //
 // Concurrent sweeps of one model are deduplicated singleflight-style: while
 // one goroutine computes, every other request waits on its result instead
 // of redoing the convolution. Sweeps() counts the sweeps actually computed,
 // which is what lets tests and the server's /v1/stats prove that a warmed
 // cache answered without recomputation.
-func (m *Model) sweep(maxIdx int) error {
-	if maxIdx == 0 {
-		return nil
-	}
+func (m *Model) sweep() ([]dist.PMF, error) {
 	m.mu.Lock()
-	for {
-		if m.sweptTo >= maxIdx {
-			m.mu.Unlock()
-			return nil
-		}
-		if !m.sweeping {
-			break
-		}
+	for m.table == nil && m.sweeping {
 		m.sweepDone.Wait()
 	}
+	if table := m.table; table != nil {
+		m.mu.Unlock()
+		return table, nil
+	}
 	m.sweeping = true
-	m.sweeps.Add(1)
 	m.mu.Unlock()
 
-	err := m.runSweep(m.fullHorizon())
+	table, err := m.runSweep()
 
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.sweeping = false
 	m.sweepDone.Broadcast()
-	m.mu.Unlock()
-	return err
+	if err == nil && m.table == nil {
+		// A Restore that landed mid-sweep installed bit-identical tables
+		// (same law, same grid, same kernels); keep them for callers
+		// holding references.
+		m.table = table
+	}
+	// Counted once the table is installed, so a checkpoint that sees the
+	// count also sees the table.
+	m.sweeps.Add(1)
+	if err != nil {
+		return nil, err
+	}
+	return m.table, nil
 }
 
 // fullHorizon is the grid index of the model's maximum width — the one
@@ -467,15 +462,17 @@ func (m *Model) fullHorizon() int {
 	return int(math.Round(m.maxWidth / m.step))
 }
 
-// Sweeps returns how many arrival sweeps this model has actually computed.
-// Deduplicated concurrent requests and cache-served queries do not count.
+// Sweeps returns how many arrival sweeps this model has actually computed,
+// counting each once it has finished. Deduplicated concurrent requests and
+// cache-served queries do not count.
 func (m *Model) Sweeps() uint64 {
 	return m.sweeps.Load()
 }
 
-// runSweep performs the convolution work for one claimed sweep.
-func (m *Model) runSweep(maxIdx int) error {
-	n := maxIdx
+// runSweep performs the convolution work for one claimed sweep and returns
+// the whole table, laid out as Model.table.
+func (m *Model) runSweep() ([]dist.PMF, error) {
+	n := m.fullHorizon()
 	// rows[k-1][j] = P(T_k < (j+1)·h) = P(N((j+1)·h) ≥ k): one prefix-sum
 	// row per arrival order. Row-major writes keep the hot loop streaming;
 	// the per-width assembly below reads columns once at the end.
@@ -519,7 +516,7 @@ func (m *Model) runSweep(maxIdx int) error {
 			break
 		}
 		if k == hardCap {
-			return fmt.Errorf("renewal: arrival sweep did not converge within %d terms", hardCap)
+			return nil, fmt.Errorf("renewal: arrival sweep did not converge within %d terms", hardCap)
 		}
 		cs.convolve(next, d, lo, hi)
 		d, next = next, d
@@ -558,33 +555,25 @@ func (m *Model) runSweep(maxIdx int) error {
 		}
 	}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	table := make([]dist.PMF, n)
 	ge := make([]float64, len(rows))
-	for j := 0; j < maxIdx; j++ {
-		idx := j + 1
-		if _, ok := m.cache[idx]; ok && idx <= m.sweptTo {
-			continue
-		}
+	for j := range table {
 		for k := range rows {
 			ge[k] = rows[k][j]
 		}
 		pmf, err := assemblePMF(ge, m.tailEps)
 		if err != nil {
-			return fmt.Errorf("renewal: width index %d: %w", idx, err)
+			return nil, fmt.Errorf("renewal: width index %d: %w", j+1, err)
 		}
-		m.cache[idx] = pmf
+		table[j] = pmf
 	}
-	if maxIdx > m.sweptTo {
-		m.sweptTo = maxIdx
-	}
-	return nil
+	return table, nil
 }
 
 // assemblePMF converts the tail sequence ge[k-1] = P(N ≥ k), k = 1.., into a
 // PMF over counts 0..len(ge). Trailing counts whose tail probability is
-// below tailEps are trimmed so the support does not depend on how long the
-// sweep ran for other (wider) query widths in the same batch.
+// below tailEps are trimmed, so a narrow window's support does not carry
+// the negligible tail rows the sweep ran for the widest window.
 func assemblePMF(ge []float64, tailEps float64) (dist.PMF, error) {
 	cut := len(ge)
 	for cut > 0 && ge[cut-1] < tailEps {
@@ -606,36 +595,4 @@ func assemblePMF(ge []float64, tailEps float64) (dist.PMF, error) {
 	}
 	p[len(ge)] = math.Max(prev, 0)
 	return dist.NewPMF(p)
-}
-
-// convolveFrom computes dst = (d ⊛ f) truncated to len(dst) = len(d),
-// skipping source entries below lo (known-zero trimmed region).
-func convolveFrom(dst, d, f []float64, lo int) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	n := len(dst)
-	for j := lo; j < n; j++ {
-		dv := d[j]
-		if dv == 0 {
-			continue
-		}
-		lim := n - j
-		if lim > len(f) {
-			lim = len(f)
-		}
-		df := dst[j : j+lim]
-		ff := f[:lim]
-		for i := range ff {
-			df[i] += dv * ff[i]
-		}
-	}
-}
-
-func mustPoint(k int) dist.PMF {
-	p, err := dist.PointPMF(k)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

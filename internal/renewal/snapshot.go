@@ -7,58 +7,47 @@ import (
 	"github.com/cnfet/yieldlab/internal/dist"
 )
 
-// Snapshot is a portable copy of a Model's swept count tables plus the grid
-// configuration they were computed under. It is the unit the persistent
-// sweep store (internal/sweepstore) serializes: restoring a snapshot into a
-// freshly built model skips the arrival sweeps entirely, which is what lets
+// Snapshot is a portable copy of a Model's swept count table plus the grid
+// configuration it was computed under. It is the unit the persistent sweep
+// store (internal/sweepstore) serializes: restoring a snapshot into a
+// freshly built model skips the arrival sweep entirely, which is what lets
 // a restarted server answer its first pF query without recomputing.
 //
-// PMFs[i] holds the count PMF at grid index i+1 (index 0 is always the
-// zero-count point mass and is not stored). A snapshot only ever transfers
-// between models whose grid parameters match bit-exactly, so a restore can
-// never change a result.
+// A snapshot holds the whole table or nothing: PMFs[i] is the count PMF at
+// grid index i+1 for every index up to the grid's full horizon (index 0 is
+// always the zero-count point mass and is not stored), or PMFs is empty
+// for a model not swept yet. A snapshot only ever transfers between models
+// whose grid parameters match bit-exactly, so a restore can never change a
+// result.
 type Snapshot struct {
 	Step     float64
 	MaxWidth float64
 	TailEps  float64
 	Ordinary bool
-	SweptTo  int
 	PMFs     []dist.PMF
 }
 
-// Snapshot captures the model's current swept tables. The returned PMFs
-// share mass slices with the model's cache; both sides treat them as
-// read-only, so no copy is needed.
+// Snapshot captures the model's swept table. The returned PMFs share the
+// model's table; both sides treat it as read-only, so no copy is needed.
 func (m *Model) Snapshot() *Snapshot {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := &Snapshot{
+	table := m.table
+	m.mu.Unlock()
+	return &Snapshot{
 		Step:     m.step,
 		MaxWidth: m.maxWidth,
 		TailEps:  m.tailEps,
 		Ordinary: m.ordinary,
-		SweptTo:  m.sweptTo,
-		PMFs:     make([]dist.PMF, m.sweptTo),
+		PMFs:     table,
 	}
-	for idx := 1; idx <= m.sweptTo; idx++ {
-		pmf, ok := m.cache[idx]
-		if !ok {
-			// Cannot happen: sweep fills every index up to sweptTo. Guard so
-			// a future regression surfaces as a short snapshot, not a panic.
-			s.SweptTo = idx - 1
-			s.PMFs = s.PMFs[:idx-1]
-			break
-		}
-		s.PMFs[idx-1] = pmf
-	}
-	return s
 }
 
-// Restore installs a snapshot's swept tables into the model. The snapshot's
+// Restore installs a snapshot's whole table into the model. The snapshot's
 // grid configuration must match the model's bit-exactly — a snapshot from a
 // different grid would silently shift every width, so mismatch is an error,
-// not a no-op. Restoring less than the model has already swept is a no-op;
-// restoring more extends the swept horizon without any convolution work.
+// not a no-op — and it must hold one PMF per grid index up to the full
+// horizon. Restoring into a model that already holds its table is a no-op:
+// the tables are bit-identical (same law, same grid, same kernels).
 func (m *Model) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("renewal: nil snapshot")
@@ -66,11 +55,8 @@ func (m *Model) Restore(s *Snapshot) error {
 	if err := m.matches(s); err != nil {
 		return err
 	}
-	if s.SweptTo < 0 || s.SweptTo != len(s.PMFs) {
-		return fmt.Errorf("renewal: snapshot holds %d PMFs for horizon %d", len(s.PMFs), s.SweptTo)
-	}
-	if maxIdx := int(math.Round(m.maxWidth / m.step)); s.SweptTo > maxIdx {
-		return fmt.Errorf("renewal: snapshot horizon %d beyond grid max %d", s.SweptTo, maxIdx)
+	if n := m.fullHorizon(); len(s.PMFs) != n {
+		return fmt.Errorf("renewal: snapshot holds %d PMFs, grid horizon is %d", len(s.PMFs), n)
 	}
 	for i, pmf := range s.PMFs {
 		if pmf.Len() == 0 {
@@ -79,16 +65,10 @@ func (m *Model) Restore(s *Snapshot) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s.SweptTo <= m.sweptTo {
-		return nil
+	if m.table == nil {
+		m.table = s.PMFs
+		m.sweepDone.Broadcast()
 	}
-	// Install only indexes beyond the model's own horizon: entries the model
-	// already swept are bit-identical (same law, same grid, same kernels), and
-	// keeping them avoids churn for callers holding references.
-	for idx := m.sweptTo + 1; idx <= s.SweptTo; idx++ {
-		m.cache[idx] = s.PMFs[idx-1]
-	}
-	m.sweptTo = s.SweptTo
 	return nil
 }
 

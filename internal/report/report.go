@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a titled grid of cells.
@@ -35,16 +36,17 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Render draws the table with aligned columns.
+// Render draws the table with aligned columns. Widths count runes, not
+// bytes, so cells holding "—", "±" or "×" line up with ASCII ones.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -75,10 +77,11 @@ func (t *Table) Render() string {
 }
 
 func pad(s string, w int) string {
-	if len(s) >= w {
+	n := utf8.RuneCountInString(s)
+	if n >= w {
 		return s
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", w-n)
 }
 
 // Comparison is one paper-vs-measured record.

@@ -23,6 +23,25 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// Cells holding multi-byte runes ("—", "±") pad by rune count, so every
+// column starts at the same display offset on every line.
+func TestTableRenderAlignsMultiByteCells(t *testing.T) {
+	tb := &Table{Columns: []string{"pRF", "± stderr", "paper"}}
+	for _, row := range [][]string{{"—", "—", "5.3e-06"}, {"1.95e-07", "2.9e-09", "2.0e-07"}} {
+		if err := tb.AddRow(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "" +
+		"  pRF       ± stderr  paper  \n" +
+		"  --------  --------  -------\n" +
+		"  —         —         5.3e-06\n" +
+		"  1.95e-07  2.9e-09   2.0e-07\n"
+	if got := tb.Render(); got != want {
+		t.Fatalf("Render =\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestTableAddRowMismatch(t *testing.T) {
 	tb := &Table{Columns: []string{"a", "b"}}
 	if err := tb.AddRow("only-one"); err == nil {

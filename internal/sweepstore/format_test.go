@@ -19,23 +19,26 @@ import (
 	"github.com/cnfet/yieldlab/internal/sweepstore"
 )
 
-// encodeV1 hand-encodes a record in store format version 1, which carried
-// a convolution-mode byte after the initial-condition byte, under the file
-// name version 1 gave it (its identity key ended in "|conv=<mode>").
-func encodeV1(fp string, snap *renewal.Snapshot, conv byte) (name string, data []byte) {
+// encodeRecord hand-encodes a record of the given format version. Version
+// 1 carried a convolution-mode byte (here 0) after the initial-condition
+// byte; version 2 is the current layout. The table length written is
+// len(snap.PMFs), whatever the grid.
+func encodeRecord(version byte, fp string, snap *renewal.Snapshot) []byte {
 	body := binary.AppendUvarint(nil, uint64(len(fp)))
 	body = append(body, fp...)
 	for _, v := range []float64{snap.Step, snap.MaxWidth, snap.TailEps} {
 		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
 	}
-	body = append(body, 0, conv) // ordinary=false, convMode
-	body = binary.AppendUvarint(body, uint64(snap.SweptTo))
+	body = append(body, 0) // ordinary=false
+	if version == 1 {
+		body = append(body, 0) // convMode
+	}
+	body = binary.AppendUvarint(body, uint64(len(snap.PMFs)))
 	for _, pmf := range snap.PMFs {
 		body = pmf.AppendBinary(body)
 	}
-	data = append([]byte{'C', 'N', 'F', 'S', 'W', 'P', 0, 1}, body...)
-	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(body))
-	return fileName(fmt.Sprintf("%s|conv=%d", snap.Key(fp), conv)), data
+	data := append([]byte{'C', 'N', 'F', 'S', 'W', 'P', 0, version}, body...)
+	return binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(body))
 }
 
 // fileName is the store's file name for a record of the identity key.
@@ -74,7 +77,9 @@ func TestVersion1RecordRejected(t *testing.T) {
 	}
 	fresh := sweep(law)
 	wrong := sweep(dist.Exponential{Rate: 0.25})
-	name, data := encodeV1(fp, wrong, 0)
+	// Version 1 named a record after an identity key ending "|conv=<mode>".
+	name := fileName(wrong.Key(fp) + "|conv=0")
+	data := encodeRecord(1, fp, wrong)
 	dir := t.TempDir()
 	writeV1 := func() {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
@@ -162,12 +167,60 @@ func TestVersion1RecordRejected(t *testing.T) {
 		t.Fatalf("saved record starts %q, want format version 2", disk[:8])
 	}
 	snap := recs[0].Snapshot
-	if snap.SweptTo != fresh.SweptTo {
-		t.Fatalf("reloaded horizon %d, fresh sweep %d", snap.SweptTo, fresh.SweptTo)
+	if len(snap.PMFs) != len(fresh.PMFs) {
+		t.Fatalf("reloaded %d PMFs, fresh sweep %d", len(snap.PMFs), len(fresh.PMFs))
 	}
 	for i, pmf := range snap.PMFs {
 		if !bytes.Equal(pmf.AppendBinary(nil), fresh.PMFs[i].AppendBinary(nil)) {
 			t.Fatalf("reloaded PMF at grid index %d differs from the fresh sweep", i+1)
 		}
+	}
+}
+
+// TestShortTableRejected hand-builds an otherwise well-formed version 2
+// record whose table stops short of the grid's full horizon: the store must
+// refuse it as an integrity failure and quarantine the file, and a session
+// warmed from the directory must sweep afresh.
+func TestShortTableRejected(t *testing.T) {
+	law := dist.Exponential{Rate: 0.25}
+	fp, _ := dist.Fingerprint(law)
+	const step, maxW = 0.1, 40.0
+	m, err := renewal.New(law, renewal.WithStep(step), renewal.WithMaxWidth(maxW))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CountPMF(maxW); err != nil {
+		t.Fatal(err)
+	}
+	short := *m.Snapshot()
+	short.PMFs = short.PMFs[:len(short.PMFs)-1]
+	name := fileName(short.Key(fp))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), encodeRecord(2, fp, &short), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := sweepstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := query.NewSession(query.Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Rejects != 1 || st.Quarantined != 1 || st.Loads != 0 {
+		t.Fatalf("stats after warming = %+v, want 1 reject, 1 quarantined, 0 loads", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, name+".bad")); err != nil {
+		t.Fatalf("short record not quarantined: %v", err)
+	}
+	count, err := sess.Cache().Model(law, renewal.WithStep(step), renewal.WithMaxWidth(maxW))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := count.CountPMF(20); err != nil {
+		t.Fatal(err)
+	}
+	if n := count.Sweeps(); n != 1 {
+		t.Fatalf("model ran %d sweeps after the short record was refused, want 1", n)
 	}
 }

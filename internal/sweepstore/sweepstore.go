@@ -5,15 +5,19 @@
 // paper's default resolution).
 //
 // Each record pairs a spacing law's dist.Fingerprint with a renewal.Snapshot
-// (grid configuration + the per-width count PMFs swept so far). Records are
+// (grid configuration + the count PMF of every grid width). Records are
 // stored one per file under a content-derived name, in binary format
 // version 2: fingerprint, grid (step, max width, tail epsilon, initial
 // condition) and PMFs, with a CRC-32 integrity trailer (see encode).
-// Corrupt, truncated or foreign-version files, version 1 included, are
-// rejected at load time and never reach the cache. Fingerprints encode
-// parameters by exact float64 bits, so a decoded record rebuilds the
-// identical law and the restored tables are bit-exact — a warm start can
-// never change a result.
+// Corrupt, truncated, partial-table or foreign-version files, version 1
+// included, are rejected at load time and never reach the cache.
+// Fingerprints encode parameters by exact float64 bits, so a decoded record
+// rebuilds the identical law and the restored tables are bit-exact — a warm
+// start can never change a result.
+//
+// A record is a pure function of its law and grid, so a record on disk is
+// never rewritten: a Store remembers every record it has loaded or written
+// and PersistCache skips them without touching the disk.
 package sweepstore
 
 import (
@@ -60,7 +64,11 @@ const (
 type Store struct {
 	dir string
 
-	saveMu      sync.Mutex // serializes in-process writers per store
+	mu sync.Mutex
+	// persisted names every record this store has loaded or written; mu
+	// guards it and the retry configuration.
+	persisted map[string]bool
+
 	saves       atomic.Uint64
 	loads       atomic.Uint64
 	rejects     atomic.Uint64
@@ -91,7 +99,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweepstore: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, persisted: make(map[string]bool)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -114,8 +122,8 @@ func (s *Store) Stats() Stats {
 // means a single try — keeps unit tests and one-shot CLI runs snappy; the
 // long-lived server opts in.
 func (s *Store) SetRetry(attempts int, base time.Duration) {
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.retryAttempts = attempts
 	s.retryBase = base
 }
@@ -137,38 +145,45 @@ func fileName(fp string, snap *renewal.Snapshot) string {
 	return fmt.Sprintf("%016x%s", h.Sum64(), fileExt)
 }
 
-// Save writes one record, atomically replacing any previous version of the
-// same law+grid. A record already on disk with an equal or wider sweep
-// horizon is left alone, so concurrent writers can only widen what is
-// stored. With SetRetry armed, transient write failures are retried with
-// exponential backoff plus deterministic jitter; the lock is dropped while
-// sleeping, so retries never stall other savers.
+// Save writes one whole-table record through a temp file and an atomic
+// rename, so readers — in this process or another sharing the directory —
+// see the previous file or the new one, never a torn write. It reads
+// nothing: records of one law+grid are bit-identical, so whichever write
+// lands last is as good as any. With SetRetry armed, transient write
+// failures are retried with exponential backoff plus deterministic jitter.
 func (s *Store) Save(fingerprint string, snap *renewal.Snapshot) error {
 	if fingerprint == "" {
 		return errors.New("sweepstore: empty fingerprint")
 	}
-	if snap == nil || snap.SweptTo != len(snap.PMFs) {
-		return errors.New("sweepstore: malformed snapshot")
+	if snap == nil {
+		return errors.New("sweepstore: nil snapshot")
 	}
-	if snap.SweptTo == 0 {
+	if len(snap.PMFs) == 0 {
 		return nil // nothing swept, nothing worth storing
 	}
-	s.saveMu.Lock()
+	if full := int(math.Round(snap.MaxWidth / snap.Step)); len(snap.PMFs) != full {
+		return fmt.Errorf("sweepstore: snapshot holds %d PMFs, grid horizon is %d", len(snap.PMFs), full)
+	}
+	name := fileName(fingerprint, snap)
+	s.mu.Lock()
 	attempts, base := s.retryAttempts, s.retryBase
-	s.saveMu.Unlock()
+	s.mu.Unlock()
 	if attempts < 1 {
 		attempts = 1
 	}
 	if base <= 0 {
 		base = 2 * time.Millisecond
 	}
+	data := encode(fingerprint, snap)
 	var err error
 	for try := 0; try < attempts; try++ {
 		if try > 0 {
 			s.retries.Add(1)
 			time.Sleep(backoff(base, try, s.jitterState.Add(1)))
 		}
-		if err = s.saveOnce(fingerprint, snap); err == nil {
+		if err = s.write(name, data); err == nil {
+			s.saves.Add(1)
+			s.markPersisted(name)
 			return nil
 		}
 	}
@@ -183,27 +198,11 @@ func backoff(base time.Duration, try int, jitterStep uint64) time.Duration {
 	return d + time.Duration(rng.SplitMix64(jitterStep)%uint64(base/2+1))
 }
 
-// saveOnce performs one locked read-compare-write attempt.
-func (s *Store) saveOnce(fingerprint string, snap *renewal.Snapshot) error {
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	// Serializing the whole read-compare-write against concurrent savers is
-	// this lock's entire purpose: the widen-only guarantee needs the read
-	// and the rename to be one atomic step, so the file I/O stays inside
-	// the critical section by design.
-	return s.saveLocked(fingerprint, snap) //yield:allow(atomicsafe) saveMu exists to serialize whole-file persists; the read-compare-rename must be atomic under it
-}
-
-// saveLocked performs the read-compare-write cycle; saveMu must be held.
-func (s *Store) saveLocked(fingerprint string, snap *renewal.Snapshot) error {
-	path := filepath.Join(s.dir, fileName(fingerprint, snap))
-	if old, err := s.loadFile(path); err == nil && old.Snapshot.SweptTo >= snap.SweptTo {
-		return nil
-	}
+// write performs one temp-file + atomic-rename attempt.
+func (s *Store) write(name string, data []byte) error {
 	if err := fault.Inject(fault.SiteStoreSave); err != nil {
 		return fmt.Errorf("sweepstore: %w", err)
 	}
-	data := encode(fingerprint, snap)
 	tmp, err := os.CreateTemp(s.dir, "tmp-*"+fileExt+".partial")
 	if err != nil {
 		return fmt.Errorf("sweepstore: %w", err)
@@ -217,12 +216,26 @@ func (s *Store) saveLocked(fingerprint string, snap *renewal.Snapshot) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("sweepstore: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("sweepstore: %w", err)
 	}
-	s.saves.Add(1)
 	return nil
+}
+
+// markPersisted records that the named record is on disk.
+func (s *Store) markPersisted(name string) {
+	s.mu.Lock()
+	s.persisted[name] = true
+	s.mu.Unlock()
+}
+
+// isPersisted reports whether this store has loaded or written the named
+// record.
+func (s *Store) isPersisted(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.persisted[name]
 }
 
 // LoadAll decodes every intact record in the store. Files that fail the
@@ -252,6 +265,7 @@ func (s *Store) LoadAll() ([]Record, error) {
 			continue
 		}
 		s.loads.Add(1)
+		s.markPersisted(de.Name())
 		out = append(out, rec)
 	}
 	return out, nil
@@ -308,8 +322,8 @@ func (s *Store) loadFile(path string) (Record, error) {
 //	uvarint len(fingerprint) | fingerprint bytes
 //	step, maxWidth, tailEps as raw float64 bits (8 each, little-endian)
 //	ordinary (1)
-//	uvarint sweptTo
-//	sweptTo × PMF (uvarint support length + raw float64 bits per mass)
+//	uvarint n = round(maxWidth/step), the grid's full horizon
+//	n × PMF (uvarint support length + raw float64 bits per mass)
 func encode(fingerprint string, snap *renewal.Snapshot) []byte {
 	body := make([]byte, 0, 64+9*len(snap.PMFs))
 	body = binary.AppendUvarint(body, uint64(len(fingerprint)))
@@ -322,7 +336,7 @@ func encode(fingerprint string, snap *renewal.Snapshot) []byte {
 		ord = 1
 	}
 	body = append(body, ord)
-	body = binary.AppendUvarint(body, uint64(snap.SweptTo))
+	body = binary.AppendUvarint(body, uint64(len(snap.PMFs)))
 	for _, pmf := range snap.PMFs {
 		body = pmf.AppendBinary(body)
 	}
@@ -362,19 +376,18 @@ func decode(data []byte) (Record, error) {
 	snap.TailEps = math.Float64frombits(binary.LittleEndian.Uint64(body[16:]))
 	snap.Ordinary = body[24] == 1
 	body = body[25:]
-	sweptTo, used := binary.Uvarint(body)
+	n, used := binary.Uvarint(body)
 	if used <= 0 {
-		return Record{}, errors.New("sweep horizon corrupt")
+		return Record{}, errors.New("table length corrupt")
 	}
 	body = body[used:]
 	if !(snap.Step > 0) || !(snap.MaxWidth > snap.Step) {
 		return Record{}, fmt.Errorf("grid (%g, %g) invalid", snap.Step, snap.MaxWidth)
 	}
-	if maxIdx := uint64(math.Round(snap.MaxWidth / snap.Step)); sweptTo == 0 || sweptTo > maxIdx {
-		return Record{}, fmt.Errorf("sweep horizon %d out of range", sweptTo)
+	if full := uint64(math.Round(snap.MaxWidth / snap.Step)); n != full {
+		return Record{}, fmt.Errorf("table holds %d PMFs, grid horizon is %d", n, full)
 	}
-	snap.SweptTo = int(sweptTo)
-	snap.PMFs = make([]dist.PMF, snap.SweptTo)
+	snap.PMFs = make([]dist.PMF, n)
 	var err error
 	for i := range snap.PMFs {
 		snap.PMFs[i], body, err = dist.DecodePMF(body)
@@ -422,29 +435,27 @@ func WarmCache(s *Store, cache *renewal.SweepCache) (int, error) {
 	return restored, nil
 }
 
-// PersistCache saves a snapshot of every fingerprinted model in the cache,
-// returning how many records were written (models with nothing swept are
-// skipped, as are records no wider than what is already stored). Call it at
-// shutdown, or opportunistically after cache misses, to keep the on-disk
+// PersistCache saves every fingerprinted model's table that this store has
+// not already loaded or written, returning how many records were written
+// (models with nothing swept are skipped). It reads no store file. Call it
+// at shutdown, or opportunistically after cache misses, to keep the on-disk
 // tables at least as warm as the process.
 func PersistCache(s *Store, cache *renewal.SweepCache) (int, error) {
 	var firstErr error
 	written := 0
 	cache.ForEach(func(fp string, m *renewal.Model) {
+		// Snapshot shares the model's table, so taking one costs no copy.
 		snap := m.Snapshot()
-		if snap.SweptTo == 0 {
+		if len(snap.PMFs) == 0 || s.isPersisted(fileName(fp, snap)) {
 			return
 		}
-		before := s.saves.Load()
 		if err := s.Save(fp, snap); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			return
 		}
-		if s.saves.Load() > before {
-			written++
-		}
+		written++
 	})
 	return written, firstErr
 }

@@ -1,6 +1,8 @@
 package sweepstore
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -179,39 +181,98 @@ func TestCorruptionRejected(t *testing.T) {
 	}
 }
 
-// Save keeps the widest horizon: a narrower snapshot must not clobber a
-// wider record already on disk, and re-saving identical state is a no-op.
-func TestSaveKeepsWidestHorizon(t *testing.T) {
+// TestSaveBytesPinned pins the exact bytes Save writes for two small
+// records, so a store directory written by an earlier build of format
+// version 2 keeps warming later builds bit-exactly. A change here is a
+// format change: bump the magic's version byte instead of re-pinning.
+func TestSaveBytesPinned(t *testing.T) {
+	cases := []struct {
+		law  dist.Continuous
+		name string
+		size int
+		sha  string
+	}{
+		{dist.Exponential{Rate: 0.25}, "a4bc73c7f77ef911.sweep", 100140,
+			"fa1d42f4382a7434a1789c120954a4b46f627d5e9198f4fed997a8af7837446b"},
+		{pitchLaw(t), "8701520984421181.sweep", 94921,
+			"aac0c7f74604b5bc3c6d26e59e410bf4663271f8c395182b3b16b6ae8b97af85"},
+	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		store, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := buildModel(t, renewal.NewSweepCache(), tc.law, 40)
+		fp, _ := dist.Fingerprint(tc.law)
+		if err := store.Save(fp, m.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, tc.name))
+		if err != nil {
+			t.Fatalf("%s: %v", fp, err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != tc.size || sum != tc.sha {
+			t.Errorf("%s: Save wrote %d bytes, sha256 %s; pinned %d bytes, %s", fp, len(data), sum, tc.size, tc.sha)
+		}
+	}
+}
+
+// Save refuses a snapshot that is not the whole grid.
+func TestSaveRejectsPartialTable(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := renewal.NewSweepCache()
 	law := dist.Exponential{Rate: 0.25}
-	m := buildModel(t, cache, law, 40) // sweeps to 40 of max 40
-	wide := m.Snapshot()
+	snap := *buildModel(t, renewal.NewSweepCache(), law, 40).Snapshot()
+	snap.PMFs = snap.PMFs[:len(snap.PMFs)/2]
 	fp, _ := dist.Fingerprint(law)
-	if err := store.Save(fp, wide); err != nil {
+	if err := store.Save(fp, &snap); err == nil {
+		t.Fatal("Save accepted a half-grid table")
+	}
+	if st := store.Stats(); st.Saves != 0 {
+		t.Fatalf("saves = %d, want 0", st.Saves)
+	}
+}
+
+// PersistCache writes each record once: a second checkpoint of the same
+// tables, or one after warming from the store, writes nothing and reads
+// nothing.
+func TestPersistCacheSkipsKnownRecords(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	dir := t.TempDir()
+	store, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	narrow := *wide
-	narrow.SweptTo = wide.SweptTo / 2
-	narrow.PMFs = wide.PMFs[:narrow.SweptTo]
-	if err := store.Save(fp, &narrow); err != nil {
+	cache := renewal.NewSweepCache()
+	buildModel(t, cache, dist.Exponential{Rate: 0.25}, 40)
+	if n, err := PersistCache(store, cache); err != nil || n != 1 {
+		t.Fatalf("first persist wrote %d (err %v), want 1", n, err)
+	}
+	if n, err := PersistCache(store, cache); err != nil || n != 0 {
+		t.Fatalf("second persist wrote %d (err %v), want 0", n, err)
+	}
+
+	warmStore, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(fp, wide); err != nil {
+	warm := renewal.NewSweepCache()
+	if n, err := WarmCache(warmStore, warm); err != nil || n != 1 {
+		t.Fatalf("warmed %d records (err %v), want 1", n, err)
+	}
+	// A never-firing trigger counts every store read.
+	if err := fault.Enable(fault.SiteStoreLoad, "error(x)@nth=1000000000"); err != nil {
 		t.Fatal(err)
 	}
-	if st := store.Stats(); st.Saves != 1 {
-		t.Fatalf("saves = %d, want 1 (narrow and identical re-saves skipped)", st.Saves)
+	if n, err := PersistCache(warmStore, warm); err != nil || n != 0 {
+		t.Fatalf("persist after warming wrote %d (err %v), want 0", n, err)
 	}
-	recs, err := store.LoadAll()
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("LoadAll: %v (%d records)", err, len(recs))
-	}
-	if recs[0].Snapshot.SweptTo != wide.SweptTo {
-		t.Fatalf("stored horizon %d, want %d", recs[0].Snapshot.SweptTo, wide.SweptTo)
+	if st := fault.Stats(); len(st) != 1 || st[0].Calls != 0 {
+		t.Fatalf("persist read the store: %+v", st)
 	}
 }
 
@@ -381,8 +442,7 @@ func TestSaveRetriesTransientFailures(t *testing.T) {
 	if err := fault.Enable(fault.SiteStoreSave, "error(dead disk)"); err != nil {
 		t.Fatal(err)
 	}
-	narrow := m.Snapshot()
-	if err := store.Save(fp+"x", narrow); err == nil {
+	if err := store.Save(fp+"x", m.Snapshot()); err == nil {
 		t.Fatal("permanent failure did not surface")
 	}
 }
