@@ -140,28 +140,17 @@ func (r *Result) Text() string {
 	return out
 }
 
-// Runner executes experiments over shared, lazily built state (device
-// model, libraries, synthetic netlist), so running `all` does not repeat the
-// expensive renewal sweeps.
+// Runner formats the paper's artifacts. It holds only its parameters and a
+// renewal sweep cache: every derived model is looked up through that cache
+// (and the count model's PGF memo) on each use, and the synthetic libraries
+// are frozen package state, so a Runner has nothing to build lazily or lock
+// and is safe for concurrent use.
 type Runner struct {
 	params Params
 	// sweeps shares swept renewal count tables between every model the
 	// runner builds: the three Fig. 2.1 corners, the pitch-law ablation and
 	// repeated experiment runs all hit one table per distinct law+grid.
 	sweeps *renewal.SweepCache
-
-	mu         sync.Mutex
-	model      *device.FailureModel
-	lib45      *celllib.Library
-	lib65      *celllib.Library
-	netlist45  *netlist.Netlist
-	solveCache map[float64]float64
-	// rowModels caches prepared Monte Carlo row models by (width, corner,
-	// pitch law). Preparation builds sampler, alias and occupancy tables and
-	// re-measures the library offset distribution; a scenario sweep asks
-	// for the same model once per scenario and a server asks once per
-	// request, so sharing the immutable prepared model pays everywhere.
-	rowModels map[string]*rowyield.RowModel
 }
 
 // New creates a runner; the parameters are validated on first use.
@@ -170,24 +159,15 @@ func New(p Params) *Runner {
 }
 
 // NewWithCache creates a runner whose device models draw from a shared
-// sweep cache, so several runners — e.g. per-job runners inside a long-lived
-// server — pool their renewal sweeps. A nil cache behaves like New.
+// sweep cache, so several runners — e.g. per-spec runners inside a
+// long-lived session — pool their renewal sweeps. A nil cache behaves like
+// New.
 func NewWithCache(p Params, sweeps *renewal.SweepCache) *Runner {
 	if sweeps == nil {
 		sweeps = renewal.NewSweepCache()
 	}
-	return &Runner{
-		params:     p,
-		sweeps:     sweeps,
-		solveCache: make(map[float64]float64),
-		rowModels:  make(map[string]*rowyield.RowModel),
-	}
+	return &Runner{params: p, sweeps: sweeps}
 }
-
-// SweepCache exposes the runner's shared renewal sweep cache, so callers
-// embedding the runner in a longer-lived service can pool further model
-// construction on it.
-func (r *Runner) SweepCache() *renewal.SweepCache { return r.sweeps }
 
 // Params returns the runner's configuration.
 func (r *Runner) Params() Params { return r.params }
@@ -242,13 +222,12 @@ func (r *Runner) Run(ctx context.Context, name string) (*Result, error) {
 // RunMany executes the named experiments on a bounded pool of `workers`
 // goroutines (≤ 0 means NumCPU). Every experiment is deterministic given the
 // runner's parameters — Monte Carlo streams derive from Params.Seed per
-// experiment, and the shared lazily-built state (device model, libraries,
-// netlist) is built once under the runner's lock — so the results are
-// identical to a serial run, in input order. On failure the error of the
-// earliest-ordered failing experiment is returned (matching what a serial
-// run would report) and no further experiments are started. Cancelling ctx
-// stops dispatch and cancels the experiments in flight (see Run); the
-// context's error is returned.
+// experiment, and the only shared state is the sweep cache and the frozen
+// libraries — so the results are identical to a serial run, in input order.
+// On failure the error of the earliest-ordered failing experiment is
+// returned (matching what a serial run would report) and no further
+// experiments are started. Cancelling ctx stops dispatch and cancels the
+// experiments in flight (see Run); the context's error is returned.
 func (r *Runner) RunMany(ctx context.Context, names []string, workers int) ([]*Result, error) {
 	if len(names) == 0 {
 		return nil, nil
@@ -384,23 +363,15 @@ func editDistance(a, b string) int {
 	return prev[len(b)]
 }
 
-// failureModel lazily builds the shared worst-corner device model.
+// failureModel returns the worst-corner device model on the runner's grid;
+// its count model comes from the sweep cache, so every call shares one
+// swept table.
 func (r *Runner) failureModel() (*device.FailureModel, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.model != nil {
-		return r.model, nil
-	}
 	if err := r.params.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := device.NewCalibratedModelWith(r.sweeps, device.WorstCorner(),
+	return device.NewCalibratedModelWith(r.sweeps, device.WorstCorner(),
 		renewal.WithStep(r.params.GridStepNM), renewal.WithMaxWidth(r.params.MaxWidthNM))
-	if err != nil {
-		return nil, err
-	}
-	r.model = m
-	return m, nil
 }
 
 // baseProblem returns the Section 2 sizing problem at a relax factor.
@@ -418,85 +389,47 @@ func (r *Runner) baseProblem(relax float64) (*yield.Problem, error) {
 	}, nil
 }
 
-// wminAt solves (and caches) the simplified Wmin at a relax factor.
+// wminAt solves the simplified Wmin at a relax factor. A repeated solve is
+// cheap: every bisection probe reads the shared count model's PGF memo.
 func (r *Runner) wminAt(relax float64) (yield.Result, error) {
 	p, err := r.baseProblem(relax)
 	if err != nil {
 		return yield.Result{}, err
 	}
-	r.mu.Lock()
-	if w, ok := r.solveCache[relax]; ok {
-		r.mu.Unlock()
-		pf, err := p.Model.FailureProb(w)
-		if err != nil {
-			return yield.Result{}, err
-		}
-		return yield.Result{Wmin: w, DevicePF: pf, MminShare: p.Widths.ShareBelow(w)}, nil
-	}
-	r.mu.Unlock()
-	res, err := yield.SimplifiedWmin(p)
-	if err != nil {
-		return yield.Result{}, err
-	}
-	r.mu.Lock()
-	r.solveCache[relax] = res.Wmin
-	r.mu.Unlock()
-	return res, nil
+	return yield.SimplifiedWmin(p)
 }
 
-// libraries lazily builds the synthetic libraries.
-func (r *Runner) libraries() (*celllib.Library, *celllib.Library, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lib45 == nil {
-		lib, err := celllib.NangateLike45()
-		if err != nil {
-			return nil, nil, err
-		}
-		r.lib45 = lib
-	}
-	if r.lib65 == nil {
-		lib, err := celllib.Commercial65()
-		if err != nil {
-			return nil, nil, err
-		}
-		r.lib65 = lib
-	}
-	return r.lib45, r.lib65, nil
-}
+// nangate45 and commercial65 build the synthetic 45 nm and 65 nm libraries
+// once per process. Experiments only read them, so every runner and
+// goroutine shares one pair; celllib's constructors keep returning fresh
+// copies to callers that may edit theirs.
+var (
+	nangate45    = sync.OnceValues(celllib.NangateLike45)
+	commercial65 = sync.OnceValues(celllib.Commercial65)
+)
 
-// openRISC45 lazily builds the synthetic OpenRISC netlist on the 45 nm
-// library; every read of it goes through here, under the runner's lock.
-func (r *Runner) openRISC45() (*netlist.Netlist, error) {
-	lib45, _, err := r.libraries()
+// openRISC45 builds the synthetic OpenRISC netlist on the frozen 45 nm
+// library.
+func (r *Runner) openRISC45() (*celllib.Library, *netlist.Netlist, error) {
+	lib, err := nangate45()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.netlist45 == nil {
-		nl, err := netlist.OpenRISCLike(lib45, r.params.NetlistInstances)
-		if err != nil {
-			return nil, err
-		}
-		r.netlist45 = nl
+	nl, err := netlist.OpenRISCLike(lib, r.params.NetlistInstances)
+	if err != nil {
+		return nil, nil, err
 	}
-	return r.netlist45, nil
+	return lib, nl, nil
 }
 
 // RowModelAtPitch builds a Table 1-style correlated row model at device
 // width w (nm) for an arbitrary processing corner and inter-CNT pitch law
 // (nil = the calibrated truncated normal): the runner's LCNT/density
-// parameters and the lateral offset distribution measured on the shared
+// parameters and the lateral offset distribution measured on the frozen
 // synthetic 45 nm library, weighted by the OpenRISC cell mix. The returned
-// model is prepared and ready for Monte Carlo estimation; Table 1 and the
-// query Session's rowyield evaluations are its callers.
-//
-// Prepared models are cached by (width, corner, pitch law): a prepared
-// RowModel is immutable and safe to share, so Table 1, the server's
-// repeated /v1/rowyield answers and /v2 design-space sweeps all reuse one
-// set of sampler, alias and occupancy tables per distinct operating point.
-// Laws without a fingerprint bypass the cache.
+// model is prepared and ready for Monte Carlo estimation. Each call builds
+// and prepares a fresh model; Table 1 calls it once per run, and the query
+// Session caches the prepared models it serves.
 func (r *Runner) RowModelAtPitch(width float64, corner device.FailureParams, pitch dist.Continuous) (*rowyield.RowModel, error) {
 	if err := r.params.Validate(); err != nil {
 		return nil, err
@@ -511,25 +444,11 @@ func (r *Runner) RowModelAtPitch(width float64, corner device.FailureParams, pit
 		}
 		pitch = calibrated
 	}
-	key := ""
-	if fp, ok := dist.Fingerprint(pitch); ok {
-		key = fmt.Sprintf("%x|%x|%x|%x|%s", width, corner.PMetallic, corner.PRemoveSemi, corner.PRemoveMetallic, fp)
-		r.mu.Lock()
-		rm, hit := r.rowModels[key]
-		r.mu.Unlock()
-		if hit {
-			return rm, nil
-		}
-	}
-	lib45, _, err := r.libraries()
+	lib, nl, err := r.openRISC45()
 	if err != nil {
 		return nil, err
 	}
-	nl, err := r.openRISC45()
-	if err != nil {
-		return nil, err
-	}
-	offsets, err := celllib.CriticalNFETOffsets(lib45, nl.Usage(), width)
+	offsets, err := celllib.CriticalNFETOffsets(lib, nl.Usage(), width)
 	if err != nil {
 		return nil, err
 	}
@@ -544,26 +463,8 @@ func (r *Runner) RowModelAtPitch(width float64, corner device.FailureParams, pit
 	if err := rm.Prepare(); err != nil {
 		return nil, err
 	}
-	if key != "" {
-		r.mu.Lock()
-		if prior, raced := r.rowModels[key]; raced {
-			rm = prior
-		} else {
-			if len(r.rowModels) >= rowModelCacheMax {
-				// Width sweeps produce unbounded distinct keys; dropping
-				// the whole small map is cheaper than LRU bookkeeping.
-				clear(r.rowModels)
-			}
-			r.rowModels[key] = rm
-		}
-		r.mu.Unlock()
-	}
 	return rm, nil
 }
-
-// rowModelCacheMax bounds the prepared row-model cache; past it the cache
-// resets (each entry holds a few small tables, so the bound is generous).
-const rowModelCacheMax = 256
 
 // mrminPaper returns the paper-parameter MRmin = LCNT × Pmin (≈ 360).
 func (r *Runner) mrminPaper() (float64, error) {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/cnfet/yieldlab/internal/yield"
 )
 
 // fastParams shrinks the Monte Carlo budgets so the full integration suite
@@ -164,6 +166,9 @@ func TestExtensionExperiments(t *testing.T) {
 	}
 }
 
+// The runner keeps no model of its own: every failureModel call looks the
+// count model up in the sweep cache, so repeated calls share one swept
+// table and sweep it once.
 func TestRunnerSharesModelAcrossExperiments(t *testing.T) {
 	r := testRunner()
 	m1, err := r.failureModel()
@@ -174,8 +179,43 @@ func TestRunnerSharesModelAcrossExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1 != m2 {
-		t.Fatal("failure model should be shared")
+	if m1.CountModel() != m2.CountModel() {
+		t.Fatal("failure models should share one count model")
+	}
+	if _, err := m1.FailureProb(155); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m2.FailureProb(155); err != nil {
+		t.Fatal(err)
+	}
+	if n := m1.CountModel().Sweeps(); n != 1 {
+		t.Fatalf("count model swept %d times, want 1", n)
+	}
+}
+
+// wminAt is the solver itself, with no cache in front: a first and a
+// repeated call both return every field SimplifiedWmin returns on the same
+// problem (the chip Yield included).
+func TestWminAtMatchesSolver(t *testing.T) {
+	r := New(fastParams())
+	for _, relax := range []float64{1, 360} {
+		p, err := r.baseProblem(relax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := yield.SimplifiedWmin(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 1; call <= 2; call++ {
+			got, err := r.wminAt(relax)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("relax %g, call %d: wminAt = %+v, want %+v", relax, call, got, want)
+			}
+		}
 	}
 }
 
@@ -191,7 +231,7 @@ func TestRunnerSweepCacheSharesAcrossModels(t *testing.T) {
 	if _, err := r.ExtPitchAblation(); err != nil {
 		t.Fatal(err)
 	}
-	st := r.SweepCache().Stats()
+	st := r.sweeps.Stats()
 	if st.Hits != 1 || st.Misses != 3 {
 		t.Fatalf("sweep cache stats = (%d hits, %d misses), want (1, 3)", st.Hits, st.Misses)
 	}

@@ -48,11 +48,7 @@ func (r *Runner) Fig22a() (*Result, error) {
 	table.AddNote("mean width %.0f nm; share below Wmin=155 nm: %.0f%%", d.Mean(), below155*100)
 
 	// Cross-check against the synthetic netlist on the synthetic library.
-	lib45, _, err := r.libraries()
-	if err != nil {
-		return nil, err
-	}
-	nl, err := r.openRISC45()
+	lib45, nl, err := r.openRISC45()
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func (r *Runner) Fig32() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lib45, _, err := r.libraries()
+	lib45, err := nangate45()
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,9 @@ func parallelTestParams() Params {
 
 // The acceptance bar for the concurrent runner: `all` with Workers > 1 must
 // produce byte-identical output to the serial run. Two fresh runners keep
-// the comparison honest (no shared caches between the two executions).
+// the comparison honest (no shared sweep cache between the two executions);
+// the parallel run's four workers all read the frozen libraries, which
+// -race checks.
 func TestRunManyParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")

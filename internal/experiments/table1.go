@@ -31,7 +31,7 @@ const table1SeedStride = 0x9E37
 // failure probability matches the value implied by the published table.
 // The uncorrelated column is the paper's Section 2 baseline in closed form,
 // 1-(1-pF)^MRmin. The directional columns are Monte Carlo over shared
-// tracks on the cached row model the query session also serves: the
+// tracks on the same row model the query session serves: the
 // non-aligned one over the lateral-offset distribution of the synthetic
 // 45 nm library weighted by the OpenRISC cell mix, the aligned one as the
 // simulation check of the renewal pF it equals.

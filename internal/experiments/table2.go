@@ -20,7 +20,11 @@ func (r *Runner) Table2() (*Result, error) {
 	if err := r.params.Validate(); err != nil {
 		return nil, err
 	}
-	lib45, lib65, err := r.libraries()
+	lib45, err := nangate45()
+	if err != nil {
+		return nil, err
+	}
+	lib65, err := commercial65()
 	if err != nil {
 		return nil, err
 	}

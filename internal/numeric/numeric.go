@@ -105,28 +105,6 @@ func SumSlice(xs []float64) float64 {
 	return k.Sum()
 }
 
-// LogSumExp returns log(Σ exp(xi)) without overflow. It returns -Inf for an
-// empty slice.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var k Kahan
-	for _, x := range xs {
-		k.Add(math.Exp(x - m))
-	}
-	return m + math.Log(k.Sum())
-}
-
 // Clamp restricts x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

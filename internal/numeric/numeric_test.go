@@ -73,23 +73,6 @@ func TestKahanCompensates(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	xs := []float64{math.Log(1), math.Log(2), math.Log(3)}
-	if got := LogSumExp(xs); math.Abs(got-math.Log(6)) > 1e-12 {
-		t.Fatalf("LogSumExp: got %v want log 6", got)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Fatal("empty LogSumExp should be -Inf")
-	}
-	big := []float64{1000, 1000}
-	if got := LogSumExp(big); math.Abs(got-(1000+math.Ln2)) > 1e-9 {
-		t.Fatalf("LogSumExp overflow guard: got %v", got)
-	}
-	if got := LogSumExp([]float64{math.Inf(-1), math.Inf(-1)}); !math.IsInf(got, -1) {
-		t.Fatalf("all -Inf should stay -Inf, got %v", got)
-	}
-}
-
 func TestNormalCDFKnownValues(t *testing.T) {
 	cases := []struct{ x, want float64 }{
 		{0, 0.5},
@@ -133,21 +116,6 @@ func TestNormalQuantileRoundTrip(t *testing.T) {
 	}
 	if NormalQuantile(0.5) != 0 {
 		t.Errorf("median should be exactly refined to ~0, got %v", NormalQuantile(0.5))
-	}
-}
-
-func TestLog1mExp(t *testing.T) {
-	for _, x := range []float64{-1e-10, -0.1, -1, -10, -50} {
-		want := math.Log1p(-math.Exp(x))
-		if x > -1e-8 {
-			want = math.Log(-math.Expm1(x))
-		}
-		if got := Log1mExp(x); math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
-			t.Errorf("Log1mExp(%v) = %v want %v", x, got, want)
-		}
-	}
-	if !math.IsNaN(Log1mExp(0.5)) {
-		t.Error("Log1mExp of positive should be NaN")
 	}
 }
 
@@ -240,32 +208,6 @@ func TestQuickInterpRoundTrip(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: LogSumExp(xs) >= max(xs) and <= max(xs)+log(n).
-func TestQuickLogSumExpBounds(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, math.Mod(v, 700))
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		m := xs[0]
-		for _, v := range xs {
-			if v > m {
-				m = v
-			}
-		}
-		l := LogSumExp(xs)
-		return l >= m-1e-9 && l <= m+math.Log(float64(len(xs)))+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

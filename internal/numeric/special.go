@@ -65,18 +65,6 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// Log1mExp returns log(1 - exp(x)) for x < 0 using the numerically stable
-// split recommended by Mächler.
-func Log1mExp(x float64) float64 {
-	if x >= 0 {
-		return math.NaN()
-	}
-	if x > -math.Ln2 {
-		return math.Log(-math.Expm1(x))
-	}
-	return math.Log1p(-math.Exp(x))
-}
-
 // LinearInterp is a piecewise-linear interpolant over strictly increasing
 // abscissae. Evaluations outside the range clamp to the end values.
 type LinearInterp struct {

@@ -48,14 +48,13 @@ type Options struct {
 }
 
 // Session evaluates QuerySpecs over shared state: one renewal sweep cache
-// (so every corner of one technology shares a swept table), one lazily
-// built experiment runner (libraries, placement), an optional persistent
-// sweep store, and a bounded worker pool for sweeps. It is the single
-// evaluation path behind the yieldlab facade, the cnfetyield -spec mode and
-// every yieldserver endpoint, and is safe for concurrent use.
+// (so every corner of one technology shares a swept table), a cache of
+// prepared Monte Carlo row models, an optional persistent sweep store, and
+// a bounded worker pool for sweeps. It is the single evaluation path behind
+// the yieldlab facade, the cnfetyield -spec mode and every yieldserver
+// endpoint, and is safe for concurrent use.
 type Session struct {
 	params  experiments.Params
-	runner  *experiments.Runner
 	cache   *renewal.SweepCache
 	store   *sweepstore.Store
 	workers int
@@ -64,7 +63,19 @@ type Session struct {
 	persistMu       sync.Mutex
 	persistedSweeps uint64
 	persistErr      string
+
+	// rowModels caches prepared Monte Carlo row models by (width, corner,
+	// pitch law). Preparation builds sampler, alias and occupancy tables and
+	// re-measures the library offset distribution; repeated rowyield
+	// requests and design-space sweeps ask for the same model again, and a
+	// prepared RowModel is immutable and safe to share.
+	rowModelsMu sync.Mutex
+	rowModels   map[string]*rowyield.RowModel
 }
+
+// rowModelCacheMax bounds the prepared row-model cache; past it the cache
+// resets (each entry holds a few small tables, so the bound is generous).
+const rowModelCacheMax = 256
 
 // NewSession builds a session, warming the sweep cache from opts.Store when
 // present.
@@ -84,12 +95,12 @@ func NewSession(opts Options) (*Session, error) {
 		workers = runtime.NumCPU()
 	}
 	s := &Session{
-		params:  opts.Params,
-		runner:  experiments.NewWithCache(opts.Params, cache),
-		cache:   cache,
-		store:   opts.Store,
-		workers: workers,
-		opts:    opts,
+		params:    opts.Params,
+		cache:     cache,
+		store:     opts.Store,
+		workers:   workers,
+		opts:      opts,
+		rowModels: make(map[string]*rowyield.RowModel),
 	}
 	if opts.Store != nil {
 		if _, err := sweepstore.WarmCache(opts.Store, cache); err != nil {
@@ -481,15 +492,15 @@ func (s *Session) evalRowYield(ctx context.Context, q Spec) (*RowYieldResult, er
 }
 
 // rowModel builds the Monte Carlo row model: from the spec's explicit
-// offset distribution when given, otherwise from the shared synthetic
-// library via the runner.
+// offset distribution when given, otherwise from the synthetic library
+// through the session's prepared row-model cache.
 func (s *Session) rowModel(width float64, params device.FailureParams, q Spec) (*rowyield.RowModel, error) {
 	pitch, err := s.pitchLaw(q)
 	if err != nil {
 		return nil, err
 	}
 	if len(q.Offsets) == 0 {
-		return s.runner.RowModelAtPitch(width, params, pitch)
+		return s.libraryRowModel(width, params, pitch)
 	}
 	offsets, err := rowyield.NewOffsetDist(q.Offsets, q.OffsetProbs)
 	if err != nil {
@@ -506,6 +517,35 @@ func (s *Session) rowModel(width float64, params device.FailureParams, q Spec) (
 	if err := rm.Prepare(); err != nil {
 		return nil, err
 	}
+	return rm, nil
+}
+
+// libraryRowModel returns the prepared library-weighted row model at
+// (width, corner, pitch law), building it through an experiment runner on a
+// miss. Width sweeps produce unbounded distinct keys, so past
+// rowModelCacheMax entries the map is dropped whole, which is cheaper than
+// LRU bookkeeping.
+func (s *Session) libraryRowModel(width float64, params device.FailureParams, pitch dist.TruncNormal) (*rowyield.RowModel, error) {
+	key := fmt.Sprintf("%x|%x|%x|%x|%s", width, params.PMetallic, params.PRemoveSemi, params.PRemoveMetallic, pitch.Fingerprint())
+	s.rowModelsMu.Lock()
+	rm, hit := s.rowModels[key]
+	s.rowModelsMu.Unlock()
+	if hit {
+		return rm, nil
+	}
+	rm, err := experiments.NewWithCache(s.params, s.cache).RowModelAtPitch(width, params, pitch)
+	if err != nil {
+		return nil, err
+	}
+	s.rowModelsMu.Lock()
+	defer s.rowModelsMu.Unlock()
+	if prior, raced := s.rowModels[key]; raced {
+		return prior, nil
+	}
+	if len(s.rowModels) >= rowModelCacheMax {
+		clear(s.rowModels)
+	}
+	s.rowModels[key] = rm
 	return rm, nil
 }
 
@@ -573,15 +613,13 @@ func (s *Session) evalNoise(ctx context.Context, q Spec) (*NoiseResult, error) {
 }
 
 func (s *Session) evalExperiment(ctx context.Context, q Spec) ([]ResultJSON, error) {
-	runner := s.runner
-	if q.Seed != 0 && q.Seed != s.params.Seed {
-		// Seed overrides get their own runner but share the sweep cache, so
-		// even reseeded runs reuse swept tables.
-		p := s.params
+	// A runner holds no state beyond the session's sweep cache, so each spec
+	// gets its own, built with the spec's resolved seed.
+	p := s.params
+	if q.Seed != 0 {
 		p.Seed = q.Seed
-		runner = experiments.NewWithCache(p, s.cache)
 	}
-	results, err := runner.RunMany(ctx, q.Experiments, s.params.Workers)
+	results, err := experiments.NewWithCache(p, s.cache).RunMany(ctx, q.Experiments, s.params.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"github.com/cnfet/yieldlab/internal/experiments"
 	"github.com/cnfet/yieldlab/internal/fault"
 	"github.com/cnfet/yieldlab/internal/renewal"
+	"github.com/cnfet/yieldlab/internal/rowyield"
 	"github.com/cnfet/yieldlab/internal/sweepstore"
 	"github.com/cnfet/yieldlab/internal/tech"
 )
@@ -173,6 +174,56 @@ func TestEvaluateRowYieldScenarios(t *testing.T) {
 	}
 	if a.RowYield.Rounds != 200 {
 		t.Fatalf("rounds echo = %d", a.RowYield.Rounds)
+	}
+}
+
+// Unaligned rowyield evaluations at one (width, corner, pitch law) share a
+// single prepared row model from the session's cache, whatever their seed;
+// a different width prepares a model of its own.
+func TestRowModelCacheSharesPreparedModel(t *testing.T) {
+	s := newTestSession(t, Options{})
+	ctx := context.Background()
+	cached := func() []*rowyield.RowModel {
+		s.rowModelsMu.Lock()
+		defer s.rowModelsMu.Unlock()
+		var out []*rowyield.RowModel
+		for _, rm := range s.rowModels {
+			out = append(out, rm)
+		}
+		return out
+	}
+	spec := Spec{Kind: KindRowYield, WidthNM: 120, Scenario: "unaligned", Rounds: 100}
+	for _, seed := range []uint64{1, 2} {
+		spec.Seed = seed
+		if _, err := s.Evaluate(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	models := cached()
+	if len(models) != 1 {
+		t.Fatalf("%d cached row models after two evaluations at one width, want 1", len(models))
+	}
+	same, err := s.rowModel(120, device.WorstCorner(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same != models[0] {
+		t.Fatal("a repeated (width, corner, law) prepared a new row model")
+	}
+
+	spec.WidthNM = 150
+	if _, err := s.Evaluate(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cached()); n != 2 {
+		t.Fatalf("%d cached row models after a second width, want 2", n)
+	}
+	other, err := s.rowModel(150, device.WorstCorner(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == same || other.WidthNM != 150 {
+		t.Fatalf("width 150 shares the width-120 model (WidthNM %g)", other.WidthNM)
 	}
 }
 

@@ -90,23 +90,6 @@ func Quantile(xs []float64, p float64) float64 {
 	return s[i] + frac*(s[i+1]-s[i])
 }
 
-// MinMax returns the extrema of xs (NaNs for an empty slice).
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // Welford accumulates count, mean and variance online in a single pass.
 // The zero value is ready to use.
 type Welford struct {
@@ -167,20 +150,4 @@ func (w *Welford) Merge(o Welford) {
 	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
 	w.mean += d * float64(o.n) / float64(n)
 	w.n = n
-}
-
-// WilsonInterval returns the Wilson score interval for a binomial proportion
-// with k successes out of n trials at z standard deviations (z=1.96 for 95%).
-func WilsonInterval(k, n int64, z float64) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	p := float64(k) / float64(n)
-	z2 := z * z
-	den := 1 + z2/float64(n)
-	center := (p + z2/(2*float64(n))) / den
-	half := z * math.Sqrt(p*(1-p)/float64(n)+z2/(4*float64(n)*float64(n))) / den
-	lo = numeric.Clamp(center-half, 0, 1)
-	hi = numeric.Clamp(center+half, 0, 1)
-	return lo, hi
 }

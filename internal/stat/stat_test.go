@@ -74,17 +74,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax: %v %v", min, max)
-	}
-	min, max = MinMax(nil)
-	if !math.IsNaN(min) || !math.IsNaN(max) {
-		t.Fatal("empty MinMax should be NaN")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	xs := make([]float64, 1000)
@@ -138,28 +127,6 @@ func TestWelfordMerge(t *testing.T) {
 	}
 }
 
-func TestWilsonInterval(t *testing.T) {
-	lo, hi := WilsonInterval(0, 0, 1.96)
-	if lo != 0 || hi != 1 {
-		t.Fatalf("n=0: %v %v", lo, hi)
-	}
-	lo, hi = WilsonInterval(50, 100, 1.96)
-	if !(lo < 0.5 && 0.5 < hi) {
-		t.Fatalf("should contain p: %v %v", lo, hi)
-	}
-	if hi-lo > 0.25 {
-		t.Fatalf("interval too wide: %v", hi-lo)
-	}
-	lo, hi = WilsonInterval(0, 1000, 1.96)
-	if lo != 0 || hi < 1e-4 || hi > 0.01 {
-		t.Fatalf("zero successes: %v %v", lo, hi)
-	}
-	lo, hi = WilsonInterval(1000, 1000, 1.96)
-	if hi != 1 || lo > 1 || lo < 0.99 {
-		t.Fatalf("all successes: %v %v", lo, hi)
-	}
-}
-
 // Property: merging a random split equals whole-sample accumulation.
 func TestQuickWelfordMergeSplit(t *testing.T) {
 	f := func(seed int64) bool {
@@ -182,20 +149,6 @@ func TestQuickWelfordMergeSplit(t *testing.T) {
 			almost(a.Variance(), whole.Variance(), 1e-7)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Wilson interval always contains the point estimate k/n.
-func TestQuickWilsonContainsEstimate(t *testing.T) {
-	f := func(kRaw, nRaw uint16) bool {
-		n := int64(nRaw%1000) + 1
-		k := int64(kRaw) % (n + 1)
-		lo, hi := WilsonInterval(k, n, 1.96)
-		p := float64(k) / float64(n)
-		return lo <= p+1e-12 && p <= hi+1e-12 && lo >= 0 && hi <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
