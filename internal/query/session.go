@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -36,8 +37,7 @@ type Options struct {
 	// Store, when non-nil, persists swept renewal tables: the session warms
 	// its cache from it at construction and writes back on Checkpoint/Close.
 	Store *sweepstore.Store
-	// Workers bounds EvaluateAll's concurrent spec evaluations
-	// (0 = NumCPU).
+	// Workers bounds Run's concurrent spec evaluations (0 = NumCPU).
 	Workers int
 	// MaxRowRounds caps the Monte Carlo rounds a rowyield spec may request
 	// (0 = unbounded).
@@ -230,7 +230,7 @@ func (s *Session) scaledWidth(q Spec) (float64, error) {
 }
 
 // Evaluate computes one concrete spec. Specs carrying sweep axes are
-// rejected — expand them through EvaluateAll. The returned Result embeds
+// rejected — plan and Run them instead. The returned Result embeds
 // the canonical spec and its fingerprint, so sweep outputs self-describe.
 //
 // When the context carries an obs.Tracer, the evaluation runs under a
@@ -626,119 +626,168 @@ func (s *Session) evalExperiment(ctx context.Context, q Spec) ([]ResultJSON, err
 	return EncodeResults(results), nil
 }
 
-// SweepProgress observes EvaluateAllFunc's checkpointing: it is called once
-// per completed spec, in expansion order (done counts the completed prefix,
-// total the full expansion).
+// SweepProgress observes Run's checkpointing: it is called once per
+// completed spec, in expansion order (done counts the completed prefix,
+// total the full expansion), on the goroutine that called Run.
 type SweepProgress func(done, total int, r Result)
 
-// EvaluateAll expands the spec's sweep axes and evaluates every concrete
-// spec on the session's bounded worker pool. Results come back in
-// deterministic expansion order regardless of worker count; the first
-// error (in expansion order, matching a serial run) aborts dispatch and is
-// returned. Context cancellation stops dispatch between specs.
+// EvaluateAll plans the spec and runs it (see Run) without a progress
+// callback.
 func (s *Session) EvaluateAll(ctx context.Context, q Spec) ([]Result, error) {
 	return s.EvaluateAllFunc(ctx, q, nil)
 }
 
-// EvaluateAllFunc is EvaluateAll with a checkpoint callback: progress is
-// reported as the completed prefix grows, in order, and — when the session
-// has a persistent store — newly swept renewal tables are checkpointed to
-// disk as the sweep proceeds, so an interrupted design-space exploration
-// restarts warm.
+// EvaluateAllFunc plans the spec and runs it (see Run), reporting progress.
 func (s *Session) EvaluateAllFunc(ctx context.Context, q Spec, progress SweepProgress) ([]Result, error) {
-	specs, fps, err := q.expand()
+	p, err := q.Plan()
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.MaxSweep > 0 && len(specs) > s.opts.MaxSweep {
-		return nil, badRequest(fmt.Errorf("query: sweep of %d specs exceeds limit %d", len(specs), s.opts.MaxSweep))
+	return s.Run(ctx, p, progress)
+}
+
+// Run expands the plan's sweep axes and evaluates every concrete spec on
+// the session's bounded worker pool. Results come back in deterministic
+// expansion order regardless of worker count; the first error (in
+// expansion order, matching a serial run) stops dispatch and is returned,
+// and context cancellation stops dispatch between specs. Progress is
+// reported as the completed prefix grows, in order, and — when the
+// session has a persistent store — newly swept renewal tables are
+// checkpointed to disk as the sweep proceeds, so an interrupted
+// design-space exploration restarts warm.
+//
+// The calling goroutine is worker 0 and the collector: it evaluates specs
+// itself and runs every progress callback, and only a plan with more than
+// one concrete spec starts helper goroutines (up to the worker bound
+// minus one). A panic in a progress callback, or in a spec the caller
+// evaluates, therefore unwinds the caller; one in a helper ends the
+// process.
+func (s *Session) Run(ctx context.Context, p Plan, progress SweepProgress) ([]Result, error) {
+	if p.fp == "" {
+		return nil, badRequest(errors.New("query: Run needs a Plan built by Spec.Plan"))
 	}
-	workers := s.workers
-	if workers > len(specs) {
-		workers = len(specs)
+	specs, fps, err := p.expand()
+	if err != nil {
+		return nil, err
+	}
+	n := len(specs)
+	if s.opts.MaxSweep > 0 && n > s.opts.MaxSweep {
+		return nil, badRequest(fmt.Errorf("query: sweep of %d specs exceeds limit %d", n, s.opts.MaxSweep))
+	}
+	r := &sweepRun{session: s, ctx: ctx, specs: specs, fps: fps}
+	helpers := min(s.workers, n) - 1
+	if helpers > 0 {
+		// One slot per spec plus one exit marker per helper: a helper never
+		// blocks on a send, so it finishes even if the caller unwinds.
+		r.outcomes = make(chan outcome, n+helpers)
+		for range helpers {
+			go r.help()
+		}
+		// A caller unwinding from a panic stops the helpers' dispatch.
+		defer r.failed.Store(true)
 	}
 
-	type outcome struct {
-		idx int
-		res Result
-		err error
-	}
-	jobs := make(chan int)
-	outcomes := make(chan outcome, len(specs))
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				res, err := s.evaluate(ctx, specs[idx], fps[idx])
-				if err != nil {
-					failed.Store(true)
-				}
-				outcomes <- outcome{idx: idx, res: res, err: err}
-			}
-		}()
-	}
-
-	// The collector drains outcomes as they land and checkpoints the
-	// growing completed prefix in expansion order: progress callbacks fire
-	// while later specs are still computing, and newly swept tables are
-	// persisted mid-sweep, not just at the end. Done is deliberately not
-	// deferred: a progress callback that panics kills the process, and a
-	// deferred Done would run while the panic unwinds, letting this call
-	// return the partial prefix as a finished sweep in the meantime — the
-	// job engine would journal it as a done job with missing results.
-	out := make([]Result, len(specs))
-	completed := make([]bool, len(specs))
+	// The caller folds outcomes into the completed prefix in expansion
+	// order, checkpointing as it grows: between its own specs it drains
+	// whatever the helpers have finished, then waits for the rest. A
+	// successful Result always carries its fingerprint, which marks the
+	// completed slots.
+	out := make([]Result, n)
+	next := 0
 	firstErrIdx := -1
 	var firstErr error
-	var collectWg sync.WaitGroup
-	collectWg.Add(1)
-	go func() {
-		next := 0
-		for oc := range outcomes {
-			if oc.err != nil {
-				if firstErrIdx == -1 || oc.idx < firstErrIdx {
-					firstErrIdx = oc.idx
-					firstErr = oc.err
-				}
-				continue
+	record := func(oc outcome) {
+		if oc.err != nil {
+			if firstErrIdx == -1 || oc.idx < firstErrIdx {
+				firstErrIdx, firstErr = oc.idx, oc.err
 			}
-			out[oc.idx] = oc.res
-			completed[oc.idx] = true
-			for next < len(specs) && completed[next] {
-				if progress != nil {
-					progress(next+1, len(specs), out[next])
-				}
-				s.Checkpoint()
-				next++
+			return
+		}
+		out[oc.idx] = oc.res
+		for next < n && out[next].Fingerprint != "" {
+			if progress != nil {
+				progress(next+1, n, out[next])
 			}
+			s.Checkpoint()
+			next++
 		}
-		collectWg.Done()
-	}()
-
-	// Dispatch in expansion order and stop handing out work on the first
-	// failure or cancellation; specs already in flight drain normally.
-	// Because dispatch is ordered, every spec preceding a failure has been
-	// dispatched, so the earliest failing index is always observed.
-	for idx := range specs {
-		if failed.Load() || ctx.Err() != nil {
-			break
-		}
-		jobs <- idx
 	}
-	close(jobs)
-	wg.Wait()
-	close(outcomes)
-	collectWg.Wait()
+	for idx, ok := r.claim(); ok; idx, ok = r.claim() {
+		record(r.evaluate(idx))
+		for drained := false; !drained; {
+			select {
+			case oc := <-r.outcomes: // nil without helpers: never ready
+				if oc.idx < 0 {
+					helpers--
+				} else {
+					record(oc)
+				}
+			default:
+				drained = true
+			}
+		}
+	}
+	for helpers > 0 {
+		if oc := <-r.outcomes; oc.idx < 0 {
+			helpers--
+		} else {
+			record(oc)
+		}
+	}
 	s.Checkpoint()
 
 	if firstErr != nil {
-		return nil, fmt.Errorf("query: spec %d/%d: %w", firstErrIdx+1, len(specs), firstErr)
+		return nil, fmt.Errorf("query: spec %d/%d: %w", firstErrIdx+1, n, firstErr)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// outcome is one evaluated spec of a sweepRun; idx -1 marks a helper's exit.
+type outcome struct {
+	idx int
+	res Result
+	err error
+}
+
+// sweepRun is the state one Run shares with its helper goroutines.
+type sweepRun struct {
+	session  *Session
+	ctx      context.Context
+	specs    []Spec
+	fps      []string
+	claimed  atomic.Int64
+	failed   atomic.Bool
+	outcomes chan outcome
+}
+
+// claim hands out the next spec index in expansion order, or reports false
+// once the expansion is exhausted, a spec has failed or the context is
+// done. Because claims are ordered, every spec preceding a failure has
+// been claimed, so the earliest failing index is always observed.
+func (r *sweepRun) claim() (int, bool) {
+	if r.failed.Load() || r.ctx.Err() != nil {
+		return 0, false
+	}
+	idx := int(r.claimed.Add(1)) - 1
+	return idx, idx < len(r.specs)
+}
+
+func (r *sweepRun) evaluate(idx int) outcome {
+	res, err := r.session.evaluate(r.ctx, r.specs[idx], r.fps[idx])
+	if err != nil {
+		r.failed.Store(true)
+	}
+	return outcome{idx: idx, res: res, err: err}
+}
+
+// help is a helper worker: it evaluates claimed specs until dispatch
+// stops, then posts its exit marker.
+func (r *sweepRun) help() {
+	for idx, ok := r.claim(); ok; idx, ok = r.claim() {
+		r.outcomes <- r.evaluate(idx)
+	}
+	r.outcomes <- outcome{idx: -1}
 }

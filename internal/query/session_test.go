@@ -620,3 +620,85 @@ func TestWarmSessionCloseWritesNothing(t *testing.T) {
 		t.Fatalf("warm session store stats = %+v, want 1 load and 0 saves", st)
 	}
 }
+
+func TestPlanCarriesCanonicalIdentity(t *testing.T) {
+	q := Spec{Kind: KindPF, WidthNM: 155, Corner: "pm=33%, pRs=30%",
+		Sweep: &Sweep{WidthsNM: []float64{100, 150}}}
+	canon, fp, err := q.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := q.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Fingerprint() != fp || !reflect.DeepEqual(p.Spec(), canon) || p.ExpandCount() != 2 {
+		t.Fatalf("plan = (%+v, %s, %d), want (%+v, %s, 2)", p.Spec(), p.Fingerprint(), p.ExpandCount(), canon, fp)
+	}
+	// The plan shares no memory with the spec it came from or the copies it
+	// hands out: neither can change what it runs under its fingerprint.
+	q.Sweep.WidthsNM[0] = 190
+	p.Spec().Sweep.WidthsNM[1] = 180
+	results, err := newTestSession(t, Options{}).Run(context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].PF.WidthNM != 100 || results[1].PF.WidthNM != 150 {
+		t.Fatalf("plan ran widths %g, %g; want 100, 150", results[0].PF.WidthNM, results[1].PF.WidthNM)
+	}
+	if _, err := (Spec{Kind: "pff"}).Plan(); !IsRequestError(err) {
+		t.Fatalf("invalid spec planned: err = %v", err)
+	}
+}
+
+func TestRunRejectsZeroPlan(t *testing.T) {
+	if _, err := newTestSession(t, Options{}).Run(context.Background(), Plan{}, nil); !IsRequestError(err) {
+		t.Fatalf("zero plan: err = %v, want a request error", err)
+	}
+}
+
+// TestRunProgressOnCaller pins where Run's work surfaces: every progress
+// callback runs on the calling goroutine, even when helpers evaluate some
+// of the specs, so a panic in one unwinds the caller (here recovered)
+// instead of a goroutine nobody can recover on.
+func TestRunProgressOnCaller(t *testing.T) {
+	p, err := Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{WidthsNM: []float64{50, 100, 150, 200}}}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		s := newTestSession(t, Options{Workers: workers})
+		recovered := func() (r any) {
+			defer func() { r = recover() }()
+			_, _ = s.Run(context.Background(), p, func(done, total int, r Result) {
+				if done == 3 {
+					panic("progress 3")
+				}
+			})
+			return nil
+		}()
+		if recovered != "progress 3" {
+			t.Fatalf("workers %d: recovered %v on the caller, want the progress panic", workers, recovered)
+		}
+	}
+}
+
+// TestRunOneSpecInline pins the one-spec path: with workers to spare, a
+// plan of one concrete spec still runs on the calling goroutine alone.
+func TestRunOneSpecInline(t *testing.T) {
+	s := newTestSession(t, Options{Workers: 4})
+	p, err := Spec{Kind: KindPF, WidthNM: 155}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	during := -1
+	if _, err := s.Run(context.Background(), p, func(int, int, Result) {
+		during = runtime.NumGoroutine()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if during != before {
+		t.Fatalf("goroutines during a one-spec Run = %d, before = %d", during, before)
+	}
+}

@@ -26,12 +26,15 @@
 package query
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/cnfet/yieldlab/internal/device"
@@ -607,26 +610,87 @@ func (q Spec) ExpandCount() int {
 	return n
 }
 
+// Plan is a canonicalized spec ready to run: its canonical form and that
+// form's fingerprint, computed together by Spec.Plan and carried as one
+// opaque handle to Session.Run. Only Spec.Plan builds a non-zero Plan, so
+// the fingerprint a transport serves (an ETag, a job identity) always
+// belongs to the spec the session evaluates, and a request's spec is
+// canonicalized once between the edge and the evaluation. The zero Plan
+// runs nothing.
+type Plan struct {
+	spec Spec
+	fp   string
+}
+
+// Plan canonicalizes the spec (see Canonical) into a runnable Plan. The
+// plan holds its own copy of every slice and pointer in the spec, so later
+// changes to q cannot reach it.
+func (q Spec) Plan() (Plan, error) {
+	canon, fp, err := q.Canonical()
+	if err != nil {
+		return Plan{}, err
+	}
+	return Plan{spec: canon.clone(), fp: fp}, nil
+}
+
+// Spec returns a copy of the plan's canonical spec.
+func (p Plan) Spec() Spec { return p.spec.clone() }
+
+// Fingerprint returns the plan's stable fingerprint: the cache and ETag
+// identity of its canonical spec.
+func (p Plan) Fingerprint() string { return p.fp }
+
+// ExpandCount returns how many concrete specs the plan runs (see
+// Spec.ExpandCount).
+func (p Plan) ExpandCount() int { return p.spec.ExpandCount() }
+
+// clone returns a copy of q that shares no slice or pointer with it.
+func (q Spec) clone() Spec {
+	c := q
+	c.PM, c.PRS, c.PRM = clonePtr(q.PM), clonePtr(q.PRS), clonePtr(q.PRM)
+	c.Offsets, c.OffsetProbs = slices.Clone(q.Offsets), slices.Clone(q.OffsetProbs)
+	c.Experiments = slices.Clone(q.Experiments)
+	if q.Sweep != nil {
+		s := *q.Sweep
+		s.Corners, s.Nodes, s.Scenarios = slices.Clone(s.Corners), slices.Clone(s.Nodes), slices.Clone(s.Scenarios)
+		s.PitchMeansNM, s.WidthsNM = slices.Clone(s.PitchMeansNM), slices.Clone(s.WidthsNM)
+		s.Yields, s.RelaxFactors = slices.Clone(s.Yields), slices.Clone(s.RelaxFactors)
+		c.Sweep = &s
+	}
+	return c
+}
+
+func clonePtr(v *float64) *float64 {
+	if v == nil {
+		return nil
+	}
+	c := *v
+	return &c
+}
+
 // Expand validates the spec and turns its sweep axes into the cartesian
 // product of concrete (sweep-free, canonical) specs, in deterministic
 // order: corners vary slowest, then pitch means, nodes, widths, yields,
 // relax factors, scenarios. A spec without sweep axes expands to its
 // canonical self.
 func (q Spec) Expand() ([]Spec, error) {
-	specs, _, err := q.expand()
+	canon, fp, err := q.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	specs, _, err := Plan{spec: canon, fp: fp}.expand()
 	return specs, err
 }
 
-// expand is Expand that also returns each concrete spec's fingerprint
-// (fps[i] belongs to specs[i]), so the evaluation path canonicalizes every
-// spec exactly once.
-func (q Spec) expand() (specs []Spec, fps []string, err error) {
-	base, fp, err := q.Canonical()
-	if err != nil {
-		return nil, nil, err
-	}
+// expand turns the plan into its concrete specs and each one's
+// fingerprint (fps[i] belongs to specs[i]). A plan without sweep axes is
+// its own single concrete spec, so the evaluation path canonicalizes every
+// spec exactly once. The specs share no memory with the plan, so results
+// that echo them cannot reach it either.
+func (p Plan) expand() (specs []Spec, fps []string, err error) {
+	base := p.spec.clone()
 	if base.Sweep.empty() {
-		return []Spec{base}, []string{fp}, nil
+		return []Spec{base}, []string{p.fp}, nil
 	}
 	s := *base.Sweep
 	base.Sweep = nil
@@ -679,14 +743,17 @@ func expandAxis[T any](specs []Spec, values []T, set func(*Spec, T)) []Spec {
 	return out
 }
 
-// Parse strictly decodes a spec from JSON, rejecting unknown fields, and
-// validates it.
+// Parse strictly decodes a spec from JSON, rejecting unknown fields and
+// anything but whitespace after the spec, and validates it.
 func Parse(data []byte) (Spec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var q Spec
 	if err := dec.Decode(&q); err != nil {
 		return Spec{}, badRequest(fmt.Errorf("query: decoding spec: %w", err))
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, badRequest(errors.New("query: decoding spec: unexpected data after the spec"))
 	}
 	if err := q.Validate(); err != nil {
 		return Spec{}, badRequest(err)

@@ -298,6 +298,19 @@ func TestParseStrict(t *testing.T) {
 	if _, err := Parse([]byte(`{"kind": "pf"}`)); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
+	// One spec, then nothing but whitespace.
+	if _, err := Parse([]byte("{\"kind\":\"pf\",\"width_nm\":155} \n\t")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, data := range []string{
+		`{"kind":"pf","width_nm":155} {"kind":"wmin"}`,
+		`{"kind":"pf","width_nm":155}xyz`,
+		`{"kind":"pf","width_nm":155}]`,
+	} {
+		if _, err := Parse([]byte(data)); !IsRequestError(err) {
+			t.Errorf("Parse(%s): err = %v, want a request error", data, err)
+		}
+	}
 }
 
 // Round-trip: a marshaled spec decodes back to a deeply equal value.

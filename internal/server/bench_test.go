@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/experiments"
@@ -44,5 +45,32 @@ func BenchmarkServerPF(b *testing.B) {
 		if out.PF <= 0 {
 			b.Fatal("no pF")
 		}
+	}
+}
+
+// BenchmarkV2QueryWarm measures one warm one-spec POST /v2/query through
+// Server.Handler() without a network: decode, plan, the cached pF
+// evaluation and the edge encoder. Its allocs/op is the per-request
+// allocation count of the sync query path.
+func BenchmarkV2QueryWarm(b *testing.B) {
+	srv, err := New(Config{Params: experiments.DefaultParams()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	const body = `{"kind":"pf","corner":"worst","width_nm":155}`
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/query", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }

@@ -1,0 +1,132 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"sync"
+)
+
+// writeJSON answers with v as JSON indented by two spaces per level, plus a
+// trailing newline: the bytes an encoding/json Encoder with
+// SetIndent("", "  ") writes. It encodes v once, compactly, indents that in
+// one pass (appendIndent) and writes the result as one buffer.
+//
+// Encoding comes before the status line, so a value encoding/json cannot
+// encode (a NaN or ±Inf float) answers the 500 internal envelope instead
+// of an empty body under the intended status; the validator and location
+// headers set for the intended response are dropped with it.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	b := edgeBuffers.Get().(*edgeBuffer)
+	defer b.release()
+	if err := b.enc.Encode(v); err != nil {
+		h := w.Header()
+		h.Del("ETag")
+		h.Del("Cache-Control")
+		h.Del("Location")
+		status = http.StatusInternalServerError
+		b.compact.Reset()
+		// The envelope holds only strings, so it always encodes.
+		_ = b.enc.Encode(ErrorJSON{Error: ErrorBodyJSON{
+			Code: errorCode(status), Message: "encoding response: " + err.Error(),
+		}})
+	}
+	b.out = appendIndent(b.out[:0], b.compact.Bytes())
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(b.out)
+}
+
+// edgeBuffer is writeJSON's reusable scratch: an Encoder writing the
+// compact encoding (json.Marshal's bytes plus a newline, HTML-escaped the
+// same way) into compact, and the indented form in out.
+type edgeBuffer struct {
+	compact bytes.Buffer
+	enc     *json.Encoder
+	out     []byte
+}
+
+// maxPooledEdgeBuffer bounds the scratch a pooled edgeBuffer keeps: a large
+// job body is encoded in fresh buffers rather than pinned in the pool.
+const maxPooledEdgeBuffer = 1 << 20
+
+var edgeBuffers = sync.Pool{New: func() any {
+	b := new(edgeBuffer)
+	b.enc = json.NewEncoder(&b.compact)
+	return b
+}}
+
+func (b *edgeBuffer) release() {
+	if b.compact.Cap() > maxPooledEdgeBuffer || cap(b.out) > maxPooledEdgeBuffer {
+		return
+	}
+	b.compact.Reset()
+	edgeBuffers.Put(b)
+}
+
+// appendIndent appends src — compact JSON as encoding/json emits it — to
+// dst, indented by two spaces per level: the bytes of json.Indent(dst, src,
+// "", "  "). Compact input holds no insignificant whitespace, so one pass
+// only has to skip strings and act on the six structural bytes; the runs
+// between them are copied whole. Empty objects and arrays stay "{}" and
+// "[]", and bytes after the top-level value (the Encoder's newline) are
+// copied as they are.
+func appendIndent(dst, src []byte) []byte {
+	depth, run := 0, 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			i = stringEnd(src, i)
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				i++
+				continue
+			}
+			depth++
+			dst = newline(append(dst, src[run:i+1]...), depth)
+			run = i + 1
+		case '}', ']':
+			depth--
+			dst = append(newline(append(dst, src[run:i]...), depth), c)
+			run = i + 1
+		case ',':
+			dst = newline(append(dst, src[run:i+1]...), depth)
+			run = i + 1
+		case ':':
+			dst = append(append(dst, src[run:i+1]...), ' ')
+			run = i + 1
+		}
+	}
+	return append(dst, src[run:]...)
+}
+
+// stringEnd returns the index of the quote closing the string whose
+// opening quote is src[open] (len(src)-1 for an unterminated string).
+func stringEnd(src []byte, open int) int {
+	i := open
+	for {
+		j := bytes.IndexByte(src[i+1:], '"')
+		if j < 0 {
+			return len(src) - 1
+		}
+		i += 1 + j
+		// The quote is escaped iff an odd number of backslashes precede it;
+		// the opening quote bounds the count.
+		k := i - 1
+		for src[k] == '\\' {
+			k--
+		}
+		if (i-1-k)%2 == 0 {
+			return i
+		}
+	}
+}
+
+// newline appends a newline and depth levels of indentation.
+func newline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
+}

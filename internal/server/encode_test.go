@@ -1,0 +1,130 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"github.com/cnfet/yieldlab/internal/query"
+)
+
+// FuzzAppendIndent holds the edge indenter to encoding/json's: on any value
+// json.Marshal produces, appendIndent must emit exactly json.Indent's bytes.
+// The input is read as JSON (a whole document) and, separately, as a string
+// payload, so both structure and escaping are explored.
+func FuzzAppendIndent(f *testing.F) {
+	for _, seed := range []string{
+		`{"a":"quote \" and backslash \\ and \\\" mixed"}`,
+		`"ends in backslash \\"`,
+		"line separators \u2028 and \u2029 in a string",
+		`<script>alert("x")</script> & more`,
+		`{}`, `[]`, `{"a":{},"b":[],"c":[{}],"d":{"e":[[]]}}`,
+		`[[[{"deep":[{},[]]}]]]`,
+		`{"exp":1e-9,"big":6.02e23,"neg":-3.1075800452204066e-9,"int":155}`,
+		`{"k:e,y":"v]a}l,u:e","":""}`,
+		`[true,false,null,0,"",{}]`,
+		`"\u0000\u001f control"`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		values := []any{string(data), map[string]any{string(data): []any{string(data), 1.5e-7}}}
+		var doc any
+		if json.Unmarshal(data, &doc) == nil {
+			values = append(values, doc)
+		}
+		for _, v := range values {
+			src, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := json.Indent(&want, src, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			if got := appendIndent(nil, src); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("appendIndent(%q)\n got: %q\nwant: %q", src, got, want.Bytes())
+			}
+		}
+	})
+}
+
+// TestWriteJSONUnencodable pins marshal-before-status: a payload
+// encoding/json rejects answers the 500 internal envelope, and the
+// validator headers set for the intended response go with it.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	rec.Header().Set("ETag", `"tag"`)
+	rec.Header().Set("Cache-Control", "public, max-age=86400")
+	writeJSON(rec, http.StatusOK, query.PFResult{Corner: "worst", WidthNM: 155, PF: math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var env ErrorJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("body %q is not an envelope: %v", rec.Body, err)
+	}
+	if env.Error.Code != "internal" || env.Error.Message == "" {
+		t.Fatalf("envelope = %+v", env)
+	}
+	if rec.Header().Get("ETag") != "" || rec.Header().Get("Cache-Control") != "" {
+		t.Fatalf("500 kept validator headers: %v", rec.Header())
+	}
+}
+
+// designSpaceResponse is the /v2/query body of the examples/design_space
+// Wmin sweep at paper-default parameters.
+func designSpaceResponse(tb testing.TB) QueryResponseJSON {
+	tb.Helper()
+	s, err := query.NewSession(query.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := designSpace.Plan()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	results, err := s.Run(context.Background(), p, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return QueryResponseJSON{Fingerprint: p.Fingerprint(), Count: len(results), Results: results}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing but its header map.
+type discardWriter struct{ header http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.header }
+func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// BenchmarkWriteJSON compares the edge encoder with the stdlib indented
+// Encoder it replaces, over the design-space response (12 results, ~5 KB
+// indented). Registered in BENCH_BASELINE.json with the ratio gate
+// edge/stdlib ≤ 0.75.
+func BenchmarkWriteJSON(b *testing.B) {
+	v := designSpaceResponse(b)
+	w := &discardWriter{header: make(http.Header)}
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("edge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			writeJSON(w, http.StatusOK, v)
+		}
+	})
+}

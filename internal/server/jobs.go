@@ -60,11 +60,10 @@ type jobRecord struct {
 	// tracer) before evaluating, keeping only the request's values.
 	ctx context.Context
 
-	spec        query.Spec
-	fingerprint string
-	results     []query.Result
-	done        int
-	total       int
+	plan    query.Plan
+	results []query.Result
+	done    int
+	total   int
 
 	created  time.Time
 	started  time.Time
@@ -123,12 +122,12 @@ func newJobEngine(session *query.Session, maxJobs, concurrent int, journal *jobs
 // error envelope: the condition clears as soon as a running job finishes.
 var errJobsFull = fmt.Errorf("job queue full, retry later")
 
-// submit queues a job over a canonical spec and starts it as soon as a pool
-// slot frees up. Open (queued or running) jobs are bounded by the same
-// maxJobs knob as the retained history, so a submit flood is refused
-// instead of growing records and goroutines without limit.
-func (e *jobEngine) submit(ctx context.Context, spec query.Spec, fingerprint string) (JobJSON, error) {
-	j := &jobRecord{ctx: ctx, spec: spec, fingerprint: fingerprint, total: spec.ExpandCount()}
+// submit queues a job over a plan and starts it as soon as a pool slot
+// frees up. Open (queued or running) jobs are bounded by the same maxJobs
+// knob as the retained history, so a submit flood is refused instead of
+// growing records and goroutines without limit.
+func (e *jobEngine) submit(ctx context.Context, p query.Plan) (JobJSON, error) {
+	j := &jobRecord{ctx: ctx, plan: p, total: p.ExpandCount()}
 	e.mu.Lock()
 	open := 0
 	for _, rec := range e.jobs {
@@ -209,18 +208,19 @@ func (e *jobEngine) adopt() (resumed int, err error) {
 	return resumed, nil
 }
 
-// restore rebuilds one in-memory record from its journaled form.
+// restore rebuilds one in-memory record from its journaled form. The
+// journaled spec is canonical, so planning it again reproduces the
+// journaled fingerprint.
 func (e *jobEngine) restore(rec jobstore.Record) (*jobRecord, bool) {
 	j := &jobRecord{
-		id:          rec.ID,
-		state:       rec.State,
-		err:         rec.Error,
-		ctx:         context.Background(),
-		fingerprint: rec.Fingerprint,
-		total:       rec.Total,
-		created:     rec.Created,
-		started:     rec.Started,
-		finished:    rec.Finished,
+		id:       rec.ID,
+		state:    rec.State,
+		err:      rec.Error,
+		ctx:      context.Background(), //yield:allow(ctxflow) an adopted job has no submitting request to inherit from, and run detaches every job's context anyway
+		total:    rec.Total,
+		created:  rec.Created,
+		started:  rec.Started,
+		finished: rec.Finished,
 	}
 	switch rec.State {
 	case JobQueued, JobRunning, JobDone, JobFailed:
@@ -232,12 +232,17 @@ func (e *jobEngine) restore(rec jobstore.Record) (*jobRecord, bool) {
 		e.noteJournalErr(fmt.Errorf("job %s: unknown kind %q", rec.ID, rec.Kind))
 		return nil, false
 	}
-	if err := json.Unmarshal(rec.Spec, &j.spec); err != nil {
+	var spec query.Spec
+	err := json.Unmarshal(rec.Spec, &spec)
+	if err == nil {
+		j.plan, err = spec.Plan()
+	}
+	if err != nil {
 		e.noteJournalErr(fmt.Errorf("job %s: spec: %w", rec.ID, err))
 		return nil, false
 	}
 	if j.total == 0 {
-		j.total = j.spec.ExpandCount()
+		j.total = j.plan.ExpandCount()
 	}
 	if len(rec.Results) > 0 {
 		if err := json.Unmarshal(rec.Results, &j.results); err != nil {
@@ -293,10 +298,15 @@ func (e *jobEngine) run(j *jobRecord) {
 
 // execute runs one job's work and converts panics — genuine bugs or an
 // armed job.run failpoint — into a failed job, so a single bad job can
-// never take down the server or wedge the engine.
+// never take down the server or wedge the engine. The one exception is an
+// armed job.result panic, which execute re-raises past its recover: that
+// site stands in for power loss mid-sweep and must end the process.
 func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			if pv, ok := r.(fault.PanicValue); ok && pv.Site == fault.SiteJobResult {
+				panic(r)
+			}
 			err = fmt.Errorf("job panicked: %v", r)
 		}
 	}()
@@ -316,7 +326,7 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 	// gets no checkpoint: run journals the terminal record, carrying the
 	// same full prefix, as soon as this returns.
 	stride := journalStride(j.total)
-	_, err = e.session.EvaluateAllFunc(ctx, j.spec,
+	_, err = e.session.Run(ctx, j.plan,
 		func(done, total int, r query.Result) {
 			e.mu.Lock()
 			j.results = append(j.results, r)
@@ -325,12 +335,13 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 			if e.journal != nil && done%stride == 0 && done < total {
 				e.journalPut(j)
 			}
-			// The job.result site fires on the sweep's collector goroutine,
-			// which has no recover: an armed panic action dies with the
-			// whole process, mid-sweep — the chaos harness's stand-in for
-			// power loss, leaving the journaled prefix as the only
-			// survivor. Error actions have nothing left to fail here (the
-			// result is already recorded) and are ignored.
+			// The job.result site fires on this goroutine (Run's caller is
+			// its collector), and execute re-raises its panic: an armed
+			// panic action dies with the whole process, mid-sweep — the
+			// chaos harness's stand-in for power loss, leaving the
+			// journaled prefix as the only survivor. Error actions have
+			// nothing left to fail here (the result is already recorded)
+			// and are ignored.
 			_ = fault.Inject(fault.SiteJobResult)
 		})
 	return err
@@ -342,7 +353,7 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 // intact. Each result is journaled immediately — a resumed job has
 // already demonstrated that crashes happen.
 func (e *jobEngine) resumeQuery(ctx context.Context, j *jobRecord) error {
-	specs, err := j.spec.Expand()
+	specs, err := j.plan.Spec().Expand()
 	if err != nil {
 		return err
 	}
@@ -359,8 +370,8 @@ func (e *jobEngine) resumeQuery(ctx context.Context, j *jobRecord) error {
 	for idx := start; idx < len(specs); idx++ {
 		res, err := e.session.Evaluate(ctx, specs[idx])
 		if err != nil {
-			// Mirror EvaluateAllFunc's error shape so a resumed failure
-			// reads identically to a fresh one.
+			// Mirror Run's error shape so a resumed failure reads
+			// identically to a fresh one.
 			return fmt.Errorf("query: spec %d/%d: %w", idx+1, len(specs), err)
 		}
 		e.mu.Lock()
@@ -424,14 +435,14 @@ func (j *jobRecord) journalRecordLocked() (jobstore.Record, error) {
 		Kind:        JobKindQuery,
 		State:       j.state,
 		Error:       j.err,
-		Fingerprint: j.fingerprint,
+		Fingerprint: j.plan.Fingerprint(),
 		Done:        j.done,
 		Total:       j.total,
 		Created:     j.created,
 		Started:     j.started,
 		Finished:    j.finished,
 	}
-	spec, err := json.Marshal(j.spec)
+	spec, err := json.Marshal(j.plan.Spec())
 	if err != nil {
 		return rec, fmt.Errorf("journal %s: spec: %w", j.id, err)
 	}
@@ -527,14 +538,14 @@ func (e *jobEngine) evictLocked() []string {
 }
 
 func (j *jobRecord) snapshotLocked() JobJSON {
-	spec := j.spec
+	spec := j.plan.Spec()
 	out := JobJSON{
 		ID:           j.id,
 		Kind:         JobKindQuery,
 		State:        j.state,
 		Error:        j.err,
 		Query:        &spec,
-		Fingerprint:  j.fingerprint,
+		Fingerprint:  j.plan.Fingerprint(),
 		QueryResults: append([]query.Result(nil), j.results...),
 		Done:         j.done,
 		Total:        j.total,

@@ -734,3 +734,41 @@ func TestRetiredJobKindDropped(t *testing.T) {
 		t.Fatalf("retired record still journaled: %v", err)
 	}
 }
+
+// TestJobResultPanicEscapesExecute pins the chaos contract now that a job's
+// progress callbacks run on the job goroutine, under execute's recover: an
+// armed job.result panic is re-raised past that recover (on the job
+// goroutine, which has no other, it ends the process), while any other
+// panic still only fails the job.
+func TestJobResultPanicEscapesExecute(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	session, err := query.NewSession(query.Options{Params: testParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newJobEngine(session, 4, 1, nil)
+	p, err := query.Spec{Kind: "pf", WidthNM: 155, Sweep: &query.Sweep{WidthsNM: []float64{100, 150}}}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.EnableSpecs("job.result=panic@nth=1"); err != nil {
+		t.Fatal(err)
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_ = e.execute(context.Background(), &jobRecord{plan: p, total: p.ExpandCount()})
+		return nil
+	}()
+	if pv, ok := got.(fault.PanicValue); !ok || pv.Site != fault.SiteJobResult {
+		t.Fatalf("execute let through %v, want the job.result panic", got)
+	}
+
+	fault.Reset()
+	if err := fault.EnableSpecs("job.run=panic"); err != nil {
+		t.Fatal(err)
+	}
+	err = e.execute(context.Background(), &jobRecord{plan: p, total: p.ExpandCount()})
+	if err == nil || !strings.Contains(err.Error(), "job panicked") {
+		t.Fatalf("job.run panic: err = %v, want a failed job", err)
+	}
+}

@@ -46,6 +46,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -329,26 +330,26 @@ func cornerSpec(spec *query.Spec, q url.Values) error {
 // --- the evaluation path ---------------------------------------------------
 
 // compute is the one synchronous evaluation path behind every compute
-// route. In order it canonicalizes spec once for the ETag, answers a
-// matching If-None-Match with 304, takes a slot under the in-flight bound
-// (shedding with a retryable 503 at the bound), and runs eval under the
-// request's own context, encoding the payload it returns. eval receives
-// the spec's canonical form and fingerprint. Revalidation is answered
-// before the bound: a 304 costs nothing, so clients holding a previous
-// response keep getting answers even while cold work is being shed. A nil
-// spec marks a route without one response identity (the batch), which
-// skips the ETag steps and passes eval zero values.
+// route. In order it plans spec (canonicalizing it once) for the ETag,
+// answers a matching If-None-Match with 304, takes a slot under the
+// in-flight bound (shedding with a retryable 503 at the bound), and runs
+// eval on the plan under the request's own context, encoding the payload
+// it returns. Revalidation is answered before the bound: a 304 costs
+// nothing, so clients holding a previous response keep getting answers
+// even while cold work is being shed. A nil spec marks a route without one
+// response identity (the batch), which skips the ETag steps and passes
+// eval the zero Plan.
 func (s *Server) compute(w http.ResponseWriter, r *http.Request, spec *query.Spec,
-	eval func(ctx context.Context, canon query.Spec, fp string) (any, error)) {
-	var canon query.Spec
-	var fp, etag string
+	eval func(ctx context.Context, p query.Plan) (any, error)) {
+	var plan query.Plan
+	var etag string
 	if spec != nil {
 		var err error
-		if canon, fp, err = s.canonical(*spec); err != nil {
+		if plan, err = s.plan(*spec); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		etag = s.etagFor(fp)
+		etag = s.etagFor(plan.Fingerprint())
 		if notModified(w, r, etag) {
 			return
 		}
@@ -359,7 +360,7 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, spec *query.Spe
 		return
 	}
 	defer release()
-	out, err := eval(r.Context(), canon, fp)
+	out, err := eval(r.Context(), plan)
 	if err != nil {
 		writeEvalError(w, err)
 		return
@@ -376,24 +377,25 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, spec *query.Spe
 	writeJSON(w, http.StatusOK, out)
 }
 
-// canonical canonicalizes a request spec and bounds its sweep expansion
-// before anything is expanded: the validation step shared by the sync and
-// async paths.
-func (s *Server) canonical(spec query.Spec) (query.Spec, string, error) {
-	canon, fp, err := spec.Canonical()
+// plan canonicalizes a request spec into its plan and bounds its sweep
+// expansion before anything is expanded: the validation step shared by the
+// sync and async paths.
+func (s *Server) plan(spec query.Spec) (query.Plan, error) {
+	p, err := spec.Plan()
 	if err != nil {
-		return query.Spec{}, "", err
+		return query.Plan{}, err
 	}
-	if n := canon.ExpandCount(); n > s.cfg.BatchLimit {
-		return query.Spec{}, "", fmt.Errorf("sweep of %d specs exceeds limit %d", n, s.cfg.BatchLimit)
+	if n := p.ExpandCount(); n > s.cfg.BatchLimit {
+		return query.Plan{}, fmt.Errorf("sweep of %d specs exceeds limit %d", n, s.cfg.BatchLimit)
 	}
-	return canon, fp, nil
+	return p, nil
 }
 
-// evaluate runs one concrete spec through the session and persists any
-// table the evaluation swept.
-func (s *Server) evaluate(ctx context.Context, spec query.Spec) (query.Result, error) {
-	res, err := s.session.Evaluate(ctx, spec)
+// evaluate runs a /v1 route's one concrete plan through the session and
+// persists any table the evaluation swept. It enters through Evaluate, not
+// Run, so an evaluation error keeps the unprefixed /v1 message.
+func (s *Server) evaluate(ctx context.Context, p query.Plan) (query.Result, error) {
+	res, err := s.session.Evaluate(ctx, p.Spec())
 	if err != nil {
 		return query.Result{}, err
 	}
@@ -419,12 +421,12 @@ func (s *Server) acquireSweep() (release func(), ok bool) {
 // submit queues spec as an async job — the one path of /v2/query?async=1
 // and POST /v1/experiments.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, spec query.Spec) {
-	canon, fp, err := s.canonical(spec)
+	p, err := s.plan(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	job, err := s.jobs.submit(r.Context(), canon, fp)
+	job, err := s.jobs.submit(r.Context(), p)
 	if err != nil {
 		writeUnavailable(w, err)
 		return
@@ -499,8 +501,8 @@ func (s *Server) handlePF(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.compute(w, r, &spec, func(ctx context.Context, canon query.Spec, _ string) (any, error) {
-		res, err := s.evaluate(ctx, canon)
+	s.compute(w, r, &spec, func(ctx context.Context, p query.Plan) (any, error) {
+		res, err := s.evaluate(ctx, p)
 		return res.PF, err
 	})
 }
@@ -532,7 +534,7 @@ func (s *Server) handlePFBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d points exceeds limit %d", len(req.Points), s.cfg.BatchLimit))
 		return
 	}
-	s.compute(w, r, nil, func(ctx context.Context, _ query.Spec, _ string) (any, error) {
+	s.compute(w, r, nil, func(ctx context.Context, _ query.Plan) (any, error) {
 		out := make([]PFJSON, len(req.Points))
 		for i, pt := range req.Points {
 			res, err := s.session.Evaluate(ctx, query.Spec{Kind: query.KindPF,
@@ -564,8 +566,8 @@ func (s *Server) handleWmin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.compute(w, r, &spec, func(ctx context.Context, canon query.Spec, _ string) (any, error) {
-		res, err := s.evaluate(ctx, canon)
+	s.compute(w, r, &spec, func(ctx context.Context, p query.Plan) (any, error) {
+		res, err := s.evaluate(ctx, p)
 		return res.Wmin, err
 	})
 }
@@ -593,8 +595,8 @@ func (s *Server) handleRowYield(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.compute(w, r, &spec, func(ctx context.Context, canon query.Spec, _ string) (any, error) {
-		res, err := s.evaluate(ctx, canon)
+	s.compute(w, r, &spec, func(ctx context.Context, p query.Plan) (any, error) {
+		res, err := s.evaluate(ctx, p)
 		return res.RowYield, err
 	})
 }
@@ -619,12 +621,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.submit(w, r, spec)
 		return
 	}
-	s.compute(w, r, &spec, func(ctx context.Context, canon query.Spec, fp string) (any, error) {
-		results, err := s.session.EvaluateAll(ctx, canon)
+	s.compute(w, r, &spec, func(ctx context.Context, p query.Plan) (any, error) {
+		results, err := s.session.Run(ctx, p, nil)
 		if err != nil {
 			return nil, err
 		}
-		return QueryResponseJSON{Fingerprint: fp, Count: len(results), Results: results}, nil
+		return QueryResponseJSON{Fingerprint: p.Fingerprint(), Count: len(results), Results: results}, nil
 	})
 }
 
@@ -871,22 +873,18 @@ func floatParam(q url.Values, name string, dst *float64) error {
 	return nil
 }
 
-// decodeBody strictly decodes a bounded JSON body.
+// decodeBody strictly decodes a bounded JSON body: one JSON value with no
+// unknown fields and nothing but whitespace after it.
 func decodeBody(r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request body: unexpected data after the JSON value")
+	}
 	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // ErrorJSON is the error envelope of every endpoint:

@@ -271,6 +271,8 @@ func TestV2QueryValidation(t *testing.T) {
 		"unknown field": `{"kind": "pf", "width_nm": 100, "widthnm": 1}`,
 		"missing width": `{"kind": "pf"}`,
 		"bad axis":      `{"kind": "pf", "width_nm": 100, "sweep": {"corners": ["oops"]}}`,
+		"second value":  `{"kind":"pf","width_nm":155} {"kind":"wmin"}`,
+		"trailing junk": `{"kind":"pf","width_nm":155}xyz`,
 	} {
 		resp, err := http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(payload))
 		if err != nil {
