@@ -20,9 +20,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/cnfet/yieldlab/internal/celllib"
 	"github.com/cnfet/yieldlab/internal/device"
@@ -30,6 +28,7 @@ import (
 	"github.com/cnfet/yieldlab/internal/fault"
 	"github.com/cnfet/yieldlab/internal/netlist"
 	"github.com/cnfet/yieldlab/internal/obs"
+	"github.com/cnfet/yieldlab/internal/ordered"
 	"github.com/cnfet/yieldlab/internal/renewal"
 	"github.com/cnfet/yieldlab/internal/report"
 	"github.com/cnfet/yieldlab/internal/rng"
@@ -219,93 +218,27 @@ func (r *Runner) Run(ctx context.Context, name string) (*Result, error) {
 	}
 }
 
-// RunMany executes the named experiments on a bounded pool of `workers`
-// goroutines (≤ 0 means NumCPU). Every experiment is deterministic given the
-// runner's parameters — Monte Carlo streams derive from Params.Seed per
-// experiment, and the only shared state is the sweep cache and the frozen
-// libraries — so the results are identical to a serial run, in input order.
-// On failure the error of the earliest-ordered failing experiment is
-// returned (matching what a serial run would report) and no further
-// experiments are started. Cancelling ctx stops dispatch and cancels the
-// experiments in flight (see Run); the context's error is returned.
+// RunMany executes the named experiments on the ordered pool of
+// internal/ordered, at most `workers` at once (≤ 0 means NumCPU), the
+// caller included. Every experiment is deterministic given the runner's
+// parameters — Monte Carlo streams derive from Params.Seed per experiment,
+// and the only shared state is the sweep cache and the frozen libraries —
+// so the results are identical to a serial run, in input order. On
+// failure the error of the earliest-ordered failing experiment is returned
+// (matching what a serial run would report) and no further experiments
+// are started. Cancelling ctx stops dispatch and cancels the experiments
+// in flight (see Run); the context's error is returned.
 func (r *Runner) RunMany(ctx context.Context, names []string, workers int) ([]*Result, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
-	if workers == 1 {
-		out := make([]*Result, len(names))
-		for i, name := range names {
-			res, err := r.Run(ctx, name)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", name, err)
-			}
-			out[i] = res
+	return ordered.Run(ctx, len(names), workers, func(i int) (*Result, error) {
+		res, err := r.Run(ctx, names[i])
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", names[i], err)
 		}
-		return out, nil
-	}
-
-	type outcome struct {
-		idx int
-		res *Result
-		err error
-	}
-	jobs := make(chan int)
-	outcomes := make(chan outcome, len(names))
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				res, err := r.Run(ctx, names[idx])
-				if err != nil {
-					failed.Store(true)
-				}
-				outcomes <- outcome{idx: idx, res: res, err: err}
-			}
-		}()
-	}
-	// Dispatch in input order and stop handing out work after the first
-	// failure or cancellation; experiments already in flight drain. Because
-	// dispatch is ordered, every experiment preceding a failure has been
-	// dispatched, so the earliest failing index is always observed.
-	for idx := range names {
-		if failed.Load() || ctx.Err() != nil {
-			break
-		}
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	close(outcomes)
-
-	out := make([]*Result, len(names))
-	firstErrIdx := -1
-	var firstErr error
-	for oc := range outcomes {
-		if oc.err != nil {
-			if firstErrIdx == -1 || oc.idx < firstErrIdx {
-				firstErrIdx = oc.idx
-				firstErr = oc.err
-			}
-			continue
-		}
-		out[oc.idx] = oc.res
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", names[firstErrIdx], firstErr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return res, nil
+	}, nil)
 }
 
 // Known reports whether name is a paper or extension experiment — the one

@@ -3,6 +3,8 @@ package query
 import (
 	"context"
 	"testing"
+
+	"github.com/cnfet/yieldlab/internal/experiments"
 )
 
 // BenchmarkQueryDesignSpace measures the warm analytic query path: one
@@ -14,7 +16,9 @@ import (
 // BENCH_BASELINE.json with a ratio gate against
 // BenchmarkTruncNormalSample/exact.
 func BenchmarkQueryDesignSpace(b *testing.B) {
-	s, err := NewSession(Options{Workers: 1})
+	p := experiments.DefaultParams()
+	p.Workers = 1
+	s, err := NewSession(Options{Params: p})
 	if err != nil {
 		b.Fatal(err)
 	}

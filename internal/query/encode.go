@@ -46,16 +46,16 @@ type ResultJSON struct {
 	SVGs        map[string]string `json:"svgs,omitempty"`
 }
 
-// EncodeTable converts a report table (nil in, nil out).
-func EncodeTable(t *report.Table) *TableJSON {
+// encodeTable converts a report table (nil in, nil out).
+func encodeTable(t *report.Table) *TableJSON {
 	if t == nil {
 		return nil
 	}
 	return &TableJSON{Title: t.Title, Columns: t.Columns, Rows: t.Rows, Notes: t.Notes}
 }
 
-// EncodeComparisons converts a comparison set (nil in, nil out).
-func EncodeComparisons(s *report.ComparisonSet) []ComparisonJSON {
+// encodeComparisons converts a comparison set (nil in, nil out).
+func encodeComparisons(s *report.ComparisonSet) []ComparisonJSON {
 	if s == nil {
 		return nil
 	}
@@ -82,9 +82,9 @@ func EncodeComparisons(s *report.ComparisonSet) []ComparisonJSON {
 func EncodeResult(res *experiments.Result) ResultJSON {
 	return ResultJSON{
 		Name:        res.Name,
-		Table:       EncodeTable(res.Table),
+		Table:       encodeTable(res.Table),
 		Charts:      res.Charts,
-		Comparisons: EncodeComparisons(res.Comparisons),
+		Comparisons: encodeComparisons(res.Comparisons),
 		CSVs:        res.CSVs,
 		SVGs:        res.SVGs,
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/cnfet/yieldlab/internal/device"
 	"github.com/cnfet/yieldlab/internal/dist"
@@ -15,6 +13,7 @@ import (
 	"github.com/cnfet/yieldlab/internal/montecarlo"
 	"github.com/cnfet/yieldlab/internal/noisemargin"
 	"github.com/cnfet/yieldlab/internal/obs"
+	"github.com/cnfet/yieldlab/internal/ordered"
 	"github.com/cnfet/yieldlab/internal/rareevent"
 	"github.com/cnfet/yieldlab/internal/renewal"
 	"github.com/cnfet/yieldlab/internal/rowyield"
@@ -25,8 +24,8 @@ import (
 )
 
 // Options configures a Session. The zero value is usable: paper-default
-// parameters, a fresh unbounded sweep cache, no persistence, NumCPU
-// workers, and no sweep-size or Monte Carlo bounds.
+// parameters, a fresh unbounded sweep cache, no persistence, and no
+// sweep-size or Monte Carlo bounds.
 type Options struct {
 	// Params is the experiment configuration: the source of the device grid,
 	// seeds, chip size and yield-target defaults. Zero value = DefaultParams.
@@ -37,8 +36,6 @@ type Options struct {
 	// Store, when non-nil, persists swept renewal tables: the session warms
 	// its cache from it at construction and writes back on Checkpoint/Close.
 	Store *sweepstore.Store
-	// Workers bounds Run's concurrent spec evaluations (0 = NumCPU).
-	Workers int
 	// MaxRowRounds caps the Monte Carlo rounds a rowyield spec may request
 	// (0 = unbounded).
 	MaxRowRounds int
@@ -49,16 +46,15 @@ type Options struct {
 
 // Session evaluates QuerySpecs over shared state: one renewal sweep cache
 // (so every corner of one technology shares a swept table), a cache of
-// prepared Monte Carlo row models, an optional persistent sweep store, and
-// a bounded worker pool for sweeps. It is the single evaluation path behind
-// the yieldlab facade, the cnfetyield -spec mode and every yieldserver
-// endpoint, and is safe for concurrent use.
+// prepared Monte Carlo row models and an optional persistent sweep store;
+// its sweeps run on a pool bounded by Params.Workers. It is the single
+// evaluation path behind the yieldlab facade, the cnfetyield -spec mode
+// and every yieldserver endpoint, and is safe for concurrent use.
 type Session struct {
-	params  experiments.Params
-	cache   *renewal.SweepCache
-	store   *sweepstore.Store
-	workers int
-	opts    Options
+	params experiments.Params
+	cache  *renewal.SweepCache
+	store  *sweepstore.Store
+	opts   Options
 
 	persistMu       sync.Mutex
 	persistedSweeps uint64
@@ -90,15 +86,10 @@ func NewSession(opts Options) (*Session, error) {
 	if cache == nil {
 		cache = renewal.NewSweepCache()
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	s := &Session{
 		params:    opts.Params,
 		cache:     cache,
 		store:     opts.Store,
-		workers:   workers,
 		opts:      opts,
 		rowModels: make(map[string]*rowyield.RowModel),
 	}
@@ -197,9 +188,28 @@ func (s *Session) pitchLaw(q Spec) (dist.TruncNormal, error) {
 	return dist.TruncNormalWithMean(mean, ratio*mean, device.PitchMinNM)
 }
 
+// sweep builds (or fetches from the shared cache) the failure model for
+// the spec's corner, pitch law and grid and calls use on it, all under one
+// "sweep" leaf span: a model fresh from the cache sweeps its full grid on
+// first use, so the span covers acquisition and use, and is classified as
+// a cache hit or a cold sweep by whether the count model came from the
+// cache and swept nothing.
+func (s *Session) sweep(ctx context.Context, params device.FailureParams, q Spec, use func(*device.FailureModel) error) error {
+	sp := obs.StartLeaf(ctx, "sweep")
+	m, hit, err := s.model(params, q)
+	if err != nil {
+		sp.End()
+		return err
+	}
+	before := m.CountModel().Sweeps()
+	err = use(m)
+	finishSweepSpan(sp, hit, m.CountModel().Sweeps()-before)
+	return err
+}
+
 // model builds (or fetches from the shared cache) the failure model for the
 // spec's corner, pitch law and grid; hit reports whether the count model
-// came from the cache (the sweep spans classify evaluations with it).
+// came from the cache.
 func (s *Session) model(params device.FailureParams, q Spec) (m *device.FailureModel, hit bool, err error) {
 	pitch, err := s.pitchLaw(q)
 	if err != nil {
@@ -249,8 +259,8 @@ func (s *Session) Evaluate(ctx context.Context, q Spec) (Result, error) {
 }
 
 // evaluate computes one concrete canonical spec whose fingerprint is fp —
-// the body of Evaluate, entered directly by EvaluateAllFunc with the
-// canonical forms expansion already produced.
+// the body of Evaluate, entered directly by Run with the canonical forms
+// expansion already produced.
 func (s *Session) evaluate(ctx context.Context, canon Spec, fp string) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -298,21 +308,16 @@ func (s *Session) evalPF(ctx context.Context, q Spec) (*PFResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The sweep span covers model acquisition and the probability lookup:
-	// a model fresh from the cache sweeps its full grid here on first use.
-	sp := obs.StartLeaf(ctx, "sweep")
-	m, hit, err := s.model(params, q)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	before := m.CountModel().Sweeps()
-	pf, err := m.FailureProb(w)
-	finishSweepSpan(sp, hit, m.CountModel().Sweeps()-before)
+	out := &PFResult{Corner: cornerName, Node: q.Node, WidthNM: w}
+	err = s.sweep(ctx, params, q, func(m *device.FailureModel) (err error) {
+		out.PFCNT = m.PerCNTFailure()
+		out.PF, err = m.FailureProb(w)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &PFResult{Corner: cornerName, Node: q.Node, WidthNM: w, PFCNT: m.PerCNTFailure(), PF: pf}, nil
+	return out, nil
 }
 
 func (s *Session) evalWmin(ctx context.Context, q Spec) (*WminResult, error) {
@@ -344,21 +349,17 @@ func (s *Session) evalWmin(ctx context.Context, q Spec) (*WminResult, error) {
 	}
 	// The Wmin search is sweep-dominated: every probed width evaluates the
 	// swept count table, so the whole solve sits under the sweep span.
-	sp := obs.StartLeaf(ctx, "sweep")
-	model, hit, err := s.model(params, q)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	before := model.CountModel().Sweeps()
-	res, err := yield.SimplifiedWmin(&yield.Problem{
-		Model:        model,
-		Widths:       widths,
-		M:            m,
-		DesiredYield: desired,
-		RelaxFactor:  relax,
+	var res yield.Result
+	err = s.sweep(ctx, params, q, func(model *device.FailureModel) (err error) {
+		res, err = yield.SimplifiedWmin(&yield.Problem{
+			Model:        model,
+			Widths:       widths,
+			M:            m,
+			DesiredYield: desired,
+			RelaxFactor:  relax,
+		})
+		return err
 	})
-	finishSweepSpan(sp, hit, model.CountModel().Sweeps()-before)
 	if err != nil {
 		return nil, err
 	}
@@ -399,15 +400,11 @@ func (s *Session) evalRowYield(ctx context.Context, q Spec) (*RowYieldResult, er
 	if s.opts.MaxRowRounds > 0 && rounds > s.opts.MaxRowRounds {
 		return nil, badRequest(fmt.Errorf("rounds %d exceeds limit %d", rounds, s.opts.MaxRowRounds))
 	}
-	sp := obs.StartLeaf(ctx, "sweep")
-	model, hit, err := s.model(params, q)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	before := model.CountModel().Sweeps()
-	devicePF, err := model.FailureProb(w)
-	finishSweepSpan(sp, hit, model.CountModel().Sweeps()-before)
+	var devicePF float64
+	err = s.sweep(ctx, params, q, func(model *device.FailureModel) (err error) {
+		devicePF, err = model.FailureProb(w)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -574,15 +571,11 @@ func (s *Session) evalNoise(ctx context.Context, q Spec) (*NoiseResult, error) {
 	if desired == 0 {
 		desired = s.params.DesiredYield
 	}
-	sp := obs.StartLeaf(ctx, "sweep")
-	model, hit, err := s.model(params, q)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	before := model.CountModel().Sweeps()
-	pmf, err := model.CountModel().CountPMF(w)
-	finishSweepSpan(sp, hit, model.CountModel().Sweeps()-before)
+	var pmf dist.PMF
+	err = s.sweep(ctx, params, q, func(model *device.FailureModel) (err error) {
+		pmf, err = model.CountModel().CountPMF(w)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -646,21 +639,24 @@ func (s *Session) EvaluateAllFunc(ctx context.Context, q Spec, progress SweepPro
 	return s.Run(ctx, p, progress)
 }
 
-// Run expands the plan's sweep axes and evaluates every concrete spec on
-// the session's bounded worker pool. Results come back in deterministic
-// expansion order regardless of worker count; the first error (in
-// expansion order, matching a serial run) stops dispatch and is returned,
-// and context cancellation stops dispatch between specs. Progress is
-// reported as the completed prefix grows, in order, and — when the
-// session has a persistent store — newly swept renewal tables are
-// checkpointed to disk as the sweep proceeds, so an interrupted
-// design-space exploration restarts warm.
+// Run expands the plan's sweep axes and evaluates every concrete spec
+// past the plan's completed prefix (see Plan.Resume) on the ordered pool
+// of internal/ordered, bounded by Params.Workers. Results come back in
+// deterministic expansion order regardless of worker count; the first
+// error (in expansion order, matching a serial run) stops dispatch and is
+// returned, and context cancellation stops dispatch between specs. When
+// the plan expands to more than one spec, an evaluation error names its
+// spec as "query: spec i/n: "; a one-spec plan returns its error bare.
+// Progress is reported as the completed prefix grows, in order, counting
+// the resumed prefix, and — when the session has a persistent store —
+// newly swept renewal tables are checkpointed to disk as the sweep
+// proceeds, so an interrupted design-space exploration restarts warm.
 //
 // The calling goroutine is worker 0 and the collector: it evaluates specs
-// itself and runs every progress callback, and only a plan with more than
-// one concrete spec starts helper goroutines (up to the worker bound
-// minus one). A panic in a progress callback, or in a spec the caller
-// evaluates, therefore unwinds the caller; one in a helper ends the
+// itself and runs every progress callback, and only more than one spec to
+// evaluate starts helper goroutines. A panic in a progress callback, or in
+// a spec the caller evaluates, therefore unwinds the caller (once the
+// helpers have finished their current spec); one in a helper ends the
 // process.
 func (s *Session) Run(ctx context.Context, p Plan, progress SweepProgress) ([]Result, error) {
 	if p.fp == "" {
@@ -674,120 +670,21 @@ func (s *Session) Run(ctx context.Context, p Plan, progress SweepProgress) ([]Re
 	if s.opts.MaxSweep > 0 && n > s.opts.MaxSweep {
 		return nil, badRequest(fmt.Errorf("query: sweep of %d specs exceeds limit %d", n, s.opts.MaxSweep))
 	}
-	r := &sweepRun{session: s, ctx: ctx, specs: specs, fps: fps}
-	helpers := min(s.workers, n) - 1
-	if helpers > 0 {
-		// One slot per spec plus one exit marker per helper: a helper never
-		// blocks on a send, so it finishes even if the caller unwinds.
-		r.outcomes = make(chan outcome, n+helpers)
-		for range helpers {
-			go r.help()
-		}
-		// A caller unwinding from a panic stops the helpers' dispatch.
-		defer r.failed.Store(true)
-	}
-
-	// The caller folds outcomes into the completed prefix in expansion
-	// order, checkpointing as it grows: between its own specs it drains
-	// whatever the helpers have finished, then waits for the rest. A
-	// successful Result always carries its fingerprint, which marks the
-	// completed slots.
-	out := make([]Result, n)
-	next := 0
-	firstErrIdx := -1
-	var firstErr error
-	record := func(oc outcome) {
-		if oc.err != nil {
-			if firstErrIdx == -1 || oc.idx < firstErrIdx {
-				firstErrIdx, firstErr = oc.idx, oc.err
+	skip := p.done
+	out, err := ordered.Run(ctx, n-skip, s.params.Workers,
+		func(i int) (Result, error) {
+			res, err := s.evaluate(ctx, specs[skip+i], fps[skip+i])
+			if err != nil && n > 1 {
+				err = fmt.Errorf("query: spec %d/%d: %w", skip+i+1, n, err)
 			}
-			return
-		}
-		out[oc.idx] = oc.res
-		for next < n && out[next].Fingerprint != "" {
+			return res, err
+		},
+		func(i int, r Result) {
 			if progress != nil {
-				progress(next+1, n, out[next])
+				progress(skip+i+1, n, r)
 			}
 			s.Checkpoint()
-			next++
-		}
-	}
-	for idx, ok := r.claim(); ok; idx, ok = r.claim() {
-		record(r.evaluate(idx))
-		for drained := false; !drained; {
-			select {
-			case oc := <-r.outcomes: // nil without helpers: never ready
-				if oc.idx < 0 {
-					helpers--
-				} else {
-					record(oc)
-				}
-			default:
-				drained = true
-			}
-		}
-	}
-	for helpers > 0 {
-		if oc := <-r.outcomes; oc.idx < 0 {
-			helpers--
-		} else {
-			record(oc)
-		}
-	}
+		})
 	s.Checkpoint()
-
-	if firstErr != nil {
-		return nil, fmt.Errorf("query: spec %d/%d: %w", firstErrIdx+1, n, firstErr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// outcome is one evaluated spec of a sweepRun; idx -1 marks a helper's exit.
-type outcome struct {
-	idx int
-	res Result
-	err error
-}
-
-// sweepRun is the state one Run shares with its helper goroutines.
-type sweepRun struct {
-	session  *Session
-	ctx      context.Context
-	specs    []Spec
-	fps      []string
-	claimed  atomic.Int64
-	failed   atomic.Bool
-	outcomes chan outcome
-}
-
-// claim hands out the next spec index in expansion order, or reports false
-// once the expansion is exhausted, a spec has failed or the context is
-// done. Because claims are ordered, every spec preceding a failure has
-// been claimed, so the earliest failing index is always observed.
-func (r *sweepRun) claim() (int, bool) {
-	if r.failed.Load() || r.ctx.Err() != nil {
-		return 0, false
-	}
-	idx := int(r.claimed.Add(1)) - 1
-	return idx, idx < len(r.specs)
-}
-
-func (r *sweepRun) evaluate(idx int) outcome {
-	res, err := r.session.evaluate(r.ctx, r.specs[idx], r.fps[idx])
-	if err != nil {
-		r.failed.Store(true)
-	}
-	return outcome{idx: idx, res: res, err: err}
-}
-
-// help is a helper worker: it evaluates claimed specs until dispatch
-// stops, then posts its exit marker.
-func (r *sweepRun) help() {
-	for idx, ok := r.claim(); ok; idx, ok = r.claim() {
-		r.outcomes <- r.evaluate(idx)
-	}
-	r.outcomes <- outcome{idx: -1}
+	return out, err
 }

@@ -32,6 +32,15 @@ func testParams() experiments.Params {
 	return p
 }
 
+// newWorkerSession builds a test session whose Run pool (and Monte Carlo)
+// is bounded at workers.
+func newWorkerSession(t *testing.T, workers int) *Session {
+	t.Helper()
+	p := testParams()
+	p.Workers = workers
+	return newTestSession(t, Options{Params: p})
+}
+
 func newTestSession(t *testing.T, opts Options) *Session {
 	t.Helper()
 	if (opts.Params == experiments.Params{}) {
@@ -326,8 +335,8 @@ func TestEvaluateAllDeterministicOrder(t *testing.T) {
 	}}
 	// Two sessions with different worker counts must produce identical
 	// result slices (same order, same numbers).
-	s1 := newTestSession(t, Options{Workers: 1})
-	s4 := newTestSession(t, Options{Workers: 4})
+	s1 := newWorkerSession(t, 1)
+	s4 := newWorkerSession(t, 4)
 	r1, err := s1.EvaluateAll(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +368,7 @@ func TestEvaluateAllDeterministicOrder(t *testing.T) {
 
 func TestEvaluateAllProgressPrefixOrder(t *testing.T) {
 	spec := Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{WidthsNM: []float64{50, 100, 150, 200}}}
-	s := newTestSession(t, Options{Workers: 4})
+	s := newWorkerSession(t, 4)
 	var mu sync.Mutex
 	var dones []int
 	var widths []float64
@@ -394,7 +403,7 @@ func TestEvaluateAllProgressPrefixOrder(t *testing.T) {
 // behind on purpose.)
 func TestEvaluateAllAbortedProgressNeverReturns(t *testing.T) {
 	spec := Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{WidthsNM: []float64{50, 100, 150}}}
-	s := newTestSession(t, Options{Workers: 2})
+	s := newWorkerSession(t, 2)
 	returned := make(chan int, 1)
 	go func() {
 		results, _ := s.EvaluateAllFunc(context.Background(), spec, func(done, total int, r Result) {
@@ -415,7 +424,7 @@ func TestEvaluateAllFirstErrorWins(t *testing.T) {
 	// Width 300 exceeds the 200 nm test grid: specs 2 and 4 fail; the
 	// error must name the earliest (index 2, 1-based).
 	spec := Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{WidthsNM: []float64{100, 300, 150, 300}}}
-	s := newTestSession(t, Options{Workers: 4})
+	s := newWorkerSession(t, 4)
 	_, err := s.EvaluateAll(context.Background(), spec)
 	if err == nil {
 		t.Fatal("invalid sweep succeeded")
@@ -667,7 +676,7 @@ func TestRunProgressOnCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		s := newTestSession(t, Options{Workers: workers})
+		s := newWorkerSession(t, workers)
 		recovered := func() (r any) {
 			defer func() { r = recover() }()
 			_, _ = s.Run(context.Background(), p, func(done, total int, r Result) {
@@ -686,7 +695,7 @@ func TestRunProgressOnCaller(t *testing.T) {
 // TestRunOneSpecInline pins the one-spec path: with workers to spare, a
 // plan of one concrete spec still runs on the calling goroutine alone.
 func TestRunOneSpecInline(t *testing.T) {
-	s := newTestSession(t, Options{Workers: 4})
+	s := newWorkerSession(t, 4)
 	p, err := Spec{Kind: KindPF, WidthNM: 155}.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -700,5 +709,84 @@ func TestRunOneSpecInline(t *testing.T) {
 	}
 	if during != before {
 		t.Fatalf("goroutines during a one-spec Run = %d, before = %d", during, before)
+	}
+}
+
+// TestRunWorkersFromParams pins the pool bound: Params.Workers bounds Run,
+// so a session at one worker evaluates a multi-spec plan on the calling
+// goroutine alone.
+func TestRunWorkersFromParams(t *testing.T) {
+	s := newWorkerSession(t, 1)
+	p, err := Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{WidthsNM: []float64{50, 100, 150, 200}}}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	during := before
+	if _, err := s.Run(context.Background(), p, func(int, int, Result) {
+		during = max(during, runtime.NumGoroutine())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if during != before {
+		t.Fatalf("goroutines during a one-worker Run = %d, before = %d", during, before)
+	}
+}
+
+// TestRunResumedPlan pins Plan.Resume: the resumed plan keeps its canonical
+// identity, Run evaluates only the suffix — with the numbers of a full run,
+// absolute progress and absolute spec numbers in its errors — and a prefix
+// beyond the expansion is a request error.
+func TestRunResumedPlan(t *testing.T) {
+	s := newWorkerSession(t, 2)
+	ctx := context.Background()
+	p, err := Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{WidthsNM: []float64{50, 100, 150, 200}}}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := s.Run(ctx, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := p.Resume(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Fingerprint() != p.Fingerprint() || !reflect.DeepEqual(r.Spec(), p.Spec()) || r.ExpandCount() != 4 {
+		t.Fatalf("resumed plan = (%+v, %s), want the plan's identity", r.Spec(), r.Fingerprint())
+	}
+	var progress [][2]int
+	suffix, err := s.Run(ctx, r, func(done, total int, _ Result) {
+		progress = append(progress, [2]int{done, total})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(suffix, full[1:]) {
+		t.Fatalf("resumed results = %+v, want the full run's suffix %+v", suffix, full[1:])
+	}
+	if want := [][2]int{{2, 4}, {3, 4}, {4, 4}}; !reflect.DeepEqual(progress, want) {
+		t.Fatalf("resumed progress = %v, want %v", progress, want)
+	}
+	if done, err := p.Resume(4); err != nil {
+		t.Fatal(err)
+	} else if rest, err := s.Run(ctx, done, nil); err != nil || len(rest) != 0 {
+		t.Fatalf("fully resumed plan ran (%v, %v), want nothing", rest, err)
+	}
+	for _, done := range []int{-1, 5} {
+		if _, err := p.Resume(done); !IsRequestError(err) {
+			t.Fatalf("Resume(%d): err = %v, want a request error", done, err)
+		}
+	}
+
+	bad, err := Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{WidthsNM: []float64{100, 150, 300}}}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad, err = bad.Resume(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(ctx, bad, nil); err == nil || !strings.HasPrefix(err.Error(), "query: spec 3/3: ") {
+		t.Fatalf("resumed sweep error = %v, want it to name spec 3/3", err)
 	}
 }

@@ -620,6 +620,8 @@ func (q Spec) ExpandCount() int {
 type Plan struct {
 	spec Spec
 	fp   string
+	// done is the completed prefix of the expansion that Run skips.
+	done int
 }
 
 // Plan canonicalizes the spec (see Canonical) into a runnable Plan. The
@@ -631,6 +633,19 @@ func (q Spec) Plan() (Plan, error) {
 		return Plan{}, err
 	}
 	return Plan{spec: canon.clone(), fp: fp}, nil
+}
+
+// Resume returns the plan with the first done concrete specs of its
+// expansion marked complete: Run evaluates only the specs after them and
+// still reports progress against the whole expansion. The canonical spec
+// and fingerprint stay the same. A prefix longer than the expansion is a
+// request error.
+func (p Plan) Resume(done int) (Plan, error) {
+	if n := p.ExpandCount(); done < 0 || done > n {
+		return Plan{}, badRequest(fmt.Errorf("query: cannot resume after %d of %d specs", done, n))
+	}
+	p.done = done
+	return p, nil
 }
 
 // Spec returns a copy of the plan's canonical spec.

@@ -313,26 +313,28 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 	if err := fault.InjectContext(ctx, fault.SiteJobRun); err != nil {
 		return err
 	}
+	// An adopted job resumes after its journaled prefix. A prefix longer
+	// than the expansion means the spec and results disagree; distrust the
+	// prefix entirely and run the job from the start.
 	e.mu.Lock()
-	resume := len(j.results) > 0
-	e.mu.Unlock()
-	if resume {
-		return e.resumeQuery(ctx, j)
+	plan, err := j.plan.Resume(len(j.results))
+	if err != nil {
+		plan, j.results, j.done = j.plan, nil, 0
 	}
-	// Query sweeps checkpoint partial results as the completed prefix
-	// grows, so a polling client watches the sweep fill in. The journal
-	// write is throttled to a stride: re-marshaling the growing prefix on
-	// every result would cost O(n²) over a large sweep. The last result
-	// gets no checkpoint: run journals the terminal record, carrying the
-	// same full prefix, as soon as this returns.
-	stride := journalStride(j.total)
-	_, err = e.session.Run(ctx, j.plan,
+	e.mu.Unlock()
+	// Sweeps checkpoint partial results as the completed prefix grows, so a
+	// polling client watches the sweep fill in. The journal write is
+	// throttled to a stride: re-marshaling the growing prefix on every
+	// result would cost O(n²) over a large sweep. The last result gets no
+	// checkpoint: run journals the terminal record, carrying the same full
+	// prefix, as soon as this returns.
+	_, err = e.session.Run(ctx, plan,
 		func(done, total int, r query.Result) {
 			e.mu.Lock()
 			j.results = append(j.results, r)
 			j.done, j.total = done, total
 			e.mu.Unlock()
-			if e.journal != nil && done%stride == 0 && done < total {
+			if e.journal != nil && done%journalStride(total) == 0 && done < total {
 				e.journalPut(j)
 			}
 			// The job.result site fires on this goroutine (Run's caller is
@@ -345,46 +347,6 @@ func (e *jobEngine) execute(ctx context.Context, j *jobRecord) (err error) {
 			_ = fault.Inject(fault.SiteJobResult)
 		})
 	return err
-}
-
-// resumeQuery continues an adopted sweep past its journaled prefix. The
-// remaining specs run sequentially: resumption is rare, and the ordered
-// loop keeps the progress contract (prefix in expansion order) trivially
-// intact. Each result is journaled immediately — a resumed job has
-// already demonstrated that crashes happen.
-func (e *jobEngine) resumeQuery(ctx context.Context, j *jobRecord) error {
-	specs, err := j.plan.Spec().Expand()
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	if len(j.results) > len(specs) {
-		// A journaled prefix longer than the expansion means the spec and
-		// results disagree; distrust the prefix entirely.
-		j.results = nil
-		j.done = 0
-	}
-	j.total = len(specs)
-	start := len(j.results)
-	e.mu.Unlock()
-	for idx := start; idx < len(specs); idx++ {
-		res, err := e.session.Evaluate(ctx, specs[idx])
-		if err != nil {
-			// Mirror Run's error shape so a resumed failure reads
-			// identically to a fresh one.
-			return fmt.Errorf("query: spec %d/%d: %w", idx+1, len(specs), err)
-		}
-		e.mu.Lock()
-		j.results = append(j.results, res)
-		j.done = idx + 1
-		e.mu.Unlock()
-		e.session.Checkpoint()
-		e.journalPut(j)
-		if ferr := fault.Inject(fault.SiteJobResult); ferr != nil {
-			return ferr
-		}
-	}
-	return nil
 }
 
 // journalStride spaces progress checkpoints so a sweep journals ~64 times

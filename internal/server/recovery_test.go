@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -770,5 +771,80 @@ func TestJobResultPanicEscapesExecute(t *testing.T) {
 	err = e.execute(context.Background(), &jobRecord{plan: p, total: p.ExpandCount()})
 	if err == nil || !strings.Contains(err.Error(), "job panicked") {
 		t.Fatalf("job.run panic: err = %v, want a failed job", err)
+	}
+}
+
+// TestJobResumeOnPool pins the one job path: an adopted job runs the
+// suffix after its journaled prefix through Session.Run on the session's
+// pool — two workers here, so a helper evaluates part of a four-spec
+// suffix — and ends byte-identical to an uninterrupted run, with absolute
+// progress and the fresh job's journal stride. An armed job.result error
+// action fails neither a fresh nor a resumed job, and a journaled prefix
+// longer than the expansion is distrusted: the job reruns from zero.
+func TestJobResumeOnPool(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	session, err := query.NewSession(query.Options{Params: testParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := query.Spec{Kind: "pf", WidthNM: 155,
+		Sweep: &query.Sweep{WidthsNM: []float64{100, 120, 140, 160, 180, 200}}}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := session.Run(context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullJSON, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.EnableSpecs("job.result=error(chaos: result)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		prefix []query.Result
+		puts   uint64
+	}{
+		{"fresh", nil, 5},
+		{"resumed", full[:2], 3},
+		{"overlong", append(slices.Clone(full), full[0]), 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			journal, err := jobstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := newJobEngine(session, 4, 1, journal)
+			j := &jobRecord{id: "job-1", state: JobRunning, plan: p, total: len(full),
+				results: slices.Clone(tc.prefix), done: len(tc.prefix)}
+			if err := e.execute(context.Background(), j); err != nil {
+				t.Fatalf("execute: %v", err)
+			}
+			got, err := json.Marshal(j.results)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(fullJSON) {
+				t.Fatalf("results differ from the uninterrupted run:\n%s\n%s", got, fullJSON)
+			}
+			if j.done != 6 || j.total != 6 {
+				t.Fatalf("progress = %d/%d, want 6/6", j.done, j.total)
+			}
+			// Stride 1 over six specs: one checkpoint per result past the
+			// prefix, except the last, which the terminal record carries.
+			if puts := journal.Stats().Puts; puts != tc.puts {
+				t.Fatalf("journal puts = %d, want %d", puts, tc.puts)
+			}
+			recs, err := journal.LoadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 1 || recs[0].Done != 5 || recs[0].Total != 6 {
+				t.Fatalf("last checkpoint = %+v, want 5/6", recs)
+			}
+		})
 	}
 }

@@ -193,7 +193,6 @@ func New(cfg Config) (*Server, error) {
 	session, err := query.NewSession(query.Options{
 		Params:       cfg.Params,
 		Store:        cfg.Store,
-		Workers:      cfg.Params.Workers,
 		MaxRowRounds: cfg.MaxRowRounds,
 		MaxSweep:     cfg.BatchLimit,
 	})
@@ -391,18 +390,6 @@ func (s *Server) plan(spec query.Spec) (query.Plan, error) {
 	return p, nil
 }
 
-// evaluate runs a /v1 route's one concrete plan through the session and
-// persists any table the evaluation swept. It enters through Evaluate, not
-// Run, so an evaluation error keeps the unprefixed /v1 message.
-func (s *Server) evaluate(ctx context.Context, p query.Plan) (query.Result, error) {
-	res, err := s.session.Evaluate(ctx, p.Spec())
-	if err != nil {
-		return query.Result{}, err
-	}
-	s.session.Checkpoint()
-	return res, nil
-}
-
 // acquireSweep reserves an in-flight evaluation slot, reporting false (and
 // counting a shed) when the server is saturated.
 func (s *Server) acquireSweep() (release func(), ok bool) {
@@ -502,8 +489,11 @@ func (s *Server) handlePF(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.compute(w, r, &spec, func(ctx context.Context, p query.Plan) (any, error) {
-		res, err := s.evaluate(ctx, p)
-		return res.PF, err
+		results, err := s.session.Run(ctx, p, nil)
+		if err != nil {
+			return nil, err
+		}
+		return results[0].PF, nil
 	})
 }
 
@@ -567,8 +557,11 @@ func (s *Server) handleWmin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.compute(w, r, &spec, func(ctx context.Context, p query.Plan) (any, error) {
-		res, err := s.evaluate(ctx, p)
-		return res.Wmin, err
+		results, err := s.session.Run(ctx, p, nil)
+		if err != nil {
+			return nil, err
+		}
+		return results[0].Wmin, nil
 	})
 }
 
@@ -596,8 +589,11 @@ func (s *Server) handleRowYield(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.compute(w, r, &spec, func(ctx context.Context, p query.Plan) (any, error) {
-		res, err := s.evaluate(ctx, p)
-		return res.RowYield, err
+		results, err := s.session.Run(ctx, p, nil)
+		if err != nil {
+			return nil, err
+		}
+		return results[0].RowYield, nil
 	})
 }
 

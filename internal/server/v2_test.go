@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -540,5 +541,35 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, body, _ = getBody(t, ts.URL+"/metrics", nil)
 	if !strings.Contains(string(body), `yieldserver_http_requests_total{route="/metrics",code="200"} 1`) {
 		t.Errorf("metrics did not count itself:\n%s", body)
+	}
+}
+
+// TestOneSpecErrorBare pins Run's error-prefix rule at the edge: the
+// /v1/rowyield over-limit message is exactly its one-spec /v2/query twin's,
+// with no "query: spec" prefix, while a failing sweep names its spec.
+func TestOneSpecErrorBare(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	message := func(body []byte) string {
+		t.Helper()
+		var envelope ErrorJSON
+		if err := json.Unmarshal(body, &envelope); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		return envelope.Error.Message
+	}
+	want := fmt.Sprintf("rounds 999999999 exceeds limit %d", DefaultMaxRowRounds)
+	code, v1, _ := getBody(t, ts.URL+"/v1/rowyield?scenario=unaligned&width=155&rounds=999999999", nil)
+	if code != http.StatusBadRequest || message(v1) != want {
+		t.Fatalf("/v1/rowyield: status %d message %q, want 400 %q", code, message(v1), want)
+	}
+	spec := query.Spec{Kind: "rowyield", Scenario: "unaligned", WidthNM: 155, Rounds: 999999999}
+	code, _, v2 := postV2(t, ts.URL, spec)
+	if code != http.StatusBadRequest || message(v2) != want {
+		t.Fatalf("/v2/query: status %d message %q, want 400 %q", code, message(v2), want)
+	}
+	spec.Sweep = &query.Sweep{WidthsNM: []float64{150, 155}}
+	code, _, sweep := postV2(t, ts.URL, spec)
+	if code != http.StatusBadRequest || message(sweep) != "query: spec 1/2: "+want {
+		t.Fatalf("/v2/query sweep: status %d message %q, want the spec-1/2 prefix", code, message(sweep))
 	}
 }

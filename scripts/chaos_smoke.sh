@@ -10,6 +10,8 @@
 # the journaled prefix as the only survivor. Phase 3 restarts clean on the
 # same -store: the server must re-adopt the journal, resume the job from
 # its checkpoint, and finish with results byte-identical to the baseline.
+# The server runs with two workers and the sweep has six widths, so the
+# resumed four-spec suffix runs on the shared pool with a helper goroutine.
 #
 # Run from the repository root: ./scripts/chaos_smoke.sh
 set -euo pipefail
@@ -24,7 +26,7 @@ go build -race -o "$BIN" ./cmd/yieldserver
 
 SERVER_PID=
 start_server() { # $1 = YIELD_FAILPOINTS spec (empty = no faults)
-  YIELD_FAILPOINTS="${1:-}" "$BIN" -addr "$ADDR" -store "$STORE" &
+  YIELD_FAILPOINTS="${1:-}" "$BIN" -addr "$ADDR" -store "$STORE" -workers 2 &
   SERVER_PID=$!
   for _ in $(seq 1 100); do
     if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
@@ -38,7 +40,7 @@ stop_server() {
   wait "$SERVER_PID" 2>/dev/null || true
 }
 
-SPEC='{"kind":"pf","width_nm":155,"sweep":{"widths_nm":[100,150,200]}}'
+SPEC='{"kind":"pf","width_nm":155,"sweep":{"widths_nm":[100,120,140,160,180,200]}}'
 
 # --- Phase 1: uninterrupted baseline -------------------------------------
 start_server ""
