@@ -35,6 +35,7 @@ var defaultDirs = []string{
 	"internal/query",
 	"internal/rareevent",
 	"internal/obs",
+	"internal/recfile",
 	"internal/analysis/...",
 }
 

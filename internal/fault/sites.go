@@ -5,19 +5,23 @@ package fault
 // documents what each site interrupts and which recovery behavior it
 // exercises.
 const (
-	// SiteStoreSave fires inside sweepstore.Store.Save before the record
-	// is written: an error action simulates a transient disk-write failure
-	// (exercising the save retry loop and Session.LastPersistError).
+	// SiteStoreSave fires before every attempt to write a sweepstore
+	// record: an error action simulates a disk-write failure (exercising
+	// recfile's retry loop and Session.LastPersistError).
 	SiteStoreSave = "store.save"
-	// SiteStoreLoad fires inside sweepstore loads before decoding: an
+	// SiteStoreLoad fires before every sweepstore record file is read: an
 	// error action simulates unreadable files at warm start (the record is
 	// skipped, not quarantined — quarantine is reserved for integrity
 	// failures).
 	SiteStoreLoad = "store.load"
-	// SiteJournalPut fires inside jobstore.Store.Put: an error action
-	// simulates a job-journal write failure (the job still runs; the
-	// journal degrades, counted in /v1/stats).
+	// SiteJournalPut fires before every attempt to write a jobstore
+	// record: an error action simulates a job-journal write failure
+	// (retried with backoff; once the attempts are spent the job still
+	// runs and the journal degrades, counted in /v1/stats).
 	SiteJournalPut = "journal.put"
+	// SiteJournalLoad fires before every jobstore record file is read at
+	// adoption: an error action skips the record without quarantining it.
+	SiteJournalLoad = "journal.load"
 	// SiteJobRun fires at the start of every job execution: delay
 	// simulates slow jobs, error fails them, panic simulates a job crash
 	// (recovered by the engine into a failed state — the process stays up).

@@ -18,7 +18,7 @@
 // A Spec is canonicalized by Canonical(): named corners, tech nodes and
 // scenarios are normalized and fields irrelevant to the kind are zeroed, so
 // equivalent requests share one stable fingerprint — the identity used for
-// response caching and HTTP ETags. Expand() turns sweep axes into the
+// response caching and HTTP ETags. A Plan turns sweep axes into the
 // deterministic cartesian product of concrete specs, opening the ROADMAP's
 // pitch × corner × node × yield-target exploration as a single request.
 //
@@ -186,8 +186,8 @@ const DefaultRelErrTarget = 0.05
 // that does not name one: the paper's quoted "beyond 99.99%" requirement.
 const DefaultPRM = 0.9999
 
-// maxExpansion is an absolute sanity bound on Expand; services should
-// enforce their own (smaller) budget via ExpandCount.
+// maxExpansion is an absolute sanity bound on a plan's expansion; services
+// should enforce their own (smaller) budget via ExpandCount.
 const maxExpansion = 1 << 20
 
 // cornerShortNames maps the API names onto device.PaperCorners(), worst
@@ -683,25 +683,14 @@ func clonePtr(v *float64) *float64 {
 	return &c
 }
 
-// Expand validates the spec and turns its sweep axes into the cartesian
-// product of concrete (sweep-free, canonical) specs, in deterministic
-// order: corners vary slowest, then pitch means, nodes, widths, yields,
-// relax factors, scenarios. A spec without sweep axes expands to its
-// canonical self.
-func (q Spec) Expand() ([]Spec, error) {
-	canon, fp, err := q.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	specs, _, err := Plan{spec: canon, fp: fp}.expand()
-	return specs, err
-}
-
-// expand turns the plan into its concrete specs and each one's
-// fingerprint (fps[i] belongs to specs[i]). A plan without sweep axes is
-// its own single concrete spec, so the evaluation path canonicalizes every
-// spec exactly once. The specs share no memory with the plan, so results
-// that echo them cannot reach it either.
+// expand turns the plan's sweep axes into the cartesian product of
+// concrete (sweep-free, canonical) specs and each one's fingerprint
+// (fps[i] belongs to specs[i]), in deterministic order: corners vary
+// slowest, then pitch means, nodes, widths, yields, relax factors,
+// scenarios. A plan without sweep axes is its own single concrete spec, so
+// the evaluation path canonicalizes every spec exactly once. The specs
+// share no memory with the plan, so results that echo them cannot reach it
+// either.
 func (p Plan) expand() (specs []Spec, fps []string, err error) {
 	base := p.spec.clone()
 	if base.Sweep.empty() {

@@ -162,6 +162,16 @@ func TestFingerprintPinned(t *testing.T) {
 	}
 }
 
+// expandSpec plans q and expands the plan into its concrete specs.
+func expandSpec(q Spec) ([]Spec, error) {
+	p, err := q.Plan()
+	if err != nil {
+		return nil, err
+	}
+	specs, _, err := p.expand()
+	return specs, err
+}
+
 func TestExpandCartesianProduct(t *testing.T) {
 	spec := Spec{
 		Kind:    KindPF,
@@ -175,7 +185,7 @@ func TestExpandCartesianProduct(t *testing.T) {
 	if n := spec.ExpandCount(); n != 12 {
 		t.Fatalf("ExpandCount = %d, want 12", n)
 	}
-	specs, err := spec.Expand()
+	specs, err := expandSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,17 +240,17 @@ func TestExpandCartesianProduct(t *testing.T) {
 	}
 
 	// Expansion is reproducible.
-	again, err := spec.Expand()
+	again, err := expandSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(specs, again) {
-		t.Fatal("Expand not deterministic")
+		t.Fatal("expansion not deterministic")
 	}
 }
 
 func TestExpandWithoutSweep(t *testing.T) {
-	specs, err := Spec{Kind: KindPF, WidthNM: 155}.Expand()
+	specs, err := expandSpec(Spec{Kind: KindPF, WidthNM: 155})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +277,7 @@ func TestExpandCountProperty(t *testing.T) {
 				if n := spec.ExpandCount(); n != want {
 					t.Fatalf("nc=%d nn=%d nw=%d: ExpandCount=%d want %d", nc, nn, nw, n, want)
 				}
-				specs, err := spec.Expand()
+				specs, err := expandSpec(spec)
 				if err != nil {
 					t.Fatalf("nc=%d nn=%d nw=%d: %v", nc, nn, nw, err)
 				}
@@ -394,7 +404,7 @@ func TestExpandSanityBound(t *testing.T) {
 }
 
 // Axis products that overflow int must saturate, not wrap: a wrapped count
-// of 0 would sail past every size bound and then OOM in Expand.
+// of 0 would sail past every size bound and then OOM in the expansion.
 func TestExpandCountOverflowSaturates(t *testing.T) {
 	axis := make([]float64, 65536)
 	for i := range axis {
@@ -419,8 +429,8 @@ func TestExpandCountOverflowSaturates(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "sanity bound") {
 		t.Fatalf("overflowing sweep: err = %v", err)
 	}
-	if _, err := spec.Expand(); err == nil {
-		t.Fatal("Expand accepted an overflowing sweep")
+	if _, err := expandSpec(spec); err == nil {
+		t.Fatal("Plan accepted an overflowing sweep")
 	}
 }
 

@@ -172,8 +172,8 @@ func (e *jobEngine) adopt() (resumed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	// The journal sorts lexically; creation order is numeric ("job-10"
-	// sorts before "job-2" lexically, but was created after it).
+	// The journal loads in file-name order; creation order is numeric
+	// ("job-10" sorts before "job-2" lexically, but was created after it).
 	sort.SliceStable(recs, func(i, j int) bool { return jobSeq(recs[i].ID) < jobSeq(recs[j].ID) })
 	var drop []string
 	for _, rec := range recs {

@@ -13,7 +13,7 @@ import (
 	"github.com/cnfet/yieldlab/internal/fault"
 	"github.com/cnfet/yieldlab/internal/jobstore"
 	"github.com/cnfet/yieldlab/internal/obs"
-	"github.com/cnfet/yieldlab/internal/sweepstore"
+	"github.com/cnfet/yieldlab/internal/recfile"
 )
 
 // metricsRegistry aggregates per-route request counters, fixed-bucket
@@ -81,7 +81,7 @@ type promSnapshot struct {
 	jobs          map[string]int
 	build         buildinfo.Info
 	// store and journal are nil when the server runs without persistence.
-	store       *sweepstore.Stats
+	store       *recfile.Stats
 	journal     *jobstore.Stats
 	journalErrs uint64
 	// faults is nil while the fault registry is disarmed (the normal case).

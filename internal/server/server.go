@@ -81,11 +81,6 @@ const (
 	// DefaultMaxInFlightSweeps bounds synchronous evaluations on all compute
 	// routes at once before the server sheds load with a retryable 503.
 	DefaultMaxInFlightSweeps = 32
-	// Transient sweep-store write failures are retried with jittered
-	// exponential backoff: storeRetryAttempts total tries, storeRetryBase
-	// before the first retry.
-	storeRetryAttempts = 3
-	storeRetryBase     = 2 * time.Millisecond
 )
 
 // Config configures a Server.
@@ -94,8 +89,7 @@ type Config struct {
 	// of the device grid (step, max width). Zero value = DefaultParams.
 	Params experiments.Params
 	// Store, when non-nil, persists swept renewal tables: warmed from at
-	// startup, written back after new sweeps and on Close. The server arms
-	// the store's transient-write retry loop.
+	// startup, written back after new sweeps and on Close.
 	Store *sweepstore.Store
 	// Jobs, when non-nil, journals async jobs so a restarted server
 	// re-adopts them: terminal jobs return as served history, open jobs are
@@ -184,11 +178,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxInFlightSweeps == 0 {
 		cfg.MaxInFlightSweeps = DefaultMaxInFlightSweeps
-	}
-	if cfg.Store != nil {
-		// A long-lived server rides out transient store-write failures
-		// instead of dropping the snapshot on the first error.
-		cfg.Store.SetRetry(storeRetryAttempts, storeRetryBase)
 	}
 	session, err := query.NewSession(query.Options{
 		Params:       cfg.Params,
@@ -719,6 +708,8 @@ type JournalStatsJSON struct {
 	Loads       uint64 `json:"loads"`
 	Quarantined uint64 `json:"quarantined"`
 	PutErrors   uint64 `json:"put_errors"`
+	// Retries counts put attempts repeated after a transient failure.
+	Retries uint64 `json:"retries"`
 	// EngineErrors counts journal failures seen by the job engine (a
 	// superset view: failed puts, deletes and undecodable records);
 	// LastError is the most recent one.
@@ -746,7 +737,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.Journal = &JournalStatsJSON{
 			Dir: s.cfg.Jobs.Dir(), Puts: jst.Puts, Loads: jst.Loads,
 			Quarantined: jst.Quarantined, PutErrors: jst.PutErrors,
-			EngineErrors: errs, LastError: last,
+			Retries: jst.Retries, EngineErrors: errs, LastError: last,
 		}
 	}
 	out.Faults = fault.Stats()

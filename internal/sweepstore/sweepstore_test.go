@@ -7,13 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"github.com/cnfet/yieldlab/internal/device"
 	"github.com/cnfet/yieldlab/internal/dist"
 	"github.com/cnfet/yieldlab/internal/fault"
 	"github.com/cnfet/yieldlab/internal/renewal"
 )
+
+// fileExt and badExt are the record and quarantine file suffixes.
+const fileExt, badExt = ".sweep", ".bad"
 
 // buildModel sweeps a small calibrated-pitch model to the given width.
 func buildModel(t *testing.T, cache *renewal.SweepCache, law dist.Continuous, maxW float64) *renewal.Model {
@@ -404,8 +406,8 @@ func TestInjectedLoadFaultDoesNotQuarantine(t *testing.T) {
 	}
 }
 
-// With SetRetry armed, a transient save failure is retried and succeeds;
-// without it, the first failure surfaces.
+// A transient save failure is retried and succeeds; a permanent one
+// surfaces once the attempts are spent.
 func TestSaveRetriesTransientFailures(t *testing.T) {
 	fault.Reset()
 	t.Cleanup(fault.Reset)
@@ -418,19 +420,10 @@ func TestSaveRetriesTransientFailures(t *testing.T) {
 	m := buildModel(t, cache, law, 40)
 	fp, _ := dist.Fingerprint(law)
 
-	// Unarmed: one try, the injected error surfaces.
-	if err := fault.Enable(fault.SiteStoreSave, "error(disk)@nth=1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save(fp, m.Snapshot()); err == nil {
-		t.Fatal("unretried transient failure did not surface")
-	}
-
-	// Armed: the first two attempts fail, the third lands.
+	// The first two attempts fail, the third lands.
 	if err := fault.Enable(fault.SiteStoreSave, "error(disk)@times=2"); err != nil {
 		t.Fatal(err)
 	}
-	store.SetRetry(3, time.Millisecond)
 	if err := store.Save(fp, m.Snapshot()); err != nil {
 		t.Fatalf("retried save failed: %v", err)
 	}

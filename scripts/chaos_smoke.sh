@@ -7,9 +7,12 @@
 # on the job.result site (YIELD_FAILPOINTS): the panic fires on the sweep's
 # collector goroutine after the second checkpointed result and kills the
 # whole process — the fault framework's stand-in for power loss, leaving
-# the journaled prefix as the only survivor. Phase 3 restarts clean on the
-# same -store: the server must re-adopt the journal, resume the job from
-# its checkpoint, and finish with results byte-identical to the baseline.
+# the journaled prefix as the only survivor. Phase 3 restarts on the same
+# -store with the sweep store's read failpoint (store.load) armed, so every
+# persisted sweep table is skipped and the resumed job sweeps cold. The
+# journal fires its own site (journal.load), so the server must still
+# re-adopt it, resume the job from its checkpoint, and finish with results
+# byte-identical to the baseline.
 # The server runs with two workers and the sweep has six widths, so the
 # resumed four-spec suffix runs on the shared pool with a helper goroutine.
 #
@@ -39,6 +42,8 @@ stop_server() {
   kill -TERM "$SERVER_PID" 2>/dev/null || true
   wait "$SERVER_PID" 2>/dev/null || true
 }
+# A failed check exits early; never leave a server behind.
+trap stop_server EXIT
 
 SPEC='{"kind":"pf","width_nm":155,"sweep":{"widths_nm":[100,120,140,160,180,200]}}'
 
@@ -60,8 +65,8 @@ fi
 # The atomically-renamed journal record survived the crash.
 test -f "$STORE/jobs/$JOB.job"
 
-# --- Phase 3: clean restart adopts, resumes, matches byte for byte --------
-start_server ""
+# --- Phase 3: restart, sweep store unreadable; adopts, resumes, matches ---
+start_server "store.load=error(chaos: store read)"
 STATE=""
 for _ in $(seq 1 300); do
   STATE="$(curl -sf "$BASE/v1/jobs/$JOB" | jq -r '.state' || echo '')"
@@ -79,9 +84,11 @@ test "$STATE" = done
 curl -sf "$BASE/v1/jobs/$JOB" \
   | jq -c '[.query_results[].pf]' > "$WORK/resumed.json"
 cmp "$WORK/baseline.json" "$WORK/resumed.json"
-# The record was adopted from the journal, not quarantined.
+# The record was adopted from the journal, not quarantined; every sweep
+# record was skipped, and none quarantined.
 curl -sf "$BASE/v1/stats" \
-  | jq -e '.job_journal.loads >= 1 and .job_journal.quarantined == 0' >/dev/null
+  | jq -e '.job_journal.loads >= 1 and .job_journal.quarantined == 0
+      and .store.loads == 0 and .store.rejects >= 1 and .store.quarantined == 0' >/dev/null
 stop_server
 
-echo "chaos smoke: OK (job $JOB resumed byte-identically after crash)"
+echo "chaos smoke: OK (job $JOB resumed byte-identically after crash, sweep store unreadable)"
