@@ -171,36 +171,6 @@ func BenchmarkAblationRowDP(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationOrdinaryVsEquilibrium compares the renewal initial
-// conditions: the equilibrium (stationary window placement) counting the
-// paper's model implies, and the ordinary process (CNT pinned at the window
-// edge).
-func BenchmarkAblationOrdinaryVsEquilibrium(b *testing.B) {
-	pitch, err := yieldlab.CalibratedPitch()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		opts []renewal.Option
-	}{
-		{"Equilibrium", []renewal.Option{renewal.WithStep(0.1), renewal.WithMaxWidth(170)}},
-		{"Ordinary", []renewal.Option{renewal.WithStep(0.1), renewal.WithMaxWidth(170), renewal.Ordinary()}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := renewal.New(pitch, tc.opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.CountPMF(155); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBands compares the one-band (full correlation benefit,
 // some area) and two-band (half benefit, zero area) library transforms.
 func BenchmarkAblationBands(b *testing.B) {

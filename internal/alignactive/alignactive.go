@@ -83,11 +83,6 @@ type CellChange struct {
 	RelocatedColumns int
 }
 
-// Changed reports whether the cell was modified at all.
-func (ch CellChange) Changed() bool {
-	return ch.UpsizedDevices > 0 || ch.AlignedDevices > 0 || ch.RelocatedColumns > 0
-}
-
 // AlignCell applies the restriction to a single cell, returning the
 // transformed copy and the change record. The input cell is not modified.
 func AlignCell(c *celllib.Cell, opt Options) (celllib.Cell, CellChange, error) {

@@ -215,7 +215,7 @@ func TestUntouchedCellsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if change.Changed() {
+	if change.UpsizedDevices > 0 || change.AlignedDevices > 0 || change.RelocatedColumns > 0 {
 		t.Fatalf("fill cell should be untouched: %+v", change)
 	}
 	if aligned.WidthNM != fill.WidthNM {

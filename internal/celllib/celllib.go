@@ -192,21 +192,6 @@ func (c *Cell) ActiveRegions() []ActiveRegion {
 	return out
 }
 
-// MinNFETWidth returns the smallest n-type transistor width in the cell
-// (0 for cells without NFETs, e.g. fill cells).
-func (c *Cell) MinNFETWidth() float64 {
-	min := 0.0
-	for _, t := range c.Transistors {
-		if t.Type != NFET {
-			continue
-		}
-		if min == 0 || t.WidthNM < min {
-			min = t.WidthNM
-		}
-	}
-	return min
-}
-
 // Library is a named set of cells.
 type Library struct {
 	Name string
@@ -239,13 +224,4 @@ func (l *Library) Cell(name string) (*Cell, error) {
 		}
 	}
 	return nil, fmt.Errorf("celllib: no cell %q in library %s", name, l.Name)
-}
-
-// TransistorCount sums devices across the library.
-func (l *Library) TransistorCount() int {
-	n := 0
-	for i := range l.Cells {
-		n += len(l.Cells[i].Transistors)
-	}
-	return n
 }

@@ -131,9 +131,6 @@ func (a *Array) Crossing(rect Rect) []int {
 	return out
 }
 
-// CountAll returns the number of tubes crossing rect before removal.
-func (a *Array) CountAll(rect Rect) int { return len(a.Crossing(rect)) }
-
 // CountUsable returns the number of surviving semiconducting tubes crossing
 // rect — the conducting channels of a CNFET placed there.
 func (a *Array) CountUsable(rect Rect) int {

@@ -107,7 +107,7 @@ func TestDirectionalCountMatchesRenewalModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts.Add(float64(a.CountAll(fet)))
+		counts.Add(float64(len(a.Crossing(fet))))
 	}
 	want := w / 4
 	if math.Abs(counts.Mean()-want) > 4*counts.StdErr()+0.5 {
@@ -129,7 +129,7 @@ func TestSegmentBoundariesBreakChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	fet := Rect{X0: 100, Y0: 100, X1: 180, Y1: 200} // 80 nm channel > 30 nm tubes
-	if n := a.CountAll(fet); n != 0 {
+	if n := len(a.Crossing(fet)); n != 0 {
 		t.Fatalf("tubes shorter than the channel cannot cross it, got %d", n)
 	}
 }

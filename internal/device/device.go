@@ -70,8 +70,8 @@ type FailureParams struct {
 	PRemoveSemi float64
 	// PRemoveMetallic is pRm, the conditional probability that a metallic
 	// CNT is removed. The paper assumes pRm ≈ 1 for count-failure analysis;
-	// values below 1 leave surviving m-CNTs, reported by
-	// SurvivingMetallicPMF (a noise-margin concern, not a count failure).
+	// values below 1 leave surviving m-CNTs, a noise-margin concern
+	// (internal/noisemargin), not a count failure.
 	PRemoveMetallic float64
 }
 
@@ -215,39 +215,4 @@ func (m *FailureModel) WidthForFailureProb(target float64) (float64, error) {
 		return 0, fmt.Errorf("device: inverting pF: %w", err)
 	}
 	return w, nil
-}
-
-// SurvivingMetallicPMF returns the distribution of the number of metallic
-// CNTs that survive removal in a device of width w: each of the N(w) CNTs is
-// independently a surviving m-CNT with probability pm·(1-pRm). These devices
-// conduct but degrade noise margins — the failure mode the paper cites
-// [Zhang 09b] and explicitly excludes from count-limited yield; exposing the
-// distribution keeps that exclusion visible instead of silent.
-func (m *FailureModel) SurvivingMetallicPMF(w float64) (dist.PMF, error) {
-	pmf, err := m.count.CountPMF(w)
-	if err != nil {
-		return dist.PMF{}, err
-	}
-	q := m.params.PMetallic * (1 - m.params.PRemoveMetallic)
-	if q == 0 {
-		// Perfect removal (or no metallic CNTs at all) leaves none,
-		// independent of the count distribution.
-		return dist.PointPMF(0)
-	}
-	// P(M = j) = Σ_n P(N=n)·Binom(j; n, q): mixture of binomials.
-	out := make([]float64, pmf.Len())
-	for n := 0; n < pmf.Len(); n++ {
-		pn := pmf.Prob(n)
-		if pn == 0 {
-			continue
-		}
-		bin, err := dist.BinomialPMF(n, q)
-		if err != nil {
-			return dist.PMF{}, err
-		}
-		for j := 0; j < bin.Len(); j++ {
-			out[j] += pn * bin.Prob(j)
-		}
-	}
-	return dist.NewPMF(out)
 }

@@ -223,38 +223,6 @@ func TestFailureProbMatchesDirectMC(t *testing.T) {
 	}
 }
 
-func TestSurvivingMetallicPMF(t *testing.T) {
-	// pRm = 0.9: 10% of metallic CNTs survive.
-	params := FailureParams{PMetallic: 0.33, PRemoveSemi: 0.3, PRemoveMetallic: 0.9}
-	m := testModel(t, params, 80)
-	pmf, err := m.SurvivingMetallicPMF(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(pmf.TotalMass(), 1, 1e-9) {
-		t.Fatalf("mass: %v", pmf.TotalMass())
-	}
-	count, err := m.CountModel().CountPMF(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMean := count.Mean() * 0.33 * 0.1
-	if !almost(pmf.Mean(), wantMean, 1e-6*wantMean+1e-9) {
-		t.Fatalf("mean surviving m-CNTs %v want %v", pmf.Mean(), wantMean)
-	}
-	// Perfect removal leaves none.
-	perfect := testModel(t, WorstCorner(), 80)
-	pmf2, err := perfect.SurvivingMetallicPMF(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pmf2.Prob(0) != 1 {
-		t.Fatalf("pRm=1 should leave zero m-CNTs, got %v", pmf2.P[:3])
-	}
-}
-
-// Property: pF decreases when pf decreases (better processing helps), for
-// any width.
 func TestQuickFailureProbMonotoneInPf(t *testing.T) {
 	pitch, err := CalibratedPitch()
 	if err != nil {
@@ -283,74 +251,6 @@ func TestQuickFailureProbMonotoneInPf(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCurrentModelValidation(t *testing.T) {
-	c := DefaultCurrentModel()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c.DiameterSigma = -1
-	if err := c.Validate(); err == nil {
-		t.Error("negative sigma")
-	}
-	c = DefaultCurrentModel()
-	c.DiameterMin = 2
-	if err := c.Validate(); err == nil {
-		t.Error("min above mean")
-	}
-	c = DefaultCurrentModel()
-	c.GonPerNM = 0
-	if err := c.Validate(); err == nil {
-		t.Error("zero slope")
-	}
-}
-
-// The statistical-averaging law: CV of device current falls as 1/√N.
-func TestAveragingLaw(t *testing.T) {
-	c := DefaultCurrentModel()
-	r := rng.New(5)
-	cv1, err := c.AveragingLawCV(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 4, 16, 64} {
-		pmf, err := dist.PointPMF(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, cv, err := c.IonStats(r, pmf, 30_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := cv1 / math.Sqrt(float64(n))
-		if math.Abs(cv-want)/want > 0.12 {
-			t.Errorf("N=%d: cv %v want %v (1/√N law)", n, cv, want)
-		}
-	}
-	if _, err := c.AveragingLawCV(0); err == nil {
-		t.Error("n=0 should error")
-	}
-}
-
-func TestIonStatsErrors(t *testing.T) {
-	c := DefaultCurrentModel()
-	pmf, _ := dist.PointPMF(4)
-	if _, _, err := c.IonStats(rng.New(1), pmf, 1); err == nil {
-		t.Error("too few trials")
-	}
-	c.GonPerNM = -1
-	if _, _, err := c.IonStats(rng.New(1), pmf, 100); err == nil {
-		t.Error("invalid model")
-	}
-}
-
-func TestSampleDeviceCurrentZeroCNTs(t *testing.T) {
-	c := DefaultCurrentModel()
-	ion, err := c.SampleDeviceCurrent(rng.New(2), 0)
-	if err != nil || ion != 0 {
-		t.Fatalf("zero CNTs: %v, %v", ion, err)
 	}
 }
 

@@ -177,20 +177,6 @@ func (p PMF) PGF(z float64) float64 {
 	return acc
 }
 
-// Normalized returns a copy scaled to total mass exactly 1 (undoing tail
-// truncation). The receiver is unchanged.
-func (p PMF) Normalized() (PMF, error) {
-	total := p.TotalMass()
-	if !(total > 0) {
-		return PMF{}, errors.New("dist: cannot normalize massless PMF")
-	}
-	out := make([]float64, len(p.P))
-	for k, v := range p.P {
-		out[k] = v / total
-	}
-	return PMF{P: out}, nil
-}
-
 // Sample draws one count by inverse transform. Residual truncated tail mass
 // is assigned to the largest represented count.
 func (p PMF) Sample(r *rand.Rand) int {

@@ -133,24 +133,6 @@ func TestPMFProbCDFOutOfRange(t *testing.T) {
 	}
 }
 
-func TestPMFNormalized(t *testing.T) {
-	p, _ := NewPMF([]float64{0.2, 0.3}) // truncated: mass 0.5
-	n, err := p.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(n.TotalMass(), 1, 1e-15) || !almost(n.Prob(1), 0.6, 1e-15) {
-		t.Fatalf("normalized: %+v", n)
-	}
-	// Receiver untouched.
-	if !almost(p.TotalMass(), 0.5, 1e-15) {
-		t.Fatal("receiver mutated")
-	}
-	if _, err := (PMF{}).Normalized(); err == nil {
-		t.Error("empty PMF")
-	}
-}
-
 func TestPMFSampleMatchesMasses(t *testing.T) {
 	p, _ := NewPMF([]float64{0.1, 0.0, 0.6, 0.3})
 	r := rng.New(11)

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"github.com/cnfet/yieldlab/internal/celllib"
-	"github.com/cnfet/yieldlab/internal/rng"
 )
 
 // Netlist is a multiset of cell instances.
@@ -129,22 +128,6 @@ func (n *Netlist) Usage() map[string]float64 {
 	for name, c := range n.Counts {
 		out[name] = float64(c)
 	}
-	return out
-}
-
-// ExpandShuffled returns every instance's cell name in a deterministic
-// pseudo-random order (seeded shuffle), the order the row placer consumes
-// so rows hold a realistic mixture of cell types.
-func (n *Netlist) ExpandShuffled(seed uint64) []string {
-	names := n.CellNames()
-	out := make([]string, 0, n.Instances())
-	for _, name := range names {
-		for i := 0; i < n.Counts[name]; i++ {
-			out = append(out, name)
-		}
-	}
-	r := rng.New(seed)
-	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
 

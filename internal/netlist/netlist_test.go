@@ -73,41 +73,6 @@ func TestShareBelowMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestExpandShuffledDeterministic(t *testing.T) {
-	lib := lib45(t)
-	nl, _ := OpenRISCLike(lib, 2000)
-	a := nl.ExpandShuffled(7)
-	b := nl.ExpandShuffled(7)
-	if len(a) != nl.Instances() {
-		t.Fatalf("expansion length %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("shuffle not deterministic")
-		}
-	}
-	c := nl.ExpandShuffled(8)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Fatal("different seeds should shuffle differently")
-	}
-	// Multiset preserved.
-	count := map[string]int{}
-	for _, name := range a {
-		count[name]++
-	}
-	for name, want := range nl.Counts {
-		if count[name] != want {
-			t.Fatalf("%s: %d vs %d", name, count[name], want)
-		}
-	}
-}
-
 func TestUsageMatchesCounts(t *testing.T) {
 	lib := lib45(t)
 	nl, _ := OpenRISCLike(lib, 10_000)

@@ -46,12 +46,6 @@ func (c CapModel) Validate() error {
 	return nil
 }
 
-// GateCap returns the gate capacitance of one transistor of width w (nm),
-// in aF.
-func (c CapModel) GateCap(w float64) float64 {
-	return c.AttoFaradPerNM*w + c.FringeAttoFarad
-}
-
 // MeanGateCap returns the mean per-transistor gate capacitance over a width
 // distribution with every device upsized to at least wt (wt ≤ 0 disables
 // upsizing).

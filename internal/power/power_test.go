@@ -23,13 +23,6 @@ func TestCapModelValidate(t *testing.T) {
 	}
 }
 
-func TestGateCapLinear(t *testing.T) {
-	c := CapModel{AttoFaradPerNM: 2, FringeAttoFarad: 5}
-	if got := c.GateCap(10); !almost(got, 25, 1e-12) {
-		t.Fatalf("GateCap: %v", got)
-	}
-}
-
 func TestUpsizePenaltyZeroFringe(t *testing.T) {
 	// With zero fringe, penalty equals the width-mean ratio exactly.
 	d, _ := widthdist.New([]float64{10, 30}, []float64{0.5, 0.5})

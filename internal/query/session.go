@@ -24,24 +24,19 @@ import (
 )
 
 // Options configures a Session. The zero value is usable: paper-default
-// parameters, a fresh unbounded sweep cache, no persistence, and no
-// sweep-size or Monte Carlo bounds.
+// parameters, no persistence and no Monte Carlo bound. Each session builds
+// its own sweep cache. Run does not bound a sweep's size: a transport that
+// takes sweeps from clients checks Plan.ExpandCount before running them.
 type Options struct {
 	// Params is the experiment configuration: the source of the device grid,
 	// seeds, chip size and yield-target defaults. Zero value = DefaultParams.
 	Params experiments.Params
-	// Cache, when non-nil, is the renewal sweep cache to share; nil builds a
-	// fresh one owned by the session.
-	Cache *renewal.SweepCache
 	// Store, when non-nil, persists swept renewal tables: the session warms
 	// its cache from it at construction and writes back on Checkpoint/Close.
 	Store *sweepstore.Store
 	// MaxRowRounds caps the Monte Carlo rounds a rowyield spec may request
 	// (0 = unbounded).
 	MaxRowRounds int
-	// MaxSweep caps how many concrete specs one sweep may expand to
-	// (0 = unbounded).
-	MaxSweep int
 }
 
 // Session evaluates QuerySpecs over shared state: one renewal sweep cache
@@ -82,10 +77,7 @@ func NewSession(opts Options) (*Session, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = renewal.NewSweepCache()
-	}
+	cache := renewal.NewSweepCache()
 	s := &Session{
 		params:    opts.Params,
 		cache:     cache,
@@ -239,28 +231,33 @@ func (s *Session) scaledWidth(q Spec) (float64, error) {
 	return w, nil
 }
 
-// Evaluate computes one concrete spec. Specs carrying sweep axes are
-// rejected — plan and Run them instead. The returned Result embeds
-// the canonical spec and its fingerprint, so sweep outputs self-describe.
+// Evaluate plans one concrete spec and runs it (see Run), so it persists
+// newly swept tables as Run does. Specs carrying sweep axes are rejected —
+// plan and Run them instead. The returned Result embeds the canonical spec
+// and its fingerprint, so sweep outputs self-describe.
 //
 // When the context carries an obs.Tracer, the evaluation runs under a
 // "query.evaluate" span with sweep and Monte Carlo child stages; a tracer
 // with cost reporting enabled additionally attaches the CostBreakdown to
 // the Result. Tracing never changes the computed numbers.
 func (s *Session) Evaluate(ctx context.Context, q Spec) (Result, error) {
-	canon, fp, err := q.Canonical()
+	p, err := q.Plan()
 	if err != nil {
 		return Result{}, err
 	}
-	if !canon.Sweep.empty() {
+	if !p.spec.Sweep.empty() {
 		return Result{}, badRequest(fmt.Errorf("query: spec has sweep axes; use EvaluateAll"))
 	}
-	return s.evaluate(ctx, canon, fp)
+	results, err := s.Run(ctx, p, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return results[0], nil
 }
 
-// evaluate computes one concrete canonical spec whose fingerprint is fp —
-// the body of Evaluate, entered directly by Run with the canonical forms
-// expansion already produced.
+// evaluate computes one concrete canonical spec whose fingerprint is fp,
+// one of the canonical forms Run's expansion produced. Run is its only
+// caller.
 func (s *Session) evaluate(ctx context.Context, canon Spec, fp string) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -667,9 +664,6 @@ func (s *Session) Run(ctx context.Context, p Plan, progress SweepProgress) ([]Re
 		return nil, err
 	}
 	n := len(specs)
-	if s.opts.MaxSweep > 0 && n > s.opts.MaxSweep {
-		return nil, badRequest(fmt.Errorf("query: sweep of %d specs exceeds limit %d", n, s.opts.MaxSweep))
-	}
 	skip := p.done
 	out, err := ordered.Run(ctx, n-skip, s.params.Workers,
 		func(i int) (Result, error) {

@@ -445,15 +445,6 @@ func TestEvaluateAllContextCancel(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllMaxSweep(t *testing.T) {
-	s := newTestSession(t, Options{MaxSweep: 3})
-	_, err := s.EvaluateAll(context.Background(),
-		Spec{Kind: KindPF, WidthNM: 155, Sweep: &Sweep{WidthsNM: []float64{100, 120, 140, 160}}})
-	if err == nil || !strings.Contains(err.Error(), "exceeds limit 3") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestSessionCheckpointPersists(t *testing.T) {
 	dir := t.TempDir()
 	store, err := sweepstore.Open(dir)

@@ -83,9 +83,11 @@ type Spec struct {
 	WidthNM float64 `json:"width_nm,omitempty"`
 
 	// GridStepNM and MaxWidthNM override the renewal grid (0 = session
-	// default). Changing them changes the cache identity, never a result.
-	GridStepNM float64 `json:"grid_step_nm,omitempty"` //yield:allow(canonical) numerics knob, not query identity: the grid changes cost, never a result, so Canonical passes it through untouched
-	MaxWidthNM float64 `json:"max_width_nm,omitempty"` //yield:allow(canonical) numerics knob, not query identity: the grid changes cost, never a result, so Canonical passes it through untouched
+	// default). The grid is part of the result's identity: pF(155 nm) at
+	// the worst corner is 3.1076e-9 on the 0.05 nm default grid and
+	// 3.1174e-9 on a 0.1 nm grid.
+	GridStepNM float64 `json:"grid_step_nm,omitempty"` //yield:allow(canonical) the default grid belongs to the session, so Canonical cannot normalize an explicitly spelled default and passes the field into the fingerprint as given
+	MaxWidthNM float64 `json:"max_width_nm,omitempty"` //yield:allow(canonical) the default grid belongs to the session, so Canonical cannot normalize an explicitly spelled default and passes the field into the fingerprint as given
 
 	// PitchMeanNM overrides the mean inter-CNT pitch (0 = the calibrated
 	// 4 nm of [Deng 07]); PitchSigmaRatio the parent-normal σ/µ of the

@@ -3,7 +3,6 @@ package renewal
 import (
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 
 	"github.com/cnfet/yieldlab/internal/dist"
@@ -135,23 +134,26 @@ func (c *SweepCache) ModelTracked(spacing dist.Continuous, opts ...Option) (m *M
 }
 
 // identityKey formats the full identity of a law+grid combination: the law
-// fingerprint plus every numerically relevant option, floats compared by
-// exact bits. Both the cache key and Snapshot.Key (hence the sweep store's
-// file naming) derive from this one format, so they cannot drift apart.
-func identityKey(fp string, step, maxWidth, tailEps float64, ordinary bool) string {
-	b := make([]byte, 0, len(fp)+96)
-	b = append(b, fp...)
-	b = dist.AppendHexBits(append(b, "|step="...), step)
-	b = dist.AppendHexBits(append(b, "|max="...), maxWidth)
-	b = dist.AppendHexBits(append(b, "|eps="...), tailEps)
-	b = strconv.AppendBool(append(b, "|ord="...), ordinary)
-	return string(b)
+// fingerprint plus the grid, floats compared by exact bits. Both the cache
+// key and Snapshot.Key (hence the sweep store's file naming) derive from
+// this one format, so they cannot drift apart. The eps and ord segments
+// name the fixed tail threshold and the equilibrium initial condition; they
+// are kept so every stored record keeps its file name.
+func identityKey(fp string, step, maxWidth float64) string {
+	b := append(make([]byte, 0, len(fp)+96), fp...)
+	for _, seg := range [...]struct {
+		name string
+		v    float64
+	}{{"|step=", step}, {"|max=", maxWidth}, {"|eps=", DefaultTailEps}} {
+		b = dist.AppendHexBits(append(b, seg.name...), seg.v)
+	}
+	return string(append(b, "|ord=false"...))
 }
 
 // cacheKey derives the cache identity of a configured (not necessarily
 // discretized) model.
 func cacheKey(fp string, m *Model) string {
-	return identityKey(fp, m.step, m.maxWidth, m.tailEps, m.ordinary)
+	return identityKey(fp, m.step, m.maxWidth)
 }
 
 // Len returns the number of distinct models currently cached.

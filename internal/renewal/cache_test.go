@@ -34,8 +34,6 @@ func TestSweepCacheSharesByLawAndGrid(t *testing.T) {
 	}{
 		{"step", []Option{WithStep(0.05), WithMaxWidth(60)}},
 		{"maxWidth", []Option{WithStep(0.1), WithMaxWidth(80)}},
-		{"tailEps", []Option{WithStep(0.1), WithMaxWidth(60), WithTailEps(1e-12)}},
-		{"ordinary", []Option{WithStep(0.1), WithMaxWidth(60), Ordinary()}},
 	}
 	for _, tc := range diff {
 		m, err := c.Model(tn, tc.opts...)

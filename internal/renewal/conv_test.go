@@ -135,7 +135,7 @@ func sweepLaws(t *testing.T) []struct {
 // The FFT/auto sweeps must match the direct sweep to ≤ 1e-12 normwise
 // relative error (the PMFs have unit mass, so normwise relative and absolute
 // coincide). Individual probabilities below the sweep's own truncation floor
-// (tailEps = 1e-15) carry no meaning in either path and are not compared in
+// (DefaultTailEps) carry no meaning in either path and are not compared in
 // relative terms; the paper-anchor pF values — sums weighted toward the
 // meaningful part of the distribution — must agree much tighter.
 func TestSweepKernelEquivalence(t *testing.T) {

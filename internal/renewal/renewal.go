@@ -12,14 +12,10 @@
 // The engine discretizes the pitch distribution onto a uniform grid and
 // propagates the k-th arrival-position distribution by exact discrete
 // convolution, so a single sweep yields P{N(W) ≥ k} for every width on the
-// grid simultaneously. Two initial conditions are supported:
-//
-//   - Equilibrium (default): the window is dropped at a position independent
-//     of the CNT process, so the first CNT follows the stationary forward
-//     recurrence distribution (1-F(x))/μ. In equilibrium E[N(W)] = W/μ holds
-//     exactly, which the tests assert.
-//   - Ordinary: a CNT sits just before the window and the first in-window
-//     CNT is a full pitch away. Used as an ablation.
+// grid simultaneously. The process is in equilibrium: the window is dropped
+// at a position independent of the CNT process, so the first CNT follows the
+// stationary forward recurrence distribution (1-F(x))/μ, and E[N(W)] = W/μ
+// holds exactly, which the tests assert.
 //
 //yield:compute
 package renewal
@@ -39,8 +35,13 @@ import (
 const (
 	DefaultStep     = 0.05 // nm grid resolution
 	DefaultMaxWidth = 400  // nm largest supported window
-	DefaultTailEps  = 1e-15
 )
+
+// DefaultTailEps is the truncation threshold of every arrival sweep: the
+// sweep stops once the widest window's tail P(N ≥ k) falls below it, and
+// trailing counts below it are trimmed from each PMF. It is fixed, so a
+// table's identity is its law and grid alone.
+const DefaultTailEps = 1e-15
 
 // Model computes CNT count distributions for one pitch distribution.
 // It is safe for concurrent use.
@@ -48,8 +49,6 @@ type Model struct {
 	spacing  dist.Continuous
 	step     float64
 	maxWidth float64
-	tailEps  float64
-	ordinary bool
 
 	kernel kernel // sizeRule; this package's tests may force a kernel
 
@@ -92,13 +91,6 @@ func WithStep(h float64) Option { return func(m *Model) { m.step = h } }
 // WithMaxWidth sets the largest queryable window width in nm (default 400).
 func WithMaxWidth(w float64) Option { return func(m *Model) { m.maxWidth = w } }
 
-// WithTailEps sets the truncation threshold for the arrival sweep.
-func WithTailEps(eps float64) Option { return func(m *Model) { m.tailEps = eps } }
-
-// Ordinary switches to the ordinary renewal initial condition (a CNT at the
-// window edge, first in-window CNT one full pitch away).
-func Ordinary() Option { return func(m *Model) { m.ordinary = true } }
-
 // New builds a count model for the given pitch distribution.
 func New(spacing dist.Continuous, opts ...Option) (*Model, error) {
 	m, err := newConfigured(spacing, opts...)
@@ -120,7 +112,6 @@ func newConfigured(spacing dist.Continuous, opts ...Option) (*Model, error) {
 		spacing:  spacing,
 		step:     DefaultStep,
 		maxWidth: DefaultMaxWidth,
-		tailEps:  DefaultTailEps,
 	}
 	for _, o := range opts {
 		o(m)
@@ -190,10 +181,6 @@ func (m *Model) discretize() {
 	// truncation already treats correctly.
 	m.fMass[nf-1] += math.Max(1-prev, 0)
 
-	if m.ordinary {
-		m.gMass = m.fMass
-		return
-	}
 	// Equilibrium first-arrival mass per cell:
 	// gMass[j] = (G((j+1/2)h) - G((j-1/2)h)) with G(x) = (1/μ)∫₀ˣ(1-F).
 	// Use the exact closed form when the distribution provides one; fall
@@ -512,7 +499,7 @@ func (m *Model) runSweep() ([]dist.PMF, error) {
 		// row[j] stores P(T_k < (j+1)·h); window index idx reads slot idx-1.
 		// The final running value is the widest window's tail, which bounds
 		// every other window's, so it alone decides convergence.
-		if scale*running < m.tailEps {
+		if scale*running < DefaultTailEps {
 			break
 		}
 		if k == hardCap {
@@ -561,7 +548,7 @@ func (m *Model) runSweep() ([]dist.PMF, error) {
 		for k := range rows {
 			ge[k] = rows[k][j]
 		}
-		pmf, err := assemblePMF(ge, m.tailEps)
+		pmf, err := assemblePMF(ge)
 		if err != nil {
 			return nil, fmt.Errorf("renewal: width index %d: %w", j+1, err)
 		}
@@ -572,11 +559,11 @@ func (m *Model) runSweep() ([]dist.PMF, error) {
 
 // assemblePMF converts the tail sequence ge[k-1] = P(N ≥ k), k = 1.., into a
 // PMF over counts 0..len(ge). Trailing counts whose tail probability is
-// below tailEps are trimmed, so a narrow window's support does not carry
-// the negligible tail rows the sweep ran for the widest window.
-func assemblePMF(ge []float64, tailEps float64) (dist.PMF, error) {
+// below DefaultTailEps are trimmed, so a narrow window's support does not
+// carry the negligible tail rows the sweep ran for the widest window.
+func assemblePMF(ge []float64) (dist.PMF, error) {
 	cut := len(ge)
-	for cut > 0 && ge[cut-1] < tailEps {
+	for cut > 0 && ge[cut-1] < DefaultTailEps {
 		cut--
 	}
 	ge = ge[:cut]

@@ -133,38 +133,6 @@ func TestEquilibriumMeanExact(t *testing.T) {
 	}
 }
 
-// The ordinary process undercounts relative to equilibrium for DHR-ish laws;
-// at minimum it must differ and still normalize.
-func TestOrdinaryVsEquilibrium(t *testing.T) {
-	tn, _ := dist.TruncNormalWithMean(4, 3.0, 1)
-	eq, err := New(tn, WithStep(0.05), WithMaxWidth(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	or, err := New(tn, WithStep(0.05), WithMaxWidth(60), Ordinary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, _ := eq.CountPMF(40)
-	po, _ := or.CountPMF(40)
-	if !almost(po.TotalMass(), 1, 1e-9) {
-		t.Fatalf("ordinary mass: %v", po.TotalMass())
-	}
-	if almost(pe.Prob(0), po.Prob(0), 1e-12) && almost(pe.Mean(), po.Mean(), 1e-12) {
-		t.Error("ordinary and equilibrium should differ for non-exponential pitch")
-	}
-	// For the exponential law they must coincide (memorylessness).
-	ee, _ := New(dist.Exponential{Rate: 0.25}, WithStep(0.05), WithMaxWidth(60))
-	eo, _ := New(dist.Exponential{Rate: 0.25}, WithStep(0.05), WithMaxWidth(60), Ordinary())
-	a, _ := ee.CountPMF(40)
-	b, _ := eo.CountPMF(40)
-	for k := 0; k < 25; k++ {
-		if !almost(a.Prob(k), b.Prob(k), 1e-3) {
-			t.Errorf("memoryless mismatch at %d: %v vs %v", k, a.Prob(k), b.Prob(k))
-		}
-	}
-}
-
 // Monte Carlo cross-check: simulate the renewal process directly and compare
 // the empirical count distribution with the analytic PMF.
 func TestCountPMFMatchesSimulation(t *testing.T) {

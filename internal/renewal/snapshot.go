@@ -22,8 +22,6 @@ import (
 type Snapshot struct {
 	Step     float64
 	MaxWidth float64
-	TailEps  float64
-	Ordinary bool
 	PMFs     []dist.PMF
 }
 
@@ -36,8 +34,6 @@ func (m *Model) Snapshot() *Snapshot {
 	return &Snapshot{
 		Step:     m.step,
 		MaxWidth: m.maxWidth,
-		TailEps:  m.tailEps,
-		Ordinary: m.ordinary,
 		PMFs:     table,
 	}
 }
@@ -81,10 +77,6 @@ func (m *Model) matches(s *Snapshot) error {
 		return fmt.Errorf("renewal: snapshot step %g != model step %g", s.Step, m.step)
 	case math.Float64bits(s.MaxWidth) != math.Float64bits(m.maxWidth):
 		return fmt.Errorf("renewal: snapshot max width %g != model max width %g", s.MaxWidth, m.maxWidth)
-	case math.Float64bits(s.TailEps) != math.Float64bits(m.tailEps):
-		return fmt.Errorf("renewal: snapshot tail eps %g != model tail eps %g", s.TailEps, m.tailEps)
-	case s.Ordinary != m.ordinary:
-		return fmt.Errorf("renewal: snapshot initial condition (ordinary=%t) != model (ordinary=%t)", s.Ordinary, m.ordinary)
 	}
 	return nil
 }
@@ -93,16 +85,12 @@ func (m *Model) matches(s *Snapshot) error {
 // under — the exact key the SweepCache files its model by, so persistent
 // stores naming records after it stay collision-consistent with the cache.
 func (s *Snapshot) Key(fingerprint string) string {
-	return identityKey(fingerprint, s.Step, s.MaxWidth, s.TailEps, s.Ordinary)
+	return identityKey(fingerprint, s.Step, s.MaxWidth)
 }
 
 // Options returns the option list that reconstructs a model with this
 // snapshot's grid configuration — the bridge the sweep store uses to rebuild
 // a cache entry from its serialized form.
 func (s *Snapshot) Options() []Option {
-	opts := []Option{WithStep(s.Step), WithMaxWidth(s.MaxWidth), WithTailEps(s.TailEps)}
-	if s.Ordinary {
-		opts = append(opts, Ordinary())
-	}
-	return opts
+	return []Option{WithStep(s.Step), WithMaxWidth(s.MaxWidth)}
 }

@@ -45,16 +45,6 @@ func DeriveInto(r *rand.Rand, seed, stream uint64) {
 	r.Seed(int64(deriveSeed(seed, stream)))
 }
 
-// Seeds returns n derived substream seeds, useful when the caller wants to
-// construct its own generators (for example one per goroutine).
-func Seeds(seed uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = deriveSeed(seed, uint64(i))
-	}
-	return out
-}
-
 // deriveSeed mixes a root seed and a substream index into the substream's
 // source seed.
 func deriveSeed(seed, stream uint64) uint64 {

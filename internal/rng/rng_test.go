@@ -63,18 +63,6 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
-func TestSeedsMatchDerive(t *testing.T) {
-	seeds := Seeds(DefaultSeed, 8)
-	if len(seeds) != 8 {
-		t.Fatalf("len: %d", len(seeds))
-	}
-	for i := 1; i < len(seeds); i++ {
-		if seeds[i] == seeds[i-1] {
-			t.Fatal("adjacent derived seeds equal")
-		}
-	}
-}
-
 // Property: Derive is a pure function of (seed, stream).
 func TestQuickDeriveDeterministic(t *testing.T) {
 	f := func(seed, stream uint64) bool {

@@ -266,56 +266,3 @@ func (o OffsetDist) DistinctCount() int {
 	}
 	return n
 }
-
-// UnalignedFirstOrder returns the closed-form first-order estimate of the
-// non-aligned row failure probability:
-//
-//	pRF ≈ pF · G_eff,   G_eff = 1 + Σ_i (1 - pf^{gap_i/μ})
-//
-// where the sum runs over consecutive occupied offsets. The intuition: a
-// window shifted by a gap g from an already-failed window needs ≈ g/μ
-// additional tracks to fail, so it contributes an almost-independent
-// failure mode with weight 1 - pf^{g/μ} — nearly full weight even for gaps
-// of a few pitches, which is why an unmodified library recovers only
-// MRmin/G_eff of the correlation benefit (the 26.5× of Table 1). The exact
-// value comes from the Monte Carlo; this estimate is the design intuition
-// and a cross-check, accurate to ~20% in the Table 1 regime.
-//
-// devicePF is the analytic single-device failure probability, pf the
-// per-CNT failure probability, meanPitch the mean inter-CNT pitch (nm).
-func (o OffsetDist) UnalignedFirstOrder(devicePF, pf, meanPitch float64) (float64, error) {
-	if devicePF < 0 || devicePF > 1 || math.IsNaN(devicePF) {
-		return 0, fmt.Errorf("rowyield: devicePF %g out of [0,1]", devicePF)
-	}
-	if pf < 0 || pf > 1 || math.IsNaN(pf) {
-		return 0, fmt.Errorf("rowyield: pf %g out of [0,1]", pf)
-	}
-	if !(meanPitch > 0) {
-		return 0, fmt.Errorf("rowyield: mean pitch %g must be positive", meanPitch)
-	}
-	// Occupied offsets in ascending order.
-	var occ []float64
-	for i, p := range o.Probs {
-		if p > 0 {
-			occ = append(occ, o.Offsets[i])
-		}
-	}
-	if len(occ) == 0 {
-		return 0, errors.New("rowyield: no occupied offsets")
-	}
-	sortAscending(occ)
-	gEff := 1.0
-	for i := 1; i < len(occ); i++ {
-		gap := occ[i] - occ[i-1]
-		gEff += 1 - math.Pow(pf, gap/meanPitch)
-	}
-	return math.Min(devicePF*gEff, 1), nil
-}
-
-func sortAscending(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}

@@ -237,58 +237,6 @@ func TestScenarioString(t *testing.T) {
 	}
 }
 
-// The first-order analytic estimate must track the Monte Carlo within ~25%
-// in the Table 1 regime.
-func TestUnalignedFirstOrderMatchesMC(t *testing.T) {
-	const w = 30.0
-	offsets, err := NewOffsetDist(
-		[]float64{0, 20, 40, 60, 80, 100},
-		[]float64{1, 1, 1, 1, 1, 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := testRowModel(t, w, offsets)
-	est, err := m.EstimateRowFailureParallel(context.Background(), 41, DirectionalUnaligned, 60_000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pF := analyticPF(t, w)
-	approx, err := offsets.UnalignedFirstOrder(pF, 0.531, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(approx-est.Mean)/est.Mean > 0.30 {
-		t.Fatalf("first order %v vs MC %v", approx, est.Mean)
-	}
-}
-
-func TestUnalignedFirstOrderErrors(t *testing.T) {
-	od, _ := NewOffsetDist([]float64{0, 20}, []float64{1, 1})
-	if _, err := od.UnalignedFirstOrder(2, 0.5, 4); err == nil {
-		t.Error("bad devicePF")
-	}
-	if _, err := od.UnalignedFirstOrder(0.1, -1, 4); err == nil {
-		t.Error("bad pf")
-	}
-	if _, err := od.UnalignedFirstOrder(0.1, 0.5, 0); err == nil {
-		t.Error("bad pitch")
-	}
-	empty := OffsetDist{Offsets: []float64{1}, Probs: []float64{0}}
-	if _, err := empty.UnalignedFirstOrder(0.1, 0.5, 4); err == nil {
-		t.Error("no occupied offsets")
-	}
-	// Single offset reduces to the aligned case.
-	one, _ := NewOffsetDist([]float64{0}, []float64{1})
-	v, err := one.UnalignedFirstOrder(1e-8, 0.531, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 1e-8 {
-		t.Fatalf("single offset should equal pF: %v", v)
-	}
-}
-
 func TestEstimateRelErr(t *testing.T) {
 	e := Estimate{Mean: 2, StdErr: 0.5}
 	if e.RelErr() != 0.25 {

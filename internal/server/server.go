@@ -66,21 +66,24 @@ import (
 	"github.com/cnfet/yieldlab/internal/sweepstore"
 )
 
-// Defaults for Config zero values.
+// Defaults for Config zero values, then the fixed request bounds.
 const (
 	DefaultCacheEntries   = 64
 	DefaultMaxJobs        = 64
 	DefaultConcurrentJobs = 2
-	DefaultBatchLimit     = 4096
 	DefaultRowRounds      = query.DefaultRowRounds
-	// DefaultMaxRowRounds covers the adaptive estimators' default round cap:
-	// a rare-event request that names no explicit budget resolves to
-	// query.DefaultAdaptiveRounds, and the limit must not reject the
-	// service's own default.
-	DefaultMaxRowRounds = query.DefaultAdaptiveRounds
 	// DefaultMaxInFlightSweeps bounds synchronous evaluations on all compute
 	// routes at once before the server sheds load with a retryable 503.
 	DefaultMaxInFlightSweeps = 32
+	// BatchLimit caps points per /v1/pf/batch request and concrete specs
+	// per /v2/query sweep.
+	BatchLimit = 4096
+	// MaxRowRounds caps the Monte Carlo rounds a rowyield request may ask
+	// for. It covers the adaptive estimators' default round cap: a
+	// rare-event request that names no explicit budget resolves to
+	// query.DefaultAdaptiveRounds, and the limit must not reject the
+	// service's own default.
+	MaxRowRounds = query.DefaultAdaptiveRounds
 )
 
 // Config configures a Server.
@@ -101,12 +104,6 @@ type Config struct {
 	MaxJobs int
 	// ConcurrentJobs bounds jobs computing at once (0 = DefaultConcurrentJobs).
 	ConcurrentJobs int
-	// BatchLimit caps points per /v1/pf/batch request and concrete specs per
-	// /v2/query sweep (0 = DefaultBatchLimit).
-	BatchLimit int
-	// MaxRowRounds caps Monte Carlo rounds a rowyield request may ask for
-	// (0 = DefaultMaxRowRounds).
-	MaxRowRounds int
 	// RequestTimeout bounds each request's handling time: the request
 	// context gets this deadline, and an evaluation that exceeds it answers
 	// with a retryable 503 (0 = no deadline).
@@ -170,20 +167,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ConcurrentJobs == 0 {
 		cfg.ConcurrentJobs = DefaultConcurrentJobs
 	}
-	if cfg.BatchLimit == 0 {
-		cfg.BatchLimit = DefaultBatchLimit
-	}
-	if cfg.MaxRowRounds == 0 {
-		cfg.MaxRowRounds = DefaultMaxRowRounds
-	}
 	if cfg.MaxInFlightSweeps == 0 {
 		cfg.MaxInFlightSweeps = DefaultMaxInFlightSweeps
 	}
 	session, err := query.NewSession(query.Options{
 		Params:       cfg.Params,
 		Store:        cfg.Store,
-		MaxRowRounds: cfg.MaxRowRounds,
-		MaxSweep:     cfg.BatchLimit,
+		MaxRowRounds: MaxRowRounds,
 	})
 	if err != nil {
 		return nil, err
@@ -373,8 +363,8 @@ func (s *Server) plan(spec query.Spec) (query.Plan, error) {
 	if err != nil {
 		return query.Plan{}, err
 	}
-	if n := p.ExpandCount(); n > s.cfg.BatchLimit {
-		return query.Plan{}, fmt.Errorf("sweep of %d specs exceeds limit %d", n, s.cfg.BatchLimit)
+	if n := p.ExpandCount(); n > BatchLimit {
+		return query.Plan{}, fmt.Errorf("sweep of %d specs exceeds limit %d", n, BatchLimit)
 	}
 	return p, nil
 }
@@ -494,8 +484,13 @@ type BatchPointJSON struct {
 	WidthNM float64  `json:"width_nm"`
 }
 
-// handlePFBatch evaluates each point as its own pf spec, in input order,
+// handlePFBatch answers each point as its own pf plan, in input order,
 // under one in-flight slot: every result is the /v1/pf body of that point.
+// The points are arbitrary (corner, width) pairs, not one cartesian sweep,
+// so each is planned on its own and every plan is checked before any runs.
+// They run serially: all corners share one count table per law and grid,
+// so after the first point every point is a warm-cache pF read, and the
+// ordered pool would add goroutines without saving time.
 func (s *Server) handlePFBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Points []BatchPointJSON `json:"points"`
@@ -508,22 +503,30 @@ func (s *Server) handlePFBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
-	if len(req.Points) > s.cfg.BatchLimit {
+	if len(req.Points) > BatchLimit {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d points exceeds limit %d", len(req.Points), s.cfg.BatchLimit))
+			fmt.Errorf("batch of %d points exceeds limit %d", len(req.Points), BatchLimit))
 		return
 	}
+	plans := make([]query.Plan, len(req.Points))
+	for i, pt := range req.Points {
+		p, err := s.plan(query.Spec{Kind: query.KindPF,
+			Corner: pt.Corner, PM: pt.PM, PRS: pt.PRS, WidthNM: pt.WidthNM})
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("point %d: %w", i, err))
+			return
+		}
+		plans[i] = p
+	}
 	s.compute(w, r, nil, func(ctx context.Context, _ query.Plan) (any, error) {
-		out := make([]PFJSON, len(req.Points))
-		for i, pt := range req.Points {
-			res, err := s.session.Evaluate(ctx, query.Spec{Kind: query.KindPF,
-				Corner: pt.Corner, PM: pt.PM, PRS: pt.PRS, WidthNM: pt.WidthNM})
+		out := make([]PFJSON, len(plans))
+		for i, p := range plans {
+			results, err := s.session.Run(ctx, p, nil)
 			if err != nil {
 				return nil, fmt.Errorf("point %d: %w", i, err)
 			}
-			out[i] = *res.PF
+			out[i] = *results[0].PF
 		}
-		s.session.Checkpoint()
 		return map[string]any{"results": out}, nil
 	})
 }

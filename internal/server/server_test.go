@@ -233,17 +233,20 @@ func TestPFBatch(t *testing.T) {
 	}
 }
 
+// TestBatchLimit posts one point more than BatchLimit: the batch is
+// refused before any point is planned.
 func TestBatchLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchLimit: 2})
-	req := map[string]any{"points": []map[string]any{
-		{"width_nm": 10.0}, {"width_nm": 11.0}, {"width_nm": 12.0},
-	}}
+	_, ts := newTestServer(t, Config{})
+	points := make([]map[string]any, BatchLimit+1)
+	for i := range points {
+		points[i] = map[string]any{"width_nm": 10.0 + float64(i%100)}
+	}
 	var out ErrorJSON
-	if code := postJSON(t, ts.URL+"/v1/pf/batch", req, &out); code != http.StatusBadRequest {
+	if code := postJSON(t, ts.URL+"/v1/pf/batch", map[string]any{"points": points}, &out); code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", code)
 	}
-	if !strings.Contains(out.Error.Message, "limit") {
-		t.Fatalf("error = %q", out.Error.Message)
+	if want := fmt.Sprintf("batch of %d points exceeds limit %d", BatchLimit+1, BatchLimit); out.Error.Message != want {
+		t.Fatalf("error = %q, want %q", out.Error.Message, want)
 	}
 }
 

@@ -253,14 +253,20 @@ func TestDesignSpaceSweepAcceptance(t *testing.T) {
 	_ = srv
 }
 
+// TestV2QuerySweepLimit sends a 3 × 1366 sweep, two specs over
+// BatchLimit: it is refused before anything is expanded.
 func TestV2QuerySweepLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchLimit: 4})
+	_, ts := newTestServer(t, Config{})
+	widths := make([]float64, 1366)
+	for i := range widths {
+		widths[i] = 20 + 0.1*float64(i)
+	}
 	spec := query.Spec{Kind: "pf", WidthNM: 155, Sweep: &query.Sweep{
 		Corners:  []string{"worst", "mid", "best"},
-		WidthsNM: []float64{100, 150},
+		WidthsNM: widths,
 	}}
 	code, _, body := postV2(t, ts.URL, spec)
-	if code != http.StatusBadRequest || !strings.Contains(string(body), "exceeds limit 4") {
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "sweep of 4098 specs exceeds limit 4096") {
 		t.Fatalf("status %d body %s", code, body)
 	}
 }
@@ -557,7 +563,7 @@ func TestOneSpecErrorBare(t *testing.T) {
 		}
 		return envelope.Error.Message
 	}
-	want := fmt.Sprintf("rounds 999999999 exceeds limit %d", DefaultMaxRowRounds)
+	want := fmt.Sprintf("rounds 999999999 exceeds limit %d", MaxRowRounds)
 	code, v1, _ := getBody(t, ts.URL+"/v1/rowyield?scenario=unaligned&width=155&rounds=999999999", nil)
 	if code != http.StatusBadRequest || message(v1) != want {
 		t.Fatalf("/v1/rowyield: status %d message %q, want 400 %q", code, message(v1), want)

@@ -3,7 +3,6 @@ package stat
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/cnfet/yieldlab/internal/numeric"
 )
@@ -32,11 +31,6 @@ func NewHistogram(edges []float64) (*Histogram, error) {
 	e := make([]float64, len(edges))
 	copy(e, edges)
 	return &Histogram{Edges: e, Counts: make([]float64, len(edges)-1)}, nil
-}
-
-// UniformEdges returns n+1 evenly spaced edges covering [lo, hi].
-func UniformEdges(lo, hi float64, n int) []float64 {
-	return numeric.Linspace(lo, hi, n+1)
 }
 
 // Add records value x with weight 1.
@@ -115,18 +109,4 @@ func (h *Histogram) BinCenters() []float64 {
 		out[i] = 0.5 * (h.Edges[i] + h.Edges[i+1])
 	}
 	return out
-}
-
-// MeanValue returns the weight-averaged bin-center value, a midpoint
-// approximation of the sample mean.
-func (h *Histogram) MeanValue() float64 {
-	tot := h.Total()
-	if tot == 0 {
-		return math.NaN()
-	}
-	var acc numeric.Kahan
-	for i, c := range h.Counts {
-		acc.Add(c * 0.5 * (h.Edges[i] + h.Edges[i+1]))
-	}
-	return acc.Sum() / tot
 }

@@ -19,17 +19,18 @@ import (
 	"github.com/cnfet/yieldlab/internal/sweepstore"
 )
 
-// encodeRecord hand-encodes a record of the given format version. Version
-// 1 carried a convolution-mode byte (here 0) after the initial-condition
-// byte; version 2 is the current layout. The table length written is
-// len(snap.PMFs), whatever the grid.
-func encodeRecord(version byte, fp string, snap *renewal.Snapshot) []byte {
+// encodeRecord hand-encodes a record of the given format version with the
+// given tail-epsilon and initial-condition fields (the store writes
+// renewal.DefaultTailEps and 0). Version 1 carried a convolution-mode byte
+// (here 0) after the initial-condition byte; version 2 is the current
+// layout. The table length written is len(snap.PMFs), whatever the grid.
+func encodeRecord(version byte, fp string, snap *renewal.Snapshot, eps float64, initial byte) []byte {
 	body := binary.AppendUvarint(nil, uint64(len(fp)))
 	body = append(body, fp...)
-	for _, v := range []float64{snap.Step, snap.MaxWidth, snap.TailEps} {
+	for _, v := range []float64{snap.Step, snap.MaxWidth, eps} {
 		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
 	}
-	body = append(body, 0) // ordinary=false
+	body = append(body, initial)
 	if version == 1 {
 		body = append(body, 0) // convMode
 	}
@@ -79,7 +80,7 @@ func TestVersion1RecordRejected(t *testing.T) {
 	wrong := sweep(dist.Exponential{Rate: 0.25})
 	// Version 1 named a record after an identity key ending "|conv=<mode>".
 	name := fileName(wrong.Key(fp) + "|conv=0")
-	data := encodeRecord(1, fp, wrong)
+	data := encodeRecord(1, fp, wrong, renewal.DefaultTailEps, 0)
 	dir := t.TempDir()
 	writeV1 := func() {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
@@ -196,7 +197,7 @@ func TestShortTableRejected(t *testing.T) {
 	short.PMFs = short.PMFs[:len(short.PMFs)-1]
 	name := fileName(short.Key(fp))
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, name), encodeRecord(2, fp, &short), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name), encodeRecord(2, fp, &short, renewal.DefaultTailEps, 0), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store, err := sweepstore.Open(dir)
@@ -222,5 +223,58 @@ func TestShortTableRejected(t *testing.T) {
 	}
 	if n := count.Sweeps(); n != 1 {
 		t.Fatalf("model ran %d sweeps after the short record was refused, want 1", n)
+	}
+}
+
+// TestFixedFieldsRejected hand-builds well-formed version 2 records whose
+// tail epsilon differs from renewal.DefaultTailEps or whose initial
+// condition is 1 (the ordinary renewal process no model builds). Neither
+// table belongs to any identity the cache serves, so warming must refuse
+// it: nothing restored, one reject counted, no cache entry.
+func TestFixedFieldsRejected(t *testing.T) {
+	law := dist.Exponential{Rate: 0.25}
+	fp, _ := dist.Fingerprint(law)
+	const step, maxW = 0.1, 40.0
+	m, err := renewal.New(law, renewal.WithStep(step), renewal.WithMaxWidth(maxW))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CountPMF(maxW); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+	for _, tc := range []struct {
+		name    string
+		eps     float64
+		initial byte
+	}{
+		{"tail eps", 1e-12, 0},
+		{"initial condition", renewal.DefaultTailEps, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			data := encodeRecord(2, fp, snap, tc.eps, tc.initial)
+			if err := os.WriteFile(filepath.Join(dir, fileName(snap.Key(fp))), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store, err := sweepstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := renewal.NewSweepCache()
+			n, err := sweepstore.WarmCache(store, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 0 {
+				t.Fatalf("WarmCache restored %d tables, want 0", n)
+			}
+			if st := store.Stats(); st.Rejects != 1 || st.Loads != 0 {
+				t.Fatalf("stats = %+v, want 1 reject, 0 loads", st)
+			}
+			if n := cache.Len(); n != 0 {
+				t.Fatalf("cache holds %d entries, want 0", n)
+			}
+		})
 	}
 }

@@ -7,10 +7,12 @@
 // Each record pairs a spacing law's dist.Fingerprint with a renewal.Snapshot
 // (grid configuration + the count PMF of every grid width). Records are
 // stored one per file under a content-derived name, in binary format
-// version 2: fingerprint, grid (step, max width, tail epsilon, initial
-// condition) and PMFs (see encode), in a CRC-checked recfile envelope.
-// Corrupt, truncated, partial-table or foreign-version files, version 1
-// included, are rejected at load time and never reach the cache.
+// version 2: fingerprint, grid (step, max width), two fixed fields (the
+// tail epsilon, always renewal.DefaultTailEps, and the initial-condition
+// byte, always 0 for equilibrium) and PMFs (see encode), in a CRC-checked
+// recfile envelope. Corrupt, truncated, partial-table or foreign-version
+// files, version 1 included, and records whose fixed fields hold any other
+// value are rejected at load time and never reach the cache.
 // Fingerprints encode parameters by exact float64 bits, so a decoded record
 // rebuilds the identical law and the restored tables are bit-exact — a warm
 // start can never change a result.
@@ -131,22 +133,19 @@ func (s *Store) LoadAll() ([]Record, error) {
 // encode renders a record body (recfile adds the magic and the CRC):
 //
 //	uvarint len(fingerprint) | fingerprint bytes
-//	step, maxWidth, tailEps as raw float64 bits (8 each, little-endian)
-//	ordinary (1)
+//	step, maxWidth, renewal.DefaultTailEps as raw float64 bits (8 each,
+//	little-endian)
+//	initial condition (1): 0, equilibrium
 //	uvarint n = round(maxWidth/step), the grid's full horizon
 //	n × PMF (uvarint support length + raw float64 bits per mass)
 func encode(fingerprint string, snap *renewal.Snapshot) []byte {
 	body := make([]byte, 0, 64+9*len(snap.PMFs))
 	body = binary.AppendUvarint(body, uint64(len(fingerprint)))
 	body = append(body, fingerprint...)
-	for _, v := range []float64{snap.Step, snap.MaxWidth, snap.TailEps} {
+	for _, v := range []float64{snap.Step, snap.MaxWidth, renewal.DefaultTailEps} {
 		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
 	}
-	ord := byte(0)
-	if snap.Ordinary {
-		ord = 1
-	}
-	body = append(body, ord)
+	body = append(body, 0)
 	body = binary.AppendUvarint(body, uint64(len(snap.PMFs)))
 	for _, pmf := range snap.PMFs {
 		body = pmf.AppendBinary(body)
@@ -169,8 +168,12 @@ func decode(body []byte) (Record, error) {
 	snap := &renewal.Snapshot{}
 	snap.Step = math.Float64frombits(binary.LittleEndian.Uint64(body[0:]))
 	snap.MaxWidth = math.Float64frombits(binary.LittleEndian.Uint64(body[8:]))
-	snap.TailEps = math.Float64frombits(binary.LittleEndian.Uint64(body[16:]))
-	snap.Ordinary = body[24] == 1
+	if eps := binary.LittleEndian.Uint64(body[16:]); eps != math.Float64bits(renewal.DefaultTailEps) {
+		return Record{}, fmt.Errorf("tail eps %g, want %g", math.Float64frombits(eps), renewal.DefaultTailEps)
+	}
+	if body[24] != 0 {
+		return Record{}, fmt.Errorf("initial condition %d, want 0 (equilibrium)", body[24])
+	}
 	body = body[25:]
 	n, used := binary.Uvarint(body)
 	if used <= 0 {

@@ -24,23 +24,6 @@ import (
 	"github.com/cnfet/yieldlab/internal/widthdist"
 )
 
-// CircuitYield returns Π (1-p) for per-device failure probabilities,
-// computed in log space so a hundred million tiny probabilities do not
-// vanish in rounding (Eq. 2.3).
-func CircuitYield(pFs []float64) (float64, error) {
-	var logAcc numeric.Kahan
-	for i, p := range pFs {
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return 0, fmt.Errorf("yield: pF[%d] = %g out of [0,1]", i, p)
-		}
-		if p == 1 {
-			return 0, nil
-		}
-		logAcc.Add(math.Log1p(-p))
-	}
-	return math.Exp(logAcc.Sum()), nil
-}
-
 // WeightedYield returns Π (1-pF_i)^count_i: the yield of a chip holding
 // count_i devices at failure probability pF_i. Counts may be fractional
 // (shares of a large M).

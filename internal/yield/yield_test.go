@@ -13,44 +13,6 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestCircuitYield(t *testing.T) {
-	y, err := CircuitYield([]float64{0.1, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(y, 0.9*0.8, 1e-12) {
-		t.Fatalf("yield: %v", y)
-	}
-	if y, _ := CircuitYield(nil); y != 1 {
-		t.Fatal("empty chip yields 1")
-	}
-	if y, _ := CircuitYield([]float64{1}); y != 0 {
-		t.Fatal("certain failure yields 0")
-	}
-	if _, err := CircuitYield([]float64{-0.1}); err == nil {
-		t.Fatal("negative pF")
-	}
-	if _, err := CircuitYield([]float64{math.NaN()}); err == nil {
-		t.Fatal("NaN pF")
-	}
-}
-
-func TestCircuitYieldManyTiny(t *testing.T) {
-	// 1e8 devices at pF = 3.03e-9 must give ~ e^{-0.303}, not 1-ε rounding.
-	pfs := make([]float64, 1000)
-	for i := range pfs {
-		pfs[i] = 3.03e-9
-	}
-	y, err := CircuitYield(pfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Exp(-3.03e-9 * 1000)
-	if !almost(y, want, 1e-12) {
-		t.Fatalf("tiny-p yield: %v want %v", y, want)
-	}
-}
-
 func TestWeightedYield(t *testing.T) {
 	y, err := WeightedYield([]float64{3.03e-9}, []float64{3.3e7})
 	if err != nil {

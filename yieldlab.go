@@ -119,8 +119,6 @@ type (
 	DeviceModel = device.FailureModel
 	// Corner is a named processing condition of Fig. 2.1.
 	Corner = device.Corner
-	// CurrentModel demonstrates the 1/√N drive-current averaging law.
-	CurrentModel = device.CurrentModel
 )
 
 // WorstCorner returns the pm=33%, pRs=30% corner behind every headline
@@ -195,9 +193,6 @@ func ExperimentExtensionNames() []string { return experiments.ExtensionNames() }
 
 // CalibratedPitch returns the frozen inter-CNT pitch law (see DESIGN.md §5).
 func CalibratedPitch() (dist.TruncNormal, error) { return device.CalibratedPitch() }
-
-// DefaultCurrentModel returns the representative drive-current parameters.
-func DefaultCurrentModel() CurrentModel { return device.DefaultCurrentModel() }
 
 // Chip-level yield and sizing (paper Section 2.2).
 type (
