@@ -31,6 +31,25 @@ func Fingerprint(d Continuous) (string, bool) {
 	return f.Fingerprint(), true
 }
 
+// AppendFingerprint appends the law's identity string to dst and reports
+// whether the law provides one — Fingerprint without the string: for the
+// package's own laws dst is the only memory written, so a key built in a
+// caller's stack buffer stays there. Other Fingerprinters are appended
+// from their Fingerprint string.
+func AppendFingerprint(dst []byte, d Continuous) ([]byte, bool) {
+	switch l := d.(type) {
+	case TruncNormal:
+		return l.appendFingerprint(dst), true
+	case Exponential:
+		return l.appendFingerprint(dst), true
+	case Deterministic:
+		return l.appendFingerprint(dst), true
+	case Fingerprinter:
+		return append(dst, l.Fingerprint()...), true
+	}
+	return dst, false
+}
+
 // AppendHexBits appends v's exact bit pattern as 16 lowercase hex digits —
 // the "%016x" rendering of math.Float64bits(v) — so identity strings
 // distinguish values a decimal format would conflate (and normalize
@@ -43,33 +62,51 @@ func AppendHexBits(dst []byte, v float64) []byte {
 	return hex.AppendEncode(dst, b[:])
 }
 
-// fingerprintOf renders a law tag followed by its parameters' bit patterns,
-// colon-separated.
-func fingerprintOf(tag string, params ...float64) string {
-	b := make([]byte, 0, len(tag)+17*len(params))
-	b = append(b, tag...)
+// appendFingerprintOf appends a law tag followed by its parameters' bit
+// patterns, colon-separated.
+func appendFingerprintOf(dst []byte, tag string, params ...float64) []byte {
+	dst = append(dst, tag...)
 	for i, v := range params {
 		if i > 0 {
-			b = append(b, ':')
+			dst = append(dst, ':')
 		}
-		b = AppendHexBits(b, v)
+		dst = AppendHexBits(dst, v)
 	}
-	return string(b)
+	return dst
+}
+
+// fingerprintBuf is a stack buffer large enough for every law's
+// fingerprint (the truncated normal's is 73 bytes).
+type fingerprintBuf [80]byte
+
+func (e Exponential) appendFingerprint(dst []byte) []byte {
+	return appendFingerprintOf(dst, "exp:", e.Rate)
 }
 
 // Fingerprint implements Fingerprinter.
 func (e Exponential) Fingerprint() string {
-	return fingerprintOf("exp:", e.Rate)
+	var b fingerprintBuf
+	return string(e.appendFingerprint(b[:0]))
+}
+
+func (d Deterministic) appendFingerprint(dst []byte) []byte {
+	return appendFingerprintOf(dst, "det:", d.V)
 }
 
 // Fingerprint implements Fingerprinter.
 func (d Deterministic) Fingerprint() string {
-	return fingerprintOf("det:", d.V)
+	var b fingerprintBuf
+	return string(d.appendFingerprint(b[:0]))
 }
 
-// Fingerprint implements Fingerprinter. The parent parameters and bounds
-// fully determine a truncated normal; the precomputed moments derive from
-// them.
+// appendFingerprint appends the parent parameters and bounds, which fully
+// determine a truncated normal; the precomputed moments derive from them.
+func (t TruncNormal) appendFingerprint(dst []byte) []byte {
+	return appendFingerprintOf(dst, "tnorm:", t.Mu, t.Sigma, t.Lower, t.Upper)
+}
+
+// Fingerprint implements Fingerprinter.
 func (t TruncNormal) Fingerprint() string {
-	return fingerprintOf("tnorm:", t.Mu, t.Sigma, t.Lower, t.Upper)
+	var b fingerprintBuf
+	return string(t.appendFingerprint(b[:0]))
 }

@@ -575,16 +575,23 @@ func (q Spec) Canonical() (Spec, string, error) {
 	return c, fingerprint(c), nil
 }
 
-// fingerprint hashes the canonical JSON encoding. Struct-order JSON keys
-// make the encoding deterministic, so the hash is stable across processes.
+// fingerprint hashes the canonical JSON encoding — json.Marshal's bytes,
+// appended without reflection by appendSpec. Struct-order JSON keys make
+// the encoding deterministic, so the hash is stable across processes.
 func fingerprint(c Spec) string {
-	data, err := json.Marshal(c)
-	if err != nil {
-		// Spec fields are plain data; marshal cannot fail for a validated spec.
+	var buf [512]byte
+	data, ok := appendSpec(buf[:0], &c)
+	if !ok {
+		// A validated spec holds only finite floats, so this is unreachable;
+		// encoding/json names the offending value.
+		_, err := json.Marshal(c)
 		panic(fmt.Sprintf("query: marshaling canonical spec: %v", err))
 	}
 	sum := sha256.Sum256(data)
-	return "qs1-" + hex.EncodeToString(sum[:12])
+	var fp [4 + 24]byte
+	copy(fp[:], "qs1-")
+	hex.Encode(fp[4:], sum[:12])
+	return string(fp[:])
 }
 
 // ExpandCount returns how many concrete specs Expand would produce,

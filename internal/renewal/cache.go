@@ -100,60 +100,30 @@ func (c *SweepCache) Model(spacing dist.Continuous, opts ...Option) (*Model, err
 // law and the nil-cache degradation all report false. The query layer's
 // sweep spans use this to classify evaluations cold vs cache-hit without
 // diffing global cache stats (which would race under concurrent requests).
+//
+// A hit builds no Model and no string: the identity key is appended into a
+// stack buffer and looked up as it is. Only a miss configures, validates
+// and files a Model (addLocked).
 func (c *SweepCache) ModelTracked(spacing dist.Continuous, opts ...Option) (m *Model, hit bool, err error) {
-	if c == nil {
+	var buf [keyBufLen]byte
+	key, ok := dist.AppendFingerprint(buf[:0], spacing)
+	if c == nil || !ok {
 		m, err = New(spacing, opts...)
 		return m, false, err
 	}
-	m, err = newConfigured(spacing, opts...)
-	if err != nil {
-		return nil, false, err
-	}
-	fp, ok := dist.Fingerprint(spacing)
-	if !ok {
-		m.finish()
-		return m, false, nil
-	}
-	key := cacheKey(fp, m)
+	fpLen := len(key)
+	step, maxWidth := gridOf(opts)
+	key = appendGridKey(key, step, maxWidth)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.clock++
-	if e, ok := c.entries[key]; ok {
+	if e, ok := c.entries[string(key)]; ok {
+		c.clock++
 		c.hits++
 		e.use = c.clock
 		return e.model, true, nil
 	}
-	c.misses++
-	// Discretization runs under the lock: it is far cheaper than the sweeps
-	// the cache exists to share, and holding the lock keeps concurrent
-	// first-callers from building duplicate models.
-	m.finish()
-	c.entries[key] = &cacheEntry{model: m, fp: fp, use: c.clock}
-	c.evictOverLimit()
-	return m, false, nil
-}
-
-// identityKey formats the full identity of a law+grid combination: the law
-// fingerprint plus the grid, floats compared by exact bits. Both the cache
-// key and Snapshot.Key (hence the sweep store's file naming) derive from
-// this one format, so they cannot drift apart. The eps and ord segments
-// name the fixed tail threshold and the equilibrium initial condition; they
-// are kept so every stored record keeps its file name.
-func identityKey(fp string, step, maxWidth float64) string {
-	b := append(make([]byte, 0, len(fp)+96), fp...)
-	for _, seg := range [...]struct {
-		name string
-		v    float64
-	}{{"|step=", step}, {"|max=", maxWidth}, {"|eps=", DefaultTailEps}} {
-		b = dist.AppendHexBits(append(b, seg.name...), seg.v)
-	}
-	return string(append(b, "|ord=false"...))
-}
-
-// cacheKey derives the cache identity of a configured (not necessarily
-// discretized) model.
-func cacheKey(fp string, m *Model) string {
-	return identityKey(fp, m.step, m.maxWidth)
+	m, err = c.addLocked(spacing, string(key[:fpLen]), opts)
+	return m, false, err
 }
 
 // Len returns the number of distinct models currently cached.

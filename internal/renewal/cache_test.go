@@ -187,3 +187,34 @@ func TestSweepCacheConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
 }
+
+// TestModelTrackedHitAllocs pins the warm lookup: a cache hit appends its
+// key into a stack buffer and builds no Model and no string, so it
+// allocates nothing — for every law the package fingerprints itself. A
+// miss still files the model under the key a hit looks up.
+func TestModelTrackedHitAllocs(t *testing.T) {
+	tn, err := dist.TruncNormalWithMean(4, 9.2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []Option{WithStep(0.1), WithMaxWidth(60)}
+	for _, law := range []dist.Continuous{tn, dist.Exponential{Rate: 0.25}, dist.Deterministic{V: 4}} {
+		c := NewSweepCache()
+		first, hit, err := c.ModelTracked(law, opts...)
+		if err != nil || hit {
+			t.Fatalf("%T: first lookup hit=%v err=%v, want a miss", law, hit, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			m, hit, err := c.ModelTracked(law, opts...)
+			if err != nil || !hit || m != first {
+				t.Fatalf("%T: warm lookup hit=%v err=%v shared=%v", law, hit, err, m == first)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%T: warm ModelTracked hit allocates %v times, want 0", law, allocs)
+		}
+		if st := c.Stats(); st.Misses != 1 || st.Hits != 101 {
+			t.Errorf("%T: stats = (%d hits, %d misses), want (101, 1)", law, st.Hits, st.Misses)
+		}
+	}
+}

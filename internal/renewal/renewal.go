@@ -82,14 +82,41 @@ type pgfColumn struct {
 	vals []float64
 }
 
-// Option configures a Model.
-type Option func(*Model)
+// Option configures a Model's grid. An Option is plain data, not a
+// closure, so SweepCache resolves a grid from its options without building
+// a Model or moving anything to the heap.
+type Option struct {
+	field gridField
+	value float64
+}
+
+// gridField names the grid parameter an Option sets.
+type gridField uint8
+
+const (
+	fieldStep gridField = iota + 1
+	fieldMaxWidth
+)
 
 // WithStep sets the grid resolution in nm (default 0.05).
-func WithStep(h float64) Option { return func(m *Model) { m.step = h } }
+func WithStep(h float64) Option { return Option{fieldStep, h} }
 
 // WithMaxWidth sets the largest queryable window width in nm (default 400).
-func WithMaxWidth(w float64) Option { return func(m *Model) { m.maxWidth = w } }
+func WithMaxWidth(w float64) Option { return Option{fieldMaxWidth, w} }
+
+// gridOf resolves opts over the default grid; a later option wins.
+func gridOf(opts []Option) (step, maxWidth float64) {
+	step, maxWidth = DefaultStep, DefaultMaxWidth
+	for _, o := range opts {
+		switch o.field {
+		case fieldStep:
+			step = o.value
+		case fieldMaxWidth:
+			maxWidth = o.value
+		}
+	}
+	return step, maxWidth
+}
 
 // New builds a count model for the given pitch distribution.
 func New(spacing dist.Continuous, opts ...Option) (*Model, error) {
@@ -102,20 +129,14 @@ func New(spacing dist.Continuous, opts ...Option) (*Model, error) {
 }
 
 // newConfigured validates the configuration without paying for the grid
-// discretization or the width table, so SweepCache can compute a cache key
-// first — on a cache hit the configured model is simply dropped.
+// discretization or the width table, which SweepCache builds only on a
+// miss.
 func newConfigured(spacing dist.Continuous, opts ...Option) (*Model, error) {
 	if spacing == nil {
 		return nil, errors.New("renewal: nil spacing distribution")
 	}
-	m := &Model{
-		spacing:  spacing,
-		step:     DefaultStep,
-		maxWidth: DefaultMaxWidth,
-	}
-	for _, o := range opts {
-		o(m)
-	}
+	m := &Model{spacing: spacing}
+	m.step, m.maxWidth = gridOf(opts)
 	if !(m.step > 0) {
 		return nil, fmt.Errorf("renewal: step must be positive, got %g", m.step)
 	}

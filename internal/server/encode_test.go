@@ -76,6 +76,54 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	}
 }
 
+// stdlibBody is what writeJSON replaced: an Encoder indenting by two
+// spaces, or the 500 envelope when it cannot encode v.
+func stdlibBody(t *testing.T, v any) (int, []byte) {
+	t.Helper()
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		want.Reset()
+		if err := enc.Encode(ErrorJSON{Error: ErrorBodyJSON{
+			Code: "internal", Message: "encoding response: " + err.Error(),
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		return http.StatusInternalServerError, want.Bytes()
+	}
+	return http.StatusOK, want.Bytes()
+}
+
+// TestWriteJSONQueryResponse holds the appended /v2/query body to the
+// stdlib Encoder's bytes: a full design-space response, the empty and nil
+// result lists, and the bodies the appenders decline — a cost breakdown
+// (encoded by encoding/json) and a NaN (the same 500 envelope and
+// message).
+func TestWriteJSONQueryResponse(t *testing.T) {
+	full := designSpaceResponse(t)
+	pf := query.Result{Spec: query.Spec{Kind: query.KindPF, WidthNM: 155}, Fingerprint: "qs1-x",
+		PF: &query.PFResult{Corner: "worst", WidthNM: 155, PFCNT: 0.531, PF: 3.1e-9}}
+	withCost, withNaN := pf, pf
+	withCost.Cost = &query.CostBreakdown{TotalMS: 0.5}
+	withNaN.PF = &query.PFResult{Corner: "worst", PF: math.NaN()}
+	for name, v := range map[string]QueryResponseJSON{
+		"design space": full,
+		"empty":        {Fingerprint: "qs1-e", Results: []query.Result{}},
+		"nil results":  {Fingerprint: "qs1-n"},
+		"cost":         {Fingerprint: "qs1-c", Count: 2, Results: []query.Result{pf, withCost}},
+		"nan":          {Fingerprint: "qs1-nan", Count: 2, Results: []query.Result{pf, withNaN}},
+		"escaped fp":   {Fingerprint: "<&>", Count: 1, Results: []query.Result{pf}},
+	} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		status, want := stdlibBody(t, v)
+		if rec.Code != status || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s: writeJSON = %d %s\nwant %d %s", name, rec.Code, rec.Body, status, want)
+		}
+	}
+}
+
 // designSpaceResponse is the /v2/query body of the examples/design_space
 // Wmin sweep at paper-default parameters.
 func designSpaceResponse(tb testing.TB) QueryResponseJSON {
@@ -105,7 +153,7 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 // BenchmarkWriteJSON compares the edge encoder with the stdlib indented
 // Encoder it replaces, over the design-space response (12 results, ~5 KB
 // indented). Registered in BENCH_BASELINE.json with the ratio gate
-// edge/stdlib ≤ 0.75.
+// edge/stdlib ≤ 0.45: the edge arm appends the body without reflection.
 func BenchmarkWriteJSON(b *testing.B) {
 	v := designSpaceResponse(b)
 	w := &discardWriter{header: make(http.Header)}

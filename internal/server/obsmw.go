@@ -18,10 +18,15 @@ import (
 // ?debug=cost additionally enables cost reporting on the tracer, which is
 // what makes query results carry their CostBreakdown — opt-in, so default
 // response bodies stay byte-identical and ETag-sound.
+//
+// The route pattern is looked up here, once per request: it labels the
+// metrics and rides on to next as the request's Pattern, which is how
+// withJSONFallback tells a routed request from one to answer 404/405.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := "unmatched"
-		if _, pattern := s.mux.Handler(r); pattern != "" {
+		_, pattern := s.mux.Handler(r)
+		if pattern != "" {
 			// Strip the method from patterns like "GET /v1/pf".
 			if i := strings.IndexByte(pattern, ' '); i >= 0 {
 				route = pattern[i+1:]
@@ -31,7 +36,9 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		}
 		reqID := s.nextRequestID()
 		tracer := obs.New()
-		if r.URL.Query().Get("debug") == "cost" {
+		// A query string is parsed only when there is one: most requests
+		// carry none, and parsing builds a map.
+		if r.URL.RawQuery != "" && r.URL.Query().Get("debug") == "cost" {
 			tracer.EnableCost()
 		}
 		ctx := r.Context()
@@ -56,7 +63,9 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		if err := fault.InjectContext(ctx, fault.SiteHTTPRequest); err != nil {
 			writeUnavailable(sw, err)
 		} else {
-			next.ServeHTTP(sw, r.WithContext(ctx))
+			r2 := r.WithContext(ctx)
+			r2.Pattern = pattern
+			next.ServeHTTP(sw, r2)
 		}
 		elapsed := time.Since(start)
 		code := sw.status

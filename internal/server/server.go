@@ -620,6 +620,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // isAsync reports whether the request asked for job-backed execution.
 func isAsync(r *http.Request) bool {
+	if r.URL.RawQuery == "" {
+		return false
+	}
 	switch strings.ToLower(r.URL.Query().Get("async")) {
 	case "1", "true", "yes":
 		return true
@@ -802,10 +805,12 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 // withJSONFallback answers requests no route matches with the JSON error
 // envelope instead of the mux's plain-text defaults: 405 (with the Allow
 // header preserved) when the path exists under another method, 404
-// otherwise.
+// otherwise. It reads the match from the request's Pattern, which withObs
+// set from its one lookup; a routed request still goes through the mux,
+// which sets its path values.
 func (s *Server) withJSONFallback() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, pattern := s.mux.Handler(r); pattern != "" {
+		if r.Pattern != "" {
 			s.mux.ServeHTTP(w, r)
 			return
 		}
