@@ -50,7 +50,7 @@ func run() error {
 		seed      = flag.Uint64("seed", 0, "Monte Carlo root seed (0 = frozen default)")
 		rounds    = flag.Int("rounds", 0, "Table 1 Monte Carlo rounds (0 = default 200000)")
 		instances = flag.Int("instances", 0, "synthetic netlist instances (0 = default 20000)")
-		workers   = flag.Int("workers", 0, "workers per experiment set, sweep and Monte Carlo run (0 = NumCPU)")
+		workers   = flag.Int("workers", 0, "workers per experiment set, sweep and Monte Carlo run (0 = GOMAXPROCS)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut  = flag.String("trace", "", "for -spec runs: write the evaluation span tree to this file (Chrome trace_event JSON, loadable in about:tracing / Perfetto)")

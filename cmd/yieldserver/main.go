@@ -73,7 +73,7 @@ func run() error {
 		seed      = flag.Uint64("seed", 0, "Monte Carlo root seed (0 = frozen default)")
 		rounds    = flag.Int("rounds", 0, "Monte Carlo rounds for jobs (0 = default 200000)")
 		instances = flag.Int("instances", 0, "synthetic netlist instances (0 = default 20000)")
-		workers   = flag.Int("workers", 0, "worker goroutines for jobs and Monte Carlo (0 = NumCPU)")
+		workers   = flag.Int("workers", 0, "worker goroutines for jobs and Monte Carlo (0 = GOMAXPROCS)")
 		pprofOn   = flag.Bool("pprof", false, "expose /debug/pprof profiling endpoints")
 		reqTO     = flag.Duration("request-timeout", 0, "per-request handling deadline (0 = none)")
 		inflight  = flag.Int("max-inflight", 0, "concurrent synchronous evaluations on all compute routes before shedding (0 = default, negative = unbounded)")

@@ -8,9 +8,10 @@ import (
 )
 
 // This file holds the table-codec hooks used by the persistent sweep store
-// (internal/sweepstore): a binary PMF codec and the inverse of Fingerprint,
-// so a law can be reconstructed from the identity string its cached tables
-// are keyed under.
+// (internal/sweepstore): the binary PMF layout it writes (and decodes,
+// streamed, into one contiguous table) and the inverse of Fingerprint, so a
+// law can be reconstructed from the identity string its cached tables are
+// keyed under.
 
 // ParseFingerprint reconstructs a distribution from the identity string
 // returned by Fingerprint. It inverts every Fingerprinter in this package;
@@ -66,40 +67,11 @@ func ParseFingerprint(s string) (Continuous, error) {
 
 // AppendBinary appends the PMF in a length-prefixed little-endian layout
 // (uvarint mass count, then raw float64 bits per mass). The exact bit
-// patterns are preserved, so decode is bit-identical to the source.
+// patterns are preserved, so a decode is bit-identical to the source.
 func (p PMF) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(p.P)))
 	for _, v := range p.P {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
-}
-
-// DecodePMF reads one PMF written by AppendBinary from the front of data,
-// returning the remaining bytes. The decoded masses pass the same validation
-// as NewPMF, so corrupted payloads are rejected rather than admitted.
-func DecodePMF(data []byte) (PMF, []byte, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return PMF{}, nil, fmt.Errorf("dist: PMF length prefix truncated")
-	}
-	data = data[used:]
-	// Cap before allocating: a corrupted prefix must not drive an
-	// arbitrarily large allocation.
-	const maxSupport = 1 << 24
-	if n == 0 || n > maxSupport {
-		return PMF{}, nil, fmt.Errorf("dist: PMF support %d out of range", n)
-	}
-	if uint64(len(data)) < 8*n {
-		return PMF{}, nil, fmt.Errorf("dist: PMF payload truncated: need %d bytes, have %d", 8*n, len(data))
-	}
-	masses := make([]float64, n)
-	for i := range masses {
-		masses[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	pmf, err := NewPMF(masses)
-	if err != nil {
-		return PMF{}, nil, err
-	}
-	return pmf, data[8*n:], nil
 }

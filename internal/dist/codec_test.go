@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -58,48 +59,22 @@ func TestParseFingerprintRejectsMalformed(t *testing.T) {
 	}
 }
 
-// The PMF codec round-trips bit-exactly and rejects truncation and invalid
-// masses.
+// The PMF codec writes the uvarint mass count, then each mass's raw
+// little-endian float64 bits, -0 and subnormals included.
 func TestPMFCodec(t *testing.T) {
-	src, err := PoissonPMF(7.3, 1e-12)
-	if err != nil {
-		t.Fatal(err)
+	src := PMF{P: []float64{math.Copysign(0, -1), 0.25, 5e-324, 0.75}}
+	want := []byte{4,
+		0, 0, 0, 0, 0, 0, 0, 0x80,
+		0, 0, 0, 0, 0, 0, 0xd0, 0x3f,
+		1, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0xe8, 0x3f,
 	}
-	buf := src.AppendBinary(nil)
-	got, rest, err := DecodePMF(buf)
-	if err != nil {
-		t.Fatal(err)
+	if got := src.AppendBinary([]byte{0xaa}); !bytes.Equal(got, append([]byte{0xaa}, want...)) {
+		t.Fatalf("AppendBinary = % x, want aa % x", got, want)
 	}
-	if len(rest) != 0 {
-		t.Fatalf("%d bytes left over", len(rest))
-	}
-	if got.Len() != src.Len() {
-		t.Fatalf("support %d vs %d", got.Len(), src.Len())
-	}
-	for k := 0; k < src.Len(); k++ {
-		if math.Float64bits(got.Prob(k)) != math.Float64bits(src.Prob(k)) {
-			t.Fatalf("mass at %d differs", k)
-		}
-	}
-	// Two PMFs concatenated decode in sequence.
-	buf2 := src.AppendBinary(src.AppendBinary(nil))
-	_, rest, err = DecodePMF(buf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, rest, err = DecodePMF(rest); err != nil || len(rest) != 0 {
-		t.Fatalf("second PMF: err %v, %d bytes left", err, len(rest))
-	}
-	// Truncations are rejected.
-	for _, n := range []int{0, 1, len(buf) - 1} {
-		if _, _, err := DecodePMF(buf[:n]); err == nil {
-			t.Errorf("truncation to %d bytes accepted", n)
-		}
-	}
-	// A corrupted mass (negative) is rejected by NewPMF validation.
-	bad := append([]byte(nil), buf...)
-	bad[len(bad)-1] |= 0x80 // flip the sign bit of the last mass
-	if _, _, err := DecodePMF(bad); err == nil {
-		t.Error("negative mass accepted")
+	// A support of 128 masses takes a two-byte prefix.
+	long := PMF{P: make([]float64, 128)}
+	if got := long.AppendBinary(nil); len(got) != 2+8*128 || got[0] != 0x80 || got[1] != 0x01 {
+		t.Fatalf("128-mass PMF: %d bytes, prefix % x", len(got), got[:2])
 	}
 }

@@ -57,7 +57,7 @@ type Params struct {
 	MaxWidthNM float64
 	// MCRounds is the Monte Carlo round count for Table 1.
 	MCRounds int
-	// Workers caps Monte Carlo parallelism (0 = NumCPU).
+	// Workers caps Monte Carlo parallelism (0 = GOMAXPROCS).
 	Workers int
 	// CorrelationRounds is the growth-simulation round count for Fig. 3.1.
 	CorrelationRounds int
@@ -219,7 +219,7 @@ func (r *Runner) Run(ctx context.Context, name string) (*Result, error) {
 }
 
 // RunMany executes the named experiments on the ordered pool of
-// internal/ordered, at most `workers` at once (≤ 0 means NumCPU), the
+// internal/ordered, at most `workers` at once (≤ 0 means GOMAXPROCS), the
 // caller included. Every experiment is deterministic given the runner's
 // parameters — Monte Carlo streams derive from Params.Seed per experiment,
 // and the only shared state is the sweep cache and the frozen libraries —

@@ -16,6 +16,7 @@ package jobstore
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -133,7 +134,11 @@ func checkID(id string) error {
 // directory-level I/O failures return an error.
 func (s *Store) LoadAll() ([]Record, error) {
 	var out []Record
-	err := s.files.Load(func(_ string, body []byte) error {
+	err := s.files.Load(func(_ string, r io.Reader, _ int64) error {
+		body, err := io.ReadAll(r)
+		if err != nil {
+			return err
+		}
 		var rec Record
 		if err := json.Unmarshal(body, &rec); err != nil {
 			return err

@@ -44,7 +44,7 @@ type RoundFunc func(r *rand.Rand) (float64, error)
 type Options struct {
 	// Seed is the root seed (rng.DefaultSeed if zero).
 	Seed uint64
-	// Workers caps parallelism (NumCPU if ≤ 0).
+	// Workers caps parallelism (GOMAXPROCS if ≤ 0).
 	Workers int
 	// BatchSize groups rounds per stream derivation; larger batches
 	// amortize stream setup, smaller ones improve balance. Default 64.
@@ -108,7 +108,7 @@ func runMerged[S any](ctx context.Context, rounds int, newState func() S, f func
 	}
 	workers := opt.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	batch := opt.BatchSize
 	if batch <= 0 {

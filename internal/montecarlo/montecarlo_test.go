@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -98,6 +99,25 @@ func TestRunStatePerWorkerScratch(t *testing.T) {
 	}
 	if n := created.Load(); n < 1 || n > workers {
 		t.Fatalf("states created: %d, want 1..%d", n, workers)
+	}
+}
+
+// A zero worker bound means runtime.GOMAXPROCS(0): under one P a run
+// keeps a single worker and so a single state.
+func TestDefaultWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var created atomic.Int64
+	newState := func() *int {
+		created.Add(1)
+		return new(int)
+	}
+	if _, err := RunState(context.Background(), 10_000, newState, func(r *rand.Rand, _ *int) (float64, error) {
+		return r.Float64(), nil
+	}, Options{Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if n := created.Load(); n != 1 {
+		t.Fatalf("states created under GOMAXPROCS=1: %d, want 1", n)
 	}
 }
 

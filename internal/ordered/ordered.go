@@ -11,7 +11,7 @@ import (
 )
 
 // Run evaluates task(0), …, task(n-1) on at most workers goroutines
-// (≤ 0 means NumCPU) and returns their results in index order.
+// (≤ 0 means GOMAXPROCS) and returns their results in index order.
 //
 // The calling goroutine is worker 0 and the collector: it runs tasks
 // itself, and it calls deliver (when non-nil) once per result as the
@@ -26,7 +26,7 @@ import (
 // task; one in a helper ends the process. No helper outlives Run.
 func Run[T any](ctx context.Context, n, workers int, task func(i int) (T, error), deliver func(i int, v T)) ([]T, error) {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &pool[T]{ctx: ctx, n: n, task: task}
 	helpers := min(workers, n) - 1

@@ -40,3 +40,29 @@ func TestPanicWaitsForHelpers(t *testing.T) {
 		t.Fatalf("after the unwind %d tasks started and %d finished, want all started ones finished and dispatch stopped", s, f)
 	}
 }
+
+// A zero worker bound means runtime.GOMAXPROCS(0): under one P a run of
+// many tasks starts no helper goroutine (a helper would only time-slice
+// the caller's P) and still delivers every result in order.
+func TestDefaultWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := runtime.NumGoroutine()
+	var extra atomic.Int64
+	out, err := Run(context.Background(), 12, 0, func(i int) (int, error) {
+		if n := runtime.NumGoroutine(); n != before {
+			extra.Store(int64(n - before))
+		}
+		return i, nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := extra.Load(); n != 0 {
+		t.Fatalf("a 12-task run under GOMAXPROCS=1 ran beside %d more goroutines", n)
+	}
+	for i, v := range out {
+		if v != i {
+			t.Fatalf("result %d = %d", i, v)
+		}
+	}
+}

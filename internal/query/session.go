@@ -180,6 +180,13 @@ func (s *Session) pitchLaw(q Spec) (dist.TruncNormal, error) {
 	return dist.TruncNormalWithMean(mean, ratio*mean, device.PitchMinNM)
 }
 
+// calibratedPitch is the frozen calibrated law boxed once as the
+// dist.Continuous the sweep cache takes, so a default-law spec hands the
+// cache this one value instead of boxing the law on the heap per spec.
+var calibratedPitch = sync.OnceValues(func() (dist.Continuous, error) {
+	return device.CalibratedPitch()
+})
+
 // sweep builds (or fetches from the shared cache) the failure model for
 // the spec's corner, pitch law and grid and calls use on it, all under one
 // "sweep" leaf span: a model fresh from the cache sweeps its full grid on
@@ -203,7 +210,12 @@ func (s *Session) sweep(ctx context.Context, params device.FailureParams, q Spec
 // spec's corner, pitch law and grid; hit reports whether the count model
 // came from the cache.
 func (s *Session) model(params device.FailureParams, q Spec) (m *device.FailureModel, hit bool, err error) {
-	pitch, err := s.pitchLaw(q)
+	var pitch dist.Continuous
+	if q.PitchMeanNM == 0 && q.PitchSigmaRatio == 0 {
+		pitch, err = calibratedPitch()
+	} else {
+		pitch, err = s.pitchLaw(q)
+	}
 	if err != nil {
 		return nil, false, err
 	}

@@ -140,7 +140,7 @@ type Options struct {
 	MinRounds int
 	// Seed is the root seed (0 = rng.DefaultSeed).
 	Seed uint64
-	// Workers caps parallelism (0 = NumCPU).
+	// Workers caps parallelism (0 = GOMAXPROCS).
 	Workers int
 	// PilotRounds is the per-candidate tilt-pilot budget
 	// (0 = DefaultPilotRounds).

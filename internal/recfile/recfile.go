@@ -7,10 +7,12 @@
 // written to a temp file and published by atomic rename, so a reader — in
 // this process or another sharing the directory — sees the previous record
 // or the new one, never a torn write. Transient write failures are retried
-// under one fixed policy. At load time a file that fails its integrity
-// checks is quarantined to .bad, so it costs one reject instead of one per
-// restart, and stays on disk for post-mortem. The stores built on it own
-// only their body codecs and their policies.
+// under one fixed policy. A load streams each body to its store's decoder
+// in one pass, checksumming the bytes as they pass, and the reader reports
+// the checksum's verdict at EOF, so no record is ever held whole. A file
+// that fails its integrity checks is quarantined to .bad, so it costs one
+// reject instead of one per restart, and stays on disk for post-mortem. The
+// stores built on it own only their body codecs and their policies.
 package recfile
 
 import (
@@ -18,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -173,13 +176,17 @@ func (s *Store) Remove(name string) error {
 }
 
 // Load reads every record file in the directory, in os.ReadDir (name)
-// order, and hands each verified body to decode together with the file's
-// name less Ext. A bad magic, a bad CRC, a truncated or oversized file, or
-// a decode error is an integrity failure: the file is quarantined to .bad
-// and counted as a reject. A transient read failure (or an injected
-// LoadSite fault) is a reject that leaves the file in place. Only a
-// directory-level I/O failure returns an error.
-func (s *Store) Load(decode func(name string, body []byte) error) error {
+// order, and hands decode the file's name less Ext, a reader over exactly
+// its body, and the body's length. The reader CRCs the bytes as they pass;
+// once the last body byte is out it reads the trailer and returns io.EOF if
+// the checksum matches, the integrity error if not. A decode that returns
+// nil must have read to EOF: a body left unread, a decode error, a bad
+// magic, a bad CRC, or a truncated or oversized file is an integrity
+// failure, and Load quarantines the file to .bad and counts a reject. A
+// transient read failure the reader saw (or an injected LoadSite fault) is
+// a reject that leaves the file in place. Only a directory-level I/O
+// failure returns an error.
+func (s *Store) Load(decode func(name string, body io.Reader, size int64) error) error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("%s: %w", s.kind.Name, err)
@@ -190,13 +197,7 @@ func (s *Store) Load(decode func(name string, body []byte) error) error {
 			continue
 		}
 		path := filepath.Join(s.dir, de.Name())
-		body, err := s.read(path)
-		if err == nil {
-			if err = decode(name, body); err != nil {
-				err = integrityError{err}
-			}
-		}
-		if err != nil {
+		if err := s.load(path, name, decode); err != nil {
 			s.rejects.Add(1)
 			var ie integrityError
 			if errors.As(err, &ie) && os.Rename(path, path+badExt) == nil {
@@ -216,30 +217,99 @@ type integrityError struct{ err error }
 func (e integrityError) Error() string { return e.err.Error() }
 func (e integrityError) Unwrap() error { return e.err }
 
-// read reads one record file and returns its verified body.
-func (s *Store) read(path string) ([]byte, error) {
+// load opens one record file, checks its size and magic, and runs decode
+// over its body. What the body reader saw outranks decode's verdict, so a
+// decode error caused by a failed read keeps the read's class.
+func (s *Store) load(path, name string, decode func(string, io.Reader, int64) error) error {
 	if err := fault.Inject(s.kind.LoadSite); err != nil {
-		return nil, err
+		return err
 	}
-	fi, err := os.Stat(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if fi.Size() > maxFileSize {
-		return nil, integrityError{errors.New("exceeds size bound")}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
 	}
-	data, err := os.ReadFile(path)
+	switch size := fi.Size(); {
+	case size > maxFileSize:
+		return integrityError{errors.New("exceeds size bound")}
+	case size < int64(len(s.kind.Magic))+4:
+		return integrityError{errors.New("truncated record")}
+	}
+	var magic [8]byte
+	if _, err := io.ReadFull(f, magic[:]); err != nil {
+		return readError(err)
+	}
+	if magic != s.kind.Magic {
+		return integrityError{errors.New("bad magic or unsupported version")}
+	}
+	b := &body{r: f, left: fi.Size() - int64(len(magic)) - 4}
+	err = decode(name, b, b.left)
+	switch {
+	case b.err != nil && b.err != io.EOF:
+		return b.err
+	case err != nil:
+		return integrityError{err}
+	case b.err == nil:
+		return integrityError{errors.New("body not read to its end")}
+	}
+	return nil
+}
+
+// body reads one record's body, CRCs it as it passes and verifies the
+// trailer once the last byte is out. Its first error is sticky: io.EOF
+// after a verified trailer, an integrityError, or the I/O error of a
+// failed read.
+type body struct {
+	r    io.Reader // the file, positioned past the magic
+	left int64     // body bytes not yet read
+	crc  uint32
+	err  error
+}
+
+func (b *body) Read(p []byte) (int, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
+	if b.left == 0 {
+		b.err = b.verify()
+		return 0, b.err
+	}
+	if int64(len(p)) > b.left {
+		p = p[:b.left]
+	}
+	n, err := b.r.Read(p)
+	b.crc = crc32.Update(b.crc, crc32.IEEETable, p[:n])
+	b.left -= int64(n)
 	switch {
 	case err != nil:
-		return nil, err
-	case len(data) < len(s.kind.Magic)+4:
-		return nil, integrityError{errors.New("truncated record")}
-	case [8]byte(data[:8]) != s.kind.Magic:
-		return nil, integrityError{errors.New("bad magic or unsupported version")}
+		b.err = readError(err)
+	case b.left == 0:
+		b.err = b.verify()
 	}
-	body := data[8 : len(data)-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return nil, integrityError{errors.New("checksum mismatch")}
+	return n, b.err
+}
+
+// verify reads the trailer and compares it with the body's CRC.
+func (b *body) verify() error {
+	var trailer [4]byte
+	if _, err := io.ReadFull(b.r, trailer[:]); err != nil {
+		return readError(err)
 	}
-	return body, nil
+	if b.crc != binary.LittleEndian.Uint32(trailer[:]) {
+		return integrityError{errors.New("checksum mismatch")}
+	}
+	return io.EOF
+}
+
+// readError classifies a failed file read: running out of bytes the
+// file's size promised is a truncated record, anything else transient.
+func readError(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return integrityError{errors.New("truncated record")}
+	}
+	return err
 }

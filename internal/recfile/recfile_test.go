@@ -2,11 +2,14 @@ package recfile
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"github.com/cnfet/yieldlab/internal/fault"
@@ -32,7 +35,11 @@ func open(t *testing.T) *Store {
 // loadAll collects every body Load hands out, keyed by name, in order.
 func loadAll(t *testing.T, s *Store) (names, bodies []string) {
 	t.Helper()
-	err := s.Load(func(name string, body []byte) error {
+	err := s.Load(func(name string, r io.Reader, _ int64) error {
+		body, err := io.ReadAll(r)
+		if err != nil {
+			return err
+		}
 		names = append(names, name)
 		bodies = append(bodies, string(body))
 		return nil
@@ -41,6 +48,12 @@ func loadAll(t *testing.T, s *Store) (names, bodies []string) {
 		t.Fatal(err)
 	}
 	return names, bodies
+}
+
+// drain is a decoder that reads the body to its end and keeps nothing.
+func drain(_ string, r io.Reader, _ int64) error {
+	_, err := io.Copy(io.Discard, r)
+	return err
 }
 
 func TestOpenValidation(t *testing.T) {
@@ -101,7 +114,7 @@ func TestEnvelopeIntegrity(t *testing.T) {
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := s.read(path)
+		err := s.load(path, name, drain)
 		var ie integrityError
 		if !errors.As(err, &ie) || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want an integrity error about %q", name, err, tc.want)
@@ -138,11 +151,11 @@ func TestLoadFailureClasses(t *testing.T) {
 	if err := fault.Enable(testKind.LoadSite, "error(io)@nth=2"); err != nil {
 		t.Fatal(err)
 	}
-	refuse := func(name string, body []byte) error {
+	refuse := func(name string, r io.Reader, _ int64) error {
 		if name == "bad" {
 			return errors.New("codec refused")
 		}
-		return nil
+		return drain(name, r, 0)
 	}
 	if err := s.Load(refuse); err != nil {
 		t.Fatal(err)
@@ -152,6 +165,87 @@ func TestLoadFailureClasses(t *testing.T) {
 	}
 	if names, _ := loadAll(t, s); len(names) != 1 || names[0] != "good" {
 		t.Fatalf("after the fault loaded %q, want good", names)
+	}
+}
+
+// The streamed-load contract: the reader checksums what passes through it,
+// however the decoder chunks its reads, and reports the verdict at EOF; a
+// decoder that returns nil without having read to EOF fails the record,
+// even if it read every body byte and ignored the checksum's verdict.
+func TestStreamedLoadContract(t *testing.T) {
+	s := open(t)
+	for _, name := range []string{"empty", "chunked", "undrained", "ignored"} {
+		body := []byte(strings.Repeat(name, 1000))
+		if name == "empty" {
+			body = nil
+		}
+		if err := s.Save(name, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ignored := filepath.Join(s.Dir(), "ignored.rec")
+	data, err := os.ReadFile(ignored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[100] ^= 0x01
+	if err := os.WriteFile(ignored, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var loaded []string
+	err = s.Load(func(name string, r io.Reader, size int64) error {
+		switch name {
+		case "chunked":
+			body, err := io.ReadAll(iotest.OneByteReader(r))
+			if err != nil || string(body) != strings.Repeat(name, 1000) || int64(len(body)) != size {
+				return fmt.Errorf("read %d of %d bytes: %v", len(body), size, err)
+			}
+		case "undrained":
+			if _, err := io.ReadFull(r, make([]byte, 2)); err != nil {
+				return err
+			}
+		case "ignored":
+			// io.ReadFull drops the error that comes with the last bytes.
+			if _, err := io.ReadFull(r, make([]byte, size)); err != nil {
+				return err
+			}
+		default:
+			if err := drain(name, r, size); err != nil {
+				return err
+			}
+		}
+		loaded = append(loaded, name)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Loads != 2 || st.Rejects != 2 || st.Quarantined != 2 {
+		t.Fatalf("stats = %+v, want 2 loads, 2 rejects, 2 quarantined", st)
+	}
+	for _, name := range []string{"undrained", "ignored"} {
+		if _, err := os.Stat(filepath.Join(s.Dir(), name+".rec"+badExt)); err != nil {
+			t.Fatalf("%s not quarantined: %v", name, err)
+		}
+	}
+	if got := strings.Join(loaded, ","); got != "chunked,empty,ignored,undrained" {
+		t.Fatalf("decoder returned nil for %s", got)
+	}
+}
+
+// The body reader passes a failed read on as a transient error and a body
+// that ends early as an integrity error.
+func TestBodyReadErrors(t *testing.T) {
+	errIO := errors.New("input/output error")
+	b := &body{r: iotest.ErrReader(errIO), left: 10}
+	if _, err := io.ReadAll(b); err != errIO {
+		t.Fatalf("failed read: err = %v, want the read's own error", err)
+	}
+	b = &body{r: strings.NewReader("short"), left: 10}
+	_, err := io.ReadAll(b)
+	var ie integrityError
+	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("early end: err = %v, want a truncated-record integrity error", err)
 	}
 }
 

@@ -36,7 +36,8 @@
 // rare: the session's sweep cache shares swept tables across corners and
 // requests (concurrent cold requests for one table wait on a single
 // sweep), and an optional sweepstore directory persists the tables so a
-// restarted server (or a parallel process) warms instantly.
+// restarted server (or a parallel process) loads them in one streamed pass
+// instead of sweeping.
 package server
 
 import (

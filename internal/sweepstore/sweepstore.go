@@ -1,6 +1,6 @@
 // Package sweepstore persists swept renewal count tables on disk, so a
 // restarted yield server — or a parallel process pointed at the same
-// directory — warms its sweep cache instantly instead of recomputing the
+// directory — warms its sweep cache from disk instead of recomputing the
 // arrival convolutions (hundreds of milliseconds per law+grid at the
 // paper's default resolution).
 //
@@ -17,6 +17,13 @@
 // rebuilds the identical law and the restored tables are bit-exact — a warm
 // start can never change a result.
 //
+// A record loads in one pass: decode streams the body from the record
+// layer's checksumming reader through a bounded window straight into one
+// []float64 backing the whole table, validating each mass as it lands, and
+// reads on to EOF, where the reader reports the checksum. The default
+// law's record on the default grid (8800 PMFs, ~8.1 MB) loads with one
+// table allocation (BenchmarkWarmCache).
+//
 // A record is a pure function of its law and grid, so a record on disk is
 // never rewritten: a Store remembers every record it has loaded or written
 // and PersistCache skips them without touching the disk.
@@ -29,6 +36,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"strings"
 	"sync"
 
 	"github.com/cnfet/yieldlab/internal/dist"
@@ -118,8 +126,8 @@ func (s *Store) Save(fingerprint string, snap *renewal.Snapshot) error {
 // return an error.
 func (s *Store) LoadAll() ([]Record, error) {
 	var out []Record
-	err := s.files.Load(func(name string, body []byte) error {
-		rec, err := decode(body)
+	err := s.files.Load(func(name string, body io.Reader, size int64) error {
+		rec, err := decode(body, size)
 		if err != nil {
 			return err
 		}
@@ -153,54 +161,226 @@ func encode(fingerprint string, snap *renewal.Snapshot) []byte {
 	return body
 }
 
-// decode parses and validates one record body.
-func decode(body []byte) (Record, error) {
-	fpLen, used := binary.Uvarint(body)
-	if used <= 0 || fpLen > uint64(len(body)-used) {
-		return Record{}, errors.New("fingerprint length corrupt")
+// window bounds the buffer decode streams a record body through.
+const window = 64 << 10
+
+// maxSupport bounds one PMF's support, so a corrupted length prefix is
+// refused before it is trusted.
+const maxSupport = 1 << 24
+
+// decode parses and validates one record body of size bytes in one pass
+// over r, reading r to EOF (where the record layer verifies the checksum).
+// Every PMF is a full-slice view backing[a:b:b] into one array sized from
+// the body (each mass takes 8 of its bytes), so the table costs one
+// allocation and no append through one PMF can reach its neighbour. The
+// masses pass dist.NewPMF's checks in the same loop that decodes them:
+// finite and non-negative (-0 included), total in (0, 1+1e-9], summed in
+// index order. Every length the body declares is checked against the bytes
+// it has left before anything is sized from it.
+func decode(r io.Reader, size int64) (Record, error) {
+	d := &stream{r: r, buf: make([]byte, min(window, size)), unread: size}
+	fpLen, err := d.uvarint()
+	if err != nil || fpLen > uint64(d.left()) {
+		return Record{}, corrupt("fingerprint length", err)
 	}
-	body = body[used:]
-	fp := string(body[:fpLen])
-	body = body[fpLen:]
-	if len(body) < 3*8+1 {
+	fp, err := d.text(int(fpLen))
+	if err != nil {
+		return Record{}, err
+	}
+	if d.left() < 3*8+1 {
 		return Record{}, errors.New("header truncated")
 	}
+	if err := d.fill(3*8 + 1); err != nil {
+		return Record{}, err
+	}
+	head := d.buf[d.pos:]
+	d.pos += 3*8 + 1
 	snap := &renewal.Snapshot{}
-	snap.Step = math.Float64frombits(binary.LittleEndian.Uint64(body[0:]))
-	snap.MaxWidth = math.Float64frombits(binary.LittleEndian.Uint64(body[8:]))
-	if eps := binary.LittleEndian.Uint64(body[16:]); eps != math.Float64bits(renewal.DefaultTailEps) {
+	snap.Step = math.Float64frombits(binary.LittleEndian.Uint64(head[0:]))
+	snap.MaxWidth = math.Float64frombits(binary.LittleEndian.Uint64(head[8:]))
+	if eps := binary.LittleEndian.Uint64(head[16:]); eps != math.Float64bits(renewal.DefaultTailEps) {
 		return Record{}, fmt.Errorf("tail eps %g, want %g", math.Float64frombits(eps), renewal.DefaultTailEps)
 	}
-	if body[24] != 0 {
-		return Record{}, fmt.Errorf("initial condition %d, want 0 (equilibrium)", body[24])
+	if head[24] != 0 {
+		return Record{}, fmt.Errorf("initial condition %d, want 0 (equilibrium)", head[24])
 	}
-	body = body[25:]
-	n, used := binary.Uvarint(body)
-	if used <= 0 {
-		return Record{}, errors.New("table length corrupt")
+	n, err := d.uvarint()
+	if err != nil {
+		return Record{}, corrupt("table length", err)
 	}
-	body = body[used:]
 	if !(snap.Step > 0) || !(snap.MaxWidth > snap.Step) {
 		return Record{}, fmt.Errorf("grid (%g, %g) invalid", snap.Step, snap.MaxWidth)
 	}
 	if full := uint64(math.Round(snap.MaxWidth / snap.Step)); n != full {
 		return Record{}, fmt.Errorf("table holds %d PMFs, grid horizon is %d", n, full)
 	}
+	// A PMF takes at least 9 bytes: a length prefix and one mass.
+	if n > uint64(d.left())/9 {
+		return Record{}, fmt.Errorf("table of %d PMFs overruns the %d-byte body", n, size)
+	}
 	snap.PMFs = make([]dist.PMF, n)
-	var err error
+	backing := make([]float64, d.left()/8)
+	off := 0
 	for i := range snap.PMFs {
-		snap.PMFs[i], body, err = dist.DecodePMF(body)
-		if err != nil {
+		k, err := d.uvarint()
+		switch {
+		case err != nil:
+			return Record{}, fmt.Errorf("PMF %d: %w", i+1, corrupt("length prefix", err))
+		case k == 0 || k > maxSupport:
+			return Record{}, fmt.Errorf("PMF %d: support %d out of range", i+1, k)
+		case 8*k > uint64(d.left()):
+			return Record{}, fmt.Errorf("PMF %d: payload truncated: need %d bytes, have %d", i+1, 8*k, d.left())
+		}
+		p := backing[off : off+int(k) : off+int(k)]
+		off += int(k)
+		if err := d.masses(p); err != nil {
 			return Record{}, fmt.Errorf("PMF %d: %w", i+1, err)
 		}
+		snap.PMFs[i] = dist.PMF{P: p}
 	}
-	if len(body) != 0 {
-		return Record{}, fmt.Errorf("%d trailing bytes after last PMF", len(body))
+	if err := d.finish(); err != nil {
+		return Record{}, err
 	}
 	if _, err := dist.ParseFingerprint(fp); err != nil {
 		return Record{}, err
 	}
 	return Record{Fingerprint: fp, Snapshot: snap}, nil
+}
+
+// corrupt names a length field that does not parse, or passes on the
+// read error that cut it short.
+func corrupt(field string, err error) error {
+	if err != nil && err != errVarint {
+		return err
+	}
+	return errors.New(field + " corrupt")
+}
+
+// errVarint reports a malformed uvarint.
+var errVarint = errors.New("malformed uvarint")
+
+// stream reads a record body of known length through a bounded window,
+// buf[pos:end] holding the bytes read but not yet consumed.
+type stream struct {
+	r        io.Reader
+	buf      []byte
+	pos, end int
+	// unread counts the body bytes not yet read from r.
+	unread int64
+	// eof records that r has returned io.EOF.
+	eof bool
+}
+
+// left returns how many body bytes are not yet consumed.
+func (d *stream) left() int64 { return int64(d.end-d.pos) + d.unread }
+
+// fill makes at least want ≤ len(buf) unconsumed bytes available in
+// buf[pos:end], moving the unconsumed tail to the front and reading once
+// per pass. A body that ends before its length is io.ErrUnexpectedEOF.
+func (d *stream) fill(want int) error {
+	if d.end-d.pos >= want {
+		return nil
+	}
+	d.end = copy(d.buf, d.buf[d.pos:d.end])
+	d.pos = 0
+	for d.end < want {
+		if d.unread == 0 {
+			return io.ErrUnexpectedEOF
+		}
+		room := d.buf[d.end:]
+		if int64(len(room)) > d.unread {
+			room = room[:d.unread]
+		}
+		n, err := d.r.Read(room)
+		d.end += n
+		d.unread -= int64(n)
+		switch {
+		case err == io.EOF && d.unread == 0:
+			d.eof = true
+		case err == io.EOF:
+			return io.ErrUnexpectedEOF
+		case err != nil:
+			return err
+		}
+	}
+	return nil
+}
+
+// uvarint consumes one uvarint.
+func (d *stream) uvarint() (uint64, error) {
+	if err := d.fill(int(min(binary.MaxVarintLen64, d.left()))); err != nil {
+		return 0, err
+	}
+	v, used := binary.Uvarint(d.buf[d.pos:d.end])
+	if used <= 0 {
+		return 0, errVarint
+	}
+	d.pos += used
+	return v, nil
+}
+
+// text consumes k ≤ left() bytes as a string.
+func (d *stream) text(k int) (string, error) {
+	var sb strings.Builder
+	sb.Grow(k)
+	for sb.Len() < k {
+		if err := d.fill(1); err != nil {
+			return "", err
+		}
+		m := min(k-sb.Len(), d.end-d.pos)
+		sb.Write(d.buf[d.pos : d.pos+m])
+		d.pos += m
+	}
+	return sb.String(), nil
+}
+
+// masses consumes len(p) ≤ left()/8 raw float64 masses into p, checking
+// each as dist.NewPMF does and summing them in index order.
+func (d *stream) masses(p []float64) error {
+	total := 0.0
+	for j := 0; j < len(p); {
+		if err := d.fill(8); err != nil {
+			return err
+		}
+		q := p[j:min(len(p), j+(d.end-d.pos)/8)]
+		w := d.buf[d.pos : d.pos+8*len(q)]
+		for t := range q {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(w[8*t:]))
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("mass %g at count %d invalid", v, j+t)
+			}
+			total += v
+			q[t] = v
+		}
+		j += len(q)
+		d.pos += len(w)
+	}
+	if !(total > 0) {
+		return errors.New("carries no mass")
+	}
+	if total > 1+1e-9 {
+		return fmt.Errorf("total mass %g exceeds 1", total)
+	}
+	return nil
+}
+
+// finish checks that the body is consumed and reads r on to EOF.
+func (d *stream) finish() error {
+	if rest := d.left(); rest != 0 {
+		return fmt.Errorf("%d trailing bytes after last PMF", rest)
+	}
+	for !d.eof {
+		n, err := d.r.Read(d.buf[:1])
+		switch {
+		case n > 0:
+			return errors.New("trailing bytes after last PMF")
+		case err == io.EOF:
+			d.eof = true
+		case err != nil:
+			return err
+		}
+	}
+	return nil
 }
 
 // WarmCache loads every intact record into the sweep cache: the law is

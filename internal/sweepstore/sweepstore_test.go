@@ -1,12 +1,16 @@
 package sweepstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/cnfet/yieldlab/internal/device"
 	"github.com/cnfet/yieldlab/internal/dist"
@@ -438,4 +442,230 @@ func TestSaveRetriesTransientFailures(t *testing.T) {
 	if err := store.Save(fp+"x", m.Snapshot()); err == nil {
 		t.Fatal("permanent failure did not surface")
 	}
+}
+
+// A mass byte flipped so that the body still decodes — every check passes
+// — is caught by the checksum the reader verifies at EOF: the record is
+// rejected and quarantined, and no table is restored.
+func TestChecksumOnlyCorruptionQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	law := dist.Exponential{Rate: 0.25}
+	snap := buildModel(t, renewal.NewSweepCache(), law, 40).Snapshot()
+	fp, _ := dist.Fingerprint(law)
+	if err := store.Save(fp, snap); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fileName(fp, snap)+fileExt)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The low mantissa byte of the table's last mass, just before the CRC.
+	data[len(data)-4-8] ^= 0x01
+	body := data[8 : len(data)-4]
+	if _, err := decode(bytes.NewReader(body), int64(len(body))); err != nil {
+		t.Fatalf("flipped body no longer decodes (%v): the test must corrupt only the checksum's view", err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := renewal.NewSweepCache()
+	if n, err := WarmCache(fresh, cache); err != nil || n != 0 {
+		t.Fatalf("WarmCache restored %d tables (err %v), want 0", n, err)
+	}
+	if st := fresh.Stats(); st.Loads != 0 || st.Rejects != 1 || st.Quarantined != 1 {
+		t.Fatalf("stats = %+v, want 1 reject, 1 quarantined", st)
+	}
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("cache holds %d entries, want 0", n)
+	}
+	if _, err := os.Stat(path + badExt); err != nil {
+		t.Fatalf("record not quarantined: %v", err)
+	}
+}
+
+// A restored table equals the swept one bit for bit, and its PMFs are
+// consecutive full-slice views of one backing array: cap == len, so an
+// append through one PMF copies instead of overwriting its neighbour.
+func TestRestoredTableContiguous(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := renewal.NewSweepCache()
+	swept := map[string]*renewal.Snapshot{}
+	for _, law := range []dist.Continuous{pitchLaw(t), dist.Exponential{Rate: 0.25}} {
+		fp, _ := dist.Fingerprint(law)
+		swept[fp] = buildModel(t, cache, law, 80).Snapshot()
+	}
+	if _, err := PersistCache(store, cache); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := store.LoadAll()
+	if err != nil || len(recs) != len(swept) {
+		t.Fatalf("LoadAll: %d records, %v", len(recs), err)
+	}
+	for _, rec := range recs {
+		want := swept[rec.Fingerprint]
+		got := rec.Snapshot
+		if want == nil || got.Step != want.Step || got.MaxWidth != want.MaxWidth || len(got.PMFs) != len(want.PMFs) {
+			t.Fatalf("%s: restored grid or table length differs", rec.Fingerprint)
+		}
+		next := unsafe.SliceData(got.PMFs[0].P)
+		for i, pmf := range got.PMFs {
+			if pmf.Len() != want.PMFs[i].Len() {
+				t.Fatalf("%s PMF %d: support %d, swept %d", rec.Fingerprint, i+1, pmf.Len(), want.PMFs[i].Len())
+			}
+			for k, v := range pmf.P {
+				if math.Float64bits(v) != math.Float64bits(want.PMFs[i].P[k]) {
+					t.Fatalf("%s PMF %d count %d: %x, swept %x", rec.Fingerprint, i+1, k,
+						math.Float64bits(v), math.Float64bits(want.PMFs[i].P[k]))
+				}
+			}
+			if cap(pmf.P) != len(pmf.P) {
+				t.Fatalf("%s PMF %d: cap %d, len %d", rec.Fingerprint, i+1, cap(pmf.P), len(pmf.P))
+			}
+			if unsafe.SliceData(pmf.P) != next {
+				t.Fatalf("%s PMF %d does not follow PMF %d in the backing array", rec.Fingerprint, i+1, i)
+			}
+			next = (*float64)(unsafe.Add(unsafe.Pointer(next), 8*len(pmf.P)))
+		}
+		second := math.Float64bits(got.PMFs[1].P[0])
+		_ = append(got.PMFs[0].P, 1)
+		if math.Float64bits(got.PMFs[1].P[0]) != second {
+			t.Fatalf("%s: an append through PMF 1 overwrote PMF 2", rec.Fingerprint)
+		}
+	}
+}
+
+// testBody encodes a record body over the grid (1, horizon) whose table
+// holds the given masses, unvalidated.
+func testBody(fp string, horizon int, pmfs ...[]float64) []byte {
+	snap := &renewal.Snapshot{Step: 1, MaxWidth: float64(horizon)}
+	for _, p := range pmfs {
+		snap.PMFs = append(snap.PMFs, dist.PMF{P: p})
+	}
+	return encode(fp, snap)
+}
+
+// decode makes every check dist.NewPMF and the format make: each refused
+// body fails exactly one check, named by its error, and the accepted ones
+// pin the edges (-0, a total a hair above 1).
+func TestDecodeValidation(t *testing.T) {
+	const fp = "exp:3fd0000000000000"
+	one := []float64{0, 1}
+	valid := testBody(fp, 2, one, one)
+	// The last PMF's length prefix claims 3 masses; 2 follow.
+	overlong := append([]byte(nil), valid...)
+	overlong[len(overlong)-17] = 3
+	// The last PMF's length prefix claims 1<<24 + 1 masses.
+	huge := append(append([]byte(nil), valid[:len(valid)-17]...), 0x81, 0x80, 0x80, 0x08)
+	huge = append(huge, make([]byte, 16)...)
+	cases := []struct {
+		name string
+		body []byte
+		want string // "" for an accepted body
+	}{
+		{"valid", valid, ""},
+		{"negative zero", testBody(fp, 2, []float64{math.Copysign(0, -1), 1}, one), ""},
+		{"total within 1e-9", testBody(fp, 2, []float64{0.5, 0.5 + 5e-10}, one), ""},
+		{"negative mass", testBody(fp, 2, []float64{-1e-300, 1}, one), "invalid"},
+		{"NaN mass", testBody(fp, 2, []float64{math.NaN(), 1}, one), "invalid"},
+		{"+Inf mass", testBody(fp, 2, []float64{math.Inf(1), 1}, one), "invalid"},
+		{"-Inf mass", testBody(fp, 2, []float64{math.Inf(-1), 1}, one), "invalid"},
+		{"no mass", testBody(fp, 2, []float64{0, 0}, one), "no mass"},
+		{"total above 1", testBody(fp, 2, []float64{0.5, 0.5 + 2e-9}, one), "exceeds 1"},
+		{"empty support", testBody(fp, 2, []float64{}, one), "support 0 out of range"},
+		{"support above 1<<24", huge, "out of range"},
+		{"payload truncated", overlong, "payload truncated"},
+		{"table overruns body", valid[:len(valid)-17], "overruns"},
+		{"horizon mismatch", testBody(fp, 2, one, one, one), "grid horizon"},
+		{"trailing byte", append(append([]byte(nil), valid...), 0), "trailing"},
+		{"bad grid", testBody(fp, 1, one), "grid (1, 1) invalid"},
+		{"bad fingerprint", testBody("exp:zz", 2, one, one), "fingerprint"},
+		{"header truncated", valid[:1+len(fp)+24], "header truncated"},
+		{"empty body", nil, "fingerprint length corrupt"},
+	}
+	for _, tc := range cases {
+		rec, err := decode(bytes.NewReader(tc.body), int64(len(tc.body)))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want == "" && (rec.Fingerprint != fp || len(rec.Snapshot.PMFs) != 2):
+			t.Errorf("%s: decoded %q with %d PMFs", tc.name, rec.Fingerprint, len(rec.Snapshot.PMFs))
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one about %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Every truncation of a record body is refused, never half-decoded.
+func TestTruncatedBodyRejected(t *testing.T) {
+	law := dist.Exponential{Rate: 0.25}
+	fp, _ := dist.Fingerprint(law)
+	body := encode(fp, buildModel(t, renewal.NewSweepCache(), law, 4).Snapshot())
+	for n := range body {
+		if _, err := decode(bytes.NewReader(body[:n]), int64(n)); err == nil {
+			t.Fatalf("truncation to %d of %d bytes accepted", n, len(body))
+		}
+		// A reader that ends before the declared size is refused too.
+		if _, err := decode(bytes.NewReader(body[:n]), int64(len(body))); err == nil {
+			t.Fatalf("body ending at %d of %d declared bytes accepted", n, len(body))
+		}
+	}
+	if _, err := decode(bytes.NewReader(body), int64(len(body))); err != nil {
+		t.Fatalf("whole body refused: %v", err)
+	}
+}
+
+// FuzzSweepRecord feeds arbitrary bodies to decode: it must refuse or
+// accept without panicking, allocate no more than a fixed multiple of the
+// body (so recfile's file-size bound bounds it), and hand out only
+// full-slice PMFs over the whole grid.
+func FuzzSweepRecord(f *testing.F) {
+	law := dist.Exponential{Rate: 0.25}
+	fp, _ := dist.Fingerprint(law)
+	m, err := renewal.New(law, renewal.WithStep(0.5), renewal.WithMaxWidth(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := m.CountPMF(4); err != nil {
+		f.Fatal(err)
+	}
+	body := encode(fp, m.Snapshot())
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	f.Add(append(append([]byte(nil), body...), 0))
+	f.Add(testBody(fp, 2, []float64{0, 1}, []float64{1}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, err := decode(bytes.NewReader(body), int64(len(body)))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 6*uint64(len(body))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(body), alloc)
+		}
+		if err != nil {
+			return
+		}
+		snap := rec.Snapshot
+		if n := int(math.Round(snap.MaxWidth / snap.Step)); len(snap.PMFs) != n {
+			t.Fatalf("accepted %d PMFs for a %d-cell grid", len(snap.PMFs), n)
+		}
+		for i, pmf := range snap.PMFs {
+			if pmf.Len() == 0 || cap(pmf.P) != pmf.Len() {
+				t.Fatalf("PMF %d: len %d, cap %d", i+1, pmf.Len(), cap(pmf.P))
+			}
+		}
+	})
 }
