@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -262,5 +263,32 @@ func TestTable1Deterministic(t *testing.T) {
 	}
 	if c.Table.Render() == at {
 		t.Fatal("seed change should alter MC estimates")
+	}
+}
+
+// TestTable1MCBitsPinned pins the exact bits of Table 1's two Monte Carlo
+// estimates at a fixed budget, so a change to the estimator plumbing
+// (entry point, seeding, round order, merge order) that moves a single ulp
+// fails here before it reaches a published column.
+func TestTable1MCBitsPinned(t *testing.T) {
+	p := fastParams()
+	p.MCRounds = 5_000
+	d, err := New(p).table1Estimates(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"unaligned mean", d.unal.Mean, 0x3e89dc6a853bc6a9},
+		{"unaligned stderr", d.unal.StdErr, 0x3e5061fa6adc3688},
+		{"aligned mean", d.al.Mean, 0x3e57bc67e60816f3},
+		{"aligned stderr", d.al.StdErr, 0x3e4205946475a003},
+	} {
+		if got := math.Float64bits(c.got); got != c.want {
+			t.Errorf("%s = %v (bits %#x), want bits %#x (%v)", c.name, c.got, got, c.want, math.Float64frombits(c.want))
+		}
 	}
 }

@@ -36,6 +36,69 @@ const table1SeedStride = 0x9E37
 // 45 nm library weighted by the OpenRISC cell mix, the aligned one as the
 // simulation check of the renewal pF it equals.
 func (r *Runner) Table1(ctx context.Context) (*Result, error) {
+	d, err := r.table1Estimates(ctx)
+	if err != nil {
+		return nil, err
+	}
+	paperPRF := map[rowyield.Scenario]float64{
+		rowyield.UncorrelatedGrowth:   5.3e-6,
+		rowyield.DirectionalUnaligned: 2.0e-7,
+		rowyield.DirectionalAligned:   1.5e-8,
+	}
+	table := &report.Table{
+		Title: fmt.Sprintf("Table 1 — row failure probability pRF (W=%.1f nm, MRmin=%.0f, %d MC rounds)",
+			d.width, d.mrmin, r.params.MCRounds),
+		Columns: []string{"scenario", "pRF (MC)", "± stderr", "pRF (analytic)", "paper"},
+	}
+	cmp := &report.ComparisonSet{Name: "table1"}
+	// measured is the column's best value: the closed form where one
+	// exists, the Monte Carlo mean otherwise.
+	for _, row := range []struct {
+		s                    rowyield.Scenario
+		mc, stderr, analytic string
+		measured             float64
+	}{
+		{rowyield.UncorrelatedGrowth, "—", "—", fmt.Sprintf("%.2e", d.unc), d.unc},
+		{rowyield.DirectionalUnaligned, fmt.Sprintf("%.2e", d.unal.Mean), fmt.Sprintf("%.1e", d.unal.StdErr), "—", d.unal.Mean},
+		{rowyield.DirectionalAligned, fmt.Sprintf("%.2e", d.al.Mean), fmt.Sprintf("%.1e", d.al.StdErr), fmt.Sprintf("%.2e", d.devicePF), d.devicePF},
+	} {
+		if err := table.AddRow(row.s.String(), row.mc, row.stderr, row.analytic,
+			fmt.Sprintf("%.1e", paperPRF[row.s])); err != nil {
+			return nil, err
+		}
+		cmp.Add(report.Comparison{
+			Artifact:  "Table 1",
+			Quantity:  "pRF, " + row.s.String(),
+			Paper:     paperPRF[row.s],
+			Measured:  row.measured,
+			TolFactor: 2.5,
+		})
+	}
+	table.AddNote("benefit of directional growth alone: %.1f× (paper: 26.5×)", d.unc/d.unal.Mean)
+	table.AddNote("additional benefit of aligned-active: %.1f× (paper: 13×)", d.unal.Mean/d.al.Mean)
+	table.AddNote("total: %.0f× (paper: ≈350×); closed-form total is MRmin = %.0f×", d.unc/d.al.Mean, d.mrmin)
+	table.AddNote("library offsets: %d distinct lateral positions over %.0f nm", d.rm.Offsets.DistinctCount(), d.rm.Offsets.Span())
+
+	cmp.Add(report.Comparison{Artifact: "Table 1", Quantity: "directional-growth benefit",
+		Paper: 26.5, Measured: d.unc / d.unal.Mean, TolFactor: 1.8})
+	cmp.Add(report.Comparison{Artifact: "Table 1", Quantity: "aligned-active extra benefit",
+		Paper: 13, Measured: d.unal.Mean / d.al.Mean, TolFactor: 1.8})
+	cmp.Add(report.Comparison{Artifact: "Table 1", Quantity: "total benefit",
+		Paper: 353, Measured: d.unc / d.al.Mean, TolFactor: 1.6})
+
+	return &Result{Name: "table1", Table: table, Comparisons: cmp}, nil
+}
+
+// table1Data is Table 1 before formatting: the operating point, the
+// closed-form columns and the two Monte Carlo estimates.
+type table1Data struct {
+	width, mrmin, devicePF, unc float64
+	unal, al                    rowyield.Estimate
+	rm                          *rowyield.RowModel
+}
+
+// table1Estimates computes Table 1's operating point and columns.
+func (r *Runner) table1Estimates(ctx context.Context) (*table1Data, error) {
 	model, err := r.failureModel()
 	if err != nil {
 		return nil, err
@@ -72,52 +135,5 @@ func (r *Runner) Table1(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	paperPRF := map[rowyield.Scenario]float64{
-		rowyield.UncorrelatedGrowth:   5.3e-6,
-		rowyield.DirectionalUnaligned: 2.0e-7,
-		rowyield.DirectionalAligned:   1.5e-8,
-	}
-	table := &report.Table{
-		Title: fmt.Sprintf("Table 1 — row failure probability pRF (W=%.1f nm, MRmin=%.0f, %d MC rounds)",
-			width, mrmin, r.params.MCRounds),
-		Columns: []string{"scenario", "pRF (MC)", "± stderr", "pRF (analytic)", "paper"},
-	}
-	cmp := &report.ComparisonSet{Name: "table1"}
-	// measured is the column's best value: the closed form where one
-	// exists, the Monte Carlo mean otherwise.
-	for _, row := range []struct {
-		s                    rowyield.Scenario
-		mc, stderr, analytic string
-		measured             float64
-	}{
-		{rowyield.UncorrelatedGrowth, "—", "—", fmt.Sprintf("%.2e", unc), unc},
-		{rowyield.DirectionalUnaligned, fmt.Sprintf("%.2e", unal.Mean), fmt.Sprintf("%.1e", unal.StdErr), "—", unal.Mean},
-		{rowyield.DirectionalAligned, fmt.Sprintf("%.2e", al.Mean), fmt.Sprintf("%.1e", al.StdErr), fmt.Sprintf("%.2e", devicePF), devicePF},
-	} {
-		if err := table.AddRow(row.s.String(), row.mc, row.stderr, row.analytic,
-			fmt.Sprintf("%.1e", paperPRF[row.s])); err != nil {
-			return nil, err
-		}
-		cmp.Add(report.Comparison{
-			Artifact:  "Table 1",
-			Quantity:  "pRF, " + row.s.String(),
-			Paper:     paperPRF[row.s],
-			Measured:  row.measured,
-			TolFactor: 2.5,
-		})
-	}
-	table.AddNote("benefit of directional growth alone: %.1f× (paper: 26.5×)", unc/unal.Mean)
-	table.AddNote("additional benefit of aligned-active: %.1f× (paper: 13×)", unal.Mean/al.Mean)
-	table.AddNote("total: %.0f× (paper: ≈350×); closed-form total is MRmin = %.0f×", unc/al.Mean, mrmin)
-	table.AddNote("library offsets: %d distinct lateral positions over %.0f nm", rm.Offsets.DistinctCount(), rm.Offsets.Span())
-
-	cmp.Add(report.Comparison{Artifact: "Table 1", Quantity: "directional-growth benefit",
-		Paper: 26.5, Measured: unc / unal.Mean, TolFactor: 1.8})
-	cmp.Add(report.Comparison{Artifact: "Table 1", Quantity: "aligned-active extra benefit",
-		Paper: 13, Measured: unal.Mean / al.Mean, TolFactor: 1.8})
-	cmp.Add(report.Comparison{Artifact: "Table 1", Quantity: "total benefit",
-		Paper: 353, Measured: unc / al.Mean, TolFactor: 1.6})
-
-	return &Result{Name: "table1", Table: table, Comparisons: cmp}, nil
+	return &table1Data{width: width, mrmin: mrmin, devicePF: devicePF, unc: unc, unal: unal, al: al, rm: rm}, nil
 }
