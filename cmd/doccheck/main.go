@@ -34,6 +34,8 @@ import (
 var defaultDirs = []string{
 	"internal/query",
 	"internal/rareevent",
+	"internal/rowyield",
+	"internal/montecarlo",
 	"internal/obs",
 	"internal/recfile",
 	"internal/analysis/...",

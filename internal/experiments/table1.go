@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/cnfet/yieldlab/internal/device"
+	"github.com/cnfet/yieldlab/internal/rareevent"
 	"github.com/cnfet/yieldlab/internal/report"
 	"github.com/cnfet/yieldlab/internal/rowyield"
 )
@@ -93,7 +94,7 @@ func (r *Runner) Table1(ctx context.Context) (*Result, error) {
 // closed-form columns and the two Monte Carlo estimates.
 type table1Data struct {
 	width, mrmin, devicePF, unc float64
-	unal, al                    rowyield.Estimate
+	unal, al                    rareevent.Estimate
 	rm                          *rowyield.RowModel
 }
 
@@ -123,9 +124,12 @@ func (r *Runner) table1Estimates(ctx context.Context) (*table1Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	mc := func(column int, s rowyield.Scenario) (rowyield.Estimate, error) {
-		return rm.EstimateRowFailureParallel(ctx, r.params.Seed+uint64(column)*table1SeedStride,
-			s, r.params.MCRounds, r.params.Workers)
+	mc := func(column int, s rowyield.Scenario) (rareevent.Estimate, error) {
+		return rareevent.EstimateRowFailureContext(ctx, rm, s, rareevent.Options{
+			MaxRounds: r.params.MCRounds,
+			Seed:      r.params.Seed + uint64(column)*table1SeedStride,
+			Workers:   r.params.Workers,
+		})
 	}
 	unal, err := mc(1, rowyield.DirectionalUnaligned)
 	if err != nil {

@@ -36,10 +36,6 @@ type Estimate struct {
 	Rounds int
 }
 
-// RoundFunc computes one simulation round using the provided stream. The
-// returned value is averaged across rounds.
-type RoundFunc func(r *rand.Rand) (float64, error)
-
 // Options configures a run.
 type Options struct {
 	// Seed is the root seed (rng.DefaultSeed if zero).
@@ -57,31 +53,19 @@ type Options struct {
 	Counters *obs.MCCounters
 }
 
-// Run executes rounds of f in parallel and merges the estimates.
+// RunState executes rounds of f in parallel and merges the estimates. Every
+// worker goroutine calls newState once and passes its state to each of its
+// rounds, so a round can reuse buffers across realizations without locking
+// or per-round allocation. newState may be nil when S's zero value is ready
+// to use.
 //
 // Reproducibility: round batch b always uses the stream derived from
-// (seed, b), so the estimate is a pure function of (seed, rounds, f)
-// regardless of scheduling or worker count. Cancelling ctx stops the run at
-// the next batch claim and returns ctx's error.
-func Run(ctx context.Context, rounds int, f RoundFunc, opt Options) (Estimate, error) {
-	if f == nil {
-		return Estimate{}, errors.New("montecarlo: nil round function")
-	}
-	return RunState(ctx, rounds, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
-		return f(r)
-	}, opt)
-}
-
-// RunState is Run for round functions that need scratch: every worker
-// goroutine calls newState once and passes its state to each of its rounds,
-// so a round can reuse buffers across realizations without locking or
-// per-round allocation. newState may be nil when S's zero value is ready to
-// use.
-//
-// The state must be pure scratch: batches migrate between workers from run
-// to run, so any state influence on the returned values would break the
-// reproducibility guarantee. As with Run, per-batch accumulators merge in
-// batch order, keeping the estimate bit-identical across worker counts.
+// (seed, b), and per-batch accumulators merge in batch order, so the
+// estimate is a pure function of (seed, rounds, f) regardless of scheduling
+// or worker count. The state must be pure scratch: batches migrate between
+// workers from run to run, so any state influence on the returned values
+// would break that guarantee. Cancelling ctx stops the run at the next
+// batch claim and returns ctx's error.
 func RunState[S any](ctx context.Context, rounds int, newState func() S, f func(r *rand.Rand, state S) (float64, error), opt Options) (Estimate, error) {
 	if f == nil {
 		return Estimate{}, errors.New("montecarlo: nil round function")

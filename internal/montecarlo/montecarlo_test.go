@@ -10,8 +10,15 @@ import (
 	"testing"
 )
 
+// run is RunState for a round function that needs no scratch.
+func run(ctx context.Context, rounds int, f func(r *rand.Rand) (float64, error), opt Options) (Estimate, error) {
+	return RunState(ctx, rounds, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
+		return f(r)
+	}, opt)
+}
+
 func TestRunEstimatesMean(t *testing.T) {
-	est, err := Run(context.Background(), 200_000, func(r *rand.Rand) (float64, error) {
+	est, err := run(context.Background(), 200_000, func(r *rand.Rand) (float64, error) {
 		return r.Float64(), nil
 	}, Options{Seed: 1})
 	if err != nil {
@@ -31,11 +38,11 @@ func TestRunEstimatesMean(t *testing.T) {
 
 func TestRunReproducibleAcrossWorkerCounts(t *testing.T) {
 	f := func(r *rand.Rand) (float64, error) { return r.NormFloat64(), nil }
-	a, err := Run(context.Background(), 10_000, f, Options{Seed: 42, Workers: 1})
+	a, err := run(context.Background(), 10_000, f, Options{Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), 10_000, f, Options{Seed: 42, Workers: 16})
+	b, err := run(context.Background(), 10_000, f, Options{Seed: 42, Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +53,8 @@ func TestRunReproducibleAcrossWorkerCounts(t *testing.T) {
 
 func TestRunSeedChangesStream(t *testing.T) {
 	f := func(r *rand.Rand) (float64, error) { return r.Float64(), nil }
-	a, _ := Run(context.Background(), 1000, f, Options{Seed: 1})
-	b, _ := Run(context.Background(), 1000, f, Options{Seed: 2})
+	a, _ := run(context.Background(), 1000, f, Options{Seed: 1})
+	b, _ := run(context.Background(), 1000, f, Options{Seed: 2})
 	if a.Mean == b.Mean {
 		t.Fatal("different seeds should give different estimates")
 	}
@@ -56,7 +63,7 @@ func TestRunSeedChangesStream(t *testing.T) {
 func TestRunPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	n := 0
-	_, err := Run(context.Background(), 1000, func(r *rand.Rand) (float64, error) {
+	_, err := run(context.Background(), 1000, func(r *rand.Rand) (float64, error) {
 		n++
 		if n > 100 {
 			return 0, boom
@@ -69,10 +76,10 @@ func TestRunPropagatesError(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), 10, nil, Options{}); err == nil {
+	if _, err := RunState[struct{}](context.Background(), 10, nil, nil, Options{}); err == nil {
 		t.Error("nil function")
 	}
-	if _, err := Run(context.Background(), 1, func(r *rand.Rand) (float64, error) { return 0, nil }, Options{}); err == nil {
+	if _, err := run(context.Background(), 1, func(r *rand.Rand) (float64, error) { return 0, nil }, Options{}); err == nil {
 		t.Error("too few rounds")
 	}
 }
@@ -179,7 +186,7 @@ func TestRunStatePropagatesFirstError(t *testing.T) {
 }
 
 func TestRunSmallRoundsLargeBatch(t *testing.T) {
-	est, err := Run(context.Background(), 5, func(r *rand.Rand) (float64, error) { return 2, nil }, Options{Seed: 9, BatchSize: 1000})
+	est, err := run(context.Background(), 5, func(r *rand.Rand) (float64, error) { return 2, nil }, Options{Seed: 9, BatchSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +228,7 @@ func TestRunCancellation(t *testing.T) {
 		calls.Add(1)
 		return r.Float64(), nil
 	}
-	if _, err := Run(ctx, 10_000, f, Options{Seed: 1, Workers: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := run(ctx, 10_000, f, Options{Seed: 1, Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 	}
 	if n := calls.Load(); n != 0 {

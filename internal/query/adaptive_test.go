@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -190,5 +191,42 @@ func TestEvaluateAdaptiveRoundsBound(t *testing.T) {
 	}
 	if res.RowYield.Rounds > 96 {
 		t.Fatalf("adaptive run exceeded its budget: %+v", res.RowYield)
+	}
+}
+
+// TestZeroPFAdaptiveAgreesWithFixed: a per-CNT failure probability of zero
+// is not a zero row failure probability, because a CNFET whose window holds
+// no CNT fails regardless. At 6 nm about a fifth of the windows are empty,
+// and every estimator must count them: each method's adaptive estimate
+// agrees with the fixed-budget one within 3σ and sits at or above the
+// aligned floor device_pf.
+func TestZeroPFAdaptiveAgreesWithFixed(t *testing.T) {
+	s := newTestSession(t, Options{})
+	ctx := context.Background()
+	zero := 0.0
+	spec := Spec{Kind: KindRowYield, Scenario: "unaligned", PM: &zero, PRS: &zero, WidthNM: 6,
+		Offsets: []float64{0, 20, 40}, OffsetProbs: []float64{1, 1, 1}}
+	fixed, err := s.Evaluate(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := fixed.RowYield
+	if !(fx.PRF >= fx.DevicePF) || !(fx.DevicePF > 0) {
+		t.Fatalf("fixed-budget pRF %g below device_pf %g", fx.PRF, fx.DevicePF)
+	}
+	for _, method := range []string{"plain", "tilted", "splitting", "auto"} {
+		q := spec
+		q.MCMethod, q.RelErrTarget = method, 0.05
+		res, err := s.Evaluate(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		ry := res.RowYield
+		if ry.Rounds == 0 || !(ry.PRF >= ry.DevicePF) {
+			t.Errorf("%s: pRF %g over %d rounds, want ≥ device_pf %g", method, ry.PRF, ry.Rounds, ry.DevicePF)
+		}
+		if sigma := math.Hypot(fx.StdErr, ry.StdErr); math.Abs(ry.PRF-fx.PRF) > 3*sigma {
+			t.Errorf("%s: pRF %g ± %g disagrees with fixed-budget %g ± %g", method, ry.PRF, ry.StdErr, fx.PRF, fx.StdErr)
+		}
 	}
 }

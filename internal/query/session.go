@@ -10,7 +10,6 @@ import (
 	"github.com/cnfet/yieldlab/internal/dist"
 	"github.com/cnfet/yieldlab/internal/experiments"
 	"github.com/cnfet/yieldlab/internal/fault"
-	"github.com/cnfet/yieldlab/internal/montecarlo"
 	"github.com/cnfet/yieldlab/internal/noisemargin"
 	"github.com/cnfet/yieldlab/internal/obs"
 	"github.com/cnfet/yieldlab/internal/ordered"
@@ -442,28 +441,31 @@ func (s *Session) evalRowYield(ctx context.Context, q Spec) (*RowYieldResult, er
 		if seed == 0 {
 			seed = s.params.Seed
 		}
+		// A non-adaptive spec is the fixed-budget plain estimate: target 0
+		// runs exactly `rounds` rounds.
+		method, target := rareevent.Plain, 0.0
 		if adaptive {
-			method := rareevent.Plain
 			if q.MCMethod != "" {
 				if method, err = rareevent.ParseMethod(q.MCMethod); err != nil {
 					return nil, badRequest(err)
 				}
 			}
-			target := q.RelErrTarget
-			if target == 0 {
+			if target = q.RelErrTarget; target == 0 {
 				target = DefaultRelErrTarget
 			}
-			est, err := rareevent.EstimateRowFailureContext(ctx, rm, scenario, rareevent.Options{
-				Method:       method,
-				RelErrTarget: target,
-				MaxRounds:    rounds,
-				Seed:         seed,
-				Workers:      s.params.Workers,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out.PRF, out.StdErr, out.Rounds = est.Mean, est.StdErr, est.Rounds
+		}
+		est, err := rareevent.EstimateRowFailureContext(ctx, rm, scenario, rareevent.Options{
+			Method:       method,
+			RelErrTarget: target,
+			MaxRounds:    rounds,
+			Seed:         seed,
+			Workers:      s.params.Workers,
+		})
+		if err != nil {
+			return nil, err
+		}
+		out.PRF, out.StdErr, out.Rounds = est.Mean, est.StdErr, est.Rounds
+		if adaptive {
 			out.MCMethod = est.Method.String()
 			out.TiltTheta = est.Theta
 			out.SplitLevels = est.Levels
@@ -471,22 +473,7 @@ func (s *Session) evalRowYield(ctx context.Context, q Spec) (*RowYieldResult, er
 				// JSON has no Inf; a zero estimate simply omits rel_err.
 				out.RelErr = est.RelErr()
 			}
-			break
 		}
-		msp := obs.StartLeaf(ctx, "mc.run")
-		est, err := rm.EstimateRowFailureWith(ctx, scenario, rounds,
-			montecarlo.Options{Seed: seed, Workers: s.params.Workers, Counters: msp.MC()})
-		if err != nil {
-			msp.End()
-			return nil, err
-		}
-		msp.SetAttr("method", "plain")
-		msp.SetAttr("rounds", est.Rounds)
-		if est.Mean > 0 {
-			msp.SetAttr("rel_err", est.StdErr/est.Mean)
-		}
-		msp.End()
-		out.PRF, out.StdErr, out.Rounds = est.Mean, est.StdErr, est.Rounds
 	}
 	if q.KRows > 0 {
 		out.KRows = q.KRows

@@ -1,11 +1,13 @@
-// Package rareevent estimates deep-tail row failure probabilities — the
-// regime below ~1e-10 where the paper's high-correlation scenarios live and
-// plain Monte Carlo goes blind — as an estimator layer over the
-// zero-allocation rowyield round engine.
+// Package rareevent is the one row-failure estimator: every pRF estimate of
+// a directional scenario, from Table 1's fixed-budget Monte Carlo to
+// deep-tail targets below ~1e-10 where the paper's high-correlation
+// scenarios live and plain Monte Carlo goes blind, is one call to
+// EstimateRowFailureContext over the zero-allocation rowyield round engine.
 //
-// Two rare-event methods are provided, both unbiased-by-construction or with
-// an explicitly documented bias (DESIGN.md §8 states the full estimator
-// contract):
+// Plain, the zero Method, runs the base rounds: each returns the exact
+// conditional failure probability of one track realization. Two rare-event
+// methods are provided, both unbiased-by-construction or with an explicitly
+// documented bias (DESIGN.md §8 states the full estimator contract):
 //
 //   - Tilted: importance sampling by exponential tilting of the pitch law
 //     (dist.TruncNormal.Tilt). Rounds draw sparser track realizations and
@@ -21,13 +23,16 @@
 //     ratio estimators and carries an O(1/population) bias, quantified by
 //     the replica scatter.
 //
-// Every method runs under relative-error-targeted adaptive stopping
-// (montecarlo.RunStateAdaptive): simulation proceeds in deterministic
-// doubling blocks until the estimate's relative standard error reaches the
-// target or a hard round cap is spent, and results stay bit-identical
-// across worker counts. Auto selects between the methods from the pilot:
-// the candidate with the lowest measured variance per round wins, falling
-// back to splitting when neither plain nor tilted rounds see any mass.
+// A zero relative-error target is a fixed budget: the plain or tilted
+// rounds run once through montecarlo.RunState over the rounds the pilots
+// left. A positive target switches to relative-error-targeted adaptive
+// stopping (montecarlo.RunStateAdaptive): simulation proceeds in
+// deterministic doubling blocks until the estimate's relative standard
+// error reaches the target or a hard round cap is spent. Either way results
+// stay bit-identical across worker counts. Auto selects between the methods
+// from the pilot: the candidate with the lowest measured variance per round
+// wins, falling back to splitting when neither plain nor tilted rounds see
+// any mass.
 //
 //yield:compute
 package rareevent
@@ -98,57 +103,52 @@ func ParseMethod(name string) (Method, error) {
 	}
 }
 
-// Defaults of the estimator knobs; all are overridable through Options.
+// Defaults of the estimator knobs that Options can override, and the fixed
+// shape of the pilots and the splitting ladder.
 const (
 	// DefaultMaxRounds is the hard cap on simulation rounds (track
 	// realizations, or splitting states) when Options.MaxRounds is zero.
 	DefaultMaxRounds = 1 << 22
-	// DefaultPilotRounds is the per-candidate budget of the tilt-selection
-	// pilot.
-	DefaultPilotRounds = 2048
 	// DefaultPopulation is the per-replica splitting population.
 	DefaultPopulation = 1024
-	// DefaultRho is the splitting level fraction: each level's threshold is
-	// the empirical (1-Rho) severity quantile of the population.
-	DefaultRho = 0.1
 	// DefaultMoves is the number of MCMC refreshment moves applied to each
 	// resampled splitting state.
 	DefaultMoves = 4
+	// pilotRounds is the per-candidate budget of the tilt-selection pilot.
+	pilotRounds = 2048
+	// splitRho is the splitting level fraction: each level's threshold is
+	// the empirical (1-splitRho) severity quantile of the population.
+	splitRho = 0.1
 	// splitLevelGuess converts the round budget into a replica cap before
 	// the actual level count is known.
 	splitLevelGuess = 8
-	// maxSplitLevels bounds one replica's level ladder; at DefaultRho each
+	// maxSplitLevels bounds one replica's level ladder; at splitRho each
 	// level gains about one decade, so 64 levels reach far below any
 	// representable probability.
 	maxSplitLevels = 64
 )
 
-// Options configures an estimate. The zero value runs the plain method with
-// no early stopping over the default round budget.
+// Options configures an estimate. The zero value is a fixed-budget plain
+// run of DefaultMaxRounds rounds.
 type Options struct {
 	// Method selects the estimator (default Plain).
 	Method Method
 	// RelErrTarget, when positive, stops the run once the estimate's
-	// relative standard error reaches it; zero spends the whole budget.
+	// relative standard error reaches it. Zero spends the whole budget;
+	// the plain and tilted rounds then run as one fixed-budget
+	// montecarlo.RunState call.
 	RelErrTarget float64
 	// MaxRounds caps total simulation rounds (0 = DefaultMaxRounds). For
 	// splitting the cap is interpreted as a state budget: replicas stop
 	// when Population·splitLevelGuess per replica would exceed it.
 	MaxRounds int
-	// MinRounds is the first adaptive block (0 = the montecarlo default;
-	// splitting uses replica-sized blocks regardless).
-	MinRounds int
 	// Seed is the root seed (0 = rng.DefaultSeed).
 	Seed uint64
 	// Workers caps parallelism (0 = GOMAXPROCS).
 	Workers int
-	// PilotRounds is the per-candidate tilt-pilot budget
-	// (0 = DefaultPilotRounds).
-	PilotRounds int
-	// Population, Rho and Moves tune the splitting replicas
+	// Population and Moves tune the splitting replicas
 	// (0 = the package defaults).
 	Population int
-	Rho        float64
 	Moves      int
 }
 
@@ -160,14 +160,8 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = rng.DefaultSeed
 	}
-	if o.PilotRounds < 2 {
-		o.PilotRounds = DefaultPilotRounds
-	}
 	if o.Population <= 1 {
 		o.Population = DefaultPopulation
-	}
-	if !(o.Rho > 0 && o.Rho < 1) {
-		o.Rho = DefaultRho
 	}
 	if o.Moves <= 0 {
 		o.Moves = DefaultMoves
@@ -204,10 +198,11 @@ func (e Estimate) RelErr() float64 {
 }
 
 // EstimateRowFailureContext estimates pRF for a directional scenario of the
-// prepared row model. The uncorrelated scenario is rejected for every
-// method — it has the closed form rowyield.IndependentRowFailure and no
-// Monte Carlo round. A model with per-CNT failure zero short-circuits to an
-// exact zero.
+// row model; it is the one entry point from a RowModel to a pRF estimate.
+// Plain with RelErrTarget zero is the fixed-budget estimate: exactly
+// MaxRounds rounds through montecarlo.RunState. The uncorrelated scenario
+// is rejected for every method — it has the closed form
+// rowyield.IndependentRowFailure and no Monte Carlo round.
 //
 // When the context carries an obs.Tracer, the estimator records "mc.pilot"
 // spans for its tilt-selection pilots and an "mc.run" span (method, rounds,
@@ -223,33 +218,26 @@ func EstimateRowFailureContext(ctx context.Context, m *rowyield.RowModel, scenar
 	if scenario == rowyield.UncorrelatedGrowth {
 		return Estimate{}, fmt.Errorf("rareevent: %v has a closed form (rowyield.IndependentRowFailure) and no Monte Carlo round; the estimators apply to the directional scenarios", scenario)
 	}
-	if m.PerCNTFailure == 0 {
-		// No track ever fails: pRF is exactly zero for every scenario.
-		return Estimate{Method: Plain}, nil
-	}
 	switch opt.Method {
 	case Plain:
-		return estimatePlain(ctx, m, scenario, opt, 0)
+		return estimateRounds(ctx, m, scenario, 0, opt, 0)
 	case Tilted:
 		ladder, err := tiltLadder(m)
 		if err != nil {
 			return Estimate{}, err
 		}
 		psp := obs.StartLeaf(ctx, "mc.pilot")
-		theta, pilotRounds, err := bestTilt(ctx, m, scenario, ladder, opt)
+		theta, spent, err := bestTilt(ctx, m, scenario, ladder, opt)
 		psp.SetAttr("candidates", len(ladder))
-		psp.SetAttr("rounds", pilotRounds)
+		psp.SetAttr("rounds", spent)
 		psp.SetAttr("tilt_theta", theta)
 		psp.End()
 		if err != nil {
 			return Estimate{}, err
 		}
-		if theta == 0 {
-			// No useful tilt exists (the event is not rare enough to move
-			// the law for); the plain rounds are the optimal sampler.
-			return estimatePlain(ctx, m, scenario, opt, pilotRounds)
-		}
-		return estimateTilted(ctx, m, scenario, theta, opt, pilotRounds)
+		// Theta 0 means no useful tilt exists (the event is not rare
+		// enough to move the law for): the plain rounds run instead.
+		return estimateRounds(ctx, m, scenario, theta, opt, spent)
 	case Splitting:
 		return estimateSplitting(ctx, m, scenario, opt, 0)
 	case Auto:
@@ -284,56 +272,51 @@ func endRunSpan(sp *obs.Span, est Estimate, err error) {
 	sp.End()
 }
 
-// estimatePlain runs the base rounds under adaptive stopping.
-func estimatePlain(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, opt Options, extraRounds int) (Estimate, error) {
-	sp := obs.StartLeaf(ctx, "mc.run")
-	est, err := montecarlo.RunStateAdaptive(ctx, m.NewRoundState,
-		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
-			return m.Round(r, scenario, st)
-		}, adaptiveOptions(opt, extraRounds, sp.MC()))
-	if err != nil {
-		endRunSpan(sp, Estimate{}, err)
-		return Estimate{}, err
+// sampler returns the scratch factory and round function of the plain
+// rounds (theta 0) or of the rounds tilted by theta.
+func sampler(m *rowyield.RowModel, theta float64) (func() *rowyield.RoundState, func(*rand.Rand, rowyield.Scenario, *rowyield.RoundState) (float64, error), error) {
+	if theta == 0 {
+		return m.NewRoundState, m.Round, nil
 	}
-	out := Estimate{Mean: est.Mean, StdErr: est.StdErr, Rounds: est.Rounds + extraRounds, Method: Plain}
-	endRunSpan(sp, out, nil)
-	return out, nil
-}
-
-// estimateTilted runs importance-sampled rounds at the given tilt.
-func estimateTilted(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, opt Options, extraRounds int) (Estimate, error) {
 	tm, err := m.Tilted(theta)
 	if err != nil {
+		return nil, nil, err
+	}
+	return tm.NewRoundState, tm.Round, nil
+}
+
+// estimateRounds runs the plain (theta 0) or tilted rounds over the budget
+// left after the pilots' spent rounds: one fixed-budget RunState when
+// opt.RelErrTarget is zero, adaptive doubling blocks otherwise.
+func estimateRounds(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, opt Options, spent int) (Estimate, error) {
+	newState, round, err := sampler(m, theta)
+	if err != nil {
 		return Estimate{}, err
 	}
+	f := func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
+		return round(r, scenario, st)
+	}
 	sp := obs.StartLeaf(ctx, "mc.run")
-	est, err := montecarlo.RunStateAdaptive(ctx, tm.NewRoundState,
-		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
-			return tm.Round(r, scenario, st)
-		}, adaptiveOptions(opt, extraRounds, sp.MC()))
+	budget := max(opt.MaxRounds-spent, 2)
+	mc := montecarlo.Options{Seed: opt.Seed, Workers: opt.Workers, Counters: sp.MC()}
+	var est montecarlo.Estimate
+	if opt.RelErrTarget == 0 {
+		est, err = montecarlo.RunState(ctx, budget, newState, f, mc)
+	} else {
+		est, err = montecarlo.RunStateAdaptive(ctx, newState, f, montecarlo.AdaptiveOptions{
+			Options: mc, RelErrTarget: opt.RelErrTarget, MaxRounds: budget,
+		})
+	}
 	if err != nil {
 		endRunSpan(sp, Estimate{}, err)
 		return Estimate{}, err
 	}
-	out := Estimate{Mean: est.Mean, StdErr: est.StdErr, Rounds: est.Rounds + extraRounds, Method: Tilted, Theta: theta}
+	out := Estimate{Mean: est.Mean, StdErr: est.StdErr, Rounds: est.Rounds + spent, Method: Plain}
+	if theta != 0 {
+		out.Method, out.Theta = Tilted, theta
+	}
 	endRunSpan(sp, out, nil)
 	return out, nil
-}
-
-// adaptiveOptions maps Options onto the montecarlo adaptive runner,
-// docking any rounds already spent (pilots) from the hard cap. counters
-// (nil when untraced) ride into the engine for per-worker flushing.
-func adaptiveOptions(opt Options, spent int, counters *obs.MCCounters) montecarlo.AdaptiveOptions {
-	budget := opt.MaxRounds - spent
-	if budget < 2 {
-		budget = 2
-	}
-	return montecarlo.AdaptiveOptions{
-		Options:      montecarlo.Options{Seed: opt.Seed, Workers: opt.Workers, Counters: counters},
-		RelErrTarget: opt.RelErrTarget,
-		MaxRounds:    budget,
-		MinRounds:    opt.MinRounds,
-	}
 }
 
 // estimateAuto pilots plain rounds against the tilt ladder and dispatches to
@@ -396,9 +379,9 @@ func estimateAuto(ctx context.Context, m *rowyield.RowModel, scenario rowyield.S
 	psp.End()
 	switch {
 	case best.relvar < plainRelvar:
-		return estimateTilted(ctx, m, scenario, best.theta, opt, spent)
+		return estimateRounds(ctx, m, scenario, best.theta, opt, spent)
 	case !math.IsInf(plainRelvar, 1):
-		return estimatePlain(ctx, m, scenario, opt, spent)
+		return estimateRounds(ctx, m, scenario, 0, opt, spent)
 	default:
 		return estimateSplitting(ctx, m, scenario, opt, spent)
 	}
@@ -412,7 +395,7 @@ func runSecondMomentPilot(ctx context.Context, m *rowyield.RowModel, scenario ro
 	if err != nil {
 		return 0, 0, err
 	}
-	est, err := montecarlo.RunState(ctx, opt.PilotRounds, tm.NewRoundState,
+	est, err := montecarlo.RunState(ctx, pilotRounds, tm.NewRoundState,
 		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
 			_, p2w, err := tm.Moments(r, scenario, st)
 			return p2w, err
@@ -462,17 +445,11 @@ type pilotResult struct {
 // runPilot measures one candidate tilt (theta 0 = plain rounds) over the
 // pilot budget with its own derived stream, deterministically.
 func runPilot(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, idx int, opt Options) (pilotResult, error) {
-	round := m.Round
-	newState := m.NewRoundState
-	if theta != 0 {
-		tm, err := m.Tilted(theta)
-		if err != nil {
-			return pilotResult{}, err
-		}
-		round = tm.Round
-		newState = tm.NewRoundState
+	newState, round, err := sampler(m, theta)
+	if err != nil {
+		return pilotResult{}, err
 	}
-	est, err := montecarlo.RunState(ctx, opt.PilotRounds, newState,
+	est, err := montecarlo.RunState(ctx, pilotRounds, newState,
 		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
 			return round(r, scenario, st)
 		}, montecarlo.Options{Seed: pilotSeed(opt.Seed, idx), Workers: opt.Workers})

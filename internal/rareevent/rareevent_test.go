@@ -72,19 +72,37 @@ func TestParseMethod(t *testing.T) {
 	}
 }
 
-func TestZeroPFShortCircuits(t *testing.T) {
-	m := probeModel(t, 142.7)
-	m.PerCNTFailure = 0
-	if err := m.Prepare(); err != nil {
-		t.Fatal(err)
+func TestEstimateRelErr(t *testing.T) {
+	e := Estimate{Mean: 2, StdErr: 0.5}
+	if e.RelErr() != 0.25 {
+		t.Fatal("rel err")
 	}
-	for _, method := range []Method{Plain, Tilted, Splitting, Auto} {
-		est, err := EstimateRowFailureContext(context.Background(), m, rowyield.DirectionalUnaligned, Options{Method: method})
+	if !math.IsInf(Estimate{}.RelErr(), 1) {
+		t.Fatal("zero mean rel err")
+	}
+}
+
+// TestFixedBudgetIsRunState pins the fixed-budget contract: Plain with no
+// relative-error target is exactly MaxRounds plain rounds through
+// montecarlo.RunState on the same seed, bit for bit, for any worker count.
+func TestFixedBudgetIsRunState(t *testing.T) {
+	m := probeModel(t, 142.7)
+	for _, s := range []rowyield.Scenario{rowyield.DirectionalUnaligned, rowyield.DirectionalAligned} {
+		want, err := montecarlo.RunState(context.Background(), 3000, m.NewRoundState,
+			func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
+				return m.Round(r, s, st)
+			}, montecarlo.Options{Seed: 11})
 		if err != nil {
-			t.Fatalf("%v: %v", method, err)
+			t.Fatal(err)
 		}
-		if est.Mean != 0 || est.StdErr != 0 || est.Rounds != 0 {
-			t.Fatalf("%v: pf=0 should be an exact zero estimate, got %+v", method, est)
+		for _, workers := range []int{1, 3} {
+			got, err := EstimateRowFailureContext(context.Background(), m, s, Options{MaxRounds: 3000, Seed: 11, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != (Estimate{Mean: want.Mean, StdErr: want.StdErr, Rounds: 3000, Method: Plain}) {
+				t.Fatalf("%v workers=%d: %+v, want RunState's %+v", s, workers, got, want)
+			}
 		}
 	}
 }

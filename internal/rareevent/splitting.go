@@ -28,7 +28,7 @@ import (
 //
 // One replica is one fixed-effort subset simulation: a population of
 // Population states walks an adaptive threshold ladder (each level's
-// threshold is the empirical (1-Rho) severity quantile), survivors are
+// threshold is the empirical (1-splitRho) severity quantile), survivors are
 // resampled and decorrelated with conditional-resampling MCMC moves (each
 // move redraws a coordinate block — a kill-bit range, a track suffix with
 // its kill bits, or the offset counts — from its unconditional law and
@@ -52,7 +52,6 @@ type splitEngine struct {
 	pf           float64
 	nFETs        int
 	pop          int
-	rho          float64
 	moves        int
 
 	states    atomic.Int64
@@ -92,7 +91,7 @@ func newSplitEngine(m *rowyield.RowModel, scenario rowyield.Scenario, opt Option
 	e := &splitEngine{
 		model: m, first: first.Sample, pitch: pitch,
 		width: m.WidthNM, pf: m.PerCNTFailure, nFETs: nFETs,
-		pop: opt.Population, rho: opt.Rho, moves: opt.Moves,
+		pop: opt.Population, moves: opt.Moves,
 	}
 	switch scenario {
 	case rowyield.DirectionalAligned:
@@ -185,7 +184,7 @@ func (e *splitEngine) replica(r *rand.Rand, sc *splitScratch) float64 {
 		atomicMax(&e.maxLevels, int64(levels))
 		return v
 	}
-	nKeep := int(e.rho * float64(n))
+	nKeep := int(splitRho * float64(n))
 	if nKeep < 1 {
 		nKeep = 1
 	}
@@ -195,7 +194,7 @@ func (e *splitEngine) replica(r *rand.Rand, sc *splitScratch) float64 {
 			sevs = append(sevs, sc.cur[i].sev)
 		}
 		sort.Float64s(sevs)
-		t := sevs[n-nKeep] // the empirical (1-rho) quantile
+		t := sevs[n-nKeep] // the empirical (1-splitRho) quantile
 		reached := 0
 		for i := range sc.cur {
 			if sc.cur[i].sev >= 1 {

@@ -1,6 +1,7 @@
 package rowyield
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/device"
@@ -76,9 +77,12 @@ func BenchmarkRowYieldMC(b *testing.B) {
 // state) plus the rounds themselves.
 func BenchmarkRowYieldMCParallel(b *testing.B) {
 	m := benchModel(b)
+	unaligned := func(r *rand.Rand, st *RoundState) (float64, error) {
+		return m.Round(r, DirectionalUnaligned, st)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.EstimateRowFailureParallel(b.Context(), 7, DirectionalUnaligned, 512, 0); err != nil {
+		if _, err := montecarlo.RunState(b.Context(), 512, m.NewRoundState, unaligned, montecarlo.Options{Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,6 +97,9 @@ func BenchmarkRowYieldObsOverhead(b *testing.B) {
 	const rounds = 4096
 	run := func(b *testing.B, instrument bool) {
 		m := benchModel(b)
+		unaligned := func(r *rand.Rand, st *RoundState) (float64, error) {
+			return m.Round(r, DirectionalUnaligned, st)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -102,7 +109,7 @@ func BenchmarkRowYieldObsOverhead(b *testing.B) {
 				_, sp = obs.Start(obs.WithTracer(b.Context(), obs.New()), "mc.run")
 				opt.Counters = sp.MC()
 			}
-			if _, err := m.EstimateRowFailureWith(b.Context(), DirectionalUnaligned, rounds, opt); err != nil {
+			if _, err := montecarlo.RunState(b.Context(), rounds, m.NewRoundState, unaligned, opt); err != nil {
 				b.Fatal(err)
 			}
 			sp.End()

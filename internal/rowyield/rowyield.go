@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // MRmin returns Eq. 3.2: the average number of minimum-width CNFETs per
@@ -119,65 +118,17 @@ func ExactRowFailure(intervals []Interval, nTracks int, pf float64) (float64, er
 // (nm) across the standard-cell library: the non-aligned layout's source of
 // partial correlation. Offsets are measured from the row's track origin.
 //
-// Distributions built by NewOffsetDist (or Aligned) carry a Walker alias
-// table, so Sample costs O(1) — one uniform, one table row — instead of a
-// linear CDF scan; literal values sample through the scan fallback. The
-// row Monte Carlo itself does not draw offsets one at a time: it samples
-// per-offset CNFET counts from normalized Probs (see roundDirectional), so
-// RowModel.Prepare normalizes literal distributions up front.
+// The row Monte Carlo does not draw offsets one at a time: it samples
+// per-offset CNFET counts from normalized Probs (see unalignedFromTracks),
+// so RowModel.Prepare normalizes a literal distribution up front;
+// NewOffsetDist and Aligned return normalized ones.
 type OffsetDist struct {
 	Offsets []float64
 	Probs   []float64
 
-	// Walker alias table: a draw u·n splits into column i = ⌊u·n⌋ and a
-	// fractional coin; the coin picks the column's own offset below
-	// aliasProb[i] and the alias column's offset above it.
-	aliasProb []float64
-	alias     []int32
-}
-
-// buildAlias constructs the Walker alias table for the (normalized) Probs
-// by the standard two-worklist method: overfull columns donate their excess
-// to underfull ones until every column holds exactly mean mass.
-func (o *OffsetDist) buildAlias() {
-	n := len(o.Probs)
-	o.aliasProb = make([]float64, n)
-	o.alias = make([]int32, n)
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
-	for i, p := range o.Probs {
-		scaled[i] = p * float64(n)
-		if scaled[i] < 1 {
-			small = append(small, int32(i))
-		} else {
-			large = append(large, int32(i))
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		o.aliasProb[s] = scaled[s]
-		o.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	// Leftovers hold (up to rounding) exactly unit mass: they keep their own
-	// offset with certainty.
-	for _, i := range large {
-		o.aliasProb[i] = 1
-		o.alias[i] = i
-	}
-	for _, i := range small {
-		o.aliasProb[i] = 1
-		o.alias[i] = i
-	}
+	// normalized marks a distribution built by NewOffsetDist or Aligned,
+	// whose Probs sum to one.
+	normalized bool
 }
 
 // NewOffsetDist validates and normalizes an offset distribution.
@@ -204,43 +155,13 @@ func NewOffsetDist(offsets, probs []float64) (OffsetDist, error) {
 	for i, p := range probs {
 		ps[i] = p / total
 	}
-	od := OffsetDist{Offsets: os, Probs: ps}
-	od.buildAlias()
-	return od, nil
+	return OffsetDist{Offsets: os, Probs: ps, normalized: true}, nil
 }
 
 // Aligned returns the degenerate distribution of the aligned-active layout:
 // every critical active region sits at the same lateral position.
 func Aligned() OffsetDist {
-	od := OffsetDist{Offsets: []float64{0}, Probs: []float64{1}}
-	od.buildAlias()
-	return od
-}
-
-// Sample draws one offset: O(1) through the alias table when the
-// distribution was built by NewOffsetDist, a linear CDF scan for literal
-// values. Both consume exactly one uniform.
-func (o OffsetDist) Sample(r *rand.Rand) float64 {
-	if o.alias != nil {
-		u := r.Float64() * float64(len(o.alias))
-		i := int(u)
-		if i >= len(o.alias) { // u == len is unreachable (Float64 < 1), guard anyway
-			i = len(o.alias) - 1
-		}
-		if u-float64(i) < o.aliasProb[i] {
-			return o.Offsets[i]
-		}
-		return o.Offsets[o.alias[i]]
-	}
-	u := r.Float64()
-	var acc float64
-	for i, p := range o.Probs {
-		acc += p
-		if u < acc {
-			return o.Offsets[i]
-		}
-	}
-	return o.Offsets[len(o.Offsets)-1]
+	return OffsetDist{Offsets: []float64{0}, Probs: []float64{1}, normalized: true}
 }
 
 // Span returns the maximum offset.

@@ -236,12 +236,4 @@ func TestOffsetDist(t *testing.T) {
 	if a.Span() != 0 || a.DistinctCount() != 1 {
 		t.Fatal("aligned dist")
 	}
-	r := rng.New(3)
-	counts := map[float64]int{}
-	for i := 0; i < 60_000; i++ {
-		counts[o.Sample(r)]++
-	}
-	if f := float64(counts[0]) / 60000; !almost(f, 0.5, 0.01) {
-		t.Fatalf("sample freq: %v", f)
-	}
 }

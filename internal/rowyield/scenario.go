@@ -1,14 +1,12 @@
 package rowyield
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"github.com/cnfet/yieldlab/internal/dist"
-	"github.com/cnfet/yieldlab/internal/montecarlo"
 )
 
 // Scenario selects one of Table 1's growth/layout combinations.
@@ -245,7 +243,7 @@ func (m *RowModel) Prepare() error {
 	if err != nil {
 		return fmt.Errorf("rowyield: pitch sampler: %w", err)
 	}
-	if m.Offsets.alias == nil {
+	if !m.Offsets.normalized {
 		// Literal offset distribution: normalize it so the occupancy plan
 		// reads normalized probabilities (and invalid literals fail here,
 		// not mid-run).
@@ -309,52 +307,6 @@ func (m RowModel) FETsPerRow() (int, error) {
 		n = 1
 	}
 	return n, nil
-}
-
-// Estimate is a Monte Carlo estimate with its standard error.
-type Estimate struct {
-	Mean   float64
-	StdErr float64
-	Rounds int
-}
-
-// RelErr returns StdErr/Mean (infinite for a zero mean).
-func (e Estimate) RelErr() float64 {
-	if e.Mean == 0 {
-		return math.Inf(1)
-	}
-	return e.StdErr / e.Mean
-}
-
-// EstimateRowFailureParallel estimates pRF for a directional scenario from
-// `rounds` Monte Carlo realizations of the track process (and offsets, for
-// the unaligned scenario). Each round contributes an exact conditional
-// probability, not a Bernoulli outcome, which is what makes 1e-8-scale
-// probabilities reachable without rare-event tricks. Rounds run across
-// worker goroutines via the montecarlo engine, each worker reusing its own
-// RoundState; the result is bit-identical across worker counts for a fixed
-// (seed, rounds). Cancelling ctx stops the run at the next round batch.
-func (m *RowModel) EstimateRowFailureParallel(ctx context.Context, seed uint64, s Scenario, rounds, workers int) (Estimate, error) {
-	return m.EstimateRowFailureWith(ctx, s, rounds, montecarlo.Options{Seed: seed, Workers: workers})
-}
-
-// EstimateRowFailureWith is EstimateRowFailureParallel with the full engine
-// options exposed — in particular obs counters (Options.Counters), which
-// observability callers attach per evaluation span. The estimate is a pure
-// function of (Seed, BatchSize, rounds, scenario): Counters and Workers
-// never change the numbers.
-func (m *RowModel) EstimateRowFailureWith(ctx context.Context, s Scenario, rounds int, opt montecarlo.Options) (Estimate, error) {
-	if err := m.Prepare(); err != nil {
-		return Estimate{}, err
-	}
-	est, err := montecarlo.RunState(ctx, rounds, m.NewRoundState,
-		func(r *rand.Rand, st *RoundState) (float64, error) {
-			return m.Round(r, s, st)
-		}, opt)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return Estimate{Mean: est.Mean, StdErr: est.StdErr, Rounds: est.Rounds}, nil
 }
 
 // Round runs one Monte Carlo realization of directional scenario s using st

@@ -12,6 +12,19 @@ import (
 	"github.com/cnfet/yieldlab/internal/rng"
 )
 
+// estimate is the fixed-budget row Monte Carlo the estimator layer
+// (rareevent's plain rounds) runs: montecarlo.RunState over m.Round, one
+// RoundState per worker.
+func estimate(ctx context.Context, m *RowModel, seed uint64, s Scenario, rounds, workers int) (montecarlo.Estimate, error) {
+	if err := m.Prepare(); err != nil {
+		return montecarlo.Estimate{}, err
+	}
+	return montecarlo.RunState(ctx, rounds, m.NewRoundState,
+		func(r *rand.Rand, st *RoundState) (float64, error) {
+			return m.Round(r, s, st)
+		}, montecarlo.Options{Seed: seed, Workers: workers})
+}
+
 // testRowModel builds a small, fast row model: short LCNT and narrow
 // devices so Monte Carlo means are large enough to verify tightly.
 func testRowModel(t *testing.T, widthNM float64, offsets OffsetDist) RowModel {
@@ -87,7 +100,7 @@ func TestFETsPerRow(t *testing.T) {
 func TestAlignedMatchesDevicePF(t *testing.T) {
 	const w = 30.0
 	m := testRowModel(t, w, Aligned())
-	est, err := m.EstimateRowFailureParallel(context.Background(), 101, DirectionalAligned, 40_000, 0)
+	est, err := estimate(context.Background(), &m, 101, DirectionalAligned, 40_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +142,7 @@ func TestUncorrelatedMatchesClosedForm(t *testing.T) {
 	if err := m.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	est, err := montecarlo.Run(context.Background(), 20_000, func(r *rand.Rand) (float64, error) {
+	est, err := montecarlo.RunState(context.Background(), 20_000, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
 		return uncorrelatedRound(&m, r), nil
 	}, montecarlo.Options{Seed: 103})
 	if err != nil {
@@ -162,11 +175,11 @@ func TestScenarioOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	unalEst, err := m.EstimateRowFailureParallel(ctx, rng.DefaultSeed, DirectionalUnaligned, 30_000, 0)
+	unalEst, err := estimate(ctx, &m, rng.DefaultSeed, DirectionalUnaligned, 30_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alEst, err := m.EstimateRowFailureParallel(ctx, rng.DefaultSeed, DirectionalAligned, 30_000, 0)
+	alEst, err := estimate(ctx, &m, rng.DefaultSeed, DirectionalAligned, 30_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +210,7 @@ func TestUnalignedGroupApproximation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testRowModel(t, w, offsets)
-	est, err := m.EstimateRowFailureParallel(context.Background(), 7, DirectionalUnaligned, 40_000, 0)
+	est, err := estimate(context.Background(), &m, 7, DirectionalUnaligned, 40_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,18 +223,18 @@ func TestUnalignedGroupApproximation(t *testing.T) {
 func TestEstimateErrors(t *testing.T) {
 	m := testRowModel(t, 30, Aligned())
 	ctx := context.Background()
-	if _, err := m.EstimateRowFailureParallel(ctx, 1, DirectionalAligned, 1, 0); err == nil {
+	if _, err := estimate(ctx, &m, 1, DirectionalAligned, 1, 0); err == nil {
 		t.Error("too few rounds")
 	}
-	if _, err := m.EstimateRowFailureParallel(ctx, 1, Scenario(99), 10, 0); err == nil {
+	if _, err := estimate(ctx, &m, 1, Scenario(99), 10, 0); err == nil {
 		t.Error("unknown scenario")
 	}
-	if _, err := m.EstimateRowFailureParallel(ctx, 1, UncorrelatedGrowth, 10, 0); err == nil {
+	if _, err := estimate(ctx, &m, 1, UncorrelatedGrowth, 10, 0); err == nil {
 		t.Error("uncorrelated scenario has no Monte Carlo round")
 	}
 	bad := m
 	bad.WidthNM = -1
-	if _, err := bad.EstimateRowFailureParallel(ctx, 1, DirectionalAligned, 10, 0); err == nil {
+	if _, err := estimate(ctx, &bad, 1, DirectionalAligned, 10, 0); err == nil {
 		t.Error("invalid model")
 	}
 }
@@ -234,15 +247,5 @@ func TestScenarioString(t *testing.T) {
 	}
 	if Scenario(42).String() == "" {
 		t.Fatal("unknown scenario should still print")
-	}
-}
-
-func TestEstimateRelErr(t *testing.T) {
-	e := Estimate{Mean: 2, StdErr: 0.5}
-	if e.RelErr() != 0.25 {
-		t.Fatal("rel err")
-	}
-	if !math.IsInf(Estimate{}.RelErr(), 1) {
-		t.Fatal("zero mean rel err")
 	}
 }

@@ -55,7 +55,7 @@ func TestRoundZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// The parallel estimator must stay bit-identical across worker counts for a
+// The fixed-budget row Monte Carlo must stay bit-identical across worker counts for a
 // fixed (seed, rounds) — the property the server's ETag revalidation relies
 // on — with every worker running on its own scratch.
 func TestEstimateParallelBitIdenticalAcrossWorkers(t *testing.T) {
@@ -65,12 +65,12 @@ func TestEstimateParallelBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	m := testRowModel(t, 30, offsets)
 	for _, s := range []Scenario{DirectionalUnaligned, DirectionalAligned} {
-		base, err := m.EstimateRowFailureParallel(context.Background(), 41, s, 4_000, 1)
+		base, err := estimate(context.Background(), &m, 41, s, 4_000, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 5, 16} {
-			got, err := m.EstimateRowFailureParallel(context.Background(), 41, s, 4_000, workers)
+			got, err := estimate(context.Background(), &m, 41, s, 4_000, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestSharedModelConcurrentEstimatesRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, errs[g] = m.EstimateRowFailureParallel(context.Background(), uint64(g+1), DirectionalUnaligned, 400, 4)
+			_, errs[g] = estimate(context.Background(), &m, uint64(g+1), DirectionalUnaligned, 400, 4)
 		}(g)
 	}
 	wg.Wait()
@@ -195,50 +195,15 @@ func TestUnalignedOccupancyMatchesPerFETSampling(t *testing.T) {
 	}
 }
 
-// The alias table must reproduce the offset probabilities exactly in
-// expectation, including skewed distributions.
-func TestOffsetAliasDistribution(t *testing.T) {
-	o, err := NewOffsetDist(
-		[]float64{0, 10, 20, 30, 40},
-		[]float64{0.5, 0.25, 0.15, 0.08, 0.02},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(7)
-	const draws = 400_000
-	counts := map[float64]int{}
-	for i := 0; i < draws; i++ {
-		counts[o.Sample(r)]++
-	}
-	for i, off := range o.Offsets {
-		want := o.Probs[i]
-		f := float64(counts[off]) / draws
-		tol := 5*math.Sqrt(want*(1-want)/draws) + 1e-4
-		if math.Abs(f-want) > tol {
-			t.Errorf("offset %g: freq %v, want %v ± %v", off, f, want, tol)
-		}
-	}
-	// Literal distributions (no alias table) keep the scan fallback.
-	lit := OffsetDist{Offsets: []float64{1, 2}, Probs: []float64{0.5, 0.5}}
-	seen := map[float64]bool{}
-	for i := 0; i < 100; i++ {
-		seen[lit.Sample(r)] = true
-	}
-	if !seen[1] || !seen[2] {
-		t.Error("scan fallback broken")
-	}
-}
-
-// Prepare must normalize literal offset distributions (so rounds always get
-// the alias path) and reject invalid ones.
+// Prepare must normalize literal offset distributions (so the occupancy plan
+// reads normalized probabilities) and reject invalid ones.
 func TestPrepareNormalizesLiteralOffsets(t *testing.T) {
 	m := testRowModel(t, 30, OffsetDist{Offsets: []float64{0, 50}, Probs: []float64{3, 1}})
 	if err := m.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Offsets.alias == nil {
-		t.Fatal("Prepare should build the alias table")
+	if !m.Offsets.normalized {
+		t.Fatal("Prepare should mark the offsets normalized")
 	}
 	if !almost(m.Offsets.Probs[0], 0.75, 1e-12) {
 		t.Fatalf("Prepare should normalize probs, got %v", m.Offsets.Probs)

@@ -64,12 +64,6 @@ func (m *RowModel) Tilted(theta float64) (*TiltedRowModel, error) {
 	return &TiltedRowModel{base: m, theta: theta, logM: logM, pitch: pitch}, nil
 }
 
-// Base returns the untilted model the sampler was built from.
-func (t *TiltedRowModel) Base() *RowModel { return t.base }
-
-// Theta returns the tilt parameter.
-func (t *TiltedRowModel) Theta() float64 { return t.theta }
-
 // NewRoundState returns scratch for the tilted rounds (tilted realizations
 // have no more tracks than the base law's sizing expects for theta ≥ 0, and
 // the buffers grow on demand for theta < 0).

@@ -81,10 +81,11 @@ func (s *Store) Dir() string { return s.files.Dir() }
 // Stats returns the store's traffic counters.
 func (s *Store) Stats() recfile.Stats { return s.files.Stats() }
 
-// Record is one persisted sweep table: the law identity plus the swept
-// snapshot.
+// Record is one persisted sweep table: the law identity, the law it
+// parses to, and the swept snapshot.
 type Record struct {
 	Fingerprint string
+	Law         dist.Continuous
 	Snapshot    *renewal.Snapshot
 }
 
@@ -241,10 +242,11 @@ func decode(r io.Reader, size int64) (Record, error) {
 	if err := d.finish(); err != nil {
 		return Record{}, err
 	}
-	if _, err := dist.ParseFingerprint(fp); err != nil {
+	law, err := dist.ParseFingerprint(fp)
+	if err != nil {
 		return Record{}, err
 	}
-	return Record{Fingerprint: fp, Snapshot: snap}, nil
+	return Record{Fingerprint: fp, Law: law, Snapshot: snap}, nil
 }
 
 // corrupt names a length field that does not parse, or passes on the
@@ -383,10 +385,10 @@ func (d *stream) finish() error {
 	return nil
 }
 
-// WarmCache loads every intact record into the sweep cache: the law is
-// rebuilt from its fingerprint, registered under the exact same cache key a
-// live query would use, and the swept tables are restored into it. Returns
-// how many records were restored. Records whose law or tables fail
+// WarmCache loads every intact record into the sweep cache: the law decode
+// rebuilt from its fingerprint is registered under the exact same cache key
+// a live query would use, and the swept tables are restored into it.
+// Returns how many records were restored. Records whose law or tables fail
 // validation are skipped, not fatal.
 func WarmCache(s *Store, cache *renewal.SweepCache) (int, error) {
 	recs, err := s.LoadAll()
@@ -395,12 +397,7 @@ func WarmCache(s *Store, cache *renewal.SweepCache) (int, error) {
 	}
 	restored := 0
 	for _, rec := range recs {
-		law, err := dist.ParseFingerprint(rec.Fingerprint)
-		if err != nil {
-			s.files.Reject()
-			continue
-		}
-		m, err := cache.Model(law, rec.Snapshot.Options()...)
+		m, err := cache.Model(rec.Law, rec.Snapshot.Options()...)
 		if err != nil {
 			s.files.Reject()
 			continue

@@ -221,16 +221,18 @@ func RequiredDevicePF(mMin, desiredYield float64) (float64, error) {
 	return yield.RequiredDevicePF(mMin, desiredYield)
 }
 
-// Row correlation (paper Section 3.1): the core contribution.
+// Row correlation (paper Section 3.1): the core contribution. A Session's
+// "rowyield" spec is the estimator of a row's failure probability (a fixed
+// round budget, or an adaptive rare-event method, DESIGN.md §8); the types
+// below expose the row model and its single Monte Carlo round.
 type (
-	// RowModel is the correlated-row Monte Carlo of Table 1.
+	// RowModel is the correlated row of Table 1: RowModel.Round runs one
+	// Monte Carlo realization of a directional scenario.
 	RowModel = rowyield.RowModel
 	// RowScenario selects a growth/layout combination.
 	RowScenario = rowyield.Scenario
 	// OffsetDist is a lateral active-offset distribution.
 	OffsetDist = rowyield.OffsetDist
-	// RowEstimate is a Monte Carlo estimate with standard error.
-	RowEstimate = rowyield.Estimate
 	// RowRoundState is the reusable per-goroutine scratch of the row Monte
 	// Carlo: RowModel.Round over one RowRoundState performs zero
 	// steady-state heap allocations.

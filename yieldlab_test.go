@@ -264,9 +264,9 @@ func ExampleSession_Evaluate() {
 	// pRF above aligned floor: true
 }
 
-// ExampleRowModel_Round runs one zero-allocation Monte Carlo round by
-// hand: the estimator APIs (RowModel.EstimateRowFailureParallel, the
-// rareevent layer behind QuerySpec.MCMethod) loop exactly this call.
+// ExampleRowModel_Round runs zero-allocation Monte Carlo rounds by hand:
+// the one row-failure estimator (the rareevent layer behind a "rowyield"
+// QuerySpec, fixed budget or adaptive) loops exactly this call.
 func ExampleRowModel_Round() {
 	pitch, err := yieldlab.CalibratedPitch()
 	if err != nil {
