@@ -41,6 +41,11 @@ var Analyzer = &analysis.Analyzer{
 // safeMethods are *obs.Span methods that neither end nor leak the span.
 var safeMethods = map[string]bool{
 	"SetAttr":   true,
+	"SetStr":    true,
+	"SetInt":    true,
+	"SetUint":   true,
+	"SetFloat":  true,
+	"SetBool":   true,
 	"SetName":   true,
 	"MC":        true,
 	"Name":      true,

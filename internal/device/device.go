@@ -186,6 +186,12 @@ func (m *FailureModel) FailureProbs(ws []float64) ([]float64, error) {
 	return m.count.PGFs(ws, m.pf)
 }
 
+// FailureProbsInto is FailureProbs writing into dst, which must be as long
+// as ws; a short ws on a swept model allocates nothing.
+func (m *FailureModel) FailureProbsInto(dst, ws []float64) error {
+	return m.count.PGFsInto(dst, ws, m.pf)
+}
+
 // WidthForFailureProb returns the smallest width whose failure probability
 // does not exceed target — the horizontal-line construction on Fig. 2.1 that
 // turns a failure budget into Wmin. It errors when the target is
@@ -196,13 +202,14 @@ func (m *FailureModel) WidthForFailureProb(target float64) (float64, error) {
 	}
 	lo := m.count.Step() * 2
 	hi := m.count.MaxWidth()
+	logTarget := math.Log(target)
 	f := func(w float64) float64 {
 		p, err := m.FailureProb(w)
 		if err != nil || p <= 0 {
 			// Below the resolvable probability floor: count as "passed".
 			return -1
 		}
-		return math.Log(p) - math.Log(target)
+		return math.Log(p) - logTarget
 	}
 	if f(hi) > 0 {
 		return 0, fmt.Errorf("device: target pF=%g not reachable below W=%g nm", target, hi)

@@ -27,20 +27,41 @@ package obs
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
+)
+
+// tracerSlabSpans is how many spans a Tracer holds inline: enough for a
+// one-spec query's evaluate and sweep spans, so the common request takes
+// its spans from the tracer's own allocation. Further spans come from
+// spanChunk-sized heap chunks.
+const (
+	tracerSlabSpans = 2
+	spanChunk       = 8
 )
 
 // Tracer collects a forest of spans for one traced operation (typically one
 // HTTP request or one CLI invocation). A Tracer is safe for concurrent use:
 // sweep workers evaluating specs in parallel may all start root spans on
 // the same tracer.
+//
+// Spans live in a slab: the first tracerSlabSpans inside the Tracer
+// itself, the rest in chunks of spanChunk. A span is never reused, so a
+// *Span stays valid, and keeps its contents, for as long as anything
+// holds it. The tree is linked through the spans themselves (first child,
+// next sibling), so starting a span appends to no slice.
 type Tracer struct {
 	start time.Time
 
-	mu    sync.Mutex
-	roots []*Span
+	mu sync.Mutex
+	// first and last are the root spans in start order, linked through
+	// Span.next.
+	first, last *Span
+	slab        [tracerSlabSpans]Span
+	used        int    // slab spans handed out
+	chunk       []Span // unused spans of the current heap chunk
 
 	cost atomic.Bool
 }
@@ -75,7 +96,54 @@ func (t *Tracer) Roots() []*Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]*Span(nil), t.roots...)
+	return appendList(nil, t.first)
+}
+
+// appendList appends a sibling list to dst. Caller holds the tracer's mu.
+func appendList(dst []*Span, s *Span) []*Span {
+	for ; s != nil; s = s.next {
+		dst = append(dst, s)
+	}
+	return dst
+}
+
+// open takes a span from the slab, initializes it under the context's
+// current span (or as a root) and links it into the tree.
+func (t *Tracer) open(ctx context.Context, name string) *Span {
+	parent, _ := ctx.Value(spanKey).(*Span)
+	now := time.Now()
+	t.mu.Lock()
+	var sp *Span
+	if t.used < len(t.slab) {
+		sp = &t.slab[t.used]
+		t.used++
+	} else {
+		if len(t.chunk) == 0 {
+			t.chunk = make([]Span, spanChunk)
+		}
+		sp = &t.chunk[0]
+		t.chunk = t.chunk[1:]
+	}
+	sp.tracer, sp.name, sp.start = t, name, now
+	sp.attrs = sp.attrBuf[:0]
+	sp.ctx = spanCtx{Context: ctx, span: sp}
+	if parent != nil {
+		if parent.lastChild == nil {
+			parent.firstChild = sp
+		} else {
+			parent.lastChild.next = sp
+		}
+		parent.lastChild = sp
+	} else {
+		if t.last == nil {
+			t.first = sp
+		} else {
+			t.last.next = sp
+		}
+		t.last = sp
+	}
+	t.mu.Unlock()
+	return sp
 }
 
 // ctxKey is the context key space of this package.
@@ -85,6 +153,28 @@ const (
 	tracerKey ctxKey = iota
 	spanKey
 )
+
+// spanCtx is the context node a span carries: it answers the span and
+// its tracer and defers everything else to the context the span was
+// started under. Start hands out a pointer to it, so deriving the span's
+// context allocates nothing beyond the span's slab slot.
+type spanCtx struct {
+	context.Context
+	span *Span
+}
+
+// Value implements context.Context.
+func (c *spanCtx) Value(key any) any {
+	if k, ok := key.(ctxKey); ok {
+		switch k {
+		case spanKey:
+			return c.span
+		case tracerKey:
+			return c.span.tracer
+		}
+	}
+	return c.Context.Value(key)
+}
 
 // WithTracer attaches a tracer to the context; subsequent Start calls under
 // this context record spans on it.
@@ -111,16 +201,8 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
-	parent, _ := ctx.Value(spanKey).(*Span)
-	sp := &Span{tracer: t, name: name, start: time.Now()}
-	t.mu.Lock()
-	if parent != nil {
-		parent.children = append(parent.children, sp)
-	} else {
-		t.roots = append(t.roots, sp)
-	}
-	t.mu.Unlock()
-	return context.WithValue(ctx, spanKey, sp), sp
+	sp := t.open(ctx, name)
+	return &sp.ctx, sp
 }
 
 // StartLeaf opens a span exactly like Start but returns only the span: the
@@ -131,8 +213,11 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 // context, because under an accidentally-dropped context every nested
 // Start silently becomes a sibling. Nil-safe like Start.
 func StartLeaf(ctx context.Context, name string) *Span {
-	_, sp := Start(ctx, name)
-	return sp
+	t := TracerFrom(ctx)
+	if t == nil {
+		return nil
+	}
+	return t.open(ctx, name)
 }
 
 // Detach returns a context carrying no tracer and no current span, for
@@ -150,7 +235,7 @@ func Detach(ctx context.Context) context.Context {
 	return context.WithValue(ctx, spanKey, (*Span)(nil))
 }
 
-// Attr is one key/value span attribute.
+// Attr is one key/value span attribute, as Attrs reports it.
 type Attr struct {
 	// Key names the attribute ("rounds", "tilt_theta", ...).
 	Key string
@@ -158,17 +243,68 @@ type Attr struct {
 	Value any
 }
 
+// attrKind tags the type an attribute was set with.
+type attrKind uint8
+
+const (
+	kindString attrKind = iota
+	kindInt
+	kindUint
+	kindFloat
+	kindBool
+	kindAny
+)
+
+// attr is one attribute as a span stores it: typed and unboxed, so
+// setting a string or a number allocates nothing. A value of any other
+// type stays boxed in val.
+type attr struct {
+	key  string
+	kind attrKind
+	str  string // kindString
+	num  uint64 // kindInt, kindUint, kindFloat (bits), kindBool (0 or 1)
+	val  any    // kindAny
+}
+
+// value boxes the attribute back to the type it was set with.
+func (a *attr) value() any {
+	switch a.kind {
+	case kindString:
+		return a.str
+	case kindInt:
+		return int(int64(a.num))
+	case kindUint:
+		return a.num
+	case kindFloat:
+		return math.Float64frombits(a.num)
+	case kindBool:
+		return a.num != 0
+	}
+	return a.val
+}
+
+// spanAttrs is how many attributes a span holds inline; more spill to
+// the heap.
+const spanAttrs = 2
+
 // Span is one timed operation in a trace tree. All methods are nil-safe, so
 // instrumented code never branches on whether tracing is active. A span is
 // mutated by the goroutine that created it; read it after End.
 type Span struct {
-	tracer   *Tracer
-	name     string
-	start    time.Time
-	dur      time.Duration
-	ended    bool
-	attrs    []Attr
-	children []*Span
+	ctx    spanCtx
+	tracer *Tracer
+	name   string
+	start  time.Time
+	dur    time.Duration
+	ended  bool
+	// attrs is the attributes in insertion order, backed by attrBuf until
+	// it outgrows it.
+	attrs   []attr
+	attrBuf [spanAttrs]attr
+	// firstChild and lastChild are the child list; next links a span to
+	// its next sibling (or next root). All three are guarded by the
+	// tracer's mu.
+	firstChild, lastChild, next *Span
 
 	mcOnce sync.Once
 	mc     *MCCounters
@@ -182,19 +318,93 @@ func (s *Span) SetName(name string) {
 	}
 }
 
-// SetAttr records an attribute, replacing any earlier value for the key.
-// Nil-safe.
+// set records a, replacing any earlier value for its key.
+func (s *Span) set(a attr) {
+	for i := range s.attrs {
+		if s.attrs[i].key == a.key {
+			s.attrs[i] = a
+			return
+		}
+	}
+	s.attrs = append(s.attrs, a)
+}
+
+// lookup returns the attribute stored under key, nil when there is none.
+func (s *Span) lookup(key string) *attr {
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			return &s.attrs[i]
+		}
+	}
+	return nil
+}
+
+// SetStr records a string attribute, replacing any earlier value for the
+// key. Unlike SetAttr it boxes nothing. Nil-safe.
+func (s *Span) SetStr(key, value string) {
+	if s != nil {
+		s.set(attr{key: key, kind: kindString, str: value})
+	}
+}
+
+// SetInt records an int attribute, replacing any earlier value for the
+// key. Nil-safe.
+func (s *Span) SetInt(key string, value int) {
+	if s != nil {
+		s.set(attr{key: key, kind: kindInt, num: uint64(int64(value))})
+	}
+}
+
+// SetUint records a uint64 attribute, replacing any earlier value for the
+// key. Nil-safe.
+func (s *Span) SetUint(key string, value uint64) {
+	if s != nil {
+		s.set(attr{key: key, kind: kindUint, num: value})
+	}
+}
+
+// SetFloat records a float64 attribute, replacing any earlier value for
+// the key. Nil-safe.
+func (s *Span) SetFloat(key string, value float64) {
+	if s != nil {
+		s.set(attr{key: key, kind: kindFloat, num: math.Float64bits(value)})
+	}
+}
+
+// SetBool records a bool attribute, replacing any earlier value for the
+// key. Nil-safe.
+func (s *Span) SetBool(key string, value bool) {
+	if s != nil {
+		a := attr{key: key, kind: kindBool}
+		if value {
+			a.num = 1
+		}
+		s.set(a)
+	}
+}
+
+// SetAttr records an attribute of any type, replacing any earlier value
+// for the key: a string, int, uint64, float64 or bool is stored as the
+// typed setters store it, anything else stays boxed. The typed setters
+// spare the caller's conversion to any. Nil-safe.
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			s.attrs[i].Value = value
-			return
-		}
+	switch v := value.(type) {
+	case string:
+		s.SetStr(key, v)
+	case int:
+		s.SetInt(key, v)
+	case uint64:
+		s.SetUint(key, v)
+	case float64:
+		s.SetFloat(key, v)
+	case bool:
+		s.SetBool(key, v)
+	default:
+		s.set(attr{key: key, kind: kindAny, val: value})
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
 // MC returns the span's Monte Carlo counter block, allocating it on first
@@ -219,15 +429,15 @@ func (s *Span) End() {
 	s.dur = time.Since(s.start)
 	if s.mc != nil {
 		if v := s.mc.Rounds.Load(); v > 0 {
-			if _, ok := s.AttrValue("rounds"); !ok {
-				s.SetAttr("rounds", v)
+			if s.lookup("rounds") == nil {
+				s.SetUint("rounds", v)
 			}
 		}
 		if v := s.mc.Batches.Load(); v > 0 {
-			s.SetAttr("mc_batches", v)
+			s.SetUint("mc_batches", v)
 		}
 		if v := s.mc.ScratchAllocs.Load(); v > 0 {
-			s.SetAttr("scratch_allocs", v)
+			s.SetUint("scratch_allocs", v)
 		}
 	}
 }
@@ -248,23 +458,27 @@ func (s *Span) Duration() time.Duration {
 	return s.dur
 }
 
-// Attrs returns the span's attributes in insertion order. Nil-safe.
+// Attrs returns the span's attributes in insertion order, each value
+// boxed as it was set. Nil-safe.
 func (s *Span) Attrs() []Attr {
-	if s == nil {
+	if s == nil || len(s.attrs) == 0 {
 		return nil
 	}
-	return s.attrs
+	out := make([]Attr, len(s.attrs))
+	for i := range s.attrs {
+		out[i] = Attr{Key: s.attrs[i].key, Value: s.attrs[i].value()}
+	}
+	return out
 }
 
-// AttrValue looks up one attribute by key. Nil-safe (not found).
+// AttrValue looks up one attribute by key, boxed as it was set. Nil-safe
+// (not found).
 func (s *Span) AttrValue(key string) (any, bool) {
 	if s == nil {
 		return nil, false
 	}
-	for _, a := range s.attrs {
-		if a.Key == key {
-			return a.Value, true
-		}
+	if a := s.lookup(key); a != nil {
+		return a.value(), true
 	}
 	return nil, false
 }
@@ -277,5 +491,5 @@ func (s *Span) Children() []*Span {
 	}
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
-	return append([]*Span(nil), s.children...)
+	return appendList(nil, s.firstChild)
 }

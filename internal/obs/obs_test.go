@@ -372,3 +372,100 @@ func TestDetach(t *testing.T) {
 		t.Fatal("Detach of an untraced context must be a no-op")
 	}
 }
+
+// TestTypedAttrs pins the typed setters: values are stored unboxed and
+// read back, by AttrValue, Attrs and the trace export, as the type they
+// were set with; SetAttr files the same types the same way, replaces
+// across types, and keeps any other type boxed.
+func TestTypedAttrs(t *testing.T) {
+	tr := New()
+	_, sp := Start(WithTracer(context.Background(), tr), "query.evaluate")
+	sp.SetStr("kind", "wmin")
+	sp.SetInt("candidates", -4)
+	sp.SetUint("sweeps", math.MaxUint64)
+	sp.SetFloat("tilt_theta", 0.1)
+	sp.SetBool("model_cached", true)
+	sp.SetAttr("fingerprint", "qs1-x")
+	sp.SetAttr("level", int32(7))
+	sp.SetAttr("candidates", "replaced")
+	sp.End()
+	want := []Attr{
+		{"kind", "wmin"},
+		{"candidates", "replaced"},
+		{"sweeps", uint64(math.MaxUint64)},
+		{"tilt_theta", 0.1},
+		{"model_cached", true},
+		{"fingerprint", "qs1-x"},
+		{"level", int32(7)},
+	}
+	got := sp.Attrs()
+	if len(got) != len(want) {
+		t.Fatalf("attrs = %+v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("attr %d = %#v, want %#v", i, got[i], want[i])
+		}
+		if v, ok := sp.AttrValue(want[i].Key); !ok || v != want[i].Value {
+			t.Fatalf("AttrValue(%s) = %#v %v", want[i].Key, v, ok)
+		}
+	}
+	if _, ok := sp.AttrValue("absent"); ok {
+		t.Fatal("absent attr found")
+	}
+}
+
+// TestOneSpecTraceAllocs pins the tracer's allocation budget for the
+// shape of a one-spec query: a tracer, its context, a root span with two
+// string attributes, a leaf child with a bool, and the stage flattening
+// into a reused buffer cost two allocations, the Tracer (whose slab holds
+// both spans) and the WithTracer context node.
+func TestOneSpecTraceAllocs(t *testing.T) {
+	buf := make([]StageDur, 0, 8)
+	fp := ""
+	allocs := testing.AllocsPerRun(100, func() {
+		tr := New()
+		ctx, root := Start(WithTracer(context.Background(), tr), "query.evaluate")
+		root.SetStr("kind", "pf")
+		root.SetStr("fingerprint", "qs1-x")
+		leaf := StartLeaf(ctx, "sweep")
+		leaf.SetBool("model_cached", true)
+		leaf.End()
+		root.End()
+		buf, fp = tr.AppendStages(buf[:0], "fingerprint")
+	})
+	if allocs != 2 {
+		t.Fatalf("one-spec trace allocates %v times, want 2", allocs)
+	}
+	if len(buf) != 2 || buf[0].Name != "query.evaluate" || buf[1].Name != "sweep" || fp != "qs1-x" {
+		t.Fatalf("stages %+v, fingerprint %q", buf, fp)
+	}
+}
+
+// TestSpansOutliveTheSlab holds spans across slab chunks: a span taken
+// from the tracer's inline slab and one from a heap chunk keep their
+// names, attributes and place in the tree however many spans follow.
+func TestSpansOutliveTheSlab(t *testing.T) {
+	tr := New()
+	ctx := WithTracer(context.Background(), tr)
+	var held []*Span
+	for i := 0; i < 3*spanChunk; i++ {
+		rootCtx, root := Start(ctx, "query.evaluate")
+		root.SetInt("i", i)
+		StartLeaf(rootCtx, "sweep").End()
+		root.End()
+		held = append(held, root)
+	}
+	roots := tr.Roots()
+	if len(roots) != len(held) {
+		t.Fatalf("roots = %d, want %d", len(roots), len(held))
+	}
+	for i, sp := range held {
+		if v, _ := sp.AttrValue("i"); v != i || roots[i] != sp || sp.Name() != "query.evaluate" {
+			t.Fatalf("span %d: attr %v, name %q", i, v, sp.Name())
+		}
+		if kids := sp.Children(); len(kids) != 1 || kids[0].Name() != "sweep" {
+			t.Fatalf("span %d children %v", i, kids)
+		}
+	}
+}

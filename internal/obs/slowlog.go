@@ -25,19 +25,43 @@ type StageDur struct {
 // Stages flattens a span tree into stage durations, depth-first in start
 // order — the per-stage view the slowlog and the stage histograms share.
 func Stages(root *Span) []StageDur {
-	var out []StageDur
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		if s == nil {
-			return
-		}
-		out = append(out, StageDur{Name: s.Name(), MS: float64(s.Duration()) / float64(time.Millisecond)})
-		for _, c := range s.Children() {
-			walk(c)
+	if root == nil {
+		return nil
+	}
+	root.tracer.mu.Lock()
+	defer root.tracer.mu.Unlock()
+	return appendStages(nil, root)
+}
+
+// AppendStages flattens every root span's tree onto dst, roots in start
+// order and each tree as Stages flattens it, and returns the grown slice
+// with the value of the first root's string attribute named key ("" when
+// no root carries one). A caller that keeps dst between requests flattens
+// without allocating; the slowlog copies what it records. Nil-safe.
+func (t *Tracer) AppendStages(dst []StageDur, key string) ([]StageDur, string) {
+	if t == nil {
+		return dst, ""
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	found := ""
+	for r := t.first; r != nil; r = r.next {
+		dst = appendStages(dst, r)
+		if a := r.lookup(key); found == "" && a != nil && a.kind == kindString {
+			found = a.str
 		}
 	}
-	walk(root)
-	return out
+	return dst, found
+}
+
+// appendStages appends s's subtree depth-first. Caller holds the tracer's
+// mu.
+func appendStages(dst []StageDur, s *Span) []StageDur {
+	dst = append(dst, StageDur{Name: s.name, MS: float64(s.dur) / float64(time.Millisecond)})
+	for c := s.firstChild; c != nil; c = c.next {
+		dst = appendStages(dst, c)
+	}
+	return dst
 }
 
 // SlowEntry is one recorded slow request.
@@ -100,7 +124,8 @@ func (l *SlowLog) Threshold() time.Duration { return l.threshold }
 func (l *SlowLog) Capacity() int { return len(l.ring) }
 
 // Observe records the entry when d reaches the threshold. e.DurationMS is
-// filled from d. Nil-safe.
+// filled from d. The slowlog copies e.Stages when it records the entry, so
+// the caller may reuse that buffer as soon as Observe returns. Nil-safe.
 func (l *SlowLog) Observe(d time.Duration, e SlowEntry) {
 	if l == nil {
 		return
@@ -112,6 +137,9 @@ func (l *SlowLog) Observe(d time.Duration, e SlowEntry) {
 		return
 	}
 	l.recorded++
+	if len(e.Stages) > 0 {
+		e.Stages = append([]StageDur(nil), e.Stages...)
+	}
 	e.DurationMS = float64(d) / float64(time.Millisecond)
 	l.ring[l.next] = e
 	l.next++

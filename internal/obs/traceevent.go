@@ -27,9 +27,13 @@ type traceEvent struct {
 func (t *Tracer) WriteTraceEvents(w io.Writer) error {
 	var events []traceEvent
 	if t != nil {
-		for i, root := range t.Roots() {
-			events = appendEvents(events, root, t.start, i+1)
+		t.mu.Lock()
+		tid := 1
+		for root := t.first; root != nil; root = root.next {
+			events = appendEvents(events, root, t.start, tid)
+			tid++
 		}
+		t.mu.Unlock()
 	}
 	if events == nil {
 		events = []traceEvent{}
@@ -40,26 +44,27 @@ func (t *Tracer) WriteTraceEvents(w io.Writer) error {
 }
 
 // appendEvents walks one span subtree depth-first onto the event list.
+// Caller holds the tracer's mu.
 func appendEvents(events []traceEvent, s *Span, origin time.Time, tid int) []traceEvent {
 	if s == nil {
 		return events
 	}
 	ev := traceEvent{
-		Name: s.Name(),
+		Name: s.name,
 		Ph:   "X",
 		TS:   float64(s.start.Sub(origin)) / float64(time.Microsecond),
-		Dur:  float64(s.Duration()) / float64(time.Microsecond),
+		Dur:  float64(s.dur) / float64(time.Microsecond),
 		PID:  1,
 		TID:  tid,
 	}
-	if attrs := s.Attrs(); len(attrs) > 0 {
-		ev.Args = make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			ev.Args[a.Key] = a.Value
+	if len(s.attrs) > 0 {
+		ev.Args = make(map[string]any, len(s.attrs))
+		for i := range s.attrs {
+			ev.Args[s.attrs[i].key] = s.attrs[i].value()
 		}
 	}
 	events = append(events, ev)
-	for _, c := range s.Children() {
+	for c := s.firstChild; c != nil; c = c.next {
 		events = appendEvents(events, c, origin, tid)
 	}
 	return events

@@ -103,9 +103,9 @@ func finishSweepSpan(sp *obs.Span, hit bool, sweeps uint64) {
 	} else {
 		sp.SetName("sweep.cold")
 	}
-	sp.SetAttr("model_cached", hit)
+	sp.SetBool("model_cached", hit)
 	if sweeps > 0 {
-		sp.SetAttr("sweeps", sweeps)
+		sp.SetUint("sweeps", sweeps)
 	}
 	sp.End()
 }

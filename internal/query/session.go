@@ -186,6 +186,49 @@ var calibratedPitch = sync.OnceValues(func() (dist.Continuous, error) {
 	return device.CalibratedPitch()
 })
 
+// nodeWidthDist is one paper node's frozen OpenRISC width distribution.
+type nodeWidthDist struct {
+	node   string
+	widths *widthdist.Distribution
+}
+
+// openRISCByNode is the OpenRISC width distribution scaled to every paper
+// node, built once and shared read-only by every Wmin spec instead of
+// rebuilt (and rescaled) per spec.
+var openRISCByNode = sync.OnceValues(func() ([]nodeWidthDist, error) {
+	var out []nodeWidthDist
+	for _, node := range tech.PaperNodes() {
+		d := widthdist.OpenRISC45()
+		if node.Name != tech.Reference.Name {
+			var err error
+			if d, err = d.Scale(node); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, nodeWidthDist{node.Name, d})
+	}
+	return out, nil
+})
+
+// nodeWidths returns the frozen OpenRISC width distribution of the named
+// node ("" is the 45 nm reference).
+func nodeWidths(name string) (*widthdist.Distribution, error) {
+	node, err := resolveNode(name)
+	if err != nil {
+		return nil, err
+	}
+	dists, err := openRISCByNode()
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range dists {
+		if d.node == node.Name {
+			return d.widths, nil
+		}
+	}
+	return nil, fmt.Errorf("query: no width distribution for node %s", node.Name)
+}
+
 // sweep builds (or fetches from the shared cache) the failure model for
 // the spec's corner, pitch law and grid and calls use on it, all under one
 // "sweep" leaf span: a model fresh from the cache sweeps its full grid on
@@ -279,8 +322,8 @@ func (s *Session) evaluate(ctx context.Context, canon Spec, fp string) (Result, 
 		return Result{}, err
 	}
 	ctx, sp := obs.Start(ctx, "query.evaluate")
-	sp.SetAttr("kind", canon.Kind)
-	sp.SetAttr("fingerprint", fp)
+	sp.SetStr("kind", canon.Kind)
+	sp.SetStr("fingerprint", fp)
 	res := Result{Spec: canon, Fingerprint: fp}
 	var err error
 	switch canon.Kind {
@@ -345,15 +388,9 @@ func (s *Session) evalWmin(ctx context.Context, q Spec) (*WminResult, error) {
 	if relax == 0 {
 		relax = 1
 	}
-	widths := widthdist.OpenRISC45()
-	node, err := resolveNode(q.Node)
+	widths, err := nodeWidths(q.Node)
 	if err != nil {
 		return nil, err
-	}
-	if node.Name != tech.Reference.Name {
-		if widths, err = widths.Scale(node); err != nil {
-			return nil, err
-		}
 	}
 	// The Wmin search is sweep-dominated: every probed width evaluates the
 	// swept count table, so the whole solve sits under the sweep span.

@@ -228,9 +228,9 @@ func EstimateRowFailureContext(ctx context.Context, m *rowyield.RowModel, scenar
 		}
 		psp := obs.StartLeaf(ctx, "mc.pilot")
 		theta, spent, err := bestTilt(ctx, m, scenario, ladder, opt)
-		psp.SetAttr("candidates", len(ladder))
-		psp.SetAttr("rounds", spent)
-		psp.SetAttr("tilt_theta", theta)
+		psp.SetInt("candidates", len(ladder))
+		psp.SetInt("rounds", spent)
+		psp.SetFloat("tilt_theta", theta)
 		psp.End()
 		if err != nil {
 			return Estimate{}, err
@@ -254,19 +254,19 @@ func endRunSpan(sp *obs.Span, est Estimate, err error) {
 		return
 	}
 	if err == nil {
-		sp.SetAttr("method", est.Method.String())
-		sp.SetAttr("rounds", est.Rounds)
+		sp.SetStr("method", est.Method.String())
+		sp.SetInt("rounds", est.Rounds)
 		if est.Theta != 0 {
-			sp.SetAttr("tilt_theta", est.Theta)
+			sp.SetFloat("tilt_theta", est.Theta)
 		}
 		if est.Levels > 0 {
-			sp.SetAttr("split_levels", est.Levels)
+			sp.SetInt("split_levels", est.Levels)
 		}
 		if est.Replicas > 0 {
-			sp.SetAttr("replicas", est.Replicas)
+			sp.SetInt("replicas", est.Replicas)
 		}
 		if est.Mean > 0 {
-			sp.SetAttr("rel_err", est.RelErr())
+			sp.SetFloat("rel_err", est.RelErr())
 		}
 	}
 	sp.End()
@@ -373,9 +373,9 @@ func estimateAuto(ctx context.Context, m *rowyield.RowModel, scenario rowyield.S
 			plainRelvar = truePlain
 		}
 	}
-	psp.SetAttr("candidates", len(ladder)+1)
-	psp.SetAttr("rounds", spent)
-	psp.SetAttr("tilt_theta", best.theta)
+	psp.SetInt("candidates", len(ladder)+1)
+	psp.SetInt("rounds", spent)
+	psp.SetFloat("tilt_theta", best.theta)
 	psp.End()
 	switch {
 	case best.relvar < plainRelvar:

@@ -52,8 +52,10 @@ type Model struct {
 
 	kernel kernel // sizeRule; this package's tests may force a kernel
 
-	fMass []float64 // pitch mass at grid points j·h
-	gMass []float64 // first-arrival mass at grid points j·h
+	// fMass and gMass are the pitch and first-arrival masses at grid
+	// points j·h, binned under mu by the first sweep (nil until then).
+	fMass []float64
+	gMass []float64
 
 	mu        sync.Mutex
 	sweepDone *sync.Cond    // signalled when an in-flight sweep finishes
@@ -157,10 +159,11 @@ func newConfigured(spacing dist.Continuous, opts ...Option) (*Model, error) {
 // holds zero CNTs, so that index answers without a sweep.
 var zeroCount = dist.PMF{P: []float64{1}}
 
-// finish bins the distributions onto the grid.
+// finish readies a configured model for queries. The grid masses are
+// binned later, by the first sweep: only a sweep reads them, and a model
+// whose table a Restore installs never sweeps.
 func (m *Model) finish() {
 	m.sweepDone = sync.NewCond(&m.mu)
-	m.discretize()
 }
 
 // Step returns the grid resolution.
@@ -323,47 +326,69 @@ func (m *Model) PGF(w, z float64) (float64, error) {
 // PGFs is PGF over many widths: it validates every width first and runs at
 // most one sweep, like CountPMFs. The result order matches ws.
 func (m *Model) PGFs(ws []float64, z float64) ([]float64, error) {
-	idxs := make([]int, len(ws))
-	for i, w := range ws {
+	out := make([]float64, len(ws))
+	if err := m.PGFsInto(out, ws, z); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// pgfStackWidths is how many widths PGFsInto indexes in stack scratch; a
+// longer ws allocates its index list.
+const pgfStackWidths = 16
+
+// PGFsInto is PGFs writing into dst, which must be as long as ws: the
+// same values, and for at most pgfStackWidths widths no allocation once
+// the model is swept and the memo column for z exists.
+func (m *Model) PGFsInto(dst, ws []float64, z float64) error {
+	if len(dst) != len(ws) {
+		return fmt.Errorf("renewal: PGFsInto has %d slots for %d widths", len(dst), len(ws))
+	}
+	var scratch [pgfStackWidths]int
+	idxs := scratch[:0]
+	if len(ws) > len(scratch) {
+		idxs = make([]int, 0, len(ws))
+	}
+	for _, w := range ws {
 		idx, err := m.gridIndex(w)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		idxs[i] = idx
+		idxs = append(idxs, idx)
 	}
-	out := make([]float64, len(ws))
 	missing := false
 	m.mu.Lock()
 	col := m.pgfColumnLocked(z)
 	for i, idx := range idxs {
 		if col == nil || math.IsNaN(col[idx]) {
-			out[i] = math.NaN()
+			dst[i] = math.NaN()
 			missing = true
 			continue
 		}
-		out[i] = col[idx]
+		dst[i] = col[idx]
 	}
 	m.mu.Unlock()
 	if !missing {
-		return out, nil
+		return nil
 	}
-	pmfs, err := m.CountPMFs(ws)
-	if err != nil {
-		return nil, err
-	}
-	for i, pmf := range pmfs {
-		if math.IsNaN(out[i]) {
-			out[i] = pmf.PGF(z)
+	for i, idx := range idxs {
+		if !math.IsNaN(dst[i]) {
+			continue
 		}
+		pmf, err := m.countPMF(idx)
+		if err != nil {
+			return err
+		}
+		dst[i] = pmf.PGF(z)
 	}
 	if col != nil {
 		m.mu.Lock()
 		for i, idx := range idxs {
-			col[idx] = out[i]
+			col[idx] = dst[i]
 		}
 		m.mu.Unlock()
 	}
-	return out, nil
+	return nil
 }
 
 // pgfColumnLocked returns the memo column for z, allocating it on first use
@@ -441,6 +466,9 @@ func (m *Model) sweep() ([]dist.PMF, error) {
 		return table, nil
 	}
 	m.sweeping = true
+	if m.fMass == nil {
+		m.discretize()
+	}
 	m.mu.Unlock()
 
 	table, err := m.runSweep()

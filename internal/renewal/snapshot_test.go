@@ -8,7 +8,7 @@ import (
 
 // A snapshot moves a whole table or nothing: an unswept model snapshots
 // empty, a partial table is refused, a whole one answers every width
-// without a sweep, and restoring into a model that holds its table already
+// without a sweep (or the grid binning only a sweep needs), and restoring into a model that holds its table already
 // keeps the installed one.
 func TestRestoreWholeTableOnly(t *testing.T) {
 	law := dist.Exponential{Rate: 0.25}
@@ -55,6 +55,13 @@ func TestRestoreWholeTableOnly(t *testing.T) {
 	}
 	if n := fresh.Sweeps(); n != 0 {
 		t.Fatalf("restored model ran %d sweeps, want 0", n)
+	}
+	// Only a sweep reads the grid masses, so only a sweep bins them.
+	if fresh.fMass != nil || fresh.gMass != nil {
+		t.Fatal("restored model binned its grid without sweeping")
+	}
+	if swept.fMass == nil || swept.gMass == nil {
+		t.Fatal("swept model holds no grid masses")
 	}
 
 	other, err := New(law, opts...)

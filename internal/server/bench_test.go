@@ -50,16 +50,15 @@ func BenchmarkServerPF(b *testing.B) {
 	}
 }
 
-// warmV2Query builds a server and returns it with a function that serves
-// one warm one-spec POST /v2/query through its Handler() without a
-// network, after one call that sweeps the table the query reads.
-func warmV2Query() (*Server, func() error, error) {
+// warmV2Serve builds a server and returns it with a function that serves
+// one warm POST /v2/query of body through its Handler() without a network,
+// after one call that sweeps the tables the query reads.
+func warmV2Serve(body string) (*Server, func() error, error) {
 	srv, err := New(Config{Params: experiments.DefaultParams()})
 	if err != nil {
 		return nil, nil, err
 	}
 	h := srv.Handler()
-	const body = `{"kind":"pf","corner":"worst","width_nm":155}`
 	serve := func() error {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/query", strings.NewReader(body)))
@@ -75,13 +74,27 @@ func warmV2Query() (*Server, func() error, error) {
 	return srv, serve, nil
 }
 
-// benchV2Query is BenchmarkV2QueryWarm's server, built and swept once per
-// process instead of once per b.N ramp-up call and per -count. It lives
-// until the process exits.
-var benchV2Query = sync.OnceValues(func() (func() error, error) {
-	_, serve, err := warmV2Query()
-	return serve, err
-})
+// onePFBody is the one-spec pF query of BenchmarkV2QueryWarm.
+const onePFBody = `{"kind":"pf","corner":"worst","width_nm":155}`
+
+// designSpaceBody is the examples/design_space corner × node × yield Wmin
+// sweep (12 specs) as a /v2/query body.
+const designSpaceBody = `{"kind":"wmin","sweep":{"corners":["worst","mid","best"],"nodes":["45nm","22nm"],"yields":[0.9,0.99]}}`
+
+// benchV2Query and benchV2Sweep are the servers of BenchmarkV2QueryWarm
+// and BenchmarkV2QuerySweepWarm, each built and swept once per process
+// instead of once per b.N ramp-up call and per -count. They live until the
+// process exits.
+var (
+	benchV2Query = sync.OnceValues(func() (func() error, error) {
+		_, serve, err := warmV2Serve(onePFBody)
+		return serve, err
+	})
+	benchV2Sweep = sync.OnceValues(func() (func() error, error) {
+		_, serve, err := warmV2Serve(designSpaceBody)
+		return serve, err
+	})
+)
 
 // BenchmarkV2QueryWarm measures one warm one-spec POST /v2/query through
 // Server.Handler() without a network: decode, plan, the cached pF
@@ -106,15 +119,19 @@ func BenchmarkV2QueryWarm(b *testing.B) {
 // TestV2QueryWarmAllocs bounds the allocations of one warm one-spec
 // POST /v2/query through Server.Handler(), the request and recorder the
 // test builds included. The body is appended without reflection, the
-// sweep-cache hit allocates nothing and the default pitch law is boxed
-// once per process, so the count sits at 65 on Go 1.24 (66 when each spec
-// boxed the law, 76 with the reflective marshal and the per-lookup Model
-// and key string). The bound leaves a little headroom for toolchain drift.
+// sweep-cache hit allocates nothing, the default pitch law is boxed once
+// per process, and the request tracer takes its two spans from its own
+// allocation with attributes stored unboxed and stages flattened into a
+// pooled buffer, so the count sits at 49 on Go 1.24 (65 with a heap span,
+// a context node, boxed attributes and copied stage slices per span; 66
+// when each spec boxed the law; 76 with the reflective marshal and the
+// per-lookup Model and key string). The bound leaves a little headroom for
+// toolchain drift.
 func TestV2QueryWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	srv, serve, err := warmV2Query()
+	srv, serve, err := warmV2Serve(onePFBody)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +142,56 @@ func TestV2QueryWarmAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("warm one-spec POST /v2/query: %v allocs", allocs)
-	if allocs > 69 {
-		t.Fatalf("warm one-spec POST /v2/query allocates %v times, bound 69", allocs)
+	if allocs > 53 {
+		t.Fatalf("warm one-spec POST /v2/query allocates %v times, bound 53", allocs)
+	}
+}
+
+// BenchmarkV2QuerySweepWarm measures one warm POST /v2/query of the
+// examples/design_space Wmin sweep (12 specs) through Server.Handler()
+// without a network: decode, plan and expansion, twelve Wmin solves on the
+// cached tables, the request tracer, stage histograms and slowlog, and the
+// edge encoder. It is the query the paper's design-space exploration
+// repeats.
+func BenchmarkV2QuerySweepWarm(b *testing.B) {
+	serve, err := benchV2Sweep()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := serve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestV2QuerySweepWarmAllocs bounds the allocations of one warm
+// design-space POST /v2/query (12 Wmin specs) through Server.Handler(),
+// the twin of TestV2QueryWarmAllocs. Each Wmin solve reads its node's
+// frozen width distribution and evaluates the chip yield in stack scratch,
+// and the request's 24 spans come from the tracer's slab, so the count
+// sits at 117 on Go 1.24 (413 when every spec rebuilt and rescaled the
+// width distribution, allocated its yield scratch and paid a heap span,
+// a context node and boxed attributes per span). The bound leaves the
+// same few percent of headroom.
+func TestV2QuerySweepWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	srv, serve, err := warmV2Serve(designSpaceBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := serve(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm design-space POST /v2/query: %v allocs", allocs)
+	if allocs > 124 {
+		t.Fatalf("warm design-space POST /v2/query allocates %v times, bound 124", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -185,5 +186,49 @@ func TestV2QueryDebugCost(t *testing.T) {
 	// Tracing and cache state never change the numbers.
 	if warm.RowYield.PRF != cold.RowYield.PRF {
 		t.Fatalf("repeat changed pRF: %g != %g", warm.RowYield.PRF, cold.RowYield.PRF)
+	}
+}
+
+// TestSlowlogKeepsItsStages holds the slowlog to its copy rule: withObs
+// flattens each request's stages into a pooled buffer, so an entry that
+// kept that buffer would change when a later request reuses it. A
+// record-all slowlog sees a long stage list (the design-space sweep, 24
+// stages) and then a different, shorter one (a Monte Carlo row-yield
+// query, whose third stage is mc.run); the first entry must read as it
+// did when it was recorded. Rounds repeat because the race detector's
+// sync.Pool drops some puts at random.
+func TestSlowlogKeepsItsStages(t *testing.T) {
+	srv, err := New(Config{Params: testParams(), SlowLogThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
+	post := func(body string) obs.SlowEntry {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/query", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return srv.slowlog.Entries()[0]
+	}
+	const mcBody = `{"kind":"rowyield","scenario":"unaligned","width_nm":142.7,"rounds":200}`
+	for round := 0; round < 8; round++ {
+		first := post(designSpaceBody)
+		if len(first.Stages) != 24 {
+			t.Fatalf("design-space entry has %d stages, want 24", len(first.Stages))
+		}
+		kept := slices.Clone(first.Stages)
+		second := post(mcBody)
+		if len(second.Stages) < 3 || second.Stages[2].Name != "mc.run" {
+			t.Fatalf("row-yield stages = %+v", second.Stages)
+		}
+		if !slices.Equal(first.Stages, kept) {
+			t.Fatalf("round %d: a later request rewrote a recorded entry's stages\n got: %+v\nwant: %+v", round, first.Stages, kept)
+		}
+		if entries := srv.slowlog.Entries(); !slices.Equal(entries[1].Stages, kept) {
+			t.Fatalf("round %d: the ring's copy of the entry changed", round)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/cnfet/yieldlab/internal/fault"
@@ -76,18 +77,10 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 
 		// One flattened stage list feeds both the stage histograms and the
 		// slowlog, so the two surfaces can never disagree about a request.
-		var stages []obs.StageDur
-		fingerprint := ""
-		for _, root := range tracer.Roots() {
-			stages = append(stages, obs.Stages(root)...)
-			if fingerprint == "" {
-				if v, ok := root.AttrValue("fingerprint"); ok {
-					if fp, ok := v.(string); ok {
-						fingerprint = fp
-					}
-				}
-			}
-		}
+		// It is flattened into a pooled buffer; the slowlog copies what it
+		// keeps.
+		buf := stageBufs.Get().(*[]obs.StageDur)
+		stages, fingerprint := tracer.AppendStages((*buf)[:0], "fingerprint")
 		for _, st := range stages {
 			s.metrics.observeStage(st.Name, st.MS/1e3)
 		}
@@ -99,6 +92,10 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 			Status:      code,
 			Stages:      stages,
 		})
+		if cap(stages) <= maxPooledStages {
+			*buf = stages[:0]
+			stageBufs.Put(buf)
+		}
 		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("request_id", reqID),
 			slog.String("method", r.Method),
@@ -110,6 +107,13 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		)
 	})
 }
+
+// stageBufs pools the stage lists withObs flattens each request's span
+// tree into. A list longer than maxPooledStages (an experiment run's
+// tree, say) is left to the collector rather than pinned in the pool.
+var stageBufs = sync.Pool{New: func() any { return new([]obs.StageDur) }}
+
+const maxPooledStages = 256
 
 // nextRequestID returns a correlation id unique within the process: a
 // start-time prefix (distinguishing restarts in interleaved logs) plus a

@@ -99,6 +99,14 @@ func (d *Distribution) Probs() []float64 {
 	return out
 }
 
+// Len returns the number of widths in the support.
+func (d *Distribution) Len() int { return len(d.widths) }
+
+// At returns the i-th width of the support (0 ≤ i < Len) and its
+// probability: a read-only view of the distribution that, unlike Widths
+// and Probs, copies nothing.
+func (d *Distribution) At(i int) (width, prob float64) { return d.widths[i], d.probs[i] }
+
 // Mean returns the mean transistor width.
 func (d *Distribution) Mean() float64 {
 	var acc numeric.Kahan

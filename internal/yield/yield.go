@@ -235,26 +235,36 @@ func ExactWmin(p *Problem) (Result, error) {
 	return Result{Wmin: wmin, MminShare: p.Widths.ShareBelow(wmin), DevicePF: pf, Yield: y}, nil
 }
 
+// yieldStackBins is how many width bins yieldAt evaluates in stack
+// scratch; a wider distribution allocates its scratch.
+const yieldStackBins = 16
+
 // yieldAt evaluates the chip yield with every device upsized to at least wt,
 // using the relax factor as a divisor on effective failure probabilities.
+// For a distribution of at most yieldStackBins widths (the OpenRISC law has
+// 9) it allocates nothing.
 func (p *Problem) yieldAt(wt float64) (float64, error) {
-	ws := p.Widths.Widths()
-	probs := p.Widths.Probs()
-	upsized := make([]float64, len(ws))
+	n := p.Widths.Len()
+	var buf [3 * yieldStackBins]float64
+	scratch := buf[:]
+	if n > yieldStackBins {
+		scratch = make([]float64, 3*n)
+	}
+	upsized, pfs, counts := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
 	// Widths beyond the count model's range are evaluated at the range cap:
 	// pF is decreasing in width, so this only overestimates failure — the
 	// resulting Wmin is conservative, never optimistic.
 	cap := p.Model.CountModel().MaxWidth()
-	for i, w := range ws {
+	for i := range upsized {
+		w, _ := p.Widths.At(i)
 		upsized[i] = math.Min(math.Max(w, wt), cap)
 	}
-	pfs, err := p.Model.FailureProbs(upsized)
-	if err != nil {
+	if err := p.Model.FailureProbsInto(pfs, upsized); err != nil {
 		return 0, err
 	}
-	counts := make([]float64, len(ws))
-	for i := range probs {
-		counts[i] = probs[i] * p.M
+	for i := range counts {
+		_, prob := p.Widths.At(i)
+		counts[i] = prob * p.M
 		pfs[i] /= p.RelaxFactor
 	}
 	return WeightedYield(pfs, counts)

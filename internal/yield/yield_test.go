@@ -99,6 +99,21 @@ func TestSimplifiedWminPaperCaseStudy(t *testing.T) {
 	}
 }
 
+// A warm Wmin solve on the 9-bin OpenRISC law allocates nothing: the
+// model's memo answers every probe and yieldAt keeps its scratch on the
+// stack. Both solvers run, since ExactWmin calls yieldAt per probe.
+func TestWminWarmSolveAllocatesNothing(t *testing.T) {
+	p := paperProblem(t, 1)
+	for _, solve := range []func(*Problem) (Result, error){SimplifiedWmin, ExactWmin} {
+		if _, err := solve(p); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = solve(p) }); allocs != 0 {
+			t.Fatalf("warm Wmin solve allocates %v times", allocs)
+		}
+	}
+}
+
 // The Section 3 result: relaxing by ~353× gives Wmin ≈ 103-110 nm.
 func TestSimplifiedWminRelaxed(t *testing.T) {
 	p := paperProblem(t, 353)
