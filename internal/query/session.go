@@ -186,17 +186,11 @@ var calibratedPitch = sync.OnceValues(func() (dist.Continuous, error) {
 	return device.CalibratedPitch()
 })
 
-// nodeWidthDist is one paper node's frozen OpenRISC width distribution.
-type nodeWidthDist struct {
-	node   string
-	widths *widthdist.Distribution
-}
-
 // openRISCByNode is the OpenRISC width distribution scaled to every paper
-// node, built once and shared read-only by every Wmin spec instead of
-// rebuilt (and rescaled) per spec.
-var openRISCByNode = sync.OnceValues(func() ([]nodeWidthDist, error) {
-	var out []nodeWidthDist
+// node, keyed by node name: built once and shared read-only by every Wmin
+// spec instead of rebuilt (and rescaled) per spec.
+var openRISCByNode = sync.OnceValues(func() (map[string]*widthdist.Distribution, error) {
+	out := make(map[string]*widthdist.Distribution)
 	for _, node := range tech.PaperNodes() {
 		d := widthdist.OpenRISC45()
 		if node.Name != tech.Reference.Name {
@@ -205,7 +199,7 @@ var openRISCByNode = sync.OnceValues(func() ([]nodeWidthDist, error) {
 				return nil, err
 			}
 		}
-		out = append(out, nodeWidthDist{node.Name, d})
+		out[node.Name] = d
 	}
 	return out, nil
 })
@@ -221,12 +215,7 @@ func nodeWidths(name string) (*widthdist.Distribution, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, d := range dists {
-		if d.node == node.Name {
-			return d.widths, nil
-		}
-	}
-	return nil, fmt.Errorf("query: no width distribution for node %s", node.Name)
+	return dists[node.Name], nil
 }
 
 // sweep builds (or fetches from the shared cache) the failure model for
