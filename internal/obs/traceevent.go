@@ -46,9 +46,6 @@ func (t *Tracer) WriteTraceEvents(w io.Writer) error {
 // appendEvents walks one span subtree depth-first onto the event list.
 // Caller holds the tracer's mu.
 func appendEvents(events []traceEvent, s *Span, origin time.Time, tid int) []traceEvent {
-	if s == nil {
-		return events
-	}
 	ev := traceEvent{
 		Name: s.name,
 		Ph:   "X",
