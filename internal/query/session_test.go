@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"maps"
 	"reflect"
 	"runtime"
 	"slices"
@@ -691,16 +692,11 @@ func TestRunOneSpecInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
-	during := -1
-	if _, err := s.Run(context.Background(), p, func(int, int, Result) {
-		during = runtime.NumGoroutine()
-	}); err != nil {
+	ctx := newGoroutineCtx()
+	if _, err := s.Run(ctx, p, nil); err != nil {
 		t.Fatal(err)
 	}
-	if during != before {
-		t.Fatalf("goroutines during a one-spec Run = %d, before = %d", during, before)
-	}
+	ctx.assertOnly(t, goroutineID())
 }
 
 // TestRunWorkersFromParams pins the pool bound: Params.Workers bounds Run,
@@ -712,16 +708,51 @@ func TestRunWorkersFromParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
-	during := before
-	if _, err := s.Run(context.Background(), p, func(int, int, Result) {
-		during = max(during, runtime.NumGoroutine())
-	}); err != nil {
+	ctx := newGoroutineCtx()
+	if _, err := s.Run(ctx, p, nil); err != nil {
 		t.Fatal(err)
 	}
-	if during != before {
-		t.Fatalf("goroutines during a one-worker Run = %d, before = %d", during, before)
+	ctx.assertOnly(t, goroutineID())
+}
+
+// goroutineCtx is a context that is never done and records the goroutine
+// of every Err call. ordered.Run asks for the error before each claim, on
+// the caller and on every helper it starts, and waits for its helpers, so
+// after a Run the set names every goroutine that took part. Unlike a
+// process-wide goroutine count, it does not see goroutines of other tests.
+type goroutineCtx struct {
+	context.Context
+	mu  sync.Mutex
+	ids map[string]bool
+}
+
+func newGoroutineCtx() *goroutineCtx {
+	return &goroutineCtx{Context: context.Background(), ids: make(map[string]bool)}
+}
+
+func (c *goroutineCtx) Err() error {
+	id := goroutineID()
+	c.mu.Lock()
+	c.ids[id] = true
+	c.mu.Unlock()
+	return nil
+}
+
+// assertOnly fails unless the caller's goroutine alone asked for the error.
+func (c *goroutineCtx) assertOnly(t *testing.T, caller string) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.ids) != 1 || !c.ids[caller] {
+		t.Fatalf("Run's work ran on goroutines %v, want only the caller's %s", slices.Sorted(maps.Keys(c.ids)), caller)
 	}
+}
+
+// goroutineID returns the running goroutine's number from the header line
+// of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
 
 // TestRunResumedPlan pins Plan.Resume: the resumed plan keeps its canonical
