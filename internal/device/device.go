@@ -143,22 +143,27 @@ func NewFailureModel(count *renewal.Model, params FailureParams) (*FailureModel,
 	return &FailureModel{count: count, params: params, pf: params.PerCNTFailure()}, nil
 }
 
-// NewCalibratedModel builds a FailureModel over the calibrated pitch law.
-// Extra renewal options (grid step, max width) are passed through.
+// NewCalibratedModel builds a FailureModel over the calibrated pitch law
+// with a private count model. Extra renewal options (grid step, max width)
+// are passed through.
 func NewCalibratedModel(params FailureParams, opts ...renewal.Option) (*FailureModel, error) {
-	return NewCalibratedModelWith(nil, params, opts...)
+	return newCalibrated(renewal.New, params, opts)
 }
 
 // NewCalibratedModelWith is NewCalibratedModel drawing the count model from
 // a shared sweep cache, so models that differ only in the processing corner
-// (same pitch law, same grid) reuse one swept table. A nil cache builds a
-// private model.
+// (same pitch law, same grid) reuse one swept table.
 func NewCalibratedModelWith(sweeps *renewal.SweepCache, params FailureParams, opts ...renewal.Option) (*FailureModel, error) {
+	return newCalibrated(sweeps.Model, params, opts)
+}
+
+// newCalibrated builds the calibrated pitch law's count model with build.
+func newCalibrated(build func(dist.Continuous, ...renewal.Option) (*renewal.Model, error), params FailureParams, opts []renewal.Option) (*FailureModel, error) {
 	pitch, err := CalibratedPitch()
 	if err != nil {
 		return nil, fmt.Errorf("device: calibrated pitch: %w", err)
 	}
-	count, err := sweeps.Model(pitch, opts...)
+	count, err := build(pitch, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("device: count model: %w", err)
 	}
@@ -181,13 +186,9 @@ func (m *FailureModel) FailureProb(w float64) (float64, error) {
 	return m.count.PGF(w, m.pf)
 }
 
-// FailureProbs evaluates pF over many widths in one batched sweep.
-func (m *FailureModel) FailureProbs(ws []float64) ([]float64, error) {
-	return m.count.PGFs(ws, m.pf)
-}
-
-// FailureProbsInto is FailureProbs writing into dst, which must be as long
-// as ws; a short ws on a swept model allocates nothing.
+// FailureProbsInto writes pF at each of ws into dst, which must be as long
+// as ws. It validates every width before it sweeps; a short ws on a swept
+// model allocates nothing.
 func (m *FailureModel) FailureProbsInto(dst, ws []float64) error {
 	return m.count.PGFsInto(dst, ws, m.pf)
 }

@@ -117,8 +117,8 @@ func TestFailureProbMonotoneInWidth(t *testing.T) {
 func TestFailureProbsBatch(t *testing.T) {
 	m := testModel(t, WorstCorner(), 160)
 	ws := []float64{30, 60, 120}
-	batch, err := m.FailureProbs(ws)
-	if err != nil {
+	batch := make([]float64, len(ws))
+	if err := m.FailureProbsInto(batch, ws); err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range ws {
@@ -285,14 +285,14 @@ func TestFailureProbMatchesCountPGF(t *testing.T) {
 			t.Fatalf("pF(%g) = %v, PGF of the count PMF = %v", w, got, want)
 		}
 	}
-	batch, err := m.FailureProbs(ws)
-	if err != nil {
+	batch := make([]float64, len(ws))
+	if err := m.FailureProbsInto(batch, ws); err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range ws {
 		want, _ := m.FailureProb(w)
 		if math.Float64bits(batch[i]) != math.Float64bits(want) {
-			t.Fatalf("FailureProbs[%d] (w=%g) = %v, FailureProb = %v", i, w, batch[i], want)
+			t.Fatalf("FailureProbsInto[%d] (w=%g) = %v, FailureProb = %v", i, w, batch[i], want)
 		}
 	}
 	for _, w := range []float64{0, -1, math.NaN(), count.MaxWidth() + step} {
@@ -301,8 +301,8 @@ func TestFailureProbMatchesCountPGF(t *testing.T) {
 		if errMemo == nil || errCount == nil || errMemo.Error() != errCount.Error() {
 			t.Fatalf("w=%g: FailureProb error %v, CountPMF error %v", w, errMemo, errCount)
 		}
-		if _, err := m.FailureProbs([]float64{50, w}); err == nil || err.Error() != errCount.Error() {
-			t.Fatalf("w=%g: FailureProbs error %v, want %v", w, err, errCount)
+		if err := m.FailureProbsInto(make([]float64, 2), []float64{50, w}); err == nil || err.Error() != errCount.Error() {
+			t.Fatalf("w=%g: FailureProbsInto error %v, want %v", w, err, errCount)
 		}
 	}
 }

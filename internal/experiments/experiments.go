@@ -159,12 +159,8 @@ func New(p Params) *Runner {
 
 // NewWithCache creates a runner whose device models draw from a shared
 // sweep cache, so several runners — e.g. per-spec runners inside a
-// long-lived session — pool their renewal sweeps. A nil cache behaves like
-// New.
+// long-lived session — pool their renewal sweeps.
 func NewWithCache(p Params, sweeps *renewal.SweepCache) *Runner {
-	if sweeps == nil {
-		sweeps = renewal.NewSweepCache()
-	}
 	return &Runner{params: p, sweeps: sweeps}
 }
 

@@ -112,8 +112,8 @@ func (r *Runner) ExtPitchAblation() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps, err := m.FailureProbs([]float64{103, 155})
-		if err != nil {
+		var ps [2]float64
+		if err := m.FailureProbsInto(ps[:], []float64{103, 155}); err != nil {
 			return nil, err
 		}
 		wmin, err := m.WidthForFailureProb(req)

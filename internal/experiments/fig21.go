@@ -35,8 +35,8 @@ func (r *Runner) Fig21() (*Result, error) {
 				return nil, err
 			}
 		}
-		ps, err := m.FailureProbs(ws)
-		if err != nil {
+		ps := make([]float64, len(ws))
+		if err := m.FailureProbsInto(ps, ws); err != nil {
 			return nil, err
 		}
 		series = append(series, plot.Series{Name: corner.Name, Xs: ws, Ys: ps})

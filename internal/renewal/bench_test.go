@@ -19,16 +19,15 @@ func benchPitch(b *testing.B) dist.TruncNormal {
 }
 
 // BenchmarkSweep measures one full cold arrival sweep to 440 nm at the
-// paper's default 0.05 nm grid, per kernel. auto is the size rule every
-// sweep runs and the number the CI bench gate watches; direct is the
-// pre-optimization reference.
+// paper's default 0.05 nm grid, per serving kernel. auto is the size rule
+// every sweep runs; the CI bench gate holds it against all-blocked. The
+// naive direct loop is the tests' reference and is not timed.
 func BenchmarkSweep(b *testing.B) {
 	tn := benchPitch(b)
 	for _, tc := range []struct {
 		name string
 		k    kernel
 	}{
-		{"direct", directKernel},
 		{"blocked", blockedKernel},
 		{"fft", fftKernel},
 		{"auto", sizeRule},
@@ -44,9 +43,9 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkConvolve measures one mid-sweep-shaped convolution per kernel:
-// 6144 source cells against a 1143-tap kernel (the calibrated pitch law's
-// discretized support at the default grid).
+// BenchmarkConvolve measures one mid-sweep-shaped convolution per serving
+// kernel: 6144 source cells against a 1143-tap kernel (the calibrated pitch
+// law's discretized support at the default grid).
 func BenchmarkConvolve(b *testing.B) {
 	const (
 		n    = 8800
@@ -68,7 +67,6 @@ func BenchmarkConvolve(b *testing.B) {
 		name string
 		k    kernel
 	}{
-		{"direct", directKernel},
 		{"blocked", blockedKernel},
 		{"fft", fftKernel},
 	} {

@@ -17,9 +17,8 @@ import (
 // wherever models are built, not just where one happens to be threaded
 // through by hand.
 //
-// Keys combine the law's dist.Fingerprint with every Model option that
-// affects the numbers (grid step, max width, tail epsilon, initial
-// condition), so a cache hit can never change a result.
+// Keys combine the law's dist.Fingerprint with every Model option (grid
+// step and max width), so a cache hit can never change a result.
 // Laws without a fingerprint get a fresh model each call.
 //
 // A SweepCache is safe for concurrent use. Models fill their internal width
@@ -57,9 +56,6 @@ func NewSweepCache() *SweepCache {
 // recently used beyond that. n ≤ 0 removes the bound. Shrinking below the
 // current size evicts immediately.
 func (c *SweepCache) SetMaxEntries(n int) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.maxEntries = n
@@ -88,18 +84,17 @@ func (c *SweepCache) evictOverLimit() {
 }
 
 // Model returns the shared count model for the law and options, building it
-// on first use. Passing a nil *SweepCache is allowed and degrades to
-// renewal.New.
+// on first use.
 func (c *SweepCache) Model(spacing dist.Continuous, opts ...Option) (*Model, error) {
 	m, _, err := c.ModelTracked(spacing, opts...)
 	return m, err
 }
 
 // ModelTracked is Model with the cache outcome made visible: hit reports
-// whether the model came from the cache. A fresh build, an unfingerprinted
-// law and the nil-cache degradation all report false. The query layer's
-// sweep spans use this to classify evaluations cold vs cache-hit without
-// diffing global cache stats (which would race under concurrent requests).
+// whether the model came from the cache. A fresh build and an
+// unfingerprinted law report false. The query layer's sweep spans use this
+// to classify evaluations cold vs cache-hit without diffing global cache
+// stats (which would race under concurrent requests).
 //
 // A hit builds no Model and no string: the identity key is appended into a
 // stack buffer and looked up as it is. Only a miss configures, validates
@@ -107,7 +102,7 @@ func (c *SweepCache) Model(spacing dist.Continuous, opts ...Option) (*Model, err
 func (c *SweepCache) ModelTracked(spacing dist.Continuous, opts ...Option) (m *Model, hit bool, err error) {
 	var buf [keyBufLen]byte
 	key, ok := dist.AppendFingerprint(buf[:0], spacing)
-	if c == nil || !ok {
+	if !ok {
 		m, err = New(spacing, opts...)
 		return m, false, err
 	}
@@ -126,16 +121,6 @@ func (c *SweepCache) ModelTracked(spacing dist.Continuous, opts ...Option) (m *M
 	return m, false, err
 }
 
-// Len returns the number of distinct models currently cached.
-func (c *SweepCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // CacheStats describes a SweepCache's traffic and contents.
 type CacheStats struct {
 	// Hits and Misses count Model calls served from the cache vs built
@@ -143,7 +128,7 @@ type CacheStats struct {
 	Hits, Misses uint64
 	// Evictions counts models dropped by the entry bound.
 	Evictions uint64
-	// Entries is the current model count (== Len()).
+	// Entries is the number of distinct models currently cached.
 	Entries int
 	// Sweeps totals the arrival sweeps actually computed by every model
 	// the cache has held, evicted ones included (counted up to their
@@ -173,9 +158,6 @@ func (c *SweepCache) snapshotLocked() []*cacheEntry {
 
 // Stats returns a snapshot of the cache's counters.
 func (c *SweepCache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Model sweep counters are atomics, so reading them under the cache
@@ -195,9 +177,6 @@ func (c *SweepCache) Stats() CacheStats {
 // The callback runs outside the cache lock, so it may sweep, snapshot, or
 // call back into the cache.
 func (c *SweepCache) ForEach(fn func(fingerprint string, m *Model)) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	snapshot := c.snapshotLocked()
 	c.mu.Unlock()

@@ -44,8 +44,8 @@ func TestSweepCacheSharesByLawAndGrid(t *testing.T) {
 			t.Errorf("%s: differing option must not share a model", tc.name)
 		}
 	}
-	if c.Len() != 1+len(diff) {
-		t.Errorf("Len = %d, want %d", c.Len(), 1+len(diff))
+	if n := c.Stats().Entries; n != 1+len(diff) {
+		t.Errorf("Entries = %d, want %d", n, 1+len(diff))
 	}
 	// A different law must miss even on the same grid.
 	other, err := c.Model(dist.Exponential{Rate: 0.25}, WithStep(0.1), WithMaxWidth(60))
@@ -57,22 +57,7 @@ func TestSweepCacheSharesByLawAndGrid(t *testing.T) {
 	}
 }
 
-func TestSweepCacheNilAndUnfingerprinted(t *testing.T) {
-	var nilCache *SweepCache
-	m, err := nilCache.Model(dist.Exponential{Rate: 0.25}, WithStep(0.1), WithMaxWidth(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == nil {
-		t.Fatal("nil cache should degrade to New")
-	}
-	if nilCache.Len() != 0 {
-		t.Error("nil cache Len should be 0")
-	}
-	if st := nilCache.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Error("nil cache stats should be zero")
-	}
-
+func TestSweepCacheUnfingerprinted(t *testing.T) {
 	c := NewSweepCache()
 	u1, err := c.Model(unkeyedLaw{dist.Exponential{Rate: 0.25}}, WithStep(0.1), WithMaxWidth(40))
 	if err != nil {
@@ -85,8 +70,8 @@ func TestSweepCacheNilAndUnfingerprinted(t *testing.T) {
 	if u1 == u2 {
 		t.Error("unfingerprinted laws must get private models")
 	}
-	if c.Len() != 0 {
-		t.Error("unfingerprinted models must not be retained")
+	if st := c.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("unfingerprinted models must be neither retained nor counted: %+v", st)
 	}
 	if _, err := c.Model(nil); err == nil {
 		t.Error("nil law should error")
@@ -183,8 +168,8 @@ func TestSweepCacheConcurrent(t *testing.T) {
 			t.Fatal("concurrent callers should share one model")
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("Entries = %d, want 1", n)
 	}
 }
 

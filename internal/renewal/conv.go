@@ -17,7 +17,7 @@ import (
 const fftCostRatio = 4.0
 
 // blockedMinTaps is the smallest kernel length worth the blocked kernel's
-// edge handling; below it the plain direct loop wins.
+// edge handling; below it the blocked kernel runs convolveDirect.
 const blockedMinTaps = 8
 
 // kernel names one convolution implementation. Sweeps dispatch by sizeRule;
@@ -27,7 +27,7 @@ type kernel uint8
 
 const (
 	sizeRule      kernel = iota // blockedKernel or fftKernel, by pickKernel
-	directKernel                // the naive reference loop
+	directKernel                // convolveDirect over the whole support: the tests' reference
 	blockedKernel               // the register-blocked direct loop
 	fftKernel                   // spectral multiplication
 )
@@ -94,7 +94,7 @@ func (cs *convState) convolve(dst, d []float64, lo, hi int) {
 	}
 	switch k {
 	case directKernel:
-		convolveFrom(dst, d, cs.f, lo)
+		convolveDirect(dst, d, cs.f, lo, hi)
 	case blockedKernel:
 		convolveBlocked(dst, d, cs.f, lo, hi)
 	case fftKernel:
@@ -161,22 +161,19 @@ func (cs *convState) convolveFFT(dst, d []float64, lo, hi, outEnd int) {
 	}
 }
 
-// convolveFrom computes dst = (d ⊛ f) truncated to len(dst) = len(d),
-// skipping source entries below lo (known-zero trimmed region).
-func convolveFrom(dst, d, f []float64, lo int) {
-	for i := range dst {
-		dst[i] = 0
-	}
+// convolveDirect adds d[j]·f[i] into dst[j+i] for source cells j in
+// [lo, hi), both indices ascending, truncated to len(dst): the plain direct
+// loop. It runs the blocked kernel's narrow kernels and remainder cells,
+// and the forced directKernel.
+func convolveDirect(dst, d, f []float64, lo, hi int) {
 	n := len(dst)
-	for j := lo; j < n; j++ {
+	hi = min(hi, n)
+	for j := lo; j < hi; j++ {
 		dv := d[j]
 		if dv == 0 {
 			continue
 		}
-		lim := n - j
-		if lim > len(f) {
-			lim = len(f)
-		}
+		lim := min(n-j, len(f))
 		df := dst[j : j+lim]
 		ff := f[:lim]
 		for i := range ff {
@@ -187,16 +184,14 @@ func convolveFrom(dst, d, f []float64, lo int) {
 
 // convolveBlocked is the register-blocked direct kernel: four source cells
 // per pass share each loaded output cell, quartering the dst load/store
-// traffic of convolveFrom. Results match convolveFrom up to float addition
-// order. d must be zero outside [lo, hi); dst must be pre-zeroed.
+// traffic of convolveDirect. Results match convolveDirect up to float
+// addition order. d must be zero outside [lo, hi); dst must be pre-zeroed.
 func convolveBlocked(dst, d, f []float64, lo, hi int) {
 	n := len(dst)
 	nf := len(f)
-	if hi > n {
-		hi = n
-	}
+	hi = min(hi, n)
 	if nf < blockedMinTaps {
-		convolveFrom(dst, d, f, lo)
+		convolveDirect(dst, d, f, lo, hi)
 		return
 	}
 	j := lo
@@ -247,20 +242,5 @@ func convolveBlocked(dst, d, f []float64, lo, hi int) {
 			dst[x] += d3 * f[nf-1]
 		}
 	}
-	// Scalar remainder.
-	for ; j < hi; j++ {
-		dv := d[j]
-		if dv == 0 {
-			continue
-		}
-		lim := n - j
-		if lim > nf {
-			lim = nf
-		}
-		df := dst[j : j+lim]
-		ff := f[:lim]
-		for i := range ff {
-			df[i] += dv * ff[i]
-		}
-	}
+	convolveDirect(dst, d, f, j, hi) // the scalar remainder
 }

@@ -1,6 +1,7 @@
 package renewal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,7 +38,10 @@ func randomSupport(r *rand.Rand, n, lo, hi int) []float64 {
 }
 
 // Property test: the blocked and FFT kernels match the direct kernel across
-// random supports, including odd lengths and near-power-of-2 sizes.
+// random supports, including odd lengths and near-power-of-2 sizes. The
+// forced direct kernel, and the blocked kernel on kernels shorter than
+// blockedMinTaps, run refConvolve's loop in its order, so they match it
+// bit for bit.
 func TestConvolveKernelsMatchDirect(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	type shape struct{ n, lo, hi, nf int }
@@ -71,6 +75,11 @@ func TestConvolveKernelsMatchDirect(t *testing.T) {
 		viaAuto := make([]float64, s.n)
 		auto.convolve(viaAuto, d, s.lo, s.hi)
 
+		direct := newConvState(directKernel, f)
+		viaDirect := make([]float64, s.n)
+		direct.convolve(viaDirect, d, s.lo, s.hi)
+		assertBits(t, fmt.Sprintf("%+v direct", s), viaDirect, want)
+
 		scale := 0.0
 		for _, v := range want {
 			if v > scale {
@@ -90,6 +99,29 @@ func TestConvolveKernelsMatchDirect(t *testing.T) {
 			if math.Abs(viaAuto[i]-want[i]) > 1e-12*scale {
 				t.Fatalf("shape %+v: auto[%d] = %g want %g", s, i, viaAuto[i], want[i])
 			}
+		}
+	}
+
+	for nf := 1; nf <= 7; nf++ { // every kernel length below blockedMinTaps
+		for _, s := range []shape{{16, 0, 16, nf}, {33, 5, 29, nf}, {40, 38, 40, nf}, {9, 0, 3, nf}} {
+			d := randomSupport(r, s.n, s.lo, s.hi)
+			f := make([]float64, s.nf)
+			for i := range f {
+				f[i] = r.Float64() / float64(s.nf)
+			}
+			blocked := make([]float64, s.n)
+			convolveBlocked(blocked, d, f, s.lo, s.hi)
+			assertBits(t, fmt.Sprintf("%+v blocked", s), blocked, refConvolve(d, f))
+		}
+	}
+}
+
+// assertBits fails unless got and want hold the same float64 bits.
+func assertBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: cell %d = %v, reference %v", what, i, got[i], want[i])
 		}
 	}
 }
@@ -182,6 +214,37 @@ func TestSweepKernelEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNarrowKernelSweepBits sweeps a grid whose pitch kernel is shorter
+// than blockedMinTaps, so the blocked kernel runs convolveDirect: the
+// blocked and size-rule sweeps must carry the forced direct sweep's bits.
+// The kernel spans the grid plus four cells, so only a grid of at most two
+// cells has so narrow a kernel.
+func TestNarrowKernelSweepBits(t *testing.T) {
+	law := dist.Exponential{Rate: 0.125}
+	opts := []Option{WithStep(2), WithMaxWidth(4)}
+	direct := newForced(t, law, directKernel, opts...)
+	for _, k := range []kernel{blockedKernel, sizeRule} {
+		m := newForced(t, law, k, opts...)
+		for _, w := range []float64{2, 4} {
+			a, err := direct.CountPMF(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := m.CountPMF(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Len() < 3 || b.Len() != a.Len() {
+				t.Fatalf("kernel %d w=%g: support %d, direct %d", k, w, b.Len(), a.Len())
+			}
+			assertBits(t, fmt.Sprintf("kernel %d w=%g", k, w), b.P, a.P)
+		}
+		if nf := len(m.fMass); nf >= blockedMinTaps {
+			t.Fatalf("pitch kernel has %d taps, want fewer than %d", nf, blockedMinTaps)
+		}
 	}
 }
 

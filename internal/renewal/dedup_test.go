@@ -125,7 +125,7 @@ func TestSweepCacheEvictionBound(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if n := c.Len(); n != 4 {
+	if n := c.Stats().Entries; n != 4 {
 		t.Fatalf("Len = %d, want 4", n)
 	}
 	st := c.Stats()
@@ -140,7 +140,7 @@ func TestSweepCacheEvictionBound(t *testing.T) {
 	}
 	// Shrinking evicts immediately; unbounding stops eviction.
 	c.SetMaxEntries(1)
-	if n := c.Len(); n != 1 {
+	if n := c.Stats().Entries; n != 1 {
 		t.Fatalf("after shrink Len = %d, want 1", n)
 	}
 	c.SetMaxEntries(0)
@@ -149,7 +149,7 @@ func TestSweepCacheEvictionBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n != 9 {
+	if n := c.Stats().Entries; n != 9 {
 		t.Fatalf("unbounded Len = %d, want 9", n)
 	}
 }
@@ -268,7 +268,7 @@ func BenchmarkSweepDedupContention(b *testing.B) {
 		}
 	})
 	if err := func() error {
-		if n := c.Len(); n != 1 {
+		if n := c.Stats().Entries; n != 1 {
 			return fmt.Errorf("len %d", n)
 		}
 		return nil

@@ -56,8 +56,8 @@ func TestPGFMemoConcurrent(t *testing.T) {
 				z := zs[(g+i)%len(zs)]
 				var v float64
 				if i%5 == 0 {
-					vs, err := m.PGFs([]float64{w, w / 2}, z)
-					if err != nil {
+					var vs [2]float64
+					if err := m.PGFsInto(vs[:], []float64{w, w / 2}, z); err != nil {
 						errs[g] = err
 						return
 					}
@@ -116,8 +116,12 @@ func TestPGFMemoBound(t *testing.T) {
 		if want := directPGF(t, m, w, z); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("uncached PGF(%g, %g) = %v, direct %v", w, z, got, want)
 		}
-		if _, err := m.PGFs([]float64{w}, z); err != nil {
+		var vs [1]float64
+		if err := m.PGFsInto(vs[:], []float64{w}, z); err != nil {
 			t.Fatal(err)
+		}
+		if math.Float64bits(vs[0]) != math.Float64bits(got) {
+			t.Fatalf("uncached PGFsInto(%g, %g) = %v, PGF %v", w, z, vs[0], got)
 		}
 	}
 	if n := len(m.pgf); n != pgfColumns {

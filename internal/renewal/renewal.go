@@ -304,42 +304,23 @@ func (m *Model) PGF(w, z float64) (float64, error) {
 	}
 	m.mu.Lock()
 	col := m.pgfColumnLocked(z)
-	if col != nil && !math.IsNaN(col[idx]) {
-		v := col[idx]
-		m.mu.Unlock()
+	v := memoCell(col, idx)
+	m.mu.Unlock()
+	if !math.IsNaN(v) {
 		return v, nil
 	}
-	m.mu.Unlock()
-	pmf, err := m.countPMF(idx)
-	if err != nil {
-		return 0, err
-	}
-	v := pmf.PGF(z)
-	if col != nil {
-		m.mu.Lock()
-		col[idx] = v
-		m.mu.Unlock()
-	}
-	return v, nil
-}
-
-// PGFs is PGF over many widths: it validates every width first and runs at
-// most one sweep, like CountPMFs. The result order matches ws.
-func (m *Model) PGFs(ws []float64, z float64) ([]float64, error) {
-	out := make([]float64, len(ws))
-	if err := m.PGFsInto(out, ws, z); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return m.pgfFill(col, idx, z)
 }
 
 // pgfStackWidths is how many widths PGFsInto indexes in stack scratch; a
 // longer ws allocates its index list.
 const pgfStackWidths = 16
 
-// PGFsInto is PGFs writing into dst, which must be as long as ws: the
-// same values, and for at most pgfStackWidths widths no allocation once
-// the model is swept and the memo column for z exists.
+// PGFsInto is PGF over many widths, writing into dst, which must be as
+// long as ws. It validates every width before running at most one sweep,
+// reads every memoized cell under one lock, and for at most pgfStackWidths
+// widths allocates nothing once the model is swept and the memo column for
+// z exists.
 func (m *Model) PGFsInto(dst, ws []float64, z float64) error {
 	if len(dst) != len(ws) {
 		return fmt.Errorf("renewal: PGFsInto has %d slots for %d widths", len(dst), len(ws))
@@ -356,39 +337,48 @@ func (m *Model) PGFsInto(dst, ws []float64, z float64) error {
 		}
 		idxs = append(idxs, idx)
 	}
-	missing := false
 	m.mu.Lock()
 	col := m.pgfColumnLocked(z)
 	for i, idx := range idxs {
-		if col == nil || math.IsNaN(col[idx]) {
-			dst[i] = math.NaN()
-			missing = true
-			continue
-		}
-		dst[i] = col[idx]
+		dst[i] = memoCell(col, idx)
 	}
 	m.mu.Unlock()
-	if !missing {
-		return nil
-	}
 	for i, idx := range idxs {
-		if !math.IsNaN(dst[i]) {
-			continue
+		if math.IsNaN(dst[i]) {
+			v, err := m.pgfFill(col, idx, z)
+			if err != nil {
+				return err
+			}
+			dst[i] = v
 		}
-		pmf, err := m.countPMF(idx)
-		if err != nil {
-			return err
-		}
-		dst[i] = pmf.PGF(z)
-	}
-	if col != nil {
-		m.mu.Lock()
-		for i, idx := range idxs {
-			col[idx] = dst[i]
-		}
-		m.mu.Unlock()
 	}
 	return nil
+}
+
+// memoCell returns the memoized PGF at grid index idx of the column col,
+// or NaN when col is nil (z unmemoized) or the cell is not evaluated yet.
+func memoCell(col []float64, idx int) float64 {
+	if col == nil {
+		return math.NaN()
+	}
+	return col[idx]
+}
+
+// pgfFill evaluates the PGF at z of the count PMF at grid index idx,
+// sweeping first if the table is not installed, and memoizes it in col
+// unless z goes unmemoized (col nil).
+func (m *Model) pgfFill(col []float64, idx int, z float64) (float64, error) {
+	pmf, err := m.countPMF(idx)
+	if err != nil {
+		return 0, err
+	}
+	v := pmf.PGF(z)
+	if col != nil {
+		m.mu.Lock()
+		col[idx] = v
+		m.mu.Unlock()
+	}
+	return v, nil
 }
 
 // pgfColumnLocked returns the memo column for z, allocating it on first use
@@ -412,32 +402,10 @@ func (m *Model) pgfColumnLocked(z float64) []float64 {
 	return vals
 }
 
-// CountPMFs returns count PMFs for several widths. It validates every width
-// before running at most one sweep; the result order matches ws.
-func (m *Model) CountPMFs(ws []float64) ([]dist.PMF, error) {
-	idxs := make([]int, len(ws))
-	for i, w := range ws {
-		idx, err := m.gridIndex(w)
-		if err != nil {
-			return nil, err
-		}
-		idxs[i] = idx
-	}
-	out := make([]dist.PMF, len(ws))
-	for i, idx := range idxs {
-		pmf, err := m.countPMF(idx)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = pmf
-	}
-	return out, nil
-}
-
 // sweep returns the model's count table, running the arrival-position
 // convolution once to install it if neither a sweep nor a Restore has, so
 // every later query on this model is free. A sweep costs one discrete
-// convolution per arrival order k — dispatched per step between the direct,
+// convolution per arrival order k — dispatched per step between the
 // blocked and FFT kernels (see conv.go) — and the per-k prefix sum that
 // serves all indexes at once is what makes whole-curve generation cheap.
 //

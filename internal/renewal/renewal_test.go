@@ -186,28 +186,37 @@ func TestCountPMFMatchesSimulation(t *testing.T) {
 	}
 }
 
-func TestCountPMFsBatchedMatchesSingle(t *testing.T) {
+// TestPGFsIntoMatchesSingle pins the batched pF read: PGFsInto validates
+// every width before it sweeps, and its values carry the bits of each
+// width's count PMF on a separately swept model.
+func TestPGFsIntoMatchesSingle(t *testing.T) {
 	tn, _ := dist.TruncNormalWithMean(4, 3, 1)
 	a, _ := New(tn, WithStep(0.1), WithMaxWidth(120))
 	b, _ := New(tn, WithStep(0.1), WithMaxWidth(120))
 	ws := []float64{10, 55, 110}
-	batch, err := a.CountPMFs(ws)
-	if err != nil {
-		t.Fatal(err)
+	got := make([]float64, len(ws))
+	if err := a.PGFsInto(got, []float64{10, 55, 121}, 0.531); err == nil {
+		t.Fatal("a width past the grid should fail")
 	}
-	for i, w := range ws {
-		single, err := b.CountPMF(w)
-		if err != nil {
+	if n := a.Sweeps(); n != 0 {
+		t.Fatalf("an invalid later width ran %d sweeps, want 0", n)
+	}
+	for _, z := range []float64{0.531, 0.33, 0} {
+		if err := a.PGFsInto(got, ws, z); err != nil {
 			t.Fatal(err)
 		}
-		if batch[i].Len() != single.Len() {
-			t.Fatalf("W=%v: support %d vs %d", w, batch[i].Len(), single.Len())
-		}
-		for k := 0; k < single.Len(); k++ {
-			if !almost(batch[i].Prob(k), single.Prob(k), 1e-12) {
-				t.Fatalf("W=%v: P(N=%d) batch %v single %v", w, k, batch[i].Prob(k), single.Prob(k))
+		for i, w := range ws {
+			single, err := b.CountPMF(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := single.PGF(z); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("W=%v z=%v: PGFsInto %v, count PMF %v", w, z, got[i], want)
 			}
 		}
+	}
+	if err := a.PGFsInto(got[:2], ws, 0.531); err == nil {
+		t.Fatal("a short dst should fail")
 	}
 }
 

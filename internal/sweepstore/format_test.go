@@ -272,7 +272,7 @@ func TestFixedFieldsRejected(t *testing.T) {
 			if st := store.Stats(); st.Rejects != 1 || st.Loads != 0 {
 				t.Fatalf("stats = %+v, want 1 reject, 0 loads", st)
 			}
-			if n := cache.Len(); n != 0 {
+			if n := cache.Stats().Entries; n != 0 {
 				t.Fatalf("cache holds %d entries, want 0", n)
 			}
 		})

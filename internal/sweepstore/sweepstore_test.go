@@ -485,7 +485,7 @@ func TestChecksumOnlyCorruptionQuarantined(t *testing.T) {
 	if st := fresh.Stats(); st.Loads != 0 || st.Rejects != 1 || st.Quarantined != 1 {
 		t.Fatalf("stats = %+v, want 1 reject, 1 quarantined", st)
 	}
-	if n := cache.Len(); n != 0 {
+	if n := cache.Stats().Entries; n != 0 {
 		t.Fatalf("cache holds %d entries, want 0", n)
 	}
 	if _, err := os.Stat(path + badExt); err != nil {
