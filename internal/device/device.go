@@ -134,13 +134,24 @@ type FailureModel struct {
 
 // NewFailureModel combines a count model and processing parameters.
 func NewFailureModel(count *renewal.Model, params FailureParams) (*FailureModel, error) {
-	if count == nil {
-		return nil, errors.New("device: nil count model")
-	}
-	if err := params.Validate(); err != nil {
+	m, err := MakeFailureModel(count, params)
+	if err != nil {
 		return nil, err
 	}
-	return &FailureModel{count: count, params: params, pf: params.PerCNTFailure()}, nil
+	return &m, nil
+}
+
+// MakeFailureModel is NewFailureModel returning the model by value, so a
+// caller that pairs a cached count model with a corner per query keeps the
+// pairing off the heap.
+func MakeFailureModel(count *renewal.Model, params FailureParams) (FailureModel, error) {
+	if count == nil {
+		return FailureModel{}, errors.New("device: nil count model")
+	}
+	if err := params.Validate(); err != nil {
+		return FailureModel{}, err
+	}
+	return FailureModel{count: count, params: params, pf: params.PerCNTFailure()}, nil
 }
 
 // NewCalibratedModel builds a FailureModel over the calibrated pitch law

@@ -224,7 +224,7 @@ func nodeWidths(name string) (*widthdist.Distribution, error) {
 // first use, so the span covers acquisition and use, and is classified as
 // a cache hit or a cold sweep by whether the count model came from the
 // cache and swept nothing.
-func (s *Session) sweep(ctx context.Context, params device.FailureParams, q Spec, use func(*device.FailureModel) error) error {
+func (s *Session) sweep(ctx context.Context, params device.FailureParams, q Spec, use func(device.FailureModel) error) error {
 	sp := obs.StartLeaf(ctx, "sweep")
 	m, hit, err := s.model(params, q)
 	if err != nil {
@@ -239,8 +239,9 @@ func (s *Session) sweep(ctx context.Context, params device.FailureParams, q Spec
 
 // model builds (or fetches from the shared cache) the failure model for the
 // spec's corner, pitch law and grid; hit reports whether the count model
-// came from the cache.
-func (s *Session) model(params device.FailureParams, q Spec) (m *device.FailureModel, hit bool, err error) {
+// came from the cache. The model is a value: it only pairs the cached count
+// model with the corner's pf, so it stays off the heap.
+func (s *Session) model(params device.FailureParams, q Spec) (m device.FailureModel, hit bool, err error) {
 	var pitch dist.Continuous
 	if q.PitchMeanNM == 0 && q.PitchSigmaRatio == 0 {
 		pitch, err = calibratedPitch()
@@ -248,14 +249,14 @@ func (s *Session) model(params device.FailureParams, q Spec) (m *device.FailureM
 		pitch, err = s.pitchLaw(q)
 	}
 	if err != nil {
-		return nil, false, err
+		return device.FailureModel{}, false, err
 	}
 	step, maxWidth := s.grid(q)
 	count, hit, err := s.cache.ModelTracked(pitch, renewal.WithStep(step), renewal.WithMaxWidth(maxWidth))
 	if err != nil {
-		return nil, false, err
+		return device.FailureModel{}, false, err
 	}
-	m, err = device.NewFailureModel(count, params)
+	m, err = device.MakeFailureModel(count, params)
 	return m, hit, err
 }
 
@@ -349,7 +350,7 @@ func (s *Session) evalPF(ctx context.Context, q Spec) (*PFResult, error) {
 		return nil, err
 	}
 	out := &PFResult{Corner: cornerName, Node: q.Node, WidthNM: w}
-	err = s.sweep(ctx, params, q, func(m *device.FailureModel) (err error) {
+	err = s.sweep(ctx, params, q, func(m device.FailureModel) (err error) {
 		out.PFCNT = m.PerCNTFailure()
 		out.PF, err = m.FailureProb(w)
 		return err
@@ -384,9 +385,9 @@ func (s *Session) evalWmin(ctx context.Context, q Spec) (*WminResult, error) {
 	// The Wmin search is sweep-dominated: every probed width evaluates the
 	// swept count table, so the whole solve sits under the sweep span.
 	var res yield.Result
-	err = s.sweep(ctx, params, q, func(model *device.FailureModel) (err error) {
+	err = s.sweep(ctx, params, q, func(model device.FailureModel) (err error) {
 		res, err = yield.SimplifiedWmin(&yield.Problem{
-			Model:        model,
+			Model:        &model,
 			Widths:       widths,
 			M:            m,
 			DesiredYield: desired,
@@ -435,7 +436,7 @@ func (s *Session) evalRowYield(ctx context.Context, q Spec) (*RowYieldResult, er
 		return nil, badRequest(fmt.Errorf("rounds %d exceeds limit %d", rounds, s.opts.MaxRowRounds))
 	}
 	var devicePF float64
-	err = s.sweep(ctx, params, q, func(model *device.FailureModel) (err error) {
+	err = s.sweep(ctx, params, q, func(model device.FailureModel) (err error) {
 		devicePF, err = model.FailureProb(w)
 		return err
 	})
@@ -594,7 +595,7 @@ func (s *Session) evalNoise(ctx context.Context, q Spec) (*NoiseResult, error) {
 		desired = s.params.DesiredYield
 	}
 	var pmf dist.PMF
-	err = s.sweep(ctx, params, q, func(model *device.FailureModel) (err error) {
+	err = s.sweep(ctx, params, q, func(model device.FailureModel) (err error) {
 		pmf, err = model.CountModel().CountPMF(w)
 		return err
 	})

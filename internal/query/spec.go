@@ -26,13 +26,11 @@
 package query
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"strings"
@@ -757,16 +755,14 @@ func expandAxis[T any](specs []Spec, values []T, set func(*Spec, T)) []Spec {
 }
 
 // Parse strictly decodes a spec from JSON, rejecting unknown fields and
-// anything but whitespace after the spec, and validates it.
+// anything but whitespace after the spec (DecodeSpec), and validates it.
 func Parse(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var q Spec
-	if err := dec.Decode(&q); err != nil {
-		return Spec{}, badRequest(fmt.Errorf("query: decoding spec: %w", err))
-	}
-	if _, err := dec.Token(); err != io.EOF {
+	q, err := DecodeSpec(data, nil)
+	if err == errTrailingData {
 		return Spec{}, badRequest(errors.New("query: decoding spec: unexpected data after the spec"))
+	}
+	if err != nil {
+		return Spec{}, badRequest(fmt.Errorf("query: decoding spec: %w", err))
 	}
 	if err := q.Validate(); err != nil {
 		return Spec{}, badRequest(err)

@@ -12,7 +12,9 @@ import (
 // float format and HTML-safe string escaping included — so the spec
 // fingerprint and the served /v2/query body come out unchanged while the
 // warm path skips encoding/json's reflective walk. TestWireFieldCoverage
-// and FuzzWireJSON hold them to json.Marshal.
+// and FuzzWireJSON hold them to json.Marshal. An indenting wire writes the
+// same value as json.Indent with two spaces per level lays it out, in the
+// same pass, so a served body is never re-scanned to indent it.
 //
 // An appender declines (ok = false) where it would have to differ from
 // encoding/json or where encoding/json fails: a NaN or ±Inf float, and a
@@ -25,11 +27,24 @@ import (
 // float, experiment artifacts or a cost breakdown; encoding/json encodes
 // those instead.
 func (r *Result) AppendJSON(dst []byte) ([]byte, bool) {
+	return r.appendWire(wire{b: dst, ok: true})
+}
+
+// AppendIndentJSON is AppendJSON laid out as json.Indent(dst, compact,
+// prefix, "  ") would lay it out, where prefix is depth levels of two-space
+// indentation: the form of r nested depth levels deep in a body indented by
+// two spaces per level. Like json.Indent, it writes no indentation before
+// the value's opening brace.
+func (r *Result) AppendIndentJSON(dst []byte, depth int) ([]byte, bool) {
+	return r.appendWire(wire{b: dst, ok: true, indent: true, depth: int32(depth)})
+}
+
+func (r *Result) appendWire(w wire) ([]byte, bool) {
+	dst := w.b
 	if len(r.Experiments) > 0 || r.Cost != nil {
 		return dst, false
 	}
-	w := wire{b: append(dst, `{"spec":`...), ok: true}
-	w = w.spec(&r.Spec)
+	w = w.open('{').key("spec").spec(&r.Spec)
 	w = w.key("fingerprint").str(r.Fingerprint)
 	if r.PF != nil {
 		w = w.key("pf").pf(r.PF)
@@ -43,7 +58,7 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, bool) {
 	if r.Noise != nil {
 		w = w.key("noise").noise(r.Noise)
 	}
-	w = w.raw("}")
+	w = w.close('}')
 	if !w.ok {
 		return dst, false
 	}
@@ -58,25 +73,80 @@ func appendSpec(dst []byte, q *Spec) ([]byte, bool) {
 }
 
 // wire is an append-only JSON writer. Its methods take and return it by
-// value, so a buffer on the caller's stack stays there. ok turns false at
-// the first value encoding/json would reject.
+// value, so a buffer on the caller's stack stays there; at 32 bytes and
+// four fields the compiler keeps it in registers, so the chain of calls
+// copies nothing through memory. ok turns false at the first value
+// encoding/json would reject. An indenting wire starts each member and
+// element on a new line indented by two spaces per level of depth, the
+// nesting of the value being written, and puts a space after each colon;
+// its zero value writes compact JSON.
 type wire struct {
-	b  []byte
-	ok bool
+	b      []byte
+	ok     bool
+	indent bool
+	depth  int32
 }
 
-func (w wire) raw(s string) wire {
-	w.b = append(w.b, s...)
+// open starts an object or array with c and enters it.
+func (w wire) open(c byte) wire {
+	w.b = append(w.b, c)
+	w.depth++
+	return w
+}
+
+// close leaves the object or array being written and ends it with c: on a
+// line of its own when indenting, unless it is empty ("{}", "[]").
+func (w wire) close(c byte) wire {
+	w.depth--
+	if n := len(w.b); w.indent && w.b[n-1] != '{' && w.b[n-1] != '[' {
+		w = w.newline()
+	}
+	w.b = append(w.b, c)
+	return w
+}
+
+// newline starts an indented line at the current depth.
+func (w wire) newline() wire {
+	if n := 1 + 2*int(w.depth); n <= len(indentation) {
+		w.b = append(w.b, indentation[:n]...)
+		return w
+	}
+	w.b = append(w.b, '\n')
+	for d := w.depth; d > 0; d-- {
+		w.b = append(w.b, ' ', ' ')
+	}
+	return w
+}
+
+// indentation is a line break and the indentation of a line up to 16
+// levels deep, which newline copies in one append.
+const indentation = "\n                                "
+
+// elem starts element i of the array being written.
+func (w wire) elem(i int) wire {
+	if i > 0 {
+		w.b = append(w.b, ',')
+	}
+	if w.indent {
+		w = w.newline()
+	}
 	return w
 }
 
 // key opens the member named k: a comma unless it is the object's first,
-// then the quoted name and a colon. Names are plain ASCII literals.
+// the line break when indenting, then the quoted name and a colon. Names
+// are plain ASCII literals.
 func (w wire) key(k string) wire {
 	if n := len(w.b); n > 0 && w.b[n-1] != '{' {
 		w.b = append(w.b, ',')
 	}
+	if w.indent {
+		w = w.newline()
+	}
 	w.b = append(append(append(w.b, '"'), k...), '"', ':')
+	if w.indent {
+		w.b = append(w.b, ' ')
+	}
 	return w
 }
 
@@ -159,32 +229,26 @@ func (w wire) optNums(k string, fs []float64) wire {
 	if len(fs) == 0 {
 		return w
 	}
-	w = w.key(k).raw("[")
+	w = w.key(k).open('[')
 	for i, f := range fs {
-		if i > 0 {
-			w = w.raw(",")
-		}
-		w = w.num(f)
+		w = w.elem(i).num(f)
 	}
-	return w.raw("]")
+	return w.close(']')
 }
 
 func (w wire) optStrs(k string, ss []string) wire {
 	if len(ss) == 0 {
 		return w
 	}
-	w = w.key(k).raw("[")
+	w = w.key(k).open('[')
 	for i, s := range ss {
-		if i > 0 {
-			w = w.raw(",")
-		}
-		w = w.str(s)
+		w = w.elem(i).str(s)
 	}
-	return w.raw("]")
+	return w.close(']')
 }
 
 func (w wire) spec(q *Spec) wire {
-	w = w.raw(`{"kind":`).str(q.Kind)
+	w = w.open('{').key("kind").str(q.Kind)
 	w = w.optStr("corner", q.Corner)
 	w = w.optPtr("pm", q.PM)
 	w = w.optPtr("prs", q.PRS)
@@ -214,11 +278,11 @@ func (w wire) spec(q *Spec) wire {
 	if q.Sweep != nil {
 		w = w.key("sweep").sweep(q.Sweep)
 	}
-	return w.raw("}")
+	return w.close('}')
 }
 
 func (w wire) sweep(s *Sweep) wire {
-	w = w.raw("{")
+	w = w.open('{')
 	w = w.optStrs("corners", s.Corners)
 	w = w.optNums("pitch_means_nm", s.PitchMeansNM)
 	w = w.optStrs("nodes", s.Nodes)
@@ -226,20 +290,20 @@ func (w wire) sweep(s *Sweep) wire {
 	w = w.optNums("yields", s.Yields)
 	w = w.optNums("relax_factors", s.RelaxFactors)
 	w = w.optStrs("scenarios", s.Scenarios)
-	return w.raw("}")
+	return w.close('}')
 }
 
 func (w wire) pf(p *PFResult) wire {
-	w = w.raw(`{"corner":`).str(p.Corner)
+	w = w.open('{').key("corner").str(p.Corner)
 	w = w.optStr("node", p.Node)
 	w = w.key("width_nm").num(p.WidthNM)
 	w = w.key("pf_cnt").num(p.PFCNT)
 	w = w.key("pf").num(p.PF)
-	return w.raw("}")
+	return w.close('}')
 }
 
 func (w wire) wmin(p *WminResult) wire {
-	w = w.raw(`{"corner":`).str(p.Corner)
+	w = w.open('{').key("corner").str(p.Corner)
 	w = w.optStr("node", p.Node)
 	w = w.key("m").num(p.M)
 	w = w.key("desired_yield").num(p.DesiredYield)
@@ -247,11 +311,11 @@ func (w wire) wmin(p *WminResult) wire {
 	w = w.key("wmin_nm").num(p.WminNM)
 	w = w.key("device_pf").num(p.DevicePF)
 	w = w.key("mmin_share").num(p.MminShare)
-	return w.raw("}")
+	return w.close('}')
 }
 
 func (w wire) rowYield(p *RowYieldResult) wire {
-	w = w.raw(`{"corner":`).str(p.Corner)
+	w = w.open('{').key("corner").str(p.Corner)
 	w = w.optStr("node", p.Node)
 	w = w.key("scenario").str(p.Scenario)
 	w = w.key("width_nm").num(p.WidthNM)
@@ -266,11 +330,11 @@ func (w wire) rowYield(p *RowYieldResult) wire {
 	w = w.optInt("split_levels", p.SplitLevels)
 	w = w.optNum("krows", p.KRows)
 	w = w.optNum("chip_yield", p.ChipYield)
-	return w.raw("}")
+	return w.close('}')
 }
 
 func (w wire) noise(p *NoiseResult) wire {
-	w = w.raw(`{"corner":`).str(p.Corner)
+	w = w.open('{').key("corner").str(p.Corner)
 	w = w.optStr("node", p.Node)
 	w = w.key("width_nm").num(p.WidthNM)
 	w = w.key("prm").num(p.PRM)
@@ -280,5 +344,5 @@ func (w wire) noise(p *NoiseResult) wire {
 	w = w.key("chip_yield").num(p.ChipYield)
 	w = w.key("required_prm").num(p.RequiredPRM)
 	w = w.key("desired_yield").num(p.DesiredYield)
-	return w.raw("}")
+	return w.close('}')
 }

@@ -118,15 +118,17 @@ func BenchmarkV2QueryWarm(b *testing.B) {
 
 // TestV2QueryWarmAllocs bounds the allocations of one warm one-spec
 // POST /v2/query through Server.Handler(), the request and recorder the
-// test builds included. The body is appended without reflection, the
-// sweep-cache hit allocates nothing, the default pitch law is boxed once
-// per process, and the request tracer takes its two spans from its own
-// allocation with attributes stored unboxed and stages flattened into a
-// pooled buffer, so the count sits at 49 on Go 1.24 (65 with a heap span,
-// a context node, boxed attributes and copied stage slices per span; 66
-// when each spec boxed the law; 76 with the reflective marshal and the
-// per-lookup Model and key string). The bound leaves a little headroom for
-// toolchain drift.
+// test builds included. The body is decoded by query.DecodeSpec's
+// reflection-free scan from pooled scratch and appended indented without
+// reflection, the failure model is a stack value, the sweep-cache hit
+// allocates nothing, the default pitch law is boxed once per process, and
+// the request tracer takes its two spans from its own allocation with
+// attributes stored unboxed and stages flattened into a pooled buffer, so
+// the count sits at 39 on Go 1.24 (49 with the encoding/json decoder and a
+// heap FailureModel per spec; 65 with a heap span, a context node, boxed
+// attributes and copied stage slices per span; 66 when each spec boxed the
+// law; 76 with the reflective marshal and the per-lookup Model and key
+// string). The bound leaves a little headroom for toolchain drift.
 func TestV2QueryWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -142,8 +144,8 @@ func TestV2QueryWarmAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("warm one-spec POST /v2/query: %v allocs", allocs)
-	if allocs > 53 {
-		t.Fatalf("warm one-spec POST /v2/query allocates %v times, bound 53", allocs)
+	if allocs > 42 {
+		t.Fatalf("warm one-spec POST /v2/query allocates %v times, bound 42", allocs)
 	}
 }
 
@@ -171,11 +173,14 @@ func BenchmarkV2QuerySweepWarm(b *testing.B) {
 // design-space POST /v2/query (12 Wmin specs) through Server.Handler(),
 // the twin of TestV2QueryWarmAllocs. Each Wmin solve reads its node's
 // frozen width distribution and evaluates the chip yield in stack scratch,
-// and the request's 24 spans come from the tracer's slab, so the count
-// sits at 117 on Go 1.24 (413 when every spec rebuilt and rescaled the
-// width distribution, allocated its yield scratch and paid a heap span,
-// a context node and boxed attributes per span). The bound leaves the
-// same few percent of headroom.
+// pairs the cached count model with its corner in a stack value, the
+// request's 24 spans come from the tracer's slab, and the body is decoded
+// and appended without reflection (the decoded corner, node and kind names
+// shared, not copied), so the count sits at 83 on Go 1.24 (117 with the
+// encoding/json decoder and a heap FailureModel per spec; 413 when every
+// spec rebuilt and rescaled the width distribution, allocated its yield
+// scratch and paid a heap span, a context node and boxed attributes per
+// span). The bound leaves the same few percent of headroom.
 func TestV2QuerySweepWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -191,7 +196,7 @@ func TestV2QuerySweepWarmAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("warm design-space POST /v2/query: %v allocs", allocs)
-	if allocs > 124 {
-		t.Fatalf("warm design-space POST /v2/query allocates %v times, bound 124", allocs)
+	if allocs > 88 {
+		t.Fatalf("warm design-space POST /v2/query allocates %v times, bound 88", allocs)
 	}
 }

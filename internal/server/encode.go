@@ -10,10 +10,10 @@ import (
 
 // writeJSON answers with v as JSON indented by two spaces per level, plus a
 // trailing newline: the bytes an encoding/json Encoder with
-// SetIndent("", "  ") writes. It encodes v once, compactly, indents that in
-// one pass (appendIndent) and writes the result as one buffer. A /v2/query
-// response is appended without reflection (appendQueryResponse); any other
-// body, and a response the appenders decline, goes through encoding/json.
+// SetIndent("", "  ") writes, as one buffer. A /v2/query response is
+// appended indented in one pass without reflection (appendQueryResponse);
+// any other body, and a response the appenders decline, is encoded once,
+// compactly, by encoding/json and indented in one pass (appendIndent).
 //
 // Encoding comes before the status line, so a value encoding/json cannot
 // encode (a NaN or ±Inf float) answers the 500 internal envelope instead
@@ -22,8 +22,7 @@ import (
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	b := edgeBuffers.Get().(*edgeBuffer)
 	defer b.release()
-	compact, ok := b.appendBody(v)
-	if !ok {
+	if !b.appendBody(v) {
 		if err := b.enc.Encode(v); err != nil {
 			h := w.Header()
 			h.Del("ETag")
@@ -36,54 +35,55 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 				Code: errorCode(status), Message: "encoding response: " + err.Error(),
 			}})
 		}
-		compact = b.compact.Bytes()
+		b.out = appendIndent(b.out[:0], b.compact.Bytes())
 	}
-	b.out = appendIndent(b.out[:0], compact)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(b.out)
 }
 
-// edgeBuffer is writeJSON's reusable scratch: the compact encoding
-// (json.Marshal's bytes plus a newline, HTML-escaped the same way) in raw
-// when appended by hand, or in compact when an Encoder wrote it, and the
-// indented form in out.
+// edgeBuffer is writeJSON's reusable scratch: the compact encoding an
+// Encoder writes (json.Marshal's bytes plus a newline) in compact, and the
+// indented body in out.
 type edgeBuffer struct {
-	raw     []byte
 	compact bytes.Buffer
 	enc     *json.Encoder
 	out     []byte
 }
 
-// appendBody appends v's compact encoding and the Encoder's newline into
-// b.raw when v is a body the wire appenders cover, reporting false
+// appendBody writes v's indented encoding and the Encoder's newline into
+// b.out when v is a body the wire appenders cover, reporting false
 // otherwise.
-func (b *edgeBuffer) appendBody(v any) ([]byte, bool) {
+func (b *edgeBuffer) appendBody(v any) bool {
 	resp, ok := v.(QueryResponseJSON)
 	if !ok {
-		return nil, false
+		return false
 	}
-	raw, ok := appendQueryResponse(b.raw[:0], &resp)
+	out, ok := appendQueryResponse(b.out[:0], &resp)
 	if !ok {
-		return nil, false
+		return false
 	}
-	b.raw = append(raw, '\n')
-	return b.raw, true
+	b.out = append(out, '\n')
+	return true
 }
 
-// appendQueryResponse appends r's json.Marshal encoding to dst, reporting
-// false where a result appender declines or the fingerprint would need
-// escaping (fingerprints are plain hex, so that never happens in practice).
+// appendQueryResponse appends r's json.Marshal encoding to dst, indented by
+// two spaces per level as appendIndent lays it out, reporting false where a
+// result appender declines or the fingerprint would need escaping
+// (fingerprints are plain hex, so that never happens in practice).
 func appendQueryResponse(dst []byte, r *QueryResponseJSON) ([]byte, bool) {
 	for i := 0; i < len(r.Fingerprint); i++ {
 		if c := r.Fingerprint[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return dst, false
 		}
 	}
-	b := append(append(append(dst, `{"fingerprint":"`...), r.Fingerprint...), `","count":`...)
-	b = append(strconv.AppendInt(b, int64(r.Count), 10), `,"results":`...)
-	if r.Results == nil {
-		return append(b, "null}"...), true
+	b := append(append(append(dst, "{\n  \"fingerprint\": \""...), r.Fingerprint...), "\",\n  \"count\": "...)
+	b = append(strconv.AppendInt(b, int64(r.Count), 10), ",\n  \"results\": "...)
+	switch {
+	case r.Results == nil:
+		return append(b, "null\n}"...), true
+	case len(r.Results) == 0:
+		return append(b, "[]\n}"...), true
 	}
 	b = append(b, '[')
 	for i := range r.Results {
@@ -91,11 +91,11 @@ func appendQueryResponse(dst []byte, r *QueryResponseJSON) ([]byte, bool) {
 			b = append(b, ',')
 		}
 		var ok bool
-		if b, ok = r.Results[i].AppendJSON(b); !ok {
+		if b, ok = r.Results[i].AppendIndentJSON(append(b, "\n    "...), 2); !ok {
 			return dst, false
 		}
 	}
-	return append(b, "]}"...), true
+	return append(b, "\n  ]\n}"...), true
 }
 
 // maxPooledEdgeBuffer bounds the scratch a pooled edgeBuffer keeps: a large
@@ -109,7 +109,7 @@ var edgeBuffers = sync.Pool{New: func() any {
 }}
 
 func (b *edgeBuffer) release() {
-	if b.compact.Cap() > maxPooledEdgeBuffer || cap(b.out) > maxPooledEdgeBuffer || cap(b.raw) > maxPooledEdgeBuffer {
+	if b.compact.Cap() > maxPooledEdgeBuffer || cap(b.out) > maxPooledEdgeBuffer {
 		return
 	}
 	b.compact.Reset()

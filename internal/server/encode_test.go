@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/query"
@@ -153,7 +154,8 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 // BenchmarkWriteJSON compares the edge encoder with the stdlib indented
 // Encoder it replaces, over the design-space response (12 results, ~5 KB
 // indented). Registered in BENCH_BASELINE.json with the ratio gate
-// edge/stdlib ≤ 0.45: the edge arm appends the body without reflection.
+// edge/stdlib ≤ 0.32: the edge arm appends the body already indented, in
+// one pass without reflection.
 func BenchmarkWriteJSON(b *testing.B) {
 	v := designSpaceResponse(b)
 	w := &discardWriter{header: make(http.Header)}
@@ -175,4 +177,107 @@ func BenchmarkWriteJSON(b *testing.B) {
 			writeJSON(w, http.StatusOK, v)
 		}
 	})
+}
+
+// FuzzQueryResponseIndent holds the indenting appenders to appendIndent:
+// on /v2/query responses built from FuzzWireJSON's inputs (in
+// internal/query), appendQueryResponse — and through it
+// Result.AppendIndentJSON — writes exactly appendIndent of json.Marshal's
+// compact bytes, and declines exactly where json.Marshal fails. Each
+// result is also checked alone at depth 0 against Result.AppendJSON.
+func FuzzQueryResponseIndent(f *testing.F) {
+	for _, seed := range []struct {
+		x float64
+		s string
+	}{
+		{1e-6, "worst"},
+		{math.Nextafter(1e-6, 0), "pm=33%, pRs=30%"},
+		{1e21, "<script>"},
+		{math.Nextafter(1e21, 0), "a&b"},
+		{math.Copysign(0, -1), "  "},
+		{5e-324, "\x00\x1f\x7f"},
+		{2.2250738585072014e-308, "\xff\xfe invalid"},
+		{math.MaxFloat64, `quote " backslash \`},
+		{-math.MaxFloat64, "é"},
+		{-1e-6, "line \u2028 and paragraph \u2029 separators"},
+		{1e-7, ""},
+		{1.5e-10, "45nm"},
+		{3.1075800452204066e-09, "unaligned"},
+		{155, "plain"},
+		{math.NaN(), "nan"},
+		{math.Inf(1), "inf"},
+	} {
+		f.Add(seed.x, seed.s)
+	}
+	f.Fuzz(func(t *testing.T, x float64, s string) {
+		y := -x / 3
+		specs := []query.Spec{
+			{Kind: s, Corner: s, WidthNM: x, PM: &y, Node: s, Seed: math.Float64bits(x)},
+			{Kind: query.KindRowYield, Scenario: s, Offsets: []float64{x, y}, RelErrTarget: y, Rounds: int(int32(math.Float64bits(x)))},
+			{Kind: query.KindWmin, Sweep: &query.Sweep{Corners: []string{s, s}, Yields: []float64{x}, RelaxFactors: []float64{y, x}}},
+			{Kind: query.KindPF, Sweep: &query.Sweep{}},
+		}
+		results := []query.Result{
+			{Spec: specs[0], Fingerprint: s, PF: &query.PFResult{Corner: s, Node: s, WidthNM: x, PFCNT: y, PF: x}},
+			{Spec: specs[1], RowYield: &query.RowYieldResult{Corner: s, Scenario: s, PRF: x, StdErr: y, MCMethod: s, TiltTheta: x}},
+			{Spec: specs[2], Wmin: &query.WminResult{Corner: s, WminNM: x, DevicePF: y}},
+			{Spec: specs[3], Noise: &query.NoiseResult{Corner: s, ViolationProb: x, RequiredPRM: y}},
+		}
+		for i := range results {
+			compact, compactOK := results[i].AppendJSON(nil)
+			got, ok := results[i].AppendIndentJSON(nil, 0)
+			if ok != compactOK || ok && !bytes.Equal(got, appendIndent(nil, compact)) {
+				t.Fatalf("result %d: AppendIndentJSON = %q, %v\nwant appendIndent of %q, %v", i, got, ok, compact, compactOK)
+			}
+		}
+		for _, resp := range []QueryResponseJSON{
+			{Fingerprint: "qs1-f", Count: len(results), Results: results},
+			{Fingerprint: "qs1-0", Count: 1, Results: results[:1]},
+			{Fingerprint: "qs1-e", Results: results[:0]},
+		} {
+			want, err := json.Marshal(resp)
+			got, ok := appendQueryResponse(nil, &resp)
+			switch {
+			case err != nil && ok:
+				t.Fatalf("appendQueryResponse encoded a response json.Marshal rejects (%v): %s", err, got)
+			case err == nil && !ok:
+				t.Fatalf("appendQueryResponse declined a response json.Marshal encodes: %s", want)
+			case err == nil && !bytes.Equal(got, appendIndent(nil, want)):
+				t.Fatalf("appendQueryResponse differs from appendIndent\n got: %s\nwant: %s", got, appendIndent(nil, want))
+			}
+		}
+	})
+}
+
+// TestDecodeSpecBody holds the /v2/query body decode to decodeBody, the
+// encoding/json decode it replaces: the same Spec and the same error text
+// on real bodies, on bodies the fast path declines, and on bodies over the
+// 16 MiB bound, whether the value ends before the bound or runs past it.
+func TestDecodeSpecBody(t *testing.T) {
+	over := bytes.Repeat([]byte{' '}, maxBodyBytes)
+	for name, body := range map[string][]byte{
+		"pf":               []byte(`{"kind":"pf","corner":"worst","width_nm":155}`),
+		"indented sweep":   []byte("{\n  \"kind\": \"wmin\",\n  \"sweep\": {\n    \"yields\": [0.9, 0.99]\n  }\n}\n"),
+		"trailing data":    []byte(`{"kind":"pf"} {}`),
+		"unknown field":    []byte(`{"kind":"pf","bogus":1}`),
+		"escaped":          []byte(`{"kind":"<bogus> & \"more\""}`),
+		"int as float":     []byte(`{"kind":"rowyield","rounds":1e3}`),
+		"empty":            nil,
+		"truncated":        []byte(`{"kind":"pf"`),
+		"over the bound":   append([]byte(`{"kind":"pf","width_nm":155}`), over...),
+		"cut by the bound": append([]byte(`{"kind":"pf","corner":"`), over...),
+	} {
+		var want query.Spec
+		wantErr := decodeBody(httptest.NewRequest(http.MethodPost, "/v2/query", bytes.NewReader(body)), &want)
+		got, err := decodeSpecBody(httptest.NewRequest(http.MethodPost, "/v2/query", bytes.NewReader(body)))
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("%s: decodeSpecBody error %v, want %v", name, err, wantErr)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decodeSpecBody = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
 }

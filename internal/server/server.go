@@ -41,6 +41,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -54,6 +55,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -601,8 +603,8 @@ type QueryResponseJSON struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var spec query.Spec
-	if err := decodeBody(r, &spec); err != nil {
+	spec, err := decodeSpecBody(r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -869,10 +871,13 @@ func floatParam(q url.Values, name string, dst *float64) error {
 	return nil
 }
 
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 16 << 20
+
 // decodeBody strictly decodes a bounded JSON body: one JSON value with no
 // unknown fields and nothing but whitespace after it.
 func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 16<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
@@ -882,6 +887,29 @@ func decodeBody(r *http.Request, dst any) error {
 	}
 	return nil
 }
+
+// decodeSpecBody is decodeBody for a query.Spec: the bounded body is read
+// into pooled scratch and decoded by query.DecodeSpec, which answers the
+// same Spec and the same errors without reflection on the bodies real
+// traffic sends.
+func decodeSpecBody(r *http.Request) (query.Spec, error) {
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledEdgeBuffer {
+			bodyBuffers.Put(buf)
+		}
+	}()
+	buf.Reset()
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	q, err := query.DecodeSpec(buf.Bytes(), readErr)
+	if err != nil {
+		return query.Spec{}, fmt.Errorf("decoding request body: %w", err)
+	}
+	return q, nil
+}
+
+// bodyBuffers holds decodeSpecBody's scratch.
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // ErrorJSON is the error envelope of every endpoint:
 // {"error": {"code": "...", "message": "..."}}.
