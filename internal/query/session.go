@@ -58,13 +58,15 @@ type Session struct {
 	// pitch law). Preparation builds sampler, alias and occupancy tables and
 	// re-measures the library offset distribution; repeated rowyield
 	// requests and design-space sweeps ask for the same model again, and a
-	// prepared RowModel is immutable and safe to share.
+	// prepared RowModel is safe to share: its rounds only add to its
+	// cumulative occupancy tables, which every request then reuses.
 	rowModelsMu sync.Mutex
 	rowModels   map[string]*rowyield.RowModel
 }
 
 // rowModelCacheMax bounds the prepared row-model cache; past it the cache
-// resets (each entry holds a few small tables, so the bound is generous).
+// resets. An entry holds a few small tables plus the cumulative occupancy
+// tables its Monte Carlo rounds have filled, at most 256 KiB.
 const rowModelCacheMax = 256
 
 // NewSession builds a session, warming the sweep cache from opts.Store when

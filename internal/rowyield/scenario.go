@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 
 	"github.com/cnfet/yieldlab/internal/dist"
 )
@@ -115,28 +117,76 @@ type occupancy struct {
 	// zero term of Bin(n, p), tabulated for n ≤ min(nFETs, occupancyTableMax).
 	p, ratio float64
 	pmf0     []float64
+	// cdfs[n] publishes the cumulative table of Bin(n, p) for the n pmf0
+	// covers; nil until a draw first needs it (see publishCDF).
+	cdfs []atomic.Pointer[occupancyCDF]
+	// budget is the model's remaining table bytes, shared by its steps.
+	budget *atomic.Int64
 }
 
-// occupancyTableMax bounds the per-step pmf0 table, so a model with an
-// enormous CNFET count cannot pin an enormous plan; larger counts evaluate
-// the zero term inline, with the same expression.
+// occupancyCDF is the cumulative table of one (plan step, n): cdf[k] is the
+// walk's running sum after term k, ending where the sum can no longer
+// change. A nil cdf marks an n the walk keeps serving.
+type occupancyCDF struct {
+	cdf []float64
+	// guide[j] is the first k with cdf[k] ≥ j/occupancyGuide (len(cdf)
+	// when none is): every earlier sum is below any u in that slot, so
+	// search starts there.
+	guide [occupancyGuide]uint16
+}
+
+// occupancyGuide is the number of guide slots per table: a power of two,
+// so u·occupancyGuide and j/occupancyGuide are exact. At 64 slots a slot
+// holds less mass than the pmf near the mode, and a search takes a compare
+// or two.
+const occupancyGuide = 64
+
+// bytes is the table's share of the model's budget.
+func (t *occupancyCDF) bytes() int64 {
+	return int64(8*len(t.cdf) + 2*len(t.guide))
+}
+
+// walkOnly is the published marker for an n without a table: its zero term
+// takes the Bernoulli fallback, or the model's table budget is spent.
+var walkOnly = &occupancyCDF{}
+
+// zeroTermFloor is the smallest zero term the inversion starts from: below
+// it a draw counts Bernoulli trials instead, and no table is built.
+const zeroTermFloor = 1e-300
+
+// occupancyTableMax bounds the per-step pmf0 and cdfs tables, so a model
+// with an enormous CNFET count cannot pin an enormous plan; larger counts
+// evaluate the zero term inline, with the same expression, and walk.
 const occupancyTableMax = 1 << 12
 
+// occupancyTableBudget bounds the bytes of cumulative tables one prepared
+// model publishes across its steps. Tables are built in first-touch order,
+// so the counts rounds meet most often come first: on the 155 nm library
+// plan, 40,000 rounds touch 826 tables of 471 KB, and rounds under this
+// budget (the first 474 of them) run as fast as with all of them. An n
+// first met after the budget is spent keeps the walk.
+const occupancyTableBudget = 256 << 10
+
 // newOccupancy builds the plan step for offset idx with conditional
-// probability p.
-func newOccupancy(idx int, off, p float64, nFETs int) occupancy {
-	o := occupancy{idx: idx, off: off, p: p, ratio: p / (1 - p)}
-	o.pmf0 = make([]float64, min(nFETs, occupancyTableMax)+1)
+// probability p, charging its tables to budget.
+func newOccupancy(idx int, off, p float64, nFETs int, budget *atomic.Int64) occupancy {
+	size := min(nFETs, occupancyTableMax) + 1
+	o := occupancy{idx: idx, off: off, p: p, ratio: p / (1 - p), budget: budget}
+	o.pmf0 = make([]float64, size)
 	for n := range o.pmf0 {
 		o.pmf0[n] = math.Exp(float64(n) * math.Log1p(-p))
 	}
+	o.cdfs = make([]atomic.Pointer[occupancyCDF], size)
 	return o
 }
 
 // draw returns how many of the n remaining CNFETs land on this step's
 // offset: Bin(n, p) exactly, by CDF inversion from a single uniform; when
 // the zero term underflows (enormous n·p) it falls back to counting n
-// Bernoulli draws, which is exact at any size.
+// Bernoulli draws, which is exact at any size. The inversion reads the
+// (step, n) cumulative table when one is published, building it on first
+// touch, and otherwise walks the pmf recurrence; both answer the same k for
+// every uniform.
 //
 //yield:noalloc
 func (o *occupancy) draw(r *rand.Rand, n int) int {
@@ -150,13 +200,22 @@ func (o *occupancy) draw(r *rand.Rand, n int) int {
 	if p >= 1 {
 		return n
 	}
+	if n < len(o.cdfs) {
+		t := o.cdfs[n].Load()
+		if t == nil {
+			t = o.publishCDF(n)
+		}
+		if t.cdf != nil {
+			return t.search(r.Float64(), n)
+		}
+	}
 	var pmf float64
 	if n < len(o.pmf0) {
 		pmf = o.pmf0[n]
 	} else {
 		pmf = math.Exp(float64(n) * math.Log1p(-p))
 	}
-	if pmf < 1e-300 {
+	if pmf < zeroTermFloor {
 		k := 0
 		for i := 0; i < n; i++ {
 			if r.Float64() < p {
@@ -165,7 +224,14 @@ func (o *occupancy) draw(r *rand.Rand, n int) int {
 		}
 		return k
 	}
-	u := r.Float64()
+	return o.walk(pmf, n, r.Float64())
+}
+
+// walk inverts Bin(n, p) at u by summing the pmf from its zero term pmf:
+// the first k whose running sum is not below u, or n.
+//
+//yield:noalloc
+func (o *occupancy) walk(pmf float64, n int, u float64) int {
 	cdf := pmf
 	k := 0
 	for u > cdf && k < n {
@@ -174,6 +240,80 @@ func (o *occupancy) draw(r *rand.Rand, n int) int {
 		cdf += pmf
 	}
 	return k
+}
+
+// search returns the walk's answer at u in [0, 1) from the table of
+// Bin(n, p): the first k with !(u > cdf[k]), or n when u is past the
+// table's end, where the walk's sum has stopped changing. The sums never
+// decrease, so the scan may start at u's guide slot.
+//
+//yield:noalloc
+func (t *occupancyCDF) search(u float64, n int) int {
+	cdf := t.cdf
+	k := int(t.guide[int(u*occupancyGuide)])
+	for k < len(cdf) && u > cdf[k] {
+		k++
+	}
+	if k == len(cdf) {
+		return n
+	}
+	return k
+}
+
+// tabulateCDF builds the table of Bin(n, p), n < len(pmf0), by the walk's
+// own recurrence in its order, so every entry is bit-equal to the walk's
+// running sum after that term. It stops after term K when term K+1's
+// factor is below 1 and adding it leaves the sum unchanged: the computed
+// factors only shrink as k grows, so no later term is larger and the sum
+// never changes again. It returns nil when the zero term takes the
+// Bernoulli fallback.
+func (o *occupancy) tabulateCDF(n int) *occupancyCDF {
+	pmf := o.pmf0[n]
+	if pmf < zeroTermFloor {
+		return nil
+	}
+	cdf := pmf
+	buf := make([]float64, 1, n+1)
+	buf[0] = cdf
+	for k := 1; k <= n; k++ {
+		f := o.ratio * float64(n-k+1) / float64(k)
+		pmf *= f
+		next := cdf + pmf
+		if f < 1 && next == cdf {
+			break
+		}
+		cdf = next
+		buf = append(buf, cdf)
+	}
+	t := &occupancyCDF{cdf: slices.Clone(buf)}
+	k := 0
+	for j := range t.guide {
+		for k < len(t.cdf) && t.cdf[k] < float64(j)/occupancyGuide {
+			k++
+		}
+		t.guide[j] = uint16(k)
+	}
+	return t
+}
+
+// publishCDF builds the table for n and publishes it, or walkOnly when the
+// walk must serve n. Concurrent first touches of one n build identical
+// tables; the first published wins and the others refund their bytes.
+func (o *occupancy) publishCDF(n int) *occupancyCDF {
+	t := o.tabulateCDF(n)
+	if t == nil {
+		t = walkOnly
+	} else if o.budget.Add(-t.bytes()) < 0 {
+		o.budget.Add(t.bytes())
+		t = walkOnly
+	}
+	if o.cdfs[n].CompareAndSwap(nil, t) {
+		return t
+	}
+	if t != walkOnly {
+		o.budget.Add(t.bytes())
+	}
+	return o.cdfs[n].Load()
 }
 
 // buildPlan derives the occupancy plan from the normalized offset
@@ -188,6 +328,8 @@ func (m *RowModel) buildPlan() {
 		}
 	}
 	m.plan = nil
+	budget := new(atomic.Int64)
+	budget.Store(occupancyTableBudget)
 	rest := 1.0
 	for i, p := range m.Offsets.Probs {
 		if p <= 0 {
@@ -197,7 +339,7 @@ func (m *RowModel) buildPlan() {
 			m.plan = append(m.plan, occupancy{idx: i, off: m.Offsets.Offsets[i], all: true})
 			return
 		}
-		m.plan = append(m.plan, newOccupancy(i, m.Offsets.Offsets[i], p/rest, m.nFETs))
+		m.plan = append(m.plan, newOccupancy(i, m.Offsets.Offsets[i], p/rest, m.nFETs, budget))
 		rest -= p
 	}
 }
@@ -223,8 +365,13 @@ func (m *RowModel) SampleOccupancy(r *rand.Rand, counts []int) {
 // first-gap sampler, the devirtualized (tabulated) pitch sampler and the
 // occupancy plan. Estimators call it automatically; calling it up front
 // moves the one-time cost out of timed sections and surfaces configuration
-// errors early. A prepared model is immutable and
-// safe to share across goroutines (each goroutine needs its own RoundState).
+// errors early. A prepared model is immutable in everything it answers and
+// safe to share across goroutines (each goroutine needs its own
+// RoundState). The one state its rounds write is the occupancy plan's
+// cumulative tables, which fill on first touch, are published atomically
+// and hold exactly the sums the pmf walk computes, so no draw depends on
+// which goroutine built a table or when; copies of a prepared model share
+// them.
 func (m *RowModel) Prepare() error {
 	if err := m.Validate(); err != nil {
 		return err

@@ -3,9 +3,9 @@ package rowyield
 import (
 	"context"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -109,21 +109,24 @@ func TestSharedModelConcurrentEstimatesRace(t *testing.T) {
 	}
 }
 
-// binomialSample draws Bin(n, p) through a one-step occupancy plan: the
-// draw the unaligned rounds make at each occupied offset.
-func binomialSample(r *rand.Rand, n int, p float64) int {
-	o := newOccupancy(0, 0, p, n)
-	return o.draw(r, n)
+// binomialStep is a one-step occupancy plan for n CNFETs: its draw(r, n)
+// is the Bin(n, p) draw the unaligned rounds make at each occupied offset.
+func binomialStep(n int, p float64) *occupancy {
+	budget := new(atomic.Int64)
+	budget.Store(occupancyTableBudget)
+	o := newOccupancy(0, 0, p, n, budget)
+	return &o
 }
 
-// binomialSample must reproduce binomial moments and stay exact at the
+// An occupancy step must reproduce binomial moments and stay exact at the
 // degenerate edges.
 func TestBinomialSample(t *testing.T) {
 	r := rng.New(23)
 	const n, p, draws = 37, 0.3, 200_000
+	step := binomialStep(n, p)
 	var sum, sumSq float64
 	for i := 0; i < draws; i++ {
-		k := binomialSample(r, n, p)
+		k := step.draw(r, n)
 		if k < 0 || k > n {
 			t.Fatalf("out-of-range draw %d", k)
 		}
@@ -140,17 +143,18 @@ func TestBinomialSample(t *testing.T) {
 	if math.Abs(variance-sd*sd) > 0.05*sd*sd {
 		t.Errorf("variance %g, want %g", variance, sd*sd)
 	}
-	if binomialSample(r, 10, 0) != 0 || binomialSample(r, 0, 0.5) != 0 {
+	if binomialStep(10, 0).draw(r, 10) != 0 || binomialStep(0, 0.5).draw(r, 0) != 0 {
 		t.Error("zero cases")
 	}
-	if binomialSample(r, 10, 1) != 10 {
+	if binomialStep(10, 1).draw(r, 10) != 10 {
 		t.Error("certain case")
 	}
 	// The underflow fallback (Bernoulli counting) keeps the mean.
 	var fsum float64
 	const fn, fp = 5_000, 0.5 // (1-p)^n underflows: exercises the fallback
+	fallback := binomialStep(fn, fp)
 	for i := 0; i < 2_000; i++ {
-		fsum += float64(binomialSample(r, fn, fp))
+		fsum += float64(fallback.draw(r, fn))
 	}
 	if got, want := fsum/2_000, float64(fn)*fp; math.Abs(got-want) > 10 {
 		t.Errorf("fallback mean %g, want %g", got, want)

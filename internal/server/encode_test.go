@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/query"
@@ -102,7 +103,10 @@ func stdlibBody(t *testing.T, v any) (int, []byte) {
 // (encoded by encoding/json) and a NaN (the same 500 envelope and
 // message).
 func TestWriteJSONQueryResponse(t *testing.T) {
-	full := designSpaceResponse(t)
+	full, err := designSpaceResponse()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pf := query.Result{Spec: query.Spec{Kind: query.KindPF, WidthNM: 155}, Fingerprint: "qs1-x",
 		PF: &query.PFResult{Corner: "worst", WidthNM: 155, PFCNT: 0.531, PF: 3.1e-9}}
 	withCost, withNaN := pf, pf
@@ -126,23 +130,23 @@ func TestWriteJSONQueryResponse(t *testing.T) {
 }
 
 // designSpaceResponse is the /v2/query body of the examples/design_space
-// Wmin sweep at paper-default parameters.
-func designSpaceResponse(tb testing.TB) QueryResponseJSON {
-	tb.Helper()
+// Wmin sweep at paper-default parameters, swept once per process instead of
+// once per b.N ramp-up call and per -count.
+var designSpaceResponse = sync.OnceValues(func() (QueryResponseJSON, error) {
 	s, err := query.NewSession(query.Options{})
 	if err != nil {
-		tb.Fatal(err)
+		return QueryResponseJSON{}, err
 	}
 	p, err := designSpace.Plan()
 	if err != nil {
-		tb.Fatal(err)
+		return QueryResponseJSON{}, err
 	}
 	results, err := s.Run(context.Background(), p, nil)
 	if err != nil {
-		tb.Fatal(err)
+		return QueryResponseJSON{}, err
 	}
-	return QueryResponseJSON{Fingerprint: p.Fingerprint(), Count: len(results), Results: results}
-}
+	return QueryResponseJSON{Fingerprint: p.Fingerprint(), Count: len(results), Results: results}, nil
+})
 
 // discardWriter is a ResponseWriter that keeps nothing but its header map.
 type discardWriter struct{ header http.Header }
@@ -157,7 +161,10 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 // edge/stdlib ≤ 0.32: the edge arm appends the body already indented, in
 // one pass without reflection.
 func BenchmarkWriteJSON(b *testing.B) {
-	v := designSpaceResponse(b)
+	v, err := designSpaceResponse()
+	if err != nil {
+		b.Fatal(err)
+	}
 	w := &discardWriter{header: make(http.Header)}
 	b.Run("stdlib", func(b *testing.B) {
 		b.ReportAllocs()
