@@ -1,8 +1,10 @@
 // Package montecarlo is the parallel experiment engine: it fans a
-// deterministic simulation function out over worker goroutines, each with
-// an independently derived random stream, and merges the per-worker moment
-// accumulators. Results are reproducible from a single root seed and do not
-// depend on the worker count (each round's stream is derived from the round
+// deterministic simulation function out over workers, each with an
+// independently derived random stream, and merges the per-batch moment
+// accumulators. The calling goroutine is worker 0, as in ordered.Run: a run
+// starts at most Workers − 1 helper goroutines, and a one-worker run starts
+// none. Results are reproducible from a single root seed and do not depend
+// on the worker count (each round's stream is derived from the round
 // index, not the worker). RunStateAdaptive adds relative-error-targeted
 // stopping on top of the same contract: the budget grows in doubling
 // blocks with per-block derived seeds, so even an adaptively stopped
@@ -137,7 +139,6 @@ func runMerged[S any](ctx context.Context, rounds int, newState func() S, f func
 		failed.Store(true)
 	}
 	work := func() {
-		defer wg.Done()
 		var state S
 		if newState != nil {
 			state = newState()
@@ -196,10 +197,26 @@ func runMerged[S any](ctx context.Context, rounds int, newState func() S, f func
 			accs[b] = local
 		}
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go work()
+	// Worker 0 is the calling goroutine. If one of its rounds panics, the
+	// deferred wait stops the helpers' batch claims and lets them finish
+	// their current batch before the panic unwinds further, so no helper
+	// outlives the run. A panic in a helper ends the process.
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
+	returned := false
+	defer func() {
+		if !returned {
+			failed.Store(true)
+			wg.Wait()
+		}
+	}()
+	work()
+	returned = true
 	wg.Wait()
 	if failed.Load() {
 		errMu.Lock()

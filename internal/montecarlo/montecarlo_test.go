@@ -3,11 +3,18 @@ package montecarlo
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/cnfet/yieldlab/internal/obs"
 )
 
 // run is RunState for a round function that needs no scratch.
@@ -258,5 +265,129 @@ func TestRunCancellation(t *testing.T) {
 	}
 	if n := calls.Load(); n != 4*batch {
 		t.Fatalf("mid-run cancel ran %d rounds, want %d (stop at the next batch)", n, 4*batch)
+	}
+}
+
+// goroutineID returns the running goroutine's number from the header line
+// of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// roundGoroutines runs 64 batches of 8 rounds and returns the set of
+// goroutines that ran a round. Until the caller has run a round (or a
+// second has passed), a round on any other goroutine waits for it, so the
+// caller takes part whenever it is a worker: the helpers hold at most one
+// batch each meanwhile.
+func roundGoroutines(t *testing.T, workers int) (ids map[string]bool, caller string) {
+	t.Helper()
+	caller = goroutineID()
+	ids = make(map[string]bool)
+	var mu sync.Mutex
+	var callerRan atomic.Bool
+	deadline := time.Now().Add(time.Second)
+	_, err := RunState(context.Background(), 64*8, nil, func(r *rand.Rand, _ struct{}) (float64, error) {
+		id := goroutineID()
+		if id == caller {
+			callerRan.Store(true)
+		} else {
+			for !callerRan.Load() && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+		}
+		mu.Lock()
+		ids[id] = true
+		mu.Unlock()
+		return r.Float64(), nil
+	}, Options{Seed: 5, Workers: workers, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids, caller
+}
+
+// A one-worker run starts no goroutine: every round runs on the caller.
+func TestRunOneWorkerRunsOnCaller(t *testing.T) {
+	ids, caller := roundGoroutines(t, 1)
+	if len(ids) != 1 || !ids[caller] {
+		t.Fatalf("rounds ran on goroutines %v, want only the caller's %s", slices.Sorted(maps.Keys(ids)), caller)
+	}
+}
+
+// The calling goroutine is worker 0: a three-worker run uses the caller
+// and at most two helpers.
+func TestRunCallerIsWorkerZero(t *testing.T) {
+	ids, caller := roundGoroutines(t, 3)
+	if !ids[caller] || len(ids) > 3 {
+		t.Fatalf("rounds ran on goroutines %v, want the caller's %s and at most 2 more", slices.Sorted(maps.Keys(ids)), caller)
+	}
+}
+
+// exitState marks its worker's exit: the engine reads ScratchAllocs once,
+// when the worker leaves its batch loop and flushes its counters.
+type exitState struct{ exited atomic.Bool }
+
+func (s *exitState) ScratchAllocs() uint64 {
+	s.exited.Store(true)
+	return 0
+}
+
+// A panic in a round on the caller stops the helpers' batch claims and
+// reaches the caller's recover only after every helper has finished its
+// batch and exited. After the panic a helper finishes its current batch
+// and at most one more, claimed before it saw the failure.
+func TestRunCallerPanicWaitsForHelpers(t *testing.T) {
+	caller := goroutineID()
+	var (
+		mu                        sync.Mutex
+		states                    []*exitState
+		helperStarted, helperDone atomic.Int64
+		startedAtPanic            int64
+	)
+	newState := func() *exitState {
+		s := new(exitState)
+		mu.Lock()
+		states = append(states, s)
+		mu.Unlock()
+		return s
+	}
+	const rounds, batch, workers = 1000 * 8, 8, 3
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		_, _ = RunState(context.Background(), rounds, newState, func(_ *rand.Rand, _ *exitState) (float64, error) {
+			if goroutineID() == caller {
+				// Hold the caller's round until a helper is inside one of its own.
+				for helperStarted.Load() == 0 {
+					runtime.Gosched()
+				}
+				startedAtPanic = helperStarted.Load()
+				panic("round")
+			}
+			helperStarted.Add(1)
+			defer helperDone.Add(1)
+			time.Sleep(200 * time.Microsecond)
+			return 1, nil
+		}, Options{Seed: 1, Workers: workers, BatchSize: batch, Counters: new(obs.MCCounters)})
+		return nil
+	}()
+	if recovered != "round" {
+		t.Fatalf("recovered %v, want the round's panic", recovered)
+	}
+	if s, d := helperStarted.Load(), helperDone.Load(); s != d {
+		t.Fatalf("after the unwind %d helper rounds started and %d finished, want all started ones finished", s, d)
+	}
+	if after, most := helperStarted.Load()-startedAtPanic, int64(2*batch*(workers-1)); after > most {
+		t.Fatalf("helpers started %d rounds after the panic, want at most %d: dispatch did not stop", after, most)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(states) < 2 || len(states) > workers {
+		t.Fatalf("%d workers started, want the caller and 1-%d helpers", len(states), workers-1)
+	}
+	for i, s := range states {
+		if !s.exited.Load() {
+			t.Fatalf("worker %d of %d had not exited when the panic reached recover", i, len(states))
+		}
 	}
 }

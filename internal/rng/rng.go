@@ -6,6 +6,13 @@
 // each experiment is reproducible from a single root seed. Parallel workers
 // derive their own streams with Derive, which uses SplitMix64 so that streams
 // with nearby indices are statistically independent.
+//
+// The generators draw math/rand's stream: their source is math/rand's
+// lagged-Fibonacci generator, bit for bit, seeded by jump-ahead (each seed
+// value computed straight from the normalized seed) rather than by
+// math/rand's serial seed chain. A stream is the one rand.NewSource would
+// draw from the same seed; only the reseed that DeriveInto does once per
+// Monte Carlo batch is cheaper.
 package rng
 
 import "math/rand"
@@ -28,14 +35,14 @@ func SplitMix64(x uint64) uint64 {
 
 // New returns a fresh generator seeded from the given root seed.
 func New(seed uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(SplitMix64(seed))))
+	return rand.New(newSource(int64(SplitMix64(seed))))
 }
 
 // Derive returns a generator for the stream-th independent substream of the
 // given root seed. Substreams are decorrelated by double SplitMix64 mixing,
 // so worker i and worker i+1 do not share low-bit structure.
 func Derive(seed, stream uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(deriveSeed(seed, stream))))
+	return rand.New(newSource(int64(deriveSeed(seed, stream))))
 }
 
 // DeriveInto reseeds r in place onto the stream-th substream of seed: r then
