@@ -7,6 +7,7 @@ package yieldlab_test
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -19,6 +20,12 @@ import (
 	"github.com/cnfet/yieldlab/internal/rng"
 	"github.com/cnfet/yieldlab/internal/rowyield"
 )
+
+// testRand returns the test stream for seed: math/rand's generator seeded
+// with rng.SplitMix64(seed).
+func testRand(seed uint64) *rand.Rand {
+	return rand.New(rand.NewSource(int64(rng.SplitMix64(seed))))
+}
 
 // benchRunner shares one experiment runner (and its cached renewal sweeps)
 // across benchmarks, mirroring how the CLI runs `all`.
@@ -121,54 +128,6 @@ func BenchmarkAblationPitchDistributions(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationRowDP compares the exact run-length DP row-failure
-// evaluation against naive Bernoulli Monte Carlo on identical geometry.
-// The DP delivers an exact conditional probability in the time the naive
-// estimator needs for a handful of coin-flip rounds — and the naive
-// estimator cannot resolve 1e-8-scale probabilities at all.
-func BenchmarkAblationRowDP(b *testing.B) {
-	intervals := make([]rowyield.Interval, 12)
-	for i := range intervals {
-		lo := i * 5
-		intervals[i] = rowyield.Interval{Lo: lo, Hi: lo + 24}
-	}
-	const nTracks = 90
-	const pf = 0.531
-	b.Run("ExactDP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rowyield.ExactRowFailure(intervals, nTracks, pf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("NaiveMC1k", func(b *testing.B) {
-		r := rng.New(1)
-		fails := 0
-		for i := 0; i < b.N; i++ {
-			for round := 0; round < 1000; round++ {
-				var tracks [nTracks]bool
-				for t := range tracks {
-					tracks[t] = r.Float64() < pf
-				}
-				for _, iv := range intervals {
-					all := true
-					for t := iv.Lo; t <= iv.Hi; t++ {
-						if !tracks[t] {
-							all = false
-							break
-						}
-					}
-					if all {
-						fails++
-						break
-					}
-				}
-			}
-		}
-		_ = fails
-	})
 }
 
 // BenchmarkAblationBands compares the one-band (full correlation benefit,
@@ -320,7 +279,7 @@ func BenchmarkRowScenarioRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := m.NewRoundState()
-	r := rng.New(3)
+	r := testRand(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Round(r, rowyield.DirectionalUnaligned, st); err != nil {

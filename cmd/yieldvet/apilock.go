@@ -64,7 +64,7 @@ func runApilock(args []string) int {
 	// API surfaces: load the pinned packages and render their live
 	// surfaces through the same code path the analyzer uses.
 	pinned := apilock.PinnedPackages()
-	targets, _, packageFile, goVersion, err := loadModulePackages(pinned)
+	targets, _, packageFile, goVersion, err := loadModulePackages("", pinned)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "yieldvet apilock: %v\n", err)
 		return 2
@@ -104,7 +104,7 @@ func runApilock(args []string) int {
 	}
 
 	// -update: rewrite the golden files inside the apilock package dir.
-	dirPkgs, err := goList([]string{"-json"}, []string{"github.com/cnfet/yieldlab/internal/analysis/apilock"})
+	dirPkgs, err := goList("", []string{"-json"}, []string{"github.com/cnfet/yieldlab/internal/analysis/apilock"})
 	if err != nil || len(dirPkgs) == 0 {
 		fmt.Fprintf(os.Stderr, "yieldvet apilock: locating golden dir: %v\n", err)
 		return 2

@@ -43,7 +43,7 @@ type noallocSpan struct {
 }
 
 func runEscape(patterns []string) int {
-	targets, _, packageFile, goVersion, err := loadModulePackages(patterns)
+	targets, _, packageFile, goVersion, err := loadModulePackages("", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "yieldvet: %v\n", err)
 		return 2

@@ -3,11 +3,12 @@
 // leans on — determinism of the compute packages, zero-allocation Monte
 // Carlo hot paths, exhaustive canonical fingerprints, the server's JSON
 // error envelope, context flow into sweep/MC work (ctxflow), span
-// begin/end balance (spanbalance), atomic/lock discipline (atomicsafe)
-// and a pinned exported-API surface (apilock). Cross-package analyzers
-// exchange per-package facts: serialized into the vetx files of the
-// -vettool protocol, or computed in import order by the standalone
-// driver. See DESIGN.md §7 for what each analyzer enforces and how
+// begin/end balance (spanbalance), atomic/lock discipline (atomicsafe),
+// a pinned exported-API surface (apilock) and no exported name of an
+// internal/ package without a non-test caller (deadexport).
+// Cross-package analyzers exchange per-package facts: serialized into the
+// vetx files of the -vettool protocol, or computed in import order by the
+// standalone driver. See DESIGN.md §7 for what each analyzer enforces and how
 // //yield:allow suppressions work.
 //
 // Ways to run it:
@@ -32,7 +33,15 @@
 //	    apilock mode: verifies the pinned QuerySpec fingerprint corpus
 //	    against the live canonicalizer and the pinned API surfaces
 //	    against the live packages; -update regenerates the goldens in
-//	    internal/analysis/apilock/golden after a reviewed API change.
+//	    internal/analysis/apilock/golden after a reviewed API change;
+//
+//	go run ./cmd/yieldvet deadexport
+//	    deadexport mode: loads every non-test package of the module and
+//	    of each module nested in its tree (yieldbench) and fails on an
+//	    exported name of an internal/ package that none of them uses —
+//	    a method also counts as used when its type implements an
+//	    interface that has it. Takes no arguments; rules on the
+//	    staleness of //yield:allow(deadexport) suppressions.
 //
 // The tool is stdlib-only: the analyzers run on a miniature analysis
 // framework (internal/analysis) mirroring golang.org/x/tools/go/analysis,
@@ -97,6 +106,9 @@ func main() {
 	}
 	if len(args) > 0 && args[0] == "apilock" {
 		os.Exit(runApilock(args[1:]))
+	}
+	if len(args) > 0 && args[0] == "deadexport" {
+		os.Exit(runDeadexport(".", args[1:], os.Stderr))
 	}
 	os.Exit(runStandalone(defaultPatterns(args)))
 }

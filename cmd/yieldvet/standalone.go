@@ -31,11 +31,12 @@ type listedPackage struct {
 	}
 }
 
-// goList runs `go list` with the given flags and patterns and decodes the
-// JSON stream.
-func goList(flags []string, patterns []string) ([]*listedPackage, error) {
+// goList runs `go list` in dir ("" for the working directory) with the
+// given flags and patterns and decodes the JSON stream.
+func goList(dir string, flags []string, patterns []string) ([]*listedPackage, error) {
 	args := append(append([]string{"list"}, flags...), patterns...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -56,17 +57,17 @@ func goList(flags []string, patterns []string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// loadModulePackages resolves patterns to the module's packages plus an
+// loadModulePackages resolves patterns, relative to dir, to the module's packages plus an
 // export-data index covering every dependency, ready for type-checking
 // targets from source. moduleDeps is every non-standard package the
 // targets (transitively) import, targets included — the fact-computation
 // frontier.
-func loadModulePackages(patterns []string) (targets, moduleDeps []*listedPackage, packageFile map[string]string, goVersion string, err error) {
+func loadModulePackages(dir string, patterns []string) (targets, moduleDeps []*listedPackage, packageFile map[string]string, goVersion string, err error) {
 	// One -deps -export walk yields both the target set (non-standard
 	// packages matching the patterns are flagged DepOnly=false, but the
 	// cheap and robust selector is a second plain list) and export data
 	// for everything the targets import.
-	all, err := goList([]string{"-deps", "-export", "-json"}, patterns)
+	all, err := goList(dir, []string{"-deps", "-export", "-json"}, patterns)
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
@@ -80,7 +81,7 @@ func loadModulePackages(patterns []string) (targets, moduleDeps []*listedPackage
 		}
 	}
 
-	named, err := goList([]string{"-json"}, patterns)
+	named, err := goList(dir, []string{"-json"}, patterns)
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
@@ -138,7 +139,7 @@ func (l *packageLoader) load(p *listedPackage) (*analysis.Target, error) {
 // runStandalone checks every module package matching the patterns and
 // returns the process exit code.
 func runStandalone(patterns []string) int {
-	targets, moduleDeps, packageFile, goVersion, err := loadModulePackages(patterns)
+	targets, moduleDeps, packageFile, goVersion, err := loadModulePackages("", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "yieldvet: %v\n", err)
 		return 2

@@ -13,9 +13,9 @@
 //
 // On top of the x/tools shape the package adds the repo's suppression
 // story: //yield:allow(rule) directives (see directive.go) are applied by
-// Check in run.go, which also verifies the directives themselves — unknown
-// rules, missing reasons and stale suppressions are diagnostics, so the
-// annotation layer cannot rot silently.
+// CheckFacts in run.go, which also verifies the directives themselves —
+// unknown rules, missing reasons and stale suppressions are diagnostics, so
+// the annotation layer cannot rot silently.
 package analysis
 
 import (
@@ -61,11 +61,11 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report records one finding. Check installs a collector here.
+	// Report records one finding. CheckFacts installs a collector here.
 	Report func(Diagnostic)
 
 	// facts is the session's fact set, nil when the driver runs without
-	// cross-package facts (plain Check).
+	// cross-package facts.
 	facts *FactSet
 }
 
@@ -104,13 +104,13 @@ func (p *Pass) NonTestFiles() []*ast.File {
 // A Diagnostic is one finding, positioned in the pass's FileSet.
 type Diagnostic struct {
 	Pos token.Pos
-	// Rule is the analyzer (or directive-checker) name; Check fills it in.
+	// Rule is the analyzer (or directive-checker) name; CheckFacts fills it in.
 	Rule    string
 	Message string
 }
 
 // A Target is one loaded, type-checked package ready for analysis — the
-// input Check shares between the analysistest harness, the standalone
+// input CheckFacts shares between the analysistest harness, the standalone
 // driver and the `go vet -vettool` config mode.
 type Target struct {
 	Fset  *token.FileSet

@@ -43,6 +43,8 @@ var wantArgRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 // cross-package analyzers see dependencies exactly as the yieldvet
 // drivers present them; // want expectations apply only to the target
 // package.
+//
+//yield:allow(deadexport) test harness: only the analyzers' _test files call it
 func Run(t *testing.T, pkg string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	root := filepath.Join("testdata", "src")

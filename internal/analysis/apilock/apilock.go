@@ -112,6 +112,8 @@ func PinnedSurface(pkgPath string) (string, bool) {
 // RegisterGolden pins a surface for a package path at runtime. Test hook:
 // fixtures cannot ship embedded goldens, so their tests register the
 // expected (or deliberately drifted) surface before running the analyzer.
+//
+//yield:allow(deadexport) test hook: the fixture tests register their goldens through it
 func RegisterGolden(pkgPath, surface string) {
 	goldens[pkgPath] = surface
 }

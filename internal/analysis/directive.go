@@ -47,7 +47,7 @@ type Allow struct {
 	File   string    // file name (from the FileSet)
 	Rule   string    // rule name inside the parentheses
 	Reason string    // justification text after the parentheses
-	used   bool      // set by Check when the allow suppresses a finding
+	used   bool      // set by CheckFacts when the allow suppresses a finding
 }
 
 // Directives is the parsed directive set of one package.
@@ -76,7 +76,7 @@ var (
 
 // ParseDirectives scans the //yield: directives of the given files.
 // Directive syntax is validated here; rule-name validity and staleness need
-// the analyzer set and the findings, so Check handles those.
+// the analyzer set and the findings, so CheckFacts handles those.
 func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	d := &Directives{Allows: make(map[string]map[int][]*Allow)}
 	for _, f := range files {

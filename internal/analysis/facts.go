@@ -113,19 +113,6 @@ func (s *FactSet) ImportPackage(pkgPath string, data []byte) error {
 	return nil
 }
 
-// Packages returns the import paths with at least one recorded fact,
-// sorted.
-func (s *FactSet) Packages() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	paths := make([]string, 0, len(s.facts))
-	for p := range s.facts {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
 // ComputeFacts runs the fact computers of the given analyzers over one
 // package and records the results. It is the pre-pass half of an analysis
 // session: callers invoke it on dependencies (in import order) before

@@ -107,22 +107,15 @@ func TestComputeFactsGraphFailureCascade(t *testing.T) {
 	if err == nil {
 		t.Fatal("want an error from the failed load")
 	}
-	got := fs.Packages()
-	for _, p := range got {
-		if p == "mid1" || p == "top" {
-			t.Fatalf("facts recorded for %s despite the failed load (have %v)", p, got)
+	// leaf and mid2 are unaffected by mid1's failure; mid1 and top get
+	// nothing.
+	for _, p := range []string{"leaf", "mid1", "mid2", "top"} {
+		data, err := fs.ExportPackage(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// leaf and mid2 are unaffected by mid1's failure.
-	want := map[string]bool{"leaf": false, "mid2": false}
-	for _, p := range got {
-		if _, ok := want[p]; ok {
-			want[p] = true
-		}
-	}
-	for p, seen := range want {
-		if !seen {
-			t.Fatalf("facts for %s missing after unrelated failure (have %v)", p, got)
+		if has, want := string(data) != "{}", p == "leaf" || p == "mid2"; has != want {
+			t.Fatalf("facts recorded for %s: %v, want %v (%s)", p, has, want, data)
 		}
 	}
 }

@@ -46,29 +46,6 @@ func Files(fset *token.FileSet, importPath string, filenames []string, imp types
 	return check(fset, importPath, files, imp, goVersion)
 }
 
-// Dir parses and type-checks the single package in dir, resolving imports
-// from GOROOT source — the fixture-loading path, where imports are
-// stdlib-only by construction.
-func Dir(dir string) (*analysis.Target, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var filenames []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		filenames = append(filenames, filepath.Join(dir, e.Name()))
-	}
-	sort.Strings(filenames)
-	if len(filenames) == 0 {
-		return nil, fmt.Errorf("load: no .go files in %s", dir)
-	}
-	fset := token.NewFileSet()
-	return Files(fset, filepath.Base(dir), filenames, SourceImporter(fset), "")
-}
-
 // A FixtureLoader loads testdata/src-style fixture trees with
 // cross-package imports: the package with import path p lives in
 // <root>/p, imports naming a sibling fixture directory resolve to that
@@ -104,9 +81,6 @@ func NewFixtureLoader(root string) *FixtureLoader {
 		loading: make(map[string]bool),
 	}
 }
-
-// Fset returns the FileSet shared by every package this loader loads.
-func (l *FixtureLoader) Fset() *token.FileSet { return l.fset }
 
 // Load parses and type-checks the fixture package at <root>/<path>,
 // loading fixture dependencies first. Results are memoized.

@@ -5,28 +5,28 @@ import (
 	"sort"
 )
 
-// DirectiveRule is the rule name under which Check reports problems with
+// DirectiveRule is the rule name under which CheckFacts reports problems with
 // the directives themselves (malformed syntax, unknown rules, missing
 // reasons, stale suppressions). It is not suppressible.
 const DirectiveRule = "directive"
 
-// Check runs the analyzers over one package and applies the //yield:allow
-// suppression layer. The returned diagnostics are the surviving findings
-// plus any directive problems, sorted by position. The error return is for
-// an analyzer itself failing, not for findings.
+// DeadexportRule is the rule `yieldvet deadexport` reports under.
+const DeadexportRule = "deadexport"
+
+// CheckFacts runs the analyzers over one package and applies the
+// //yield:allow suppression layer. The returned diagnostics are the
+// surviving findings plus any directive problems, sorted by position. The
+// error return is for an analyzer itself failing, not for findings.
 //
 // Directive validation happens here because it needs both the analyzer set
 // (to reject unknown rule names) and the findings (to reject stale
 // suppressions): an //yield:allow(rule) whose rule is not in this run's
 // analyzer set is an error, and so is one that suppresses nothing. The
-// noalloc rule name is always considered known — it doubles as the
-// function-annotation directive and `yieldvet escape` consumes it outside
-// any analyzer run.
-func Check(target *Target, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return CheckFacts(target, analyzers, nil)
-}
-
-// CheckFacts is Check with a cross-package fact set: analyzers consult the
+// noalloc and deadexport rule names are always considered known, and their
+// allows are never stale here: `yieldvet escape` and `yieldvet deadexport`
+// consume them outside any analyzer run and rule on their staleness.
+//
+// fs is the cross-package fact set, nil for none: analyzers consult the
 // facts of the target's dependencies via Pass.PackageFact. The caller is
 // responsible for having filled fs in dependency order (ComputeFacts or
 // ComputeFactsGraph); the target's own facts are computed here so an
@@ -34,7 +34,7 @@ func Check(target *Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 func CheckFacts(target *Target, analyzers []*Analyzer, fs *FactSet) ([]Diagnostic, error) {
 	dirs := ParseDirectives(target.Fset, target.Files)
 
-	known := map[string]bool{DirNoalloc: true}
+	known := map[string]bool{DirNoalloc: true, DeadexportRule: true}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
@@ -103,7 +103,7 @@ func CheckFacts(target *Target, analyzers []*Analyzer, fs *FactSet) ([]Diagnosti
 						Message: fmt.Sprintf("//yield:allow(%s): unknown rule %q (have %s)",
 							a.Rule, a.Rule, knownRules(known)),
 					})
-				case !a.used && a.Rule != DirNoalloc:
+				case !a.used && a.Rule != DirNoalloc && a.Rule != DeadexportRule:
 					// noalloc allows may exist solely for `yieldvet escape`
 					// findings, which this AST run cannot see; escape mode
 					// does its own staleness pass over the combined set.

@@ -45,7 +45,7 @@ func f() {
 				t.Fatal(err)
 			}
 			target := &analysis.Target{Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info}
-			diags, err := analysis.Check(target, suite)
+			diags, err := analysis.CheckFacts(target, suite, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

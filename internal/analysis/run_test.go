@@ -26,7 +26,7 @@ func checkSource(t *testing.T, src string, analyzers ...*Analyzer) []Diagnostic 
 		t.Fatalf("type-checking fixture: %v", err)
 	}
 	target := &Target{Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info}
-	diags, err := Check(target, analyzers)
+	diags, err := CheckFacts(target, analyzers, nil)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -221,7 +221,7 @@ func g() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Check(&Target{Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info}, []*Analyzer{flagCalls})
+	diags, err := CheckFacts(&Target{Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info}, []*Analyzer{flagCalls}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,15 +144,6 @@ func (a *Array) CountUsable(rect Rect) int {
 	return n
 }
 
-// DensityPerUM returns the average track density (tracks per µm of lateral
-// extent) of a directional array.
-func (a *Array) DensityPerUM() float64 {
-	if len(a.TrackYs) == 0 {
-		return 0
-	}
-	return float64(len(a.TrackYs)) / a.Region.Width() * 1000
-}
-
 // Directional grows aligned CNTs in parallel tracks.
 type Directional struct {
 	// Pitch is the inter-track spacing law in nm (e.g. the calibrated

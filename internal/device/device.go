@@ -127,9 +127,8 @@ func WorstCorner() FailureParams {
 // count model. It is safe for concurrent use (the underlying renewal model
 // caches internally under a lock).
 type FailureModel struct {
-	count  *renewal.Model
-	params FailureParams
-	pf     float64
+	count *renewal.Model
+	pf    float64
 }
 
 // NewFailureModel combines a count model and processing parameters.
@@ -151,7 +150,7 @@ func MakeFailureModel(count *renewal.Model, params FailureParams) (FailureModel,
 	if err := params.Validate(); err != nil {
 		return FailureModel{}, err
 	}
-	return FailureModel{count: count, params: params, pf: params.PerCNTFailure()}, nil
+	return FailureModel{count: count, pf: params.PerCNTFailure()}, nil
 }
 
 // NewCalibratedModel builds a FailureModel over the calibrated pitch law
@@ -180,9 +179,6 @@ func newCalibrated(build func(dist.Continuous, ...renewal.Option) (*renewal.Mode
 	}
 	return NewFailureModel(count, params)
 }
-
-// Params returns the processing parameters.
-func (m *FailureModel) Params() FailureParams { return m.params }
 
 // PerCNTFailure returns pf for this model.
 func (m *FailureModel) PerCNTFailure() float64 { return m.pf }

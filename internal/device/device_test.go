@@ -11,6 +11,12 @@ import (
 	"github.com/cnfet/yieldlab/internal/rng"
 )
 
+// testRand returns the test stream for seed: math/rand's generator seeded
+// with rng.SplitMix64(seed).
+func testRand(seed uint64) *rand.Rand {
+	return rand.New(rand.NewSource(int64(rng.SplitMix64(seed))))
+}
+
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func testModel(t *testing.T, params FailureParams, maxW float64) *FailureModel {
@@ -192,7 +198,7 @@ func TestFailureProbMatchesDirectMC(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf := params.PerCNTFailure()
-	r := rng.New(31)
+	r := testRand(31)
 	const trials = 120_000
 	fails := 0
 	for i := 0; i < trials; i++ {
@@ -233,7 +239,7 @@ func TestQuickFailureProbMonotoneInPf(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(seedRaw uint16) bool {
-		r := rng.New(uint64(seedRaw))
+		r := testRand(uint64(seedRaw))
 		w := 10 + r.Float64()*100
 		pm1 := r.Float64() * 0.5
 		pm2 := pm1 + r.Float64()*(0.5-pm1)*0.9

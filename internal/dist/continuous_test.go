@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/numeric"
-	"github.com/cnfet/yieldlab/internal/rng"
 	"github.com/cnfet/yieldlab/internal/stat"
 )
 
@@ -27,7 +26,7 @@ func TestExponentialBasics(t *testing.T) {
 			t.Errorf("I(%v) = %v want %v", x, got, want)
 		}
 	}
-	r := rng.New(3)
+	r := testRand(3)
 	var w stat.Welford
 	for i := 0; i < 100_000; i++ {
 		w.Add(e.Sample(r))
@@ -45,7 +44,7 @@ func TestDeterministicBasics(t *testing.T) {
 	if d.CDF(3.999) != 0 || d.CDF(4) != 1 {
 		t.Fatal("CDF step")
 	}
-	if d.Quantile(0.3) != 4 || d.Sample(rng.New(1)) != 4 {
+	if d.Quantile(0.3) != 4 || d.Sample(testRand(1)) != 4 {
 		t.Fatal("quantile/sample")
 	}
 	// Uniform equilibrium first arrival: I(x) = min(x, V).
@@ -230,7 +229,7 @@ func TestTruncNormalSampleMatchesMoments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(9)
+	r := testRand(9)
 	var w stat.Welford
 	lo := math.Inf(1)
 	for i := 0; i < 200_000; i++ {

@@ -100,7 +100,7 @@ func TestForwardRecurrenceForSharesTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range []float64{0.5, 2, 8, 30} {
-		if got, want := a.CDF(x), fresh.CDF(x); got != want {
+		if got, want := a.table.At(x), fresh.table.At(x); got != want {
 			t.Errorf("CDF(%g): cached %g fresh %g", x, got, want)
 		}
 	}

@@ -143,12 +143,6 @@ func NewForwardRecurrence(spacing Continuous) (*ForwardRecurrence, error) {
 	return &ForwardRecurrence{table: table, maxX: hi, maxG: cdf[n]}, nil
 }
 
-// CDF returns the equilibrium first-gap CDF G(x) = (1/μ)∫₀ˣ(1-F), linearly
-// interpolated on the construction grid.
-func (fr *ForwardRecurrence) CDF(x float64) float64 {
-	return fr.table.At(x)
-}
-
 // Sample draws one stationary first gap. The truncated tail beyond the
 // support cap (≈1e-13 of the mass) is clamped to the cap.
 func (fr *ForwardRecurrence) Sample(r *rand.Rand) float64 {

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/cnfet/yieldlab/internal/rng"
 )
 
 func TestNewForwardRecurrenceValidation(t *testing.T) {
@@ -27,7 +25,7 @@ func TestForwardRecurrenceExponentialMemoryless(t *testing.T) {
 	}
 	// Tolerance bounds the linear-interpolation error of the 4096-cell table.
 	for _, x := range []float64{0.5, 2, 4, 10, 30} {
-		if got, want := fr.CDF(x), e.CDF(x); !almost(got, want, 2e-5) {
+		if got, want := fr.table.At(x), e.CDF(x); !almost(got, want, 2e-5) {
 			t.Errorf("G(%v) = %v want %v", x, got, want)
 		}
 	}
@@ -40,11 +38,11 @@ func TestForwardRecurrenceDeterministicUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range []float64{0.4, 1, 2.2, 3.9} {
-		if got := fr.CDF(x); !almost(got, x/4, 1e-6) {
+		if got := fr.table.At(x); !almost(got, x/4, 1e-6) {
 			t.Errorf("G(%v) = %v want %v", x, got, x/4)
 		}
 	}
-	r := rng.New(21)
+	r := testRand(21)
 	for i := 0; i < 1000; i++ {
 		x := fr.Sample(r)
 		if x < 0 || x > 4 {
@@ -65,7 +63,7 @@ func TestForwardRecurrenceSamplingMatchesStationaryCDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(33)
+	r := testRand(33)
 	const trials = 300_000
 	samples := make([]float64, trials)
 	mean := 0.0
@@ -124,7 +122,7 @@ func TestForwardRecurrenceQuadratureFallbackMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range []float64{0.5, 2, 4, 10, 25} {
-		if a, b := exact.CDF(x), fallback.CDF(x); !almost(a, b, 1e-6) {
+		if a, b := exact.table.At(x), fallback.table.At(x); !almost(a, b, 1e-6) {
 			t.Errorf("G(%v): exact %v vs quadrature %v", x, a, b)
 		}
 	}

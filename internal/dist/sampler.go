@@ -37,8 +37,8 @@ const guidePerCell = 4
 //
 // Accuracy: for any u inside the tabulated mass, the exact quantile and
 // the tabulated quantile lie in the same grid cell, so the error is
-// bounded by the cell width (Span/cells ≈ the law's quantile range over
-// 4096); draws in either tail beyond the tabulated mass (≈1e-13 of the
+// bounded by the cell width h (the law's quantile range over 4096);
+// draws in either tail beyond the tabulated mass (≈1e-13 of the
 // distribution each side) fall back to the exact Quantile. The table is
 // immutable after construction and safe for concurrent use.
 type TruncNormalTable struct {
@@ -169,13 +169,6 @@ func (tb *TruncNormalTable) Quantile(u float64) float64 {
 func (tb *TruncNormalTable) Sample(r *rand.Rand) float64 {
 	return tb.Quantile(r.Float64())
 }
-
-// Span returns the width of the tabulated support: the sup-norm quantile
-// error bound is Span()/Cells().
-func (tb *TruncNormalTable) Span() float64 { return tb.h * float64(tb.Cells()) }
-
-// Cells returns the table resolution.
-func (tb *TruncNormalTable) Cells() int { return len(tb.cdf) - 1 }
 
 // FastSamplerFor resolves the fastest available sampler for law once, so hot
 // loops avoid per-draw interface dispatch:

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/cnfet/yieldlab/internal/rng"
 	"github.com/cnfet/yieldlab/internal/stat"
 )
 
@@ -43,7 +42,7 @@ func TestTruncNormalTableSupNormBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := tab.Span()/float64(tab.Cells()) + 1e-12
+		bound := tab.h + 1e-12
 		sup := 0.0
 		for i := 1; i < 20_000; i++ {
 			u := float64(i) / 20_000
@@ -81,7 +80,7 @@ func TestTruncNormalTableQuantileMonotoneAndEdges(t *testing.T) {
 	}
 	// Beyond the tabulated mass the exact tail takes over, so values above
 	// the table cap remain reachable.
-	if got := tab.Quantile(1 - 1e-15); !(got >= tab.Span()) && got < law.Quantile(1-1e-15)-1e-9 {
+	if got := tab.Quantile(1 - 1e-15); !(got >= tab.h*float64(len(tab.cdf)-1)) && got < law.Quantile(1-1e-15)-1e-9 {
 		t.Errorf("tail fallback broken: %g", got)
 	}
 }
@@ -93,7 +92,7 @@ func TestTruncNormalTableSampleMoments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rng.New(11)
+		r := testRand(11)
 		var w stat.Welford
 		for i := 0; i < 200_000; i++ {
 			w.Add(tab.Sample(r))
@@ -120,10 +119,10 @@ func TestTruncNormalTableTightSigma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell := tab.Span() / float64(tab.Cells()); cell > law.StdDev()/50 {
+	if cell := tab.h; cell > law.StdDev()/50 {
 		t.Fatalf("cell width %g not adapted to sigma %g", cell, law.StdDev())
 	}
-	r := rng.New(19)
+	r := testRand(19)
 	var w stat.Welford
 	for i := 0; i < 200_000; i++ {
 		w.Add(tab.Sample(r))
@@ -180,7 +179,7 @@ func TestFastSamplerForDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := rng.New(5), rng.New(5)
+		a, b := testRand(5), testRand(5)
 		for i := 0; i < 1000; i++ {
 			if got, want := s(a), law.Sample(b); got != want {
 				t.Fatalf("draw %d: %g != %g", i, got, want)
@@ -192,7 +191,7 @@ func TestFastSamplerForDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s(rng.New(1)) != 4 {
+		if s(testRand(1)) != 4 {
 			t.Fatal("deterministic sampler")
 		}
 	})
@@ -206,15 +205,15 @@ func TestFastSamplerForDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := rng.New(9), rng.New(9)
+		a, b := testRand(9), testRand(9)
 		for i := 0; i < 1000; i++ {
 			if got, want := s(a), tab.Sample(b); got != want {
 				t.Fatalf("draw %d: %g != %g", i, got, want)
 			}
 		}
 		// And the table stays within its sup-norm bound of the exact draw.
-		bound := tab.Span()/float64(tab.Cells()) + 1e-12
-		c, d := rng.New(13), rng.New(13)
+		bound := tab.h + 1e-12
+		c, d := testRand(13), testRand(13)
 		for i := 0; i < 1000; i++ {
 			if diff := math.Abs(s(c) - law.Sample(d)); diff > bound {
 				t.Fatalf("draw %d: table deviates %g > %g", i, diff, bound)
@@ -237,7 +236,7 @@ func TestFastSamplerForDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s(rng.New(1)) != 42 {
+		if s(testRand(1)) != 42 {
 			t.Fatal("fallback must use the law's own Sample")
 		}
 	})
@@ -266,17 +265,17 @@ func TestTruncNormalTableGuideResolutionBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(fine.guide) <= fine.Cells() {
-			t.Fatalf("default guide has %d slots for %d cells; want a finer guide", len(fine.guide), fine.Cells())
+		if len(fine.guide) <= len(fine.cdf)-1 {
+			t.Fatalf("default guide has %d slots for %d cells; want a finer guide", len(fine.guide), len(fine.cdf)-1)
 		}
 		coarse := *fine
-		coarse.guide = buildGuide(fine.cdf, fine.Cells())
+		coarse.guide = buildGuide(fine.cdf, len(fine.cdf)-1)
 		check := func(u float64) {
 			if a, b := fine.Quantile(u), coarse.Quantile(u); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("law %+v: Quantile(%v) = %v with the fine guide, %v with the per-cell guide", law, u, a, b)
 			}
 		}
-		r := rng.New(11)
+		r := testRand(11)
 		for i := 0; i < draws; i++ {
 			check(r.Float64())
 		}
@@ -302,7 +301,7 @@ func BenchmarkTruncNormalSample(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("exact", func(b *testing.B) {
-		r := rng.New(2)
+		r := testRand(2)
 		var x float64
 		for i := 0; i < b.N; i++ {
 			x = law.Sample(r)
@@ -314,7 +313,7 @@ func BenchmarkTruncNormalSample(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := rng.New(2)
+		r := testRand(2)
 		var x float64
 		for i := 0; i < b.N; i++ {
 			x = tab.Sample(r)

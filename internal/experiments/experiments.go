@@ -164,9 +164,6 @@ func NewWithCache(p Params, sweeps *renewal.SweepCache) *Runner {
 	return &Runner{params: p, sweeps: sweeps}
 }
 
-// Params returns the runner's configuration.
-func (r *Runner) Params() Params { return r.params }
-
 // Names lists the experiment identifiers in paper order.
 func Names() []string {
 	return []string{"fig2.1", "fig2.2a", "fig2.2b", "table1", "fig3.1", "fig3.2", "fig3.3", "table2"}

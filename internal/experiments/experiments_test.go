@@ -70,7 +70,7 @@ func TestAllExperimentsWithinTolerance(t *testing.T) {
 		t.Skip("integration experiment suite")
 	}
 	r := testRunner()
-	results, err := r.RunMany(context.Background(), Names(), r.Params().Workers)
+	results, err := r.RunMany(context.Background(), Names(), r.params.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +86,11 @@ func TestAllExperimentsWithinTolerance(t *testing.T) {
 			t.Errorf("%s: missing comparisons", res.Name)
 			continue
 		}
-		for _, f := range res.Comparisons.Failures() {
-			t.Errorf("%s: %s out of tolerance: paper %.4g, measured %.4g",
-				res.Name, f.Quantity, f.Paper, f.Measured)
+		for _, f := range res.Comparisons.Records {
+			if !f.WithinTolerance() {
+				t.Errorf("%s: %s out of tolerance: paper %.4g, measured %.4g",
+					res.Name, f.Quantity, f.Paper, f.Measured)
+			}
 		}
 		if res.Text() == "" {
 			t.Errorf("%s: empty text rendering", res.Name)
@@ -152,8 +154,10 @@ func TestExtensionExperiments(t *testing.T) {
 		if res.Table == nil || len(res.Table.Rows) != 3 {
 			t.Fatalf("%s: unexpected table shape", name)
 		}
-		for _, f := range res.Comparisons.Failures() {
-			t.Errorf("%s: %s out of tolerance", name, f.Quantity)
+		for _, f := range res.Comparisons.Records {
+			if !f.WithinTolerance() {
+				t.Errorf("%s: %s out of tolerance", name, f.Quantity)
+			}
 		}
 	}
 	// The noise extension must reproduce the quoted pRm regime: required

@@ -64,9 +64,6 @@ func newPlanUnchecked(n int) *Plan {
 	return p
 }
 
-// Size returns the transform size.
-func (p *Plan) Size() int { return p.n }
-
 // SpectrumLen returns the length of a half spectrum produced by RealForward:
 // n/2 + 1 bins (DC through Nyquist).
 func (p *Plan) SpectrumLen() int { return p.n/2 + 1 }
@@ -231,27 +228,4 @@ func MulSpectra(dst, a, b []complex128) {
 	for i := range dst {
 		dst[i] = a[i] * b[i]
 	}
-}
-
-// Convolve returns the full linear convolution of a and b
-// (length len(a)+len(b)-1) computed by FFT. It is a convenience for tests
-// and callers without a hot loop; hot paths should hold a Plan and cache
-// spectra instead.
-func Convolve(a, b []float64) ([]float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return nil, fmt.Errorf("fft: empty convolution operand (%d, %d)", len(a), len(b))
-	}
-	outLen := len(a) + len(b) - 1
-	p, err := NewPlan(NextPow2(outLen))
-	if err != nil {
-		return nil, err
-	}
-	sa := make([]complex128, p.SpectrumLen())
-	sb := make([]complex128, p.SpectrumLen())
-	p.RealForward(sa, a)
-	p.RealForward(sb, b)
-	MulSpectra(sa, sa, sb)
-	full := make([]float64, p.Size())
-	p.RealInverse(full, sa, nil)
-	return full[:outLen], nil
 }

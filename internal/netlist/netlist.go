@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/cnfet/yieldlab/internal/celllib"
 )
@@ -97,29 +96,6 @@ func (n *Netlist) Instances() int {
 		t += c
 	}
 	return t
-}
-
-// Transistors returns the total device count against a library.
-func (n *Netlist) Transistors(lib *celllib.Library) (int, error) {
-	t := 0
-	for name, cnt := range n.Counts {
-		c, err := lib.Cell(name)
-		if err != nil {
-			return 0, err
-		}
-		t += cnt * len(c.Transistors)
-	}
-	return t, nil
-}
-
-// CellNames returns the used cell names, sorted.
-func (n *Netlist) CellNames() []string {
-	out := make([]string, 0, len(n.Counts))
-	for name := range n.Counts {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Usage returns instance counts as float weights (for offset statistics).

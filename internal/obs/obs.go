@@ -235,14 +235,6 @@ func Detach(ctx context.Context) context.Context {
 	return context.WithValue(ctx, spanKey, (*Span)(nil))
 }
 
-// Attr is one key/value span attribute, as Attrs reports it.
-type Attr struct {
-	// Key names the attribute ("rounds", "tilt_theta", ...).
-	Key string
-	// Value holds the attribute; keep it a JSON-friendly scalar.
-	Value any
-}
-
 // attrKind tags the type an attribute was set with.
 type attrKind uint8
 
@@ -456,19 +448,6 @@ func (s *Span) Duration() time.Duration {
 		return 0
 	}
 	return s.dur
-}
-
-// Attrs returns the span's attributes in insertion order, each value
-// boxed as it was set. Nil-safe.
-func (s *Span) Attrs() []Attr {
-	if s == nil || len(s.attrs) == 0 {
-		return nil
-	}
-	out := make([]Attr, len(s.attrs))
-	for i := range s.attrs {
-		out[i] = Attr{Key: s.attrs[i].key, Value: s.attrs[i].value()}
-	}
-	return out
 }
 
 // AttrValue looks up one attribute by key, boxed as it was set. Nil-safe

@@ -94,9 +94,6 @@ func NewSession(opts Options) (*Session, error) {
 	return s, nil
 }
 
-// Params returns the session's experiment configuration.
-func (s *Session) Params() experiments.Params { return s.params }
-
 // Cache returns the session's shared renewal sweep cache.
 func (s *Session) Cache() *renewal.SweepCache { return s.cache }
 

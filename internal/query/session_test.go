@@ -254,7 +254,7 @@ func TestEvaluateNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := res.Noise
-	if n.PRM != DefaultPRM || n.Gates != s.Params().M || n.DesiredYield != s.Params().DesiredYield {
+	if n.PRM != DefaultPRM || n.Gates != s.params.M || n.DesiredYield != s.params.DesiredYield {
 		t.Fatalf("defaults = %+v", n)
 	}
 	if !(n.ViolationProb > 0) || !(n.ViolationProb < 1) {

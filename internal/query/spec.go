@@ -780,6 +780,8 @@ type RequestError struct{ err error }
 func (e *RequestError) Error() string { return e.err.Error() }
 
 // Unwrap exposes the underlying error to errors.Is/As.
+//
+//yield:allow(deadexport) errors.Is/As reach it through an unexported interface of package errors
 func (e *RequestError) Unwrap() error { return e.err }
 
 // badRequest wraps a non-nil error as a RequestError (idempotently).

@@ -22,19 +22,14 @@ import (
 // marshals with encoding/json, which yields the same bytes or the same
 // error.
 
-// AppendJSON appends r's json.Marshal encoding to dst without reflection.
-// It reports false, returning dst unchanged, when r holds a NaN or ±Inf
-// float, experiment artifacts or a cost breakdown; encoding/json encodes
-// those instead.
-func (r *Result) AppendJSON(dst []byte) ([]byte, bool) {
-	return r.appendWire(wire{b: dst, ok: true})
-}
-
-// AppendIndentJSON is AppendJSON laid out as json.Indent(dst, compact,
-// prefix, "  ") would lay it out, where prefix is depth levels of two-space
-// indentation: the form of r nested depth levels deep in a body indented by
-// two spaces per level. Like json.Indent, it writes no indentation before
-// the value's opening brace.
+// AppendIndentJSON appends r's json.Marshal encoding to dst without
+// reflection, laid out as json.Indent(dst, compact, prefix, "  ") would lay
+// it out, where prefix is depth levels of two-space indentation: the form
+// of r nested depth levels deep in a body indented by two spaces per
+// level. Like json.Indent, it writes no indentation before the value's
+// opening brace. It reports false, returning dst unchanged, when r holds a
+// NaN or ±Inf float, experiment artifacts or a cost breakdown;
+// encoding/json encodes those instead.
 func (r *Result) AppendIndentJSON(dst []byte, depth int) ([]byte, bool) {
 	return r.appendWire(wire{b: dst, ok: true, indent: true, depth: int32(depth)})
 }

@@ -9,6 +9,13 @@ import (
 	"testing"
 )
 
+// appendCompact is the compact form of Result.AppendIndentJSON: r's
+// json.Marshal encoding appended to dst, or dst and false where the
+// appenders decline.
+func appendCompact(r *Result, dst []byte) ([]byte, bool) {
+	return r.appendWire(wire{b: dst, ok: true})
+}
+
 // wireAppenders maps each wire type to its appender, called on a pointer
 // to a value of that type.
 var wireAppenders = map[reflect.Type]func(v any) ([]byte, bool){
@@ -17,7 +24,7 @@ var wireAppenders = map[reflect.Type]func(v any) ([]byte, bool){
 		w := wire{ok: true}.sweep(v.(*Sweep))
 		return w.b, w.ok
 	},
-	reflect.TypeFor[Result](): func(v any) ([]byte, bool) { return v.(*Result).AppendJSON(nil) },
+	reflect.TypeFor[Result](): func(v any) ([]byte, bool) { return appendCompact(v.(*Result), nil) },
 	reflect.TypeFor[PFResult](): func(v any) ([]byte, bool) {
 		w := wire{ok: true}.pf(v.(*PFResult))
 		return w.b, w.ok
@@ -36,7 +43,7 @@ var wireAppenders = map[reflect.Type]func(v any) ([]byte, bool){
 	},
 }
 
-// declinedFields are the Result fields whose presence makes AppendJSON
+// declinedFields are the Result fields whose presence makes appendCompact
 // decline: encoding/json encodes those bodies.
 var declinedFields = map[string]bool{"Experiments": true, "Cost": true}
 
@@ -139,7 +146,7 @@ func TestWireFieldCoverage(t *testing.T) {
 	assertWireEqual(t, "Spec.Sweep empty", &Spec{Kind: KindPF, Sweep: &Sweep{}})
 }
 
-// TestWireDeclines pins where AppendJSON hands a Result to encoding/json:
+// TestWireDeclines pins where appendCompact hands a Result to encoding/json:
 // experiment artifacts, a cost breakdown and any non-finite float.
 func TestWireDeclines(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(-1)
@@ -153,9 +160,9 @@ func TestWireDeclines(t *testing.T) {
 		"inf sweep":   {Spec: Spec{Kind: KindPF, Sweep: &Sweep{WidthsNM: []float64{inf}}}},
 	} {
 		dst := []byte("prefix")
-		got, ok := r.AppendJSON(dst)
+		got, ok := appendCompact(&r, dst)
 		if ok || string(got) != "prefix" {
-			t.Errorf("%s: AppendJSON = %q, %v; want the untouched prefix and false", name, got, ok)
+			t.Errorf("%s: appendCompact = %q, %v; want the untouched prefix and false", name, got, ok)
 		}
 	}
 }
@@ -206,7 +213,7 @@ func FuzzWireJSON(f *testing.F) {
 		}
 		for i := range results {
 			want, err := json.Marshal(&results[i])
-			got, ok := results[i].AppendJSON(nil)
+			got, ok := appendCompact(&results[i], nil)
 			switch {
 			case err != nil && ok:
 				t.Fatalf("result %d: appender encoded a value json.Marshal rejects (%v): %s", i, err, got)

@@ -1,11 +1,18 @@
 package rareevent
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/rng"
 	"github.com/cnfet/yieldlab/internal/rowyield"
 )
+
+// testRand returns the test stream for seed: math/rand's generator seeded
+// with rng.SplitMix64(seed).
+func testRand(seed uint64) *rand.Rand {
+	return rand.New(rand.NewSource(int64(rng.SplitMix64(seed))))
+}
 
 // BenchmarkRowYieldRareEvent measures the steady-state unit of work of
 // each rare-event estimator on the Table 1-class fixture (W = 142.7 nm,
@@ -27,7 +34,7 @@ func BenchmarkRowYieldRareEvent(b *testing.B) {
 			b.Fatal(err)
 		}
 		st := tm.NewRoundState()
-		r := rng.New(3)
+		r := testRand(3)
 		if _, _, err := tm.Moments(r, rowyield.DirectionalUnaligned, st); err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +55,7 @@ func BenchmarkRowYieldRareEvent(b *testing.B) {
 			b.Fatal(err)
 		}
 		sc := e.newScratch()
-		r := rng.New(3)
+		r := testRand(3)
 		e.replica(r, sc)
 		b.ReportAllocs()
 		b.ResetTimer()

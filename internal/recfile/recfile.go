@@ -215,6 +215,8 @@ func (s *Store) Load(decode func(name string, body io.Reader, size int64) error)
 type integrityError struct{ err error }
 
 func (e integrityError) Error() string { return e.err.Error() }
+
+//yield:allow(deadexport) errors.Is/As reach it through an unexported interface of package errors
 func (e integrityError) Unwrap() error { return e.err }
 
 // load opens one record file, checks its size and magic, and runs decode

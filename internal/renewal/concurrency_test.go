@@ -31,7 +31,7 @@ func TestConcurrentCountPMF(t *testing.T) {
 					errs <- err
 					return
 				}
-				if pmf.TotalMass() < 0.999 {
+				if pmfMass(pmf) < 0.999 {
 					errs <- errTest{"mass lost"}
 					return
 				}

@@ -130,17 +130,6 @@ type ComparisonSet struct {
 // Add appends a record.
 func (s *ComparisonSet) Add(c Comparison) { s.Records = append(s.Records, c) }
 
-// Failures returns the out-of-tolerance records.
-func (s *ComparisonSet) Failures() []Comparison {
-	var out []Comparison
-	for _, c := range s.Records {
-		if !c.WithinTolerance() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Table renders the comparison set as a Table.
 func (s *ComparisonSet) Table() (*Table, error) {
 	if len(s.Records) == 0 {

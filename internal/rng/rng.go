@@ -33,11 +33,6 @@ func SplitMix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// New returns a fresh generator seeded from the given root seed.
-func New(seed uint64) *rand.Rand {
-	return rand.New(newSource(int64(SplitMix64(seed))))
-}
-
 // Derive returns a generator for the stream-th independent substream of the
 // given root seed. Substreams are decorrelated by double SplitMix64 mixing,
 // so worker i and worker i+1 do not share low-bit structure.

@@ -24,26 +24,6 @@ func TestSplitMix64KnownValues(t *testing.T) {
 	}
 }
 
-func TestNewDeterministic(t *testing.T) {
-	a, b := New(42), New(42)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("same seed must yield same stream")
-		}
-	}
-	c := New(43)
-	same := 0
-	a = New(42)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == c.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("different seeds look identical: %d collisions", same)
-	}
-}
-
 func TestDeriveIndependence(t *testing.T) {
 	// Adjacent streams must be decorrelated: estimate correlation of
 	// uniform draws across 2 adjacent streams.
@@ -86,7 +66,7 @@ func TestQuickSplitMixNotIdentity(t *testing.T) {
 // already been drawn from, by every method the Monte Carlo rounds use —
 // produces exactly the stream of a fresh Derive.
 func TestDeriveIntoMatchesDerive(t *testing.T) {
-	r := New(1)
+	r := Derive(1, 0)
 	f := func(seed, stream uint64) bool {
 		_ = r.Float64()
 		_ = r.ExpFloat64()

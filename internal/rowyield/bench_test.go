@@ -10,6 +10,12 @@ import (
 	"github.com/cnfet/yieldlab/internal/rng"
 )
 
+// testRand returns the test stream for seed: math/rand's generator seeded
+// with rng.SplitMix64(seed).
+func testRand(seed uint64) *rand.Rand {
+	return rand.New(rand.NewSource(int64(rng.SplitMix64(seed))))
+}
+
 // benchModel is the Table 1-class row model the MC benchmarks run on: the
 // calibrated pitch law, worst-corner pf, the paper's 200 µm rows (360 FETs)
 // and a 14-position offset spread comparable to the measured 45 nm library.
@@ -57,7 +63,7 @@ func BenchmarkRowYieldMC(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			st := m.NewRoundState()
-			r := rng.New(3)
+			r := testRand(3)
 			if _, err := m.Round(r, tc.s, st); err != nil {
 				b.Fatal(err)
 			}
@@ -117,4 +123,52 @@ func BenchmarkRowYieldObsOverhead(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkAblationRowDP compares the exact run-length DP row-failure
+// evaluation against naive Bernoulli Monte Carlo on identical geometry.
+// The DP delivers an exact conditional probability in the time the naive
+// estimator needs for a handful of coin-flip rounds — and the naive
+// estimator cannot resolve 1e-8-scale probabilities at all.
+func BenchmarkAblationRowDP(b *testing.B) {
+	intervals := make([]Interval, 12)
+	for i := range intervals {
+		lo := i * 5
+		intervals[i] = Interval{Lo: lo, Hi: lo + 24}
+	}
+	const nTracks = 90
+	const pf = 0.531
+	b.Run("ExactDP", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := exactRowFailure(intervals, nTracks, pf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("NaiveMC1k", func(b *testing.B) {
+		r := testRand(1)
+		fails := 0
+		for i := 0; i < b.N; i++ {
+			for round := 0; round < 1000; round++ {
+				var tracks [nTracks]bool
+				for t := range tracks {
+					tracks[t] = r.Float64() < pf
+				}
+				for _, iv := range intervals {
+					all := true
+					for t := iv.Lo; t <= iv.Hi; t++ {
+						if !tracks[t] {
+							all = false
+							break
+						}
+					}
+					if all {
+						fails++
+						break
+					}
+				}
+			}
+		}
+		_ = fails
+	})
 }

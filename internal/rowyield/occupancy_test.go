@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"github.com/cnfet/yieldlab/internal/rng"
 )
 
 // walkDraw is occupancy.draw with no tables, the oracle they are held to,
@@ -48,7 +46,7 @@ func walkDraw(o *occupancy, r *rand.Rand, n int) int {
 // the stream where walkDraw does. It returns the number of (step, n)
 // tables checked.
 func checkOccupancyTables(m *RowModel) (int, error) {
-	gen := rng.New(99)
+	gen := testRand(99)
 	tables := 0
 	for s := range m.plan {
 		o := &m.plan[s]
@@ -83,7 +81,7 @@ func checkOccupancyTables(m *RowModel) (int, error) {
 				}
 			}
 			seed := gen.Uint64()
-			r1, r2 := rng.New(seed), rng.New(seed)
+			r1, r2 := testRand(seed), testRand(seed)
 			if got, want := o.draw(r1, n), walkDraw(o, r2, n); got != want {
 				return tables, fmt.Errorf("step %d (p %g), n %d, seed %d: draw %d, walk %d", s, o.p, n, seed, got, want)
 			}

@@ -101,19 +101,6 @@ func (iv Interval) Len() int {
 	return iv.Hi - iv.Lo + 1
 }
 
-// ExactRowFailure returns the exact probability that at least one interval
-// is fully failed, when each of nTracks tracks fails independently with
-// probability pf. This is the conditional row-failure probability given a
-// track realization; Monte Carlo over realizations then averages it.
-//
-// The computation is a run-length dynamic program over the reusable
-// RoundState scratch (see state.go); this wrapper pays for a fresh state per
-// call, the Monte Carlo rounds amortize one across all their realizations.
-func ExactRowFailure(intervals []Interval, nTracks int, pf float64) (float64, error) {
-	var st RoundState
-	return exactRowFailureInto(&st, intervals, nTracks, pf)
-}
-
 // OffsetDist is a discrete distribution of lateral active-region offsets
 // (nm) across the standard-cell library: the non-aligned layout's source of
 // partial correlation. Offsets are measured from the row's track origin.

@@ -4,11 +4,15 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"github.com/cnfet/yieldlab/internal/rng"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// exactRowFailure runs the row-failure DP on fresh scratch.
+func exactRowFailure(intervals []Interval, nTracks int, pf float64) (float64, error) {
+	var st RoundState
+	return exactRowFailureInto(&st, intervals, nTracks, pf)
+}
 
 func TestMRminPaperValue(t *testing.T) {
 	// 200 µm × 1.8 FETs/µm = 360 ≈ the paper's 350× headline.
@@ -118,7 +122,7 @@ func TestExactRowFailureSingleInterval(t *testing.T) {
 	// One interval covering all tracks: P = pf^n.
 	pf := 0.531
 	for _, n := range []int{1, 3, 8} {
-		got, err := ExactRowFailure([]Interval{{0, n - 1}}, n, pf)
+		got, err := exactRowFailure([]Interval{{0, n - 1}}, n, pf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +136,7 @@ func TestExactRowFailureSingleInterval(t *testing.T) {
 func TestExactRowFailureDisjoint(t *testing.T) {
 	// Two disjoint intervals: 1-(1-pf^2)².
 	pf := 0.4
-	got, err := ExactRowFailure([]Interval{{0, 1}, {3, 4}}, 5, pf)
+	got, err := exactRowFailure([]Interval{{0, 1}, {3, 4}}, 5, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +150,7 @@ func TestExactRowFailureDisjoint(t *testing.T) {
 func TestExactRowFailureIdentical(t *testing.T) {
 	// Duplicated intervals must not double count.
 	pf := 0.3
-	got, err := ExactRowFailure([]Interval{{1, 3}, {1, 3}, {1, 3}}, 6, pf)
+	got, err := exactRowFailure([]Interval{{1, 3}, {1, 3}, {1, 3}}, 6, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,25 +161,25 @@ func TestExactRowFailureIdentical(t *testing.T) {
 }
 
 func TestExactRowFailureEdgeCases(t *testing.T) {
-	if p, err := ExactRowFailure(nil, 10, 0.5); err != nil || p != 0 {
+	if p, err := exactRowFailure(nil, 10, 0.5); err != nil || p != 0 {
 		t.Fatalf("no intervals: %v %v", p, err)
 	}
-	if p, err := ExactRowFailure([]Interval{{2, 1}}, 10, 0.5); err != nil || p != 1 {
+	if p, err := exactRowFailure([]Interval{{2, 1}}, 10, 0.5); err != nil || p != 1 {
 		t.Fatalf("empty interval: %v %v", p, err)
 	}
-	if _, err := ExactRowFailure([]Interval{{0, 10}}, 5, 0.5); err == nil {
+	if _, err := exactRowFailure([]Interval{{0, 10}}, 5, 0.5); err == nil {
 		t.Error("interval beyond range")
 	}
-	if _, err := ExactRowFailure([]Interval{{-1, 2}}, 5, 0.5); err == nil {
+	if _, err := exactRowFailure([]Interval{{-1, 2}}, 5, 0.5); err == nil {
 		t.Error("negative lo")
 	}
-	if _, err := ExactRowFailure([]Interval{{0, 1}}, 5, 1.5); err == nil {
+	if _, err := exactRowFailure([]Interval{{0, 1}}, 5, 1.5); err == nil {
 		t.Error("pf out of range")
 	}
-	if p, err := ExactRowFailure([]Interval{{0, 2}}, 5, 0); err != nil || p != 0 {
+	if p, err := exactRowFailure([]Interval{{0, 2}}, 5, 0); err != nil || p != 0 {
 		t.Fatalf("pf=0: %v %v", p, err)
 	}
-	if p, err := ExactRowFailure([]Interval{{0, 2}}, 5, 1); err != nil || p != 1 {
+	if p, err := exactRowFailure([]Interval{{0, 2}}, 5, 1); err != nil || p != 1 {
 		t.Fatalf("pf=1: %v %v", p, err)
 	}
 }
@@ -184,7 +188,7 @@ func TestExactRowFailureEdgeCases(t *testing.T) {
 // interval families.
 func TestQuickExactRowFailureVsBrute(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rng.New(uint64(seed))
+		r := testRand(uint64(seed))
 		nTracks := 2 + r.Intn(13) // ≤ 14 tracks: 16k patterns
 		nIv := 1 + r.Intn(6)
 		ivs := make([]Interval, nIv)
@@ -194,7 +198,7 @@ func TestQuickExactRowFailureVsBrute(t *testing.T) {
 			ivs[i] = Interval{lo, hi}
 		}
 		pf := 0.05 + 0.9*r.Float64()
-		got, err := ExactRowFailure(ivs, nTracks, pf)
+		got, err := exactRowFailure(ivs, nTracks, pf)
 		if err != nil {
 			return false
 		}

@@ -64,16 +64,19 @@ func (m *RowModel) NewRoundState() *RoundState {
 	return st
 }
 
-// exactRowFailureInto is the engine behind ExactRowFailure, over
-// caller-owned scratch. The run-length Markov chain is evaluated in a
-// sliding ring buffer: advancing one track is a base-index decrement plus a
-// saturation fold (run lengths cap at maxLen) instead of an O(maxLen) copy,
-// and the uniform pf-scaling of surviving runs is carried in a scalar
-// `scale` factored out of the buffer. The per-track cost is O(1) plus the
-// width of the run range an ending interval kills, so a realization costs
-// O(nTracks + total killed range) instead of O(nTracks × maxLen). The
-// chain stops at the last track an interval ends on: past it nothing can
-// be killed, so the surviving mass is final.
+// exactRowFailureInto returns, over caller-owned scratch, the exact
+// probability that at least one interval is fully failed when each of
+// nTracks tracks fails independently with probability pf: the conditional
+// row-failure probability given a track realization, which the Monte Carlo
+// rounds average over realizations. The run-length Markov chain is
+// evaluated in a sliding ring buffer: advancing one track is a base-index
+// decrement plus a saturation fold (run lengths cap at maxLen) instead of
+// an O(maxLen) copy, and the uniform pf-scaling of surviving runs is
+// carried in a scalar `scale` factored out of the buffer. The per-track
+// cost is O(1) plus the width of the run range an ending interval kills,
+// so a realization costs O(nTracks + total killed range) instead of
+// O(nTracks × maxLen). The chain stops at the last track an interval ends
+// on: past it nothing can be killed, so the surviving mass is final.
 //
 //yield:noalloc
 func exactRowFailureInto(st *RoundState, intervals []Interval, nTracks int, pf float64) (float64, error) {

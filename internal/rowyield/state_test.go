@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"github.com/cnfet/yieldlab/internal/dist"
-	"github.com/cnfet/yieldlab/internal/rng"
 )
 
 // A steady-state Monte Carlo round must not touch the heap: the tracks,
@@ -36,7 +35,7 @@ func TestRoundZeroSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := m.NewRoundState()
-			r := rng.New(17)
+			r := testRand(17)
 			// Warm the buffers past any growth transient.
 			for i := 0; i < 200; i++ {
 				if _, err := m.Round(r, tc.s, st); err != nil {
@@ -121,7 +120,7 @@ func binomialStep(n int, p float64) *occupancy {
 // An occupancy step must reproduce binomial moments and stay exact at the
 // degenerate edges.
 func TestBinomialSample(t *testing.T) {
-	r := rng.New(23)
+	r := testRand(23)
 	const n, p, draws = 37, 0.3, 200_000
 	step := binomialStep(n, p)
 	var sum, sumSq float64
@@ -174,7 +173,7 @@ func TestUnalignedOccupancyMatchesPerFETSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 60_000
-	r := rng.New(31)
+	r := testRand(31)
 	got := make([]float64, len(offsets.Offsets))
 	counts := make([]int, len(offsets.Offsets))
 	n := m.nFETs
@@ -246,7 +245,7 @@ func TestCursorWindowsMatchSearch(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := m.NewRoundState()
-			gen := rng.New(41)
+			gen := testRand(41)
 			counts := make([]int, len(tc.offsets))
 			span := m.WidthNM + m.offSpan
 			for trial := 0; trial < 5_000; trial++ {
@@ -264,11 +263,11 @@ func TestCursorWindowsMatchSearch(t *testing.T) {
 					}
 				}
 				seed := gen.Uint64()
-				p, err := m.unalignedFromTracks(rng.New(seed), st)
+				p, err := m.unalignedFromTracks(testRand(seed), st)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.SampleOccupancy(rng.New(seed), counts)
+				m.SampleOccupancy(testRand(seed), counts)
 				var want []Interval
 				empty := false
 				for _, o := range m.plan {
@@ -300,7 +299,7 @@ func TestCursorWindowsMatchSearch(t *testing.T) {
 func TestExactRowFailureDuplicatePermuteBitIdentical(t *testing.T) {
 	var st RoundState // shared across calls: scratch reuse must not leak either
 	f := func(seed int64) bool {
-		r := rng.New(uint64(seed))
+		r := testRand(uint64(seed))
 		nTracks := 1 + r.Intn(150)
 		ivs := make([]Interval, 1+r.Intn(8))
 		for i := range ivs {
@@ -354,7 +353,7 @@ func TestNewRoundStateNilPitch(t *testing.T) {
 	if st == nil {
 		t.Fatal("nil state")
 	}
-	if _, err := m.Round(rng.New(1), DirectionalAligned, st); err == nil {
+	if _, err := m.Round(testRand(1), DirectionalAligned, st); err == nil {
 		t.Fatal("Round on a nil-pitch model should error")
 	}
 }
@@ -362,7 +361,7 @@ func TestNewRoundStateNilPitch(t *testing.T) {
 // The ring DP must renormalize rather than overflow on very long rows.
 func TestExactRowFailureLongRowTinyPf(t *testing.T) {
 	const nTracks = 3000
-	got, err := ExactRowFailure([]Interval{{0, 1}}, nTracks, 1e-3)
+	got, err := exactRowFailure([]Interval{{0, 1}}, nTracks, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,4 +160,6 @@ func (w *statusWriter) Flush() {
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer.
+//
+//yield:allow(deadexport) http.ResponseController reaches it through an unexported interface
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

@@ -74,7 +74,6 @@ const (
 	DefaultCacheEntries   = 64
 	DefaultMaxJobs        = 64
 	DefaultConcurrentJobs = 2
-	DefaultRowRounds      = query.DefaultRowRounds
 	// DefaultMaxInFlightSweeps bounds synchronous evaluations on all compute
 	// routes at once before the server sheds load with a retryable 503.
 	DefaultMaxInFlightSweeps = 32
@@ -215,9 +214,6 @@ func paramsTag(p experiments.Params) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", p)))
 	return hex.EncodeToString(sum[:6])
 }
-
-// Session exposes the server's shared query session.
-func (s *Server) Session() *query.Session { return s.session }
 
 // Handler returns the service's HTTP handler: the route mux wrapped in the
 // JSON 404/405 fallback and the observability middleware (per-request
@@ -534,10 +530,6 @@ func (s *Server) handlePFBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// WminJSON is one chip-level sizing solution — the /v1 wire name of the
-// shared query result payload.
-type WminJSON = query.WminResult
-
 func (s *Server) handleWmin(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	// Only explicitly given parameters enter the spec: the session resolves
@@ -559,10 +551,6 @@ func (s *Server) handleWmin(w http.ResponseWriter, r *http.Request) {
 		return results[0].Wmin, nil
 	})
 }
-
-// RowYieldJSON is one row-correlation scenario evaluation — the /v1 wire
-// name of the shared query result payload.
-type RowYieldJSON = query.RowYieldResult
 
 func (s *Server) handleRowYield(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()

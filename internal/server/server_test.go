@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/cnfet/yieldlab/internal/experiments"
+	"github.com/cnfet/yieldlab/internal/query"
 	"github.com/cnfet/yieldlab/internal/sweepstore"
 )
 
@@ -216,7 +217,7 @@ func TestPFBatch(t *testing.T) {
 		t.Fatalf("best corner %g should beat worst %g", pfs[2].PF, pfs[0].PF)
 	}
 	// All three corners share one pitch law: exactly one model sweep ran.
-	if st := srv.Session().Cache().Stats(); st.Entries != 1 {
+	if st := srv.session.Cache().Stats(); st.Entries != 1 {
 		t.Fatalf("cache entries = %d, want 1 (corners share the count model)", st.Entries)
 	}
 
@@ -252,7 +253,7 @@ func TestBatchLimit(t *testing.T) {
 
 func TestWmin(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var base, relaxed WminJSON
+	var base, relaxed query.WminResult
 	if code := getJSON(t, ts.URL+"/v1/wmin?corner=worst&relax=1", &base); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -273,7 +274,7 @@ func TestWmin(t *testing.T) {
 
 func TestRowYield(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var unc, al RowYieldJSON
+	var unc, al query.RowYieldResult
 	if code := getJSON(t, ts.URL+"/v1/rowyield?scenario=uncorrelated&width=155&krows=1000", &unc); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -306,7 +307,7 @@ func TestRowYieldUnaligned(t *testing.T) {
 		t.Skip("builds the placed design")
 	}
 	_, ts := newTestServer(t, Config{})
-	var out RowYieldJSON
+	var out query.RowYieldResult
 	code := getJSON(t, ts.URL+"/v1/rowyield?scenario=unaligned&width=120&rounds=50", &out)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -418,7 +419,7 @@ func TestJobAdmissionBound(t *testing.T) {
 // alone must report their own krows/chip_yield.
 func TestRowYieldKRowsPerCaller(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var a, b RowYieldJSON
+	var a, b query.RowYieldResult
 	if code := getJSON(t, ts.URL+"/v1/rowyield?scenario=aligned&width=155&krows=1000", &a); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -469,7 +470,7 @@ func TestWarmStartAnswersWithoutSweeping(t *testing.T) {
 	if code := getJSON(t, ts1.URL+"/v1/pf?width=155&corner=worst", &first); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if st := srv1.Session().Cache().Stats(); st.Sweeps == 0 {
+	if st := srv1.session.Cache().Stats(); st.Sweeps == 0 {
 		t.Fatal("cold server should have swept")
 	}
 	if err := srv1.Close(); err != nil {
@@ -496,7 +497,7 @@ func TestWarmStartAnswersWithoutSweeping(t *testing.T) {
 	if stats.SweepCache.Sweeps != 0 {
 		t.Fatalf("warm server ran %d sweeps, want 0", stats.SweepCache.Sweeps)
 	}
-	if srv2.Session().Cache().Stats().Sweeps != 0 {
+	if srv2.session.Cache().Stats().Sweeps != 0 {
 		t.Fatal("cache-level sweep count should also be 0")
 	}
 	if stats.Store == nil || stats.Store.Loads == 0 {
@@ -540,7 +541,7 @@ func TestConcurrentRequestDedup(t *testing.T) {
 	}
 	// All corners share one pitch law and grid: one model, one sweep, no
 	// matter how many concurrent cold requests raced.
-	st := srv.Session().Cache().Stats()
+	st := srv.session.Cache().Stats()
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)
 	}
@@ -554,7 +555,7 @@ func TestRowYieldRareEvent(t *testing.T) {
 		t.Skip("builds the placed design")
 	}
 	_, ts := newTestServer(t, Config{})
-	var out RowYieldJSON
+	var out query.RowYieldResult
 	code := getJSON(t, ts.URL+"/v1/rowyield?scenario=unaligned&width=120&mc_method=tilted&rel_err=0.2", &out)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -577,7 +578,7 @@ func TestRowYieldRareEvent(t *testing.T) {
 	// Estimator knobs on a scenario that never runs Monte Carlo are inert
 	// for the result but must not fail the request (canonicalization
 	// drops them; the cached aligned entry is shared).
-	var aligned RowYieldJSON
+	var aligned query.RowYieldResult
 	if code := getJSON(t, ts.URL+"/v1/rowyield?scenario=aligned&width=155&mc_method=tilted", &aligned); code != http.StatusOK {
 		t.Fatalf("aligned with estimator knobs: status %d", code)
 	}

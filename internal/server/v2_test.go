@@ -125,7 +125,7 @@ func TestV1V2Equivalence(t *testing.T) {
 		{
 			"rowyield aligned", "/v1/rowyield?scenario=aligned&width=155&krows=1000",
 			query.Spec{Kind: "rowyield", Scenario: "aligned", WidthNM: 155, KRows: 1000,
-				Rounds: DefaultRowRounds},
+				Rounds: query.DefaultRowRounds},
 			func(r rawQueryResponse) json.RawMessage { return r.Results[0].RowYield },
 		},
 		{

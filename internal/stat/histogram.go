@@ -33,9 +33,6 @@ func NewHistogram(edges []float64) (*Histogram, error) {
 	return &Histogram{Edges: e, Counts: make([]float64, len(edges)-1)}, nil
 }
 
-// Add records value x with weight 1.
-func (h *Histogram) Add(x float64) { h.AddWeighted(x, 1) }
-
 // AddWeighted records value x with weight w.
 func (h *Histogram) AddWeighted(x, w float64) {
 	n := len(h.Counts)
@@ -78,28 +75,6 @@ func (h *Histogram) Shares() []float64 {
 		out[i] = c / tot
 	}
 	return out
-}
-
-// ShareBelow returns the fraction of in-range weight in bins entirely below x.
-// Bins partially covered contribute proportionally (linear within bin).
-func (h *Histogram) ShareBelow(x float64) float64 {
-	tot := h.Total()
-	if tot == 0 {
-		return 0
-	}
-	var acc numeric.Kahan
-	for i, c := range h.Counts {
-		lo, hi := h.Edges[i], h.Edges[i+1]
-		switch {
-		case x >= hi:
-			acc.Add(c)
-		case x <= lo:
-			// nothing
-		default:
-			acc.Add(c * (x - lo) / (hi - lo))
-		}
-	}
-	return acc.Sum() / tot
 }
 
 // BinCenters returns the midpoints of all bins.

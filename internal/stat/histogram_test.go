@@ -28,12 +28,12 @@ func TestNewHistogramValidation(t *testing.T) {
 func TestHistogramBinning(t *testing.T) {
 	h, _ := NewHistogram([]float64{0, 10, 20, 30})
 	for _, x := range []float64{0, 5, 9.999} {
-		h.Add(x)
+		h.AddWeighted(x, 1)
 	}
-	h.Add(10) // left-closed second bin
-	h.Add(30) // right edge goes to last bin
-	h.Add(-1) // under
-	h.Add(31) // over
+	h.AddWeighted(10, 1) // left-closed second bin
+	h.AddWeighted(30, 1) // right edge goes to last bin
+	h.AddWeighted(-1, 1) // under
+	h.AddWeighted(31, 1) // over
 	if h.Counts[0] != 3 || h.Counts[1] != 1 || h.Counts[2] != 1 {
 		t.Fatalf("counts: %v", h.Counts)
 	}
@@ -59,28 +59,6 @@ func TestHistogramShares(t *testing.T) {
 	}
 }
 
-func TestShareBelow(t *testing.T) {
-	h, _ := NewHistogram([]float64{0, 10, 20})
-	h.AddWeighted(5, 10)
-	h.AddWeighted(15, 10)
-	if s := h.ShareBelow(10); math.Abs(s-0.5) > 1e-12 {
-		t.Fatalf("ShareBelow(10): %v", s)
-	}
-	if s := h.ShareBelow(15); math.Abs(s-0.75) > 1e-12 {
-		t.Fatalf("ShareBelow(15) with partial bin: %v", s)
-	}
-	if s := h.ShareBelow(-5); s != 0 {
-		t.Fatalf("ShareBelow below range: %v", s)
-	}
-	if s := h.ShareBelow(100); s != 1 {
-		t.Fatalf("ShareBelow above range: %v", s)
-	}
-	empty, _ := NewHistogram([]float64{0, 1})
-	if s := empty.ShareBelow(0.5); s != 0 {
-		t.Fatalf("empty ShareBelow: %v", s)
-	}
-}
-
 func TestBinCentersAndMean(t *testing.T) {
 	h, _ := NewHistogram([]float64{0, 2, 4})
 	c := h.BinCenters()
@@ -102,7 +80,7 @@ func TestQuickHistogramConservation(t *testing.T) {
 		inRange := 0
 		for i := 0; i < n; i++ {
 			x := r.Float64()*1.5 - 0.25
-			h.Add(x)
+			h.AddWeighted(x, 1)
 			if x >= 0 && x <= 1 {
 				inRange++
 			}
@@ -123,29 +101,6 @@ func TestQuickHistogramConservation(t *testing.T) {
 		return math.Abs(sum-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: ShareBelow is monotone non-decreasing in x.
-func TestQuickShareBelowMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		h, _ := NewHistogram(numeric.Linspace(0, 100, 9))
-		for i := 0; i < 200; i++ {
-			h.Add(r.Float64() * 100)
-		}
-		prev := -1.0
-		for x := -10.0; x <= 110; x += 3.7 {
-			s := h.ShareBelow(x)
-			if s+1e-12 < prev {
-				return false
-			}
-			prev = s
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,21 +1,15 @@
 // Package stat provides the descriptive statistics used by the growth
 // simulators, the Monte Carlo engine and the experiment reports: moments,
-// quantiles, correlation, online (Welford) accumulation, histograms and
-// binomial confidence intervals.
+// correlation, online (Welford) accumulation and histograms.
 //
 //yield:compute
 package stat
 
 import (
-	"errors"
 	"math"
-	"sort"
 
 	"github.com/cnfet/yieldlab/internal/numeric"
 )
-
-// ErrEmpty is returned when a statistic is requested for an empty sample.
-var ErrEmpty = errors.New("stat: empty sample")
 
 // Mean returns the arithmetic mean of xs (NaN for an empty slice).
 func Mean(xs []float64) float64 {
@@ -24,24 +18,6 @@ func Mean(xs []float64) float64 {
 	}
 	return numeric.SumSlice(xs) / float64(len(xs))
 }
-
-// Variance returns the unbiased sample variance (NaN for n < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var k numeric.Kahan
-	for _, x := range xs {
-		d := x - m
-		k.Add(d * d)
-	}
-	return k.Sum() / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Corr returns the Pearson correlation coefficient between xs and ys.
 // It returns NaN when either sample is constant or the lengths differ.
@@ -63,31 +39,6 @@ func Corr(xs, ys []float64) float64 {
 		return math.NaN()
 	}
 	return sxy.Sum() / den
-}
-
-// Quantile returns the p-quantile (0 ≤ p ≤ 1) of xs using linear
-// interpolation between order statistics (type-7, the numpy default).
-func Quantile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, n)
-	copy(s, xs)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 1 {
-		return s[n-1]
-	}
-	h := p * float64(n-1)
-	i := int(math.Floor(h))
-	if i >= n-1 {
-		return s[n-1]
-	}
-	frac := h - float64(i)
-	return s[i] + frac*(s[i+1]-s[i])
 }
 
 // Welford accumulates count, mean and variance online in a single pass.

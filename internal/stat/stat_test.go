@@ -5,22 +5,37 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/cnfet/yieldlab/internal/numeric"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// variance is the two-pass batch reference Welford is held against: the
+// unbiased sample variance (NaN for n < 2).
+func variance(xs []float64) float64 {
+	n := len(xs)
+	if n < 2 {
+		return math.NaN()
+	}
+	m := Mean(xs)
+	var k numeric.Kahan
+	for _, x := range xs {
+		d := x - m
+		k.Add(d * d)
+	}
+	return k.Sum() / float64(n-1)
+}
 
 func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); !almost(m, 5, 1e-12) {
 		t.Fatalf("Mean: %v", m)
 	}
-	if v := Variance(xs); !almost(v, 32.0/7, 1e-12) {
+	if v := variance(xs); !almost(v, 32.0/7, 1e-12) {
 		t.Fatalf("Variance: %v", v)
 	}
-	if s := StdDev(xs); !almost(s, math.Sqrt(32.0/7), 1e-12) {
-		t.Fatalf("StdDev: %v", s)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance([]float64{1})) {
+	if !math.IsNaN(Mean(nil)) || !math.IsNaN(variance([]float64{1})) {
 		t.Fatal("degenerate inputs should be NaN")
 	}
 }
@@ -55,25 +70,6 @@ func TestCorrIndependent(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Fatalf("q0: %v", q)
-	}
-	if q := Quantile(xs, 1); q != 4 {
-		t.Fatalf("q1: %v", q)
-	}
-	if q := Quantile(xs, 0.5); !almost(q, 2.5, 1e-12) {
-		t.Fatalf("median: %v", q)
-	}
-	if q := Quantile(xs, 1.0/3); !almost(q, 2, 1e-12) {
-		t.Fatalf("q33: %v", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("empty quantile should be NaN")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	xs := make([]float64, 1000)
@@ -85,8 +81,8 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if !almost(w.Mean(), Mean(xs), 1e-10) {
 		t.Fatalf("Welford mean %v vs %v", w.Mean(), Mean(xs))
 	}
-	if !almost(w.Variance(), Variance(xs), 1e-8) {
-		t.Fatalf("Welford var %v vs %v", w.Variance(), Variance(xs))
+	if !almost(w.Variance(), variance(xs), 1e-8) {
+		t.Fatalf("Welford var %v vs %v", w.Variance(), variance(xs))
 	}
 	if w.N() != 1000 {
 		t.Fatalf("N: %d", w.N())

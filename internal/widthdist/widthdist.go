@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/cnfet/yieldlab/internal/numeric"
 	"github.com/cnfet/yieldlab/internal/stat"
@@ -156,19 +155,6 @@ func (d *Distribution) UpsizedMean(wt float64) float64 {
 		acc.Add(math.Max(d.widths[i], wt) * d.probs[i])
 	}
 	return acc.Sum()
-}
-
-// Sample draws one transistor width.
-func (d *Distribution) Sample(r *rand.Rand) float64 {
-	u := r.Float64()
-	var acc float64
-	for i := range d.probs {
-		acc += d.probs[i]
-		if u < acc {
-			return d.widths[i]
-		}
-	}
-	return d.widths[len(d.widths)-1]
 }
 
 // Histogram renders the distribution into a stat.Histogram with the paper's

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/cnfet/yieldlab/internal/rng"
 	"github.com/cnfet/yieldlab/internal/tech"
 )
 
@@ -133,22 +132,6 @@ func TestScale(t *testing.T) {
 	}
 	if _, err := d.Scale(tech.Node{Name: "bad"}); err == nil {
 		t.Fatal("invalid node should error")
-	}
-}
-
-func TestSampleFrequencies(t *testing.T) {
-	d, _ := New([]float64{10, 20, 30}, []float64{0.2, 0.3, 0.5})
-	r := rng.New(17)
-	counts := map[float64]int{}
-	const n = 200_000
-	for i := 0; i < n; i++ {
-		counts[d.Sample(r)]++
-	}
-	for i, w := range d.Widths() {
-		got := float64(counts[w]) / n
-		if !almost(got, d.Probs()[i], 0.005) {
-			t.Errorf("freq(%v) = %v want %v", w, got, d.Probs()[i])
-		}
 	}
 }
 

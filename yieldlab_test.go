@@ -204,8 +204,7 @@ func TestFacadeExperimentNames(t *testing.T) {
 	if len(names) != 8 || names[0] != "fig2.1" || names[7] != "table2" {
 		t.Fatalf("names: %v", names)
 	}
-	runner := yieldlab.NewRunner(yieldlab.DefaultParams())
-	if runner.Params().M != 1e8 {
+	if yieldlab.DefaultParams().M != 1e8 {
 		t.Fatal("default M")
 	}
 }
