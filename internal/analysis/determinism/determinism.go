@@ -17,7 +17,11 @@
 //     a float accumulator, or serializes (JSON/fmt writes): map iteration
 //     order is randomized per run, so any order-sensitive fold diverges.
 //     Appending keys and sorting immediately after the loop — the repo's
-//     sorted-keys idiom — is recognized and not flagged.
+//     sorted-keys idiom — is recognized and not flagged;
+//   - `go` statements: a compute package fans out through internal/ordered,
+//     whose one claim loop returns the error of the lowest failing index
+//     and leaves merging in index order to its caller, so no result
+//     depends on the worker count or on which goroutine finished first.
 //
 // Integer accumulation over a map is deliberately not flagged: integer
 // addition is associative and commutative, so iteration order cannot
@@ -35,8 +39,8 @@ import (
 // Analyzer is the determinism invariant checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "flag nondeterminism sources (global rand, wall clock, env, order-sensitive map iteration) " +
-		"in compute packages",
+	Doc: "flag nondeterminism sources (global rand, wall clock, env, order-sensitive map iteration, " +
+		"go statements) in compute packages",
 	Run: run,
 }
 
@@ -71,6 +75,9 @@ func run(pass *analysis.Pass) error {
 				checkImpureCall(pass, n)
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
+			case *ast.GoStmt:
+				pass.Reportf(n.Pos(),
+					"go statement in a compute package; fan out through internal/ordered, whose contract keeps results independent of the worker count")
 			}
 			return true
 		})

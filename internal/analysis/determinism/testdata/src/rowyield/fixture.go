@@ -76,3 +76,16 @@ func mapFolds(m map[string]float64, w io.Writer) ([]string, float64) {
 
 	return names, total + float64(count)
 }
+
+// fanOut starts its own goroutine instead of an internal/ordered pool.
+func fanOut(xs []float64) float64 {
+	done := make(chan float64)
+	go func() { // want "go statement in a compute package; fan out through internal/ordered"
+		sum := 0.0
+		for _, x := range xs {
+			sum += x
+		}
+		done <- sum
+	}()
+	return <-done
+}

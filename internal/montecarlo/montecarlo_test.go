@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/cnfet/yieldlab/internal/obs"
+	"github.com/cnfet/yieldlab/internal/rng"
 )
 
 // run is RunState for a round function that needs no scratch.
@@ -388,6 +389,39 @@ func TestRunCallerPanicWaitsForHelpers(t *testing.T) {
 	for i, s := range states {
 		if !s.exited.Load() {
 			t.Fatalf("worker %d of %d had not exited when the panic reached recover", i, len(states))
+		}
+	}
+}
+
+// TestRunErrorIndependentOfArrivalOrder: when two batches fail, the run
+// returns the lower batch's error even if that batch fails later in time
+// on another worker. A round knows its batch by the first draw of the
+// batch's stream, rng.Derive(seed, b).
+func TestRunErrorIndependentOfArrivalOrder(t *testing.T) {
+	const seed, batch = 7, 8
+	first0, first1 := rng.Derive(seed, 0).Uint64(), rng.Derive(seed, 1).Uint64()
+	err0, err1 := errors.New("batch 0"), errors.New("batch 1")
+	for _, workers := range []int{1, 2, 4} {
+		failed1 := make(chan struct{})
+		_, err := run(context.Background(), 2*batch, func(r *rand.Rand) (float64, error) {
+			switch r.Uint64() {
+			case first1:
+				close(failed1)
+				return 0, err1
+			case first0:
+				if workers > 1 { // batch 1 runs on another worker: let it fail first
+					select {
+					case <-failed1:
+					case <-time.After(10 * time.Second):
+						t.Errorf("workers=%d: batch 1 never failed", workers)
+					}
+				}
+				return 0, err0
+			}
+			return 1, nil
+		}, Options{Seed: seed, Workers: workers, BatchSize: batch})
+		if err != err0 {
+			t.Fatalf("workers=%d: err = %v, want the lower batch's %v", workers, err, err0)
 		}
 	}
 }
