@@ -7,7 +7,7 @@ package yieldlab_test
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -21,10 +21,10 @@ import (
 	"github.com/cnfet/yieldlab/internal/rowyield"
 )
 
-// testRand returns the test stream for seed: math/rand's generator seeded
-// with rng.SplitMix64(seed).
+// testRand returns the test stream for seed: math/rand/v2's PCG seeded
+// with (rng.SplitMix64(seed), 0).
 func testRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(rng.SplitMix64(seed))))
+	return rand.New(rand.NewPCG(rng.SplitMix64(seed), 0))
 }
 
 // benchRunner shares one experiment runner (and its cached renewal sweeps)

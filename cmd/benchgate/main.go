@@ -38,7 +38,7 @@ import (
 // and lock-contention probes (BenchmarkSweepDedupContention) — are
 // deliberately excluded; gating them would need a far looser threshold to
 // be meaningful.
-const defaultFilter = `^Benchmark(Sweep/|Convolve|RenewalSweepCold|Fig21$|DeviceFailureProb|RealForward|ServerPF|RunnerParallel|RowYieldMC/|RowYieldRareEvent/|RowYieldObsOverhead/|TruncNormalSample/|QueryDesignSpace$|QueryRowYieldMC$|WriteJSON/|V2QueryWarm$|V2QuerySweepWarm$|WarmCache$|DecodeSpec/|Reseed/)`
+const defaultFilter = `^Benchmark(Sweep/|Convolve|RenewalSweepCold|Fig21$|DeviceFailureProb|RealForward|ServerPF|RunnerParallel|RowYieldMC/|RowYieldRareEvent/|RowYieldObsOverhead/|TruncNormalSample/|QueryDesignSpace$|QueryRowYieldMC$|WriteJSON/|V2QueryWarm$|V2QuerySweepWarm$|WarmCache$|DecodeSpec/)`
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {

@@ -8,9 +8,12 @@
 // package doc comment (dist, renewal, rowyield, montecarlo, rareevent,
 // query, experiments, ...) — the analyzer flags:
 //
-//   - the global math/rand functions (rand.Float64, rand.Intn, ...): all
+//   - the global math/rand functions (rand.Float64, rand.IntN, ...): all
 //     randomness must flow through an explicit *rand.Rand from
 //     internal/rng, so a root seed reproduces every stream;
+//   - any import of the v1 math/rand: the streams served numbers are
+//     drawn from are math/rand/v2's PCG, pinned per numerics epoch, and a
+//     v1 generator would draw from a stream no epoch pins;
 //   - wall-clock and environment reads (time.Now/Since/Until,
 //     os.Getenv/LookupEnv/Environ) in pure evaluation paths;
 //   - `range` over a map whose body appends to an outer slice, folds into
@@ -39,8 +42,8 @@ import (
 // Analyzer is the determinism invariant checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "flag nondeterminism sources (global rand, wall clock, env, order-sensitive map iteration, " +
-		"go statements) in compute packages",
+	Doc: "flag nondeterminism sources (global rand, v1 math/rand, wall clock, env, order-sensitive map " +
+		"iteration, go statements) in compute packages",
 	Run: run,
 }
 
@@ -69,6 +72,12 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, file := range pass.NonTestFiles() {
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"math/rand"` {
+				pass.Reportf(imp.Pos(),
+					"math/rand (v1) in a compute package; draw from math/rand/v2 through internal/rng, the stream the numerics epoch pins")
+			}
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:

@@ -9,7 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
+	randv1 "math/rand" // want "math/rand .v1. in a compute package"
+	"math/rand/v2"
 	"os"
 	"sort"
 	"time"
@@ -18,14 +19,20 @@ import (
 // globalRand draws from the shared math/rand state.
 func globalRand() float64 {
 	seedless := rand.Float64() // want "global rand.Float64 draws from shared process state"
-	n := rand.Intn(10)         // want "global rand.Intn"
+	n := rand.IntN(10)         // want "global rand.IntN"
 	return seedless + float64(n)
 }
 
 // explicitRand threads a generator explicitly: the sanctioned pattern.
 func explicitRand(r *rand.Rand) float64 {
-	src := rand.New(rand.NewSource(1)) // constructors are fine
+	src := rand.New(rand.NewPCG(1, 2)) // constructors are fine
 	return r.Float64() + src.Float64()
+}
+
+// v1Stream builds a v1 generator: no global state, but not the stream the
+// numerics epoch pins, so its import is flagged.
+func v1Stream() float64 {
+	return randv1.New(randv1.NewSource(1)).Float64()
 }
 
 // impure reads ambient process state.

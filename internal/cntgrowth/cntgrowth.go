@@ -26,7 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"github.com/cnfet/yieldlab/internal/dist"
 )

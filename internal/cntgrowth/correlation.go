@@ -3,7 +3,7 @@ package cntgrowth
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"github.com/cnfet/yieldlab/internal/stat"
 )

@@ -2,7 +2,7 @@ package device
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -11,10 +11,10 @@ import (
 	"github.com/cnfet/yieldlab/internal/rng"
 )
 
-// testRand returns the test stream for seed: math/rand's generator seeded
-// with rng.SplitMix64(seed).
+// testRand returns the test stream for seed: math/rand/v2's PCG seeded
+// with (rng.SplitMix64(seed), 0).
 func testRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(rng.SplitMix64(seed))))
+	return rand.New(rand.NewPCG(rng.SplitMix64(seed), 0))
 }
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -269,7 +269,7 @@ func TestFailureProbMatchesCountPGF(t *testing.T) {
 	m := testModel(t, WorstCorner(), 120)
 	count := m.CountModel()
 	step := count.Step()
-	r := rand.New(rand.NewSource(7))
+	r := rand.New(rand.NewPCG(7, 0))
 	var ws []float64
 	for i := 0; i < 200; i++ {
 		ws = append(ws, step+r.Float64()*(count.MaxWidth()-step))

@@ -20,7 +20,7 @@ package dist
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // Continuous is a one-dimensional continuous probability distribution on

@@ -2,7 +2,7 @@ package dist
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 )
 

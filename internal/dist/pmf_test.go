@@ -2,7 +2,7 @@ package dist
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/rng"
@@ -10,10 +10,10 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// testRand returns the test stream for seed: math/rand's generator seeded
-// with rng.SplitMix64(seed).
+// testRand returns the test stream for seed: math/rand/v2's PCG seeded
+// with (rng.SplitMix64(seed), 0).
 func testRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(rng.SplitMix64(seed))))
+	return rand.New(rand.NewPCG(rng.SplitMix64(seed), 0))
 }
 
 // pmfMass returns a PMF's total stored mass.

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 )
 
@@ -33,7 +33,8 @@ const guidePerCell = 4
 // Sampling inverts the piecewise-linear interpolant; a guide array indexed
 // by ⌊u·4·cells⌋ starts each inversion in (almost always) the right cell, so
 // a draw costs one table lookup, a short monotone walk and one linear
-// interpolation — no special functions.
+// interpolation by the cell's stored slope — no special functions and no
+// division.
 //
 // Accuracy: for any u inside the tabulated mass, the exact quantile and
 // the tabulated quantile lie in the same grid cell, so the error is
@@ -46,6 +47,7 @@ type TruncNormalTable struct {
 	lo    float64   // grid origin
 	h     float64   // cell width
 	cdf   []float64 // cdf[i] = CDF(lo + i·h), i = 0..cells
+	slope []float64 // slope[i] = h/(cdf[i+1]−cdf[i]), 0 for a flat cell
 	guide []int32   // guide[k] = first cell whose upper CDF reaches k/len(guide)
 	maxU  float64   // tabulated mass: cdf[cells]
 }
@@ -113,8 +115,14 @@ func NewTruncNormalTable(t TruncNormal, cells int) (*TruncNormalTable, error) {
 		}
 		cdf[i] = c
 	}
+	slope := make([]float64, cells)
+	for i := range slope {
+		if d := cdf[i+1] - cdf[i]; d > 0 {
+			slope[i] = h / d
+		}
+	}
 	guide := buildGuide(cdf, guidePerCell*cells)
-	return &TruncNormalTable{law: t, lo: lo, h: h, cdf: cdf, guide: guide, maxU: cdf[cells]}, nil
+	return &TruncNormalTable{law: t, lo: lo, h: h, cdf: cdf, slope: slope, guide: guide, maxU: cdf[cells]}, nil
 }
 
 // buildGuide returns the n-slot guide array over the tabulated cdf:
@@ -155,11 +163,7 @@ func (tb *TruncNormalTable) Quantile(u float64) float64 {
 	for tb.cdf[j+1] < u {
 		j++
 	}
-	c0, c1 := tb.cdf[j], tb.cdf[j+1]
-	if c1 == c0 {
-		return tb.lo + float64(j)*tb.h
-	}
-	return tb.lo + (float64(j)+(u-c0)/(c1-c0))*tb.h
+	return tb.lo + float64(j)*tb.h + (u-tb.cdf[j])*tb.slope[j]
 }
 
 // Sample draws one variate by tabulated inverse transform, consuming exactly

@@ -286,10 +286,10 @@ func TestTable1MCBitsPinned(t *testing.T) {
 		got  float64
 		want uint64
 	}{
-		{"unaligned mean", d.unal.Mean, 0x3e89dc6a853bc6a9},
-		{"unaligned stderr", d.unal.StdErr, 0x3e5061fa6adc3688},
-		{"aligned mean", d.al.Mean, 0x3e57bc67e60816f3},
-		{"aligned stderr", d.al.StdErr, 0x3e4205946475a003},
+		{"unaligned mean", d.unal.Mean, 0x3e88f1b65b9ee2ec},
+		{"unaligned stderr", d.unal.StdErr, 0x3e4d17159555635e},
+		{"aligned mean", d.al.Mean, 0x3e50e95c24ae2eb1},
+		{"aligned stderr", d.al.StdErr, 0x3e2711c5943e45de},
 	} {
 		if got := math.Float64bits(c.got); got != c.want {
 			t.Errorf("%s = %v (bits %#x), want bits %#x (%v)", c.name, c.got, got, c.want, math.Float64frombits(c.want))

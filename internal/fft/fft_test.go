@@ -3,7 +3,7 @@ package fft
 import (
 	"math"
 	"math/cmplx"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -86,7 +86,7 @@ func TestNewPlanRejectsNonPow2(t *testing.T) {
 }
 
 func TestForwardMatchesNaiveDFT(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
+	r := rand.New(rand.NewPCG(1, 0))
 	for _, n := range []int{2, 4, 8, 64, 256} {
 		p, err := NewPlan(n)
 		if err != nil {
@@ -108,7 +108,7 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 }
 
 func TestForwardInverseRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
+	r := rand.New(rand.NewPCG(2, 0))
 	for _, n := range []int{2, 16, 128, 4096} {
 		p, err := NewPlan(n)
 		if err != nil {
@@ -130,7 +130,7 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 }
 
 func TestRealForwardMatchesComplex(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
+	r := rand.New(rand.NewPCG(3, 0))
 	// Cover the degenerate n=2 plan, odd input lengths and zero padding.
 	for _, tc := range []struct{ n, srcLen int }{
 		{2, 2}, {4, 3}, {8, 8}, {64, 37}, {512, 511}, {1024, 1000},
@@ -159,7 +159,7 @@ func TestRealForwardMatchesComplex(t *testing.T) {
 }
 
 func TestRealRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
+	r := rand.New(rand.NewPCG(4, 0))
 	for _, n := range []int{2, 4, 32, 2048, 16384} {
 		p, err := NewPlan(n)
 		if err != nil {
@@ -182,7 +182,7 @@ func TestRealRoundTrip(t *testing.T) {
 }
 
 func TestRealInverseScratchMatchesAllocating(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
+	r := rand.New(rand.NewPCG(5, 0))
 	const n = 256
 	p, err := NewPlan(n)
 	if err != nil {
@@ -208,11 +208,11 @@ func TestRealInverseScratchMatchesAllocating(t *testing.T) {
 // Property test: FFT convolution matches the naive convolution across random
 // supports including odd lengths and near-power-of-2 sizes.
 func TestConvolveMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
+	r := rand.New(rand.NewPCG(6, 0))
 	lengths := []int{1, 2, 3, 5, 17, 63, 64, 65, 127, 128, 129, 500, 1023, 1025}
 	for trial := 0; trial < 60; trial++ {
-		la := lengths[r.Intn(len(lengths))]
-		lb := lengths[r.Intn(len(lengths))]
+		la := lengths[r.IntN(len(lengths))]
+		lb := lengths[r.IntN(len(lengths))]
 		a := make([]float64, la)
 		b := make([]float64, lb)
 		// Probability-vector-like data: non-negative, sums ≈ 1.
@@ -249,7 +249,7 @@ func BenchmarkRealForward(b *testing.B) {
 			b.Fatal(err)
 		}
 		src := make([]float64, n)
-		r := rand.New(rand.NewSource(7))
+		r := rand.New(rand.NewPCG(7, 0))
 		for i := range src {
 			src[i] = r.Float64()
 		}

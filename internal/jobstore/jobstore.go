@@ -9,7 +9,8 @@
 // come back as served history, open records (queued/running) are
 // re-executed — resumed from their checkpointed result prefix, which is
 // sound because every query result is a pure function of its canonical
-// spec. Corrupt record files are quarantined by renaming to .bad, so one
+// spec and the numerics epoch the record carries (an open record from
+// another epoch reruns from zero). Corrupt record files are quarantined by renaming to .bad, so one
 // torn write costs one job, not the journal.
 package jobstore
 
@@ -54,6 +55,9 @@ type Record struct {
 	// Results holds the checkpointed result prefix (a JSON array in
 	// expansion order).
 	Results json.RawMessage `json:"results,omitempty"`
+	// Epoch is the numerics epoch (query.NumericsEpoch) Results was
+	// computed under; records written before epochs existed read 0.
+	Epoch int `json:"epoch,omitempty"`
 	// Done and Total report sweep progress at the last checkpoint.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`

@@ -23,7 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"github.com/cnfet/yieldlab/internal/obs"
 	"github.com/cnfet/yieldlab/internal/ordered"
@@ -110,8 +110,9 @@ func runMerged[S any](ctx context.Context, rounds int, newState func() S, f func
 			state = newState()
 		}
 		// One generator per worker, reseeded in place for every batch it
-		// claims: batch b still reads exactly the stream Derive(seed, b).
-		var r *rand.Rand
+		// claims: batch b reads exactly the stream Derive(seed, b).
+		src := new(rand.PCG)
+		r := rand.New(src)
 		// Counter flush happens once per worker lifetime: the loop below
 		// counts into plain locals so the per-round cost of observability
 		// is a register increment, not an atomic RMW.
@@ -126,11 +127,7 @@ func runMerged[S any](ctx context.Context, rounds int, newState func() S, f func
 			}()
 		}
 		for b, ok := c.Next(); ok; b, ok = c.Next() {
-			if r == nil {
-				r = rng.Derive(seed, uint64(b))
-			} else {
-				rng.DeriveInto(r, seed, uint64(b))
-			}
+			rng.DeriveInto(src, seed, uint64(b))
 			localBatches++
 			var local stat.Welford
 			for range min(batch, rounds-b*batch) {

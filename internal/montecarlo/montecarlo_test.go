@@ -5,7 +5,7 @@ import (
 	"errors"
 	"maps"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"strings"

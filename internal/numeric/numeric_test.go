@@ -2,7 +2,7 @@ package numeric
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -185,8 +185,8 @@ func TestClamp(t *testing.T) {
 // within tolerance for y inside the range.
 func TestQuickInterpRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(20)
+		r := rand.New(rand.NewPCG(uint64(seed), 0))
+		n := 2 + r.IntN(20)
 		xs := make([]float64, n)
 		ys := make([]float64, n)
 		x, y := r.Float64(), r.Float64()

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/cnfet/yieldlab/internal/obs"
 )
 
 func TestValidateRareEventFields(t *testing.T) {
@@ -191,6 +193,73 @@ func TestEvaluateAdaptiveRoundsBound(t *testing.T) {
 	}
 	if res.RowYield.Rounds > 96 {
 		t.Fatalf("adaptive run exceeded its budget: %+v", res.RowYield)
+	}
+}
+
+// TestRoundsCapIncludesPilots: a spec's rounds cap the pilots and the main
+// run together. The rounds the mc.pilot and mc.run spans report sum to the
+// result's rounds, which never exceed the spec's, for plain, tilted and
+// auto runs that do not fall through to splitting; small caps shrink the
+// pilots instead of overrunning.
+func TestRoundsCapIncludesPilots(t *testing.T) {
+	s := newTestSession(t, Options{})
+	for _, c := range []struct {
+		method string
+		width  float64
+		rounds int
+	}{
+		{"plain", 155, 96},
+		{"tilted", 155, 96},
+		{"tilted", 155, 8192},
+		{"tilted", 142.7, 20000},
+		{"auto", 155, 96},
+		{"auto", 103, 8192},
+	} {
+		tr := obs.New()
+		res, err := s.Evaluate(obs.WithTracer(context.Background(), tr), Spec{Kind: KindRowYield,
+			Scenario: "unaligned", WidthNM: c.width, Rounds: c.rounds, MCMethod: c.method, RelErrTarget: 0.1})
+		if err != nil {
+			t.Fatalf("%s/%g/%d: %v", c.method, c.width, c.rounds, err)
+		}
+		ry := res.RowYield
+		if ry.MCMethod == "splitting" {
+			t.Fatalf("%s/%g/%d fell through to splitting; pick a case that does not", c.method, c.width, c.rounds)
+		}
+		var spans uint64
+		for _, root := range tr.Roots() {
+			for _, sp := range root.Children() {
+				if name := sp.Name(); name == "mc.run" || name == "mc.pilot" {
+					spans += attrUint(sp, "rounds")
+				}
+			}
+		}
+		if spans != uint64(ry.Rounds) || ry.Rounds > c.rounds {
+			t.Errorf("%s/%g/%d: spans report %d rounds, result %d, cap %d", c.method, c.width, c.rounds, spans, ry.Rounds, c.rounds)
+		}
+	}
+}
+
+// TestRoundsTooFewForPilots: a cap that cannot give each pilot 2 rounds
+// within half of it is a request error naming the method's minimum.
+func TestRoundsTooFewForPilots(t *testing.T) {
+	s := newTestSession(t, Options{})
+	for _, c := range []struct {
+		method string
+		rounds int
+		min    string
+	}{
+		{"tilted", 15, "rounds ≥ 16"},
+		{"auto", 23, "rounds ≥ 24"},
+	} {
+		_, err := s.Evaluate(context.Background(), Spec{Kind: KindRowYield, Scenario: "unaligned",
+			WidthNM: 155, Rounds: c.rounds, MCMethod: c.method, RelErrTarget: 0.1})
+		if !IsRequestError(err) || !strings.Contains(err.Error(), c.min) {
+			t.Errorf("%s at %d rounds: err = %v, want a request error naming %q", c.method, c.rounds, err, c.min)
+		}
+		if _, err := s.Evaluate(context.Background(), Spec{Kind: KindRowYield, Scenario: "unaligned",
+			WidthNM: 155, Rounds: c.rounds + 1, MCMethod: c.method, RelErrTarget: 0.1}); err != nil {
+			t.Errorf("%s at the minimum %d rounds: %v", c.method, c.rounds+1, err)
+		}
 	}
 }
 

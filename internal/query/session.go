@@ -487,6 +487,10 @@ func (s *Session) evalRowYield(ctx context.Context, q Spec) (*RowYieldResult, er
 			Seed:         seed,
 			Workers:      s.params.Workers,
 		})
+		var budget *rareevent.BudgetError
+		if errors.As(err, &budget) {
+			return nil, badRequest(err)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -109,7 +109,8 @@ type Spec struct {
 	// Rounds is the Monte Carlo budget of the unaligned scenario
 	// (0 = DefaultRowRounds). Under adaptive stopping — a positive
 	// RelErrTarget or a non-plain MCMethod — it is the hard round cap
-	// instead (0 = DefaultAdaptiveRounds).
+	// instead, the method's pilots included (0 = DefaultAdaptiveRounds); a
+	// cap too small for the pilots is a request error.
 	Rounds int `json:"rounds,omitempty"`
 	// MCMethod selects the unaligned scenario's Monte Carlo estimator:
 	// "plain" (the default exact-DP rounds), "tilted" (importance sampling
@@ -167,6 +168,15 @@ func (s *Sweep) empty() bool {
 	return s == nil || len(s.Corners)+len(s.PitchMeansNM)+len(s.Nodes)+len(s.WidthsNM)+
 		len(s.Yields)+len(s.RelaxFactors)+len(s.Scenarios) == 0
 }
+
+// NumericsEpoch versions the numbers specs evaluate to: a served result is
+// a pure function of (canonical spec, NumericsEpoch). A change that moves
+// any served bit (a new random stream, a re-tabulated law, a reordered
+// sum) bumps it, and the identities that outlive one build carry it:
+// response ETags, so no client revalidates a body computed by an older
+// build, and journaled jobs, so no resumed job appends new numbers to an
+// old prefix. Epoch 1 draws Monte Carlo rounds from math/rand/v2's PCG.
+const NumericsEpoch = 1
 
 // DefaultRowRounds is the Monte Carlo budget of an unaligned rowyield spec
 // that does not name one.

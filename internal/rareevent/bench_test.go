@@ -1,17 +1,17 @@
 package rareevent
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/rng"
 	"github.com/cnfet/yieldlab/internal/rowyield"
 )
 
-// testRand returns the test stream for seed: math/rand's generator seeded
-// with rng.SplitMix64(seed).
+// testRand returns the test stream for seed: math/rand/v2's PCG seeded
+// with (rng.SplitMix64(seed), 0).
 func testRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(rng.SplitMix64(seed))))
+	return rand.New(rand.NewPCG(rng.SplitMix64(seed), 0))
 }
 
 // BenchmarkRowYieldRareEvent measures the steady-state unit of work of

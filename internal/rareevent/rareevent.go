@@ -23,6 +23,8 @@
 //     ratio estimators and carries an O(1/population) bias, quantified by
 //     the replica scatter.
 //
+// The pilots count inside the round cap: together they take at most half
+// of it, split evenly over the candidates, and the main run gets the rest.
 // A zero relative-error target is a fixed budget: the plain or tilted
 // rounds run once through montecarlo.RunState over the rounds the pilots
 // left. A positive target switches to relative-error-targeted adaptive
@@ -41,7 +43,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"github.com/cnfet/yieldlab/internal/dist"
 	"github.com/cnfet/yieldlab/internal/montecarlo"
@@ -114,7 +116,8 @@ const (
 	// DefaultMoves is the number of MCMC refreshment moves applied to each
 	// resampled splitting state.
 	DefaultMoves = 4
-	// pilotRounds is the per-candidate budget of the tilt-selection pilot.
+	// pilotRounds caps the per-candidate budget of the tilt-selection
+	// pilot (pilotBudget).
 	pilotRounds = 2048
 	// splitRho is the splitting level fraction: each level's threshold is
 	// the empirical (1-splitRho) severity quantile of the population.
@@ -138,9 +141,10 @@ type Options struct {
 	// the plain and tilted rounds then run as one fixed-budget
 	// montecarlo.RunState call.
 	RelErrTarget float64
-	// MaxRounds caps total simulation rounds (0 = DefaultMaxRounds). For
-	// splitting the cap is interpreted as a state budget: replicas stop
-	// when Population·splitLevelGuess per replica would exceed it.
+	// MaxRounds caps total simulation rounds, pilots included
+	// (0 = DefaultMaxRounds). For splitting the cap is interpreted as a
+	// state budget: replicas stop when Population·splitLevelGuess per
+	// replica would exceed it.
 	MaxRounds int
 	// Seed is the root seed (0 = rng.DefaultSeed).
 	Seed uint64
@@ -226,8 +230,24 @@ func EstimateRowFailureContext(ctx context.Context, m *rowyield.RowModel, scenar
 		if err != nil {
 			return Estimate{}, err
 		}
+		if len(ladder) == 0 {
+			// No useful tilt exists (the event is not rare enough to move
+			// the law for): the plain rounds run instead, with no pilot.
+			return estimateRounds(ctx, m, scenario, 0, opt, 0)
+		}
+		pilot, err := pilotBudget(opt, len(ladder))
+		if err != nil {
+			return Estimate{}, err
+		}
 		psp := obs.StartLeaf(ctx, "mc.pilot")
-		theta, spent, err := bestTilt(ctx, m, scenario, ladder, opt)
+		best, spent, err := pilotLadder(ctx, m, scenario, ladder, pilot, opt)
+		theta := best.theta
+		if math.IsInf(best.relvar, 1) {
+			// Every pilot missed the event: trust the analytic θ* (the
+			// third rung), chosen to center the sampler on the dominant
+			// failure point; a deeper event only makes plain rounds worse.
+			theta = ladder[2]
+		}
 		psp.SetInt("candidates", len(ladder))
 		psp.SetInt("rounds", spent)
 		psp.SetFloat("tilt_theta", theta)
@@ -235,8 +255,6 @@ func EstimateRowFailureContext(ctx context.Context, m *rowyield.RowModel, scenar
 		if err != nil {
 			return Estimate{}, err
 		}
-		// Theta 0 means no useful tilt exists (the event is not rare
-		// enough to move the law for): the plain rounds run instead.
 		return estimateRounds(ctx, m, scenario, theta, opt, spent)
 	case Splitting:
 		return estimateSplitting(ctx, m, scenario, opt, 0)
@@ -247,15 +265,41 @@ func EstimateRowFailureContext(ctx context.Context, m *rowyield.RowModel, scenar
 	}
 }
 
+// BudgetError rejects a round cap (Rounds) too small for a method's
+// pilots: each needs at least 2 rounds, and together they may take at most
+// half of the cap, so the method needs MinRounds.
+type BudgetError struct {
+	Method            Method
+	Rounds, MinRounds int
+}
+
+// Error names the method's minimum cap and the cap asked for.
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("rareevent: %v needs rounds ≥ %d for its pilots, have %d", e.Method, e.MinRounds, e.Rounds)
+}
+
+// pilotBudget returns the rounds each of n pilots runs under opt's cap:
+// the pilots share at most half of MaxRounds evenly, and each gets at
+// least 2 rounds and at most pilotRounds.
+func pilotBudget(opt Options, n int) (int, error) {
+	per := min(opt.MaxRounds/2/n, pilotRounds)
+	if per < 2 {
+		return 0, &BudgetError{Method: opt.Method, Rounds: opt.MaxRounds, MinRounds: 4 * n}
+	}
+	return per, nil
+}
+
 // endRunSpan finishes an "mc.run" span with the estimate's provenance.
-// Nil-safe like all span operations.
-func endRunSpan(sp *obs.Span, est Estimate, err error) {
+// The span's rounds are the main run's own: the pilots' rounds (spent),
+// which the estimate also counts, are on their "mc.pilot" span, so the two
+// spans sum to est.Rounds. Nil-safe like all span operations.
+func endRunSpan(sp *obs.Span, est Estimate, spent int, err error) {
 	if sp == nil {
 		return
 	}
 	if err == nil {
 		sp.SetStr("method", est.Method.String())
-		sp.SetInt("rounds", est.Rounds)
+		sp.SetInt("rounds", est.Rounds-spent)
 		if est.Theta != 0 {
 			sp.SetFloat("tilt_theta", est.Theta)
 		}
@@ -297,7 +341,7 @@ func estimateRounds(ctx context.Context, m *rowyield.RowModel, scenario rowyield
 		return round(r, scenario, st)
 	}
 	sp := obs.StartLeaf(ctx, "mc.run")
-	budget := max(opt.MaxRounds-spent, 2)
+	budget := opt.MaxRounds - spent
 	mc := montecarlo.Options{Seed: opt.Seed, Workers: opt.Workers, Counters: sp.MC()}
 	var est montecarlo.Estimate
 	if opt.RelErrTarget == 0 {
@@ -308,14 +352,14 @@ func estimateRounds(ctx context.Context, m *rowyield.RowModel, scenario rowyield
 		})
 	}
 	if err != nil {
-		endRunSpan(sp, Estimate{}, err)
+		endRunSpan(sp, Estimate{}, 0, err)
 		return Estimate{}, err
 	}
 	out := Estimate{Mean: est.Mean, StdErr: est.StdErr, Rounds: est.Rounds + spent, Method: Plain}
 	if theta != 0 {
 		out.Method, out.Theta = Tilted, theta
 	}
-	endRunSpan(sp, out, nil)
+	endRunSpan(sp, out, spent, nil)
 	return out, nil
 }
 
@@ -338,28 +382,31 @@ func estimateAuto(ctx context.Context, m *rowyield.RowModel, scenario rowyield.S
 	if lerr != nil {
 		ladder = nil // non-tiltable pitch law: auto degrades to plain vs splitting
 	}
+	// The candidates: the plain pilot, one per tilt, and the second-moment
+	// pilot that prices plain against the best tilt.
+	candidates := 1
+	if len(ladder) > 0 {
+		candidates += len(ladder) + 1
+	}
+	pilot, err := pilotBudget(opt, candidates)
+	if err != nil {
+		return Estimate{}, err
+	}
 	psp := obs.StartLeaf(ctx, "mc.pilot")
-	plain, err := runPilot(ctx, m, scenario, 0, 0, opt)
+	plain, err := runPilot(ctx, m, scenario, 0, 0, pilot, opt)
 	if err != nil {
 		psp.End()
 		return Estimate{}, err
 	}
-	spent := plain.rounds
-	best := pilotResult{relvar: math.Inf(1)}
-	for i, theta := range ladder {
-		p, err := runPilot(ctx, m, scenario, theta, i+1, opt)
-		if err != nil {
-			psp.End()
-			return Estimate{}, err
-		}
-		spent += p.rounds
-		if p.relvar < best.relvar {
-			best = p
-		}
+	best, spent, err := pilotLadder(ctx, m, scenario, ladder, pilot, opt)
+	if err != nil {
+		psp.End()
+		return Estimate{}, err
 	}
+	spent += plain.rounds
 	plainRelvar := plain.relvar
 	if !math.IsInf(best.relvar, 1) && best.mean > 0 {
-		m2, rounds, err := runSecondMomentPilot(ctx, m, scenario, best.theta, len(ladder)+1, opt)
+		m2, rounds, err := runSecondMomentPilot(ctx, m, scenario, best.theta, len(ladder)+1, pilot, opt)
 		if err != nil {
 			psp.End()
 			return Estimate{}, err
@@ -373,7 +420,7 @@ func estimateAuto(ctx context.Context, m *rowyield.RowModel, scenario rowyield.S
 			plainRelvar = truePlain
 		}
 	}
-	psp.SetInt("candidates", len(ladder)+1)
+	psp.SetInt("candidates", candidates)
 	psp.SetInt("rounds", spent)
 	psp.SetFloat("tilt_theta", best.theta)
 	psp.End()
@@ -389,13 +436,14 @@ func estimateAuto(ctx context.Context, m *rowyield.RowModel, scenario rowyield.S
 
 // runSecondMomentPilot estimates the base law's second moment E[p²] of the
 // conditional failure probability by averaging p²·W over tilted
-// realizations at tilt theta. Returns the estimate and the rounds spent.
-func runSecondMomentPilot(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, idx int, opt Options) (float64, int, error) {
+// realizations at tilt theta over the given rounds. Returns the estimate
+// and the rounds spent.
+func runSecondMomentPilot(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, idx, rounds int, opt Options) (float64, int, error) {
 	tm, err := m.Tilted(theta)
 	if err != nil {
 		return 0, 0, err
 	}
-	est, err := montecarlo.RunState(ctx, pilotRounds, tm.NewRoundState,
+	est, err := montecarlo.RunState(ctx, rounds, tm.NewRoundState,
 		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
 			_, p2w, err := tm.Moments(r, scenario, st)
 			return p2w, err
@@ -406,30 +454,23 @@ func runSecondMomentPilot(ctx context.Context, m *rowyield.RowModel, scenario ro
 	return est.Mean, est.Rounds, nil
 }
 
-// bestTilt pilots the candidate ladder and returns the measured-best tilt
-// parameter plus the pilot rounds spent. An empty ladder, or a ladder whose
-// pilots all score +Inf while θ* itself is absent, yields theta 0 (plain
-// rounds); when every pilot misses the event entirely the analytic θ*
-// (the ladder's third rung) is trusted outright — it was chosen to center
-// the sampler on the dominant failure point, and a deeper event only makes
-// the un-tilted alternative worse.
-func bestTilt(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, ladder []float64, opt Options) (float64, int, error) {
+// pilotLadder pilots the candidate ladder, each candidate over the given
+// rounds, and returns the measured-best candidate (relvar +Inf when every
+// pilot missed the event) plus the pilot rounds spent.
+func pilotLadder(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, ladder []float64, rounds int, opt Options) (pilotResult, int, error) {
 	best := pilotResult{relvar: math.Inf(1)}
 	spent := 0
 	for i, theta := range ladder {
-		p, err := runPilot(ctx, m, scenario, theta, i+1, opt)
+		p, err := runPilot(ctx, m, scenario, theta, i+1, rounds, opt)
 		if err != nil {
-			return 0, 0, err
+			return pilotResult{}, 0, err
 		}
 		spent += p.rounds
 		if p.relvar < best.relvar {
 			best = p
 		}
 	}
-	if math.IsInf(best.relvar, 1) && len(ladder) >= 3 {
-		return ladder[2], spent, nil
-	}
-	return best.theta, spent, nil
+	return best, spent, nil
 }
 
 // pilotResult is one tilt-pilot measurement: the per-round relative variance
@@ -443,13 +484,13 @@ type pilotResult struct {
 }
 
 // runPilot measures one candidate tilt (theta 0 = plain rounds) over the
-// pilot budget with its own derived stream, deterministically.
-func runPilot(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, idx int, opt Options) (pilotResult, error) {
+// given rounds with its own derived stream, deterministically.
+func runPilot(ctx context.Context, m *rowyield.RowModel, scenario rowyield.Scenario, theta float64, idx, rounds int, opt Options) (pilotResult, error) {
 	newState, round, err := sampler(m, theta)
 	if err != nil {
 		return pilotResult{}, err
 	}
-	est, err := montecarlo.RunState(ctx, pilotRounds, newState,
+	est, err := montecarlo.RunState(ctx, rounds, newState,
 		func(r *rand.Rand, st *rowyield.RoundState) (float64, error) {
 			return round(r, scenario, st)
 		}, montecarlo.Options{Seed: pilotSeed(opt.Seed, idx), Workers: opt.Workers})

@@ -3,7 +3,7 @@ package rareevent
 import (
 	"context"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/device"

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"sync/atomic"
 
@@ -132,7 +132,7 @@ func estimateSplitting(ctx context.Context, m *rowyield.RowModel, scenario rowyi
 			MinRounds:    minReplicas,
 		})
 	if err != nil {
-		endRunSpan(sp, Estimate{}, err)
+		endRunSpan(sp, Estimate{}, 0, err)
 		return Estimate{}, err
 	}
 	out := Estimate{
@@ -142,7 +142,7 @@ func estimateSplitting(ctx context.Context, m *rowyield.RowModel, scenario rowyi
 		Levels:   int(e.maxLevels.Load()),
 		Replicas: est.Rounds,
 	}
-	endRunSpan(sp, out, nil)
+	endRunSpan(sp, out, extraRounds, nil)
 	return out, nil
 }
 
@@ -218,7 +218,7 @@ func (e *splitEngine) replica(r *rand.Rand, sc *splitScratch) float64 {
 		sc.surv = surv
 		prod *= float64(count) / float64(n)
 		for i := range sc.next {
-			src := surv[r.Intn(len(surv))]
+			src := surv[r.IntN(len(surv))]
 			copyState(&sc.next[i], &sc.cur[src])
 			for mv := 0; mv < e.moves; mv++ {
 				e.mcmcMove(r, &sc.next[i], t, &sc.prop)
@@ -329,14 +329,14 @@ func (e *splitEngine) mcmcMove(r *rand.Rand, st *sstate, t float64, prop *sstate
 	case u < 0.5 && len(prop.kills) > 0:
 		// Kill-bit block redraw.
 		n := len(prop.kills)
-		j := r.Intn(n)
+		j := r.IntN(n)
 		l := n/4 + 1
 		for k := j; k < n && k < j+l; k++ {
 			prop.kills[k] = r.Float64() < e.pf
 		}
 	case u < 0.85:
 		// Track-suffix redraw (with fresh kill bits for the new tracks).
-		e.redrawTracksFrom(r, prop, r.Intn(len(prop.tracks)+1))
+		e.redrawTracksFrom(r, prop, r.IntN(len(prop.tracks)+1))
 	default:
 		// Offset-count redraw.
 		e.sampleCounts(r, prop.counts)

@@ -1,7 +1,7 @@
 package renewal
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/dist"
@@ -53,7 +53,7 @@ func BenchmarkConvolve(b *testing.B) {
 		hi   = lo + 6144
 		taps = 1143
 	)
-	r := rand.New(rand.NewSource(21))
+	r := rand.New(rand.NewPCG(21, 0))
 	d := make([]float64, n)
 	for j := lo; j < hi; j++ {
 		d[j] = r.Float64() / float64(hi-lo)

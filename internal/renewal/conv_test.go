@@ -3,7 +3,7 @@ package renewal
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/dist"
@@ -43,7 +43,7 @@ func randomSupport(r *rand.Rand, n, lo, hi int) []float64 {
 // blockedMinTaps, run refConvolve's loop in its order, so they match it
 // bit for bit.
 func TestConvolveKernelsMatchDirect(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
+	r := rand.New(rand.NewPCG(11, 0))
 	type shape struct{ n, lo, hi, nf int }
 	shapes := []shape{
 		{16, 0, 16, 4},    // below blockedMinTaps: blocked falls back
@@ -128,7 +128,7 @@ func assertBits(t *testing.T, what string, got, want []float64) {
 
 // The FFT kernel must never leave negative mass behind.
 func TestConvolveFFTNonNegative(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
+	r := rand.New(rand.NewPCG(12, 0))
 	d := randomSupport(r, 2000, 0, 1200)
 	f := make([]float64, 700)
 	for i := range f {
@@ -328,7 +328,7 @@ func TestConvDispatchPinned(t *testing.T) {
 		{2000, 0, 200, 200, fftKernel},
 		{2000, 0, 400, 400, fftKernel},
 	}
-	r := rand.New(rand.NewSource(3))
+	r := rand.New(rand.NewPCG(3, 0))
 	for _, tc := range cases {
 		outEnd := min(tc.hi+tc.taps-1, tc.n)
 		if got := pickKernel(tc.lo, tc.hi, outEnd, tc.taps); got != tc.want {

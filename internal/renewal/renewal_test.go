@@ -2,7 +2,7 @@ package renewal
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -11,10 +11,10 @@ import (
 	"github.com/cnfet/yieldlab/internal/stat"
 )
 
-// testRand returns the test stream for seed: math/rand's generator seeded
-// with rng.SplitMix64(seed).
+// testRand returns the test stream for seed: math/rand/v2's PCG seeded
+// with (rng.SplitMix64(seed), 0).
 func testRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(rng.SplitMix64(seed))))
+	return rand.New(rand.NewPCG(rng.SplitMix64(seed), 0))
 }
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

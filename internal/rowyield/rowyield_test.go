@@ -189,12 +189,12 @@ func TestExactRowFailureEdgeCases(t *testing.T) {
 func TestQuickExactRowFailureVsBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		r := testRand(uint64(seed))
-		nTracks := 2 + r.Intn(13) // ≤ 14 tracks: 16k patterns
-		nIv := 1 + r.Intn(6)
+		nTracks := 2 + r.IntN(13) // ≤ 14 tracks: 16k patterns
+		nIv := 1 + r.IntN(6)
 		ivs := make([]Interval, nIv)
 		for i := range ivs {
-			lo := r.Intn(nTracks)
-			hi := lo + r.Intn(nTracks-lo)
+			lo := r.IntN(nTracks)
+			hi := lo + r.IntN(nTracks-lo)
 			ivs[i] = Interval{lo, hi}
 		}
 		pf := 0.05 + 0.9*r.Float64()

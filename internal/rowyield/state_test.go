@@ -254,7 +254,7 @@ func TestCursorWindowsMatchSearch(t *testing.T) {
 				st.tracks = st.tracks[:0]
 				for y := 6 * gen.Float64(); y < span; {
 					st.tracks = append(st.tracks, y)
-					switch gen.Intn(8) {
+					switch gen.IntN(8) {
 					case 0:
 					case 1:
 						y += 15 * gen.Float64()
@@ -300,11 +300,11 @@ func TestExactRowFailureDuplicatePermuteBitIdentical(t *testing.T) {
 	var st RoundState // shared across calls: scratch reuse must not leak either
 	f := func(seed int64) bool {
 		r := testRand(uint64(seed))
-		nTracks := 1 + r.Intn(150)
-		ivs := make([]Interval, 1+r.Intn(8))
+		nTracks := 1 + r.IntN(150)
+		ivs := make([]Interval, 1+r.IntN(8))
 		for i := range ivs {
-			lo := r.Intn(nTracks)
-			ivs[i] = Interval{lo, lo + r.Intn(min(nTracks-lo, 30))}
+			lo := r.IntN(nTracks)
+			ivs[i] = Interval{lo, lo + r.IntN(min(nTracks-lo, 30))}
 		}
 		pf := 0.05 + 0.9*r.Float64()
 		want, err := exactRowFailureInto(&st, ivs, nTracks, pf)
@@ -313,7 +313,7 @@ func TestExactRowFailureDuplicatePermuteBitIdentical(t *testing.T) {
 		}
 		var dup []Interval
 		for _, iv := range ivs {
-			for k := r.Intn(3); k >= 0; k-- {
+			for k := r.IntN(3); k >= 0; k-- {
 				dup = append(dup, iv)
 			}
 		}

@@ -3,7 +3,7 @@ package rowyield
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"github.com/cnfet/yieldlab/internal/dist"
 )

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/cnfet/yieldlab/internal/analysis/apilock"
@@ -81,11 +85,52 @@ func goldenRequests(t *testing.T) []goldenRequest {
 	)
 }
 
+// goldenEpochFile records the numerics epoch the golden bodies were
+// served under.
+const goldenEpochFile = "epoch"
+
+// readGoldenEpoch returns the epoch recorded in dir.
+func readGoldenEpoch(dir string) (int, error) {
+	data, err := os.ReadFile(filepath.Join(dir, goldenEpochFile))
+	if err != nil {
+		return 0, err
+	}
+	return strconv.Atoi(strings.TrimSpace(string(data)))
+}
+
+// checkGoldenUpdate is -update-golden's guard: a served body may change
+// only together with query.NumericsEpoch, so it refuses to rewrite any
+// body in dir that differs from bodies while epoch is still the recorded
+// one. New golden files are always accepted.
+func checkGoldenUpdate(dir string, bodies map[string][]byte, epoch int) error {
+	recorded, err := readGoldenEpoch(dir)
+	if err != nil {
+		return err
+	}
+	if recorded != epoch {
+		return nil
+	}
+	var changed []string
+	for name, body := range bodies {
+		old, err := os.ReadFile(filepath.Join(dir, name+".json"))
+		if err == nil && !bytes.Equal(old, body) {
+			changed = append(changed, name)
+		}
+	}
+	if len(changed) > 0 {
+		slices.Sort(changed)
+		return fmt.Errorf("served bodies %v changed under numerics epoch %d: a change that moves served bytes bumps query.NumericsEpoch", changed, epoch)
+	}
+	return nil
+}
+
 // TestServedBytesGolden pins the exact response bytes — indentation,
 // escaping, float formatting and the trailing newline — and the ETags of a
-// default-parameter server, byte for byte. Every other server test compares
-// compacted JSON, so this is the test that holds an encoder change to the
-// served bytes. Refresh deliberately with -update-golden.
+// default-parameter server, byte for byte, along with the numerics epoch
+// they were served under. Every other server test compares compacted JSON,
+// so this is the test that holds an encoder change to the served bytes.
+// Refresh deliberately with -update-golden, which rewrites a changed body
+// only once query.NumericsEpoch has moved past the recorded epoch.
 func TestServedBytesGolden(t *testing.T) {
 	srv, err := New(Config{Params: experiments.DefaultParams()})
 	if err != nil {
@@ -97,6 +142,9 @@ func TestServedBytesGolden(t *testing.T) {
 	etags := map[string]string{}
 	var wantEtags map[string]string
 	if !*updateGolden {
+		if epoch, err := readGoldenEpoch(dir); err != nil || epoch != query.NumericsEpoch {
+			t.Fatalf("golden set recorded at numerics epoch %d (%v), code is at %d: refresh with -update-golden", epoch, err, query.NumericsEpoch)
+		}
 		data, err := os.ReadFile(filepath.Join(dir, "etags.json"))
 		if err != nil {
 			t.Fatal(err)
@@ -105,6 +153,7 @@ func TestServedBytesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	bodies := map[string][]byte{}
 	for _, gr := range goldenRequests(t) {
 		var body io.Reader
 		if gr.body != nil {
@@ -118,12 +167,7 @@ func TestServedBytesGolden(t *testing.T) {
 		etags[gr.name] = rec.Header().Get("ETag")
 		file := filepath.Join(dir, gr.name+".json")
 		if *updateGolden {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(file, rec.Body.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			bodies[gr.name] = rec.Body.Bytes()
 			continue
 		}
 		want, err := os.ReadFile(file)
@@ -138,6 +182,14 @@ func TestServedBytesGolden(t *testing.T) {
 		}
 	}
 	if *updateGolden {
+		if err := checkGoldenUpdate(dir, bodies, query.NumericsEpoch); err != nil {
+			t.Fatalf("refusing -update-golden: %v", err)
+		}
+		for name, body := range bodies {
+			if err := os.WriteFile(filepath.Join(dir, name+".json"), body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		data, err := json.MarshalIndent(etags, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -145,5 +197,32 @@ func TestServedBytesGolden(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "etags.json"), append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(filepath.Join(dir, goldenEpochFile), fmt.Appendf(nil, "%d\n", query.NumericsEpoch), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestUpdateGoldenRefusesChangedBodyWithinEpoch pins -update-golden's
+// guard: a changed body is refused while the epoch is the recorded one
+// and accepted once it moves; an unchanged body or a new golden file
+// needs no bump.
+func TestUpdateGoldenRefusesChangedBodyWithinEpoch(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string]string{goldenEpochFile: "3\n", "a.json": `{"prf":1}`} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := map[string][]byte{"a": []byte(`{"prf":1}`), "new": []byte(`{}`)}
+	if err := checkGoldenUpdate(dir, same, 3); err != nil {
+		t.Fatalf("unchanged body and a new file refused: %v", err)
+	}
+	moved := map[string][]byte{"a": []byte(`{"prf":2}`)}
+	if err := checkGoldenUpdate(dir, moved, 3); err == nil {
+		t.Fatal("changed body accepted under the recorded epoch")
+	}
+	if err := checkGoldenUpdate(dir, moved, 4); err != nil {
+		t.Fatalf("changed body refused after an epoch bump: %v", err)
 	}
 }

@@ -158,7 +158,8 @@ func (e *jobEngine) submit(ctx context.Context, p query.Plan) (JobJSON, error) {
 
 // adopt restores the journal into the engine: terminal records come back
 // as served history, open (queued/running) records are re-enqueued and
-// resumed from their checkpointed result prefix. It must run before the
+// resumed from their checkpointed result prefix, or from zero when the
+// prefix was computed under another numerics epoch. It must run before the
 // server accepts requests; the ID counter continues above every adopted
 // ID so restarts never recycle a job identity. Corrupt journal files were
 // already quarantined by LoadAll; records that fail semantic decode here
@@ -244,6 +245,12 @@ func (e *jobEngine) restore(rec jobstore.Record) (*jobRecord, bool) {
 	if j.total == 0 {
 		j.total = j.plan.ExpandCount()
 	}
+	// A prefix computed under another numerics epoch cannot be continued:
+	// an open job drops it and reruns from zero. Terminal records are
+	// history and come back as they were served.
+	if (rec.State == JobQueued || rec.State == JobRunning) && rec.Epoch != query.NumericsEpoch {
+		rec.Results = nil
+	}
 	if len(rec.Results) > 0 {
 		if err := json.Unmarshal(rec.Results, &j.results); err != nil {
 			e.noteJournalErr(fmt.Errorf("job %s: results: %w", rec.ID, err))
@@ -282,18 +289,29 @@ func (e *jobEngine) run(j *jobRecord) {
 	// attributing sweep spans to it would race with the response path).
 	jobCtx := obs.Detach(context.WithoutCancel(j.ctx)) //yield:allow(ctxflow) async job engine: detachment from the request lifecycle is the documented contract
 
-	err := e.execute(jobCtx, j)
+	e.finish(j, e.execute(jobCtx, j))
+}
 
-	e.mu.Lock()
-	j.finished = time.Now()
+// finish journals j's terminal state and only then publishes it: a client
+// that sees the job finished finds its terminal record durable, and an
+// eviction (which takes only finished jobs) can never race a late write
+// into an orphan record.
+func (e *jobEngine) finish(j *jobRecord, err error) {
+	state, msg := JobDone, ""
 	if err != nil {
-		j.state = JobFailed
-		j.err = err.Error()
-	} else {
-		j.state = JobDone
+		state, msg = JobFailed, err.Error()
 	}
+	now := time.Now()
+	if e.journal != nil {
+		e.mu.Lock()
+		rec, rerr := j.journalRecordLocked()
+		e.mu.Unlock()
+		rec.State, rec.Error, rec.Finished = state, msg, now
+		e.put(rec, rerr)
+	}
+	e.mu.Lock()
+	j.state, j.err, j.finished = state, msg, now
 	e.mu.Unlock()
-	e.journalPut(j)
 }
 
 // execute runs one job's work and converts panics — genuine bugs or an
@@ -367,6 +385,12 @@ func (e *jobEngine) journalPut(j *jobRecord) {
 	e.mu.Lock()
 	rec, err := j.journalRecordLocked()
 	e.mu.Unlock()
+	e.put(rec, err)
+}
+
+// put writes one record built by journalRecordLocked, counting a failed
+// build (err) or write.
+func (e *jobEngine) put(rec jobstore.Record, err error) {
 	if err == nil {
 		err = e.journal.Put(rec)
 	}
@@ -398,6 +422,7 @@ func (j *jobRecord) journalRecordLocked() (jobstore.Record, error) {
 		State:       j.state,
 		Error:       j.err,
 		Fingerprint: j.plan.Fingerprint(),
+		Epoch:       query.NumericsEpoch,
 		Done:        j.done,
 		Total:       j.total,
 		Created:     j.created,

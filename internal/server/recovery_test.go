@@ -964,3 +964,122 @@ func TestJobResumeOnPool(t *testing.T) {
 		})
 	}
 }
+
+// TestOldEpochJournalRecordRerunsFromZero pins epoch adoption: a "running"
+// record whose result prefix was computed under another numerics epoch (a
+// record with no epoch reads 0, the numbers before epochs existed) reruns
+// from zero instead of appending this build's numbers to the old prefix,
+// while a finished record of the same epoch comes back as history,
+// unchanged.
+func TestOldEpochJournalRecordRerunsFromZero(t *testing.T) {
+	journal, err := jobstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := query.Spec{Kind: "pf", WidthNM: 155,
+		Sweep: &query.Sweep{WidthsNM: []float64{100, 150, 200}}}
+	srvA, err := New(Config{Params: testParams(), Jobs: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA := httptest.NewServer(srvA.Handler())
+	if job := pollJob(t, tsA.URL, submitAsync(t, tsA.URL, spec).ID); job.State != JobDone {
+		t.Fatalf("first-life job = %+v", job)
+	}
+	tsA.Close()
+	if err := srvA.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Epoch != query.NumericsEpoch {
+		t.Fatalf("journal after first life = %+v, want one record of epoch %d", recs, query.NumericsEpoch)
+	}
+	base := recs[0]
+
+	// The old epoch's numbers: the same prefix with a different pF, which
+	// a resume would keep and a rerun replaces.
+	var prefix []query.Result
+	if err := json.Unmarshal(base.Results, &prefix); err != nil {
+		t.Fatal(err)
+	}
+	prefix[0].PF.PF *= 2
+	oldPrefix, err := json.Marshal(prefix[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := base
+	history.ID, history.Epoch, history.Results = "job-2", 0, oldPrefix
+	crashed := base
+	crashed.ID, crashed.Epoch, crashed.State = "job-3", 0, JobRunning
+	crashed.Results, crashed.Done, crashed.Finished = oldPrefix, 1, time.Time{}
+	for _, rec := range []jobstore.Record{history, crashed} {
+		if err := journal.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, tsB := newTestServer(t, Config{Jobs: journal})
+	var old JobJSON
+	if code := getJSON(t, tsB.URL+"/v1/jobs/job-2", &old); code != http.StatusOK {
+		t.Fatalf("adopted history status %d", code)
+	}
+	if got, err := json.Marshal(old.QueryResults); err != nil || string(got) != string(oldPrefix) {
+		t.Fatalf("adopted history results = %s (%v), want them as journaled: %s", got, err, oldPrefix)
+	}
+	rerun := pollJob(t, tsB.URL, "job-3")
+	if rerun.State != JobDone {
+		t.Fatalf("rerun job failed: %s", rerun.Error)
+	}
+	got, err := json.Marshal(rerun.QueryResults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(base.Results) {
+		t.Fatalf("old-epoch job resumed instead of rerunning:\n got %s\nwant %s", got, base.Results)
+	}
+}
+
+// TestJobDoneImpliesDurable pins the order of a job's last two steps: its
+// terminal record is journaled before the job is reported finished, so a
+// client that sees "done" never finds the journal behind it. A delay on
+// every journal put holds the terminal write open long enough for a
+// tight poll to see a state published before its write.
+func TestJobDoneImpliesDurable(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	journal, err := jobstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{Jobs: journal})
+	if err := fault.Enable(fault.SiteJournalPut, "delay(100ms)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		id := submitAsync(t, ts.URL, query.Spec{Kind: "pf", WidthNM: 150 + float64(i)}).ID
+		deadline := time.Now().Add(time.Minute)
+		for {
+			job, ok := srv.jobs.get(id)
+			if !ok {
+				t.Fatalf("job %s vanished", id)
+			}
+			if job.State == JobDone || job.State == JobFailed {
+				recs, err := journal.LoadAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				i := slices.IndexFunc(recs, func(r jobstore.Record) bool { return r.ID == id })
+				if i < 0 || recs[i].State != job.State {
+					t.Fatalf("job %s reported %q before its journal record was", id, job.State)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %q", id, job.State)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}

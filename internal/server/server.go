@@ -209,9 +209,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// paramsTag hashes the parameter set into a short response-identity prefix.
+// paramsTag hashes the numerics epoch and the parameter set into a short
+// response-identity prefix, so every ETag changes when the epoch does.
 func paramsTag(p experiments.Params) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", p)))
+	sum := sha256.Sum256(fmt.Appendf(nil, "epoch %d %#v", query.NumericsEpoch, p))
 	return hex.EncodeToString(sum[:6])
 }
 

@@ -2,7 +2,7 @@ package stat
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -71,12 +71,12 @@ func TestBinCentersAndMean(t *testing.T) {
 // shares always sum to 1 for non-empty histograms.
 func TestQuickHistogramConservation(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		h, err := NewHistogram(numeric.Linspace(0, 1, 2+r.Intn(10)))
+		r := rand.New(rand.NewPCG(uint64(seed), 0))
+		h, err := NewHistogram(numeric.Linspace(0, 1, 2+r.IntN(10)))
 		if err != nil {
 			return false
 		}
-		n := 1 + r.Intn(500)
+		n := 1 + r.IntN(500)
 		inRange := 0
 		for i := 0; i < n; i++ {
 			x := r.Float64()*1.5 - 0.25

@@ -2,7 +2,7 @@ package stat
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -59,7 +59,7 @@ func TestCorr(t *testing.T) {
 }
 
 func TestCorrIndependent(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
+	r := rand.New(rand.NewPCG(7, 0))
 	n := 200_000
 	xs, ys := make([]float64, n), make([]float64, n)
 	for i := range xs {
@@ -71,7 +71,7 @@ func TestCorrIndependent(t *testing.T) {
 }
 
 func TestWelfordMatchesBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
+	r := rand.New(rand.NewPCG(11, 0))
 	xs := make([]float64, 1000)
 	var w Welford
 	for i := range xs {
@@ -93,7 +93,7 @@ func TestWelfordMatchesBatch(t *testing.T) {
 }
 
 func TestWelfordMerge(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
+	r := rand.New(rand.NewPCG(13, 0))
 	xs := make([]float64, 501)
 	for i := range xs {
 		xs[i] = r.ExpFloat64()
@@ -126,9 +126,9 @@ func TestWelfordMerge(t *testing.T) {
 // Property: merging a random split equals whole-sample accumulation.
 func TestQuickWelfordMergeSplit(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(100)
-		cut := 1 + r.Intn(n-1)
+		r := rand.New(rand.NewPCG(uint64(seed), 0))
+		n := 2 + r.IntN(100)
+		cut := 1 + r.IntN(n-1)
 		var whole, a, b Welford
 		for i := 0; i < n; i++ {
 			x := r.NormFloat64()

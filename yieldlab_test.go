@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/cnfet/yieldlab"
@@ -287,7 +287,7 @@ func ExampleRowModel_Round() {
 		panic(err)
 	}
 	st := m.NewRoundState()
-	r := rand.New(rand.NewSource(7))
+	r := rand.New(rand.NewPCG(7, 0))
 	var sum float64
 	for i := 0; i < 1000; i++ {
 		p, err := m.Round(r, yieldlab.DirectionalUnaligned, st)
