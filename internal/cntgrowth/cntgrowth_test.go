@@ -260,11 +260,12 @@ func TestFig31CorrelationOrdering(t *testing.T) {
 	misaligned2 := Rect{X0: 700, Y0: 200 + w*0.6, X1: 750, Y1: 200 + 1.6*w}
 
 	dir := calibratedDirectional(t)
-	// Tubes shorter than the 650 nm gap between the devices, as in the
-	// Fig. 3.1 experiment: no tube can span both, which is what makes the
-	// growth uncorrelated. (1200 nm tubes span it, and the count
-	// correlation is then a real ≈0.12.)
-	unc := Uncorrelated{DensityPerUM2: 2500, PMetallic: 0.33, LengthNM: 450, AngleSpreadRad: 0.15}
+	// The Fig. 3.1 experiment's sticks (internal/experiments/fig31.go):
+	// 450 nm tubes, shorter than the 650 nm gap between the devices, so no
+	// tube can span both, which is what makes the growth uncorrelated.
+	// (1200 nm tubes at 2500/µm² span it, and their count correlation is a
+	// real 0.10 ± 0.013 over 12 seeds.)
+	unc := Uncorrelated{DensityPerUM2: 2200, PMetallic: 0.33, LengthNM: 450, AngleSpreadRad: 0.15}
 
 	const rounds = 700
 	sa, err := MeasurePairCorrelation(r, unc, rm, aligned1, aligned2, rounds)

@@ -69,9 +69,9 @@ var mcGolden = []mcGoldenCase{
 	{"w103/plain/seed1", 0x3efd4aff6ad804ae, 0x3eb1f43bf168ef26, 4096},
 	{"w103/plain/seed2", 0x3f00b671cf41b68a, 0x3eb8f8ec358d95a3, 4096},
 	{"w103/plain/seed3", 0x3efce39f76c01c86, 0x3eb27e21b55804ad, 4096},
-	{"w103/tilted/seed1", 0x3ef8639e4997ae97, 0x3ed787f4fd46124e, 8192},
-	{"w103/tilted/seed2", 0x3ef473be59dab71a, 0x3ec2b51afeea1ccb, 8192},
-	{"w103/tilted/seed3", 0x3edf37f188fcf557, 0x3eccfe40b5114c27, 8192},
+	{"w103/tilted/seed1", 0x3efedd7bfe429400, 0x3eacb9e1f58cf24a, 8192},
+	{"w103/tilted/seed2", 0x3efe6355195438fe, 0x3eadb5d98020046b, 8192},
+	{"w103/tilted/seed3", 0x3eff07ff694c78c2, 0x3eb4a0f75e73c6f9, 8192},
 	{"w103/splitting/seed1", 0x3ed33ed7ce9cf656, 0x3eb078f3c9ba07cf, 94208},
 	{"w103/splitting/seed2", 0x3ef27fb30e1a833c, 0x3ee2cc96840f32af, 86016},
 	{"w103/splitting/seed3", 0x3f149fe3f1917440, 0x3f12d6b5853c202c, 77824},
@@ -81,9 +81,9 @@ var mcGolden = []mcGoldenCase{
 	{"w155/plain/seed1", 0x3e61da22605a8001, 0x3e24a6bc19a18bbc, 4096},
 	{"w155/plain/seed2", 0x3e6584dd4de83001, 0x3e2ce328e0a08f03, 4096},
 	{"w155/plain/seed3", 0x3e6457b8f868d000, 0x3e302cf1be6b4e71, 4096},
-	{"w155/tilted/seed1", 0x3e397e4c1225865f, 0x3e25f2519a090076, 8192},
-	{"w155/tilted/seed2", 0x3e44981bb4dbffd1, 0x3e275e046f1c3d3b, 8192},
-	{"w155/tilted/seed3", 0x3e63e8506f7c341d, 0x3e3f8472435071c0, 8192},
+	{"w155/tilted/seed1", 0x3e6692491d6c21bd, 0x3e24bc3e69675973, 8192},
+	{"w155/tilted/seed2", 0x3e6535efb23b6fc9, 0x3e2a519841e8407b, 8192},
+	{"w155/tilted/seed3", 0x3e6755dbc769da3d, 0x3e2b9d1dfebe530f, 8192},
 	{"w155/splitting/seed1", 0x3e577a53eae5f4bc, 0x3e550a2a95099b48, 147456},
 	{"w155/splitting/seed2", 0x3e3542d7acf2dcbe, 0x3e040a252080c750, 139264},
 	{"w155/splitting/seed3", 0x3e60128d9928217b, 0x3e5aef11eba68164, 139264},
@@ -93,16 +93,16 @@ var mcGolden = []mcGoldenCase{
 	{"w200/plain/seed1", 0x3dd72e2473e00001, 0x3d98819864a1bee4, 8192},
 	{"w200/plain/seed2", 0x3de56a9d8aa80002, 0x3dbd78747b932e1a, 8192},
 	{"w200/plain/seed3", 0x3de0f10ef6e80000, 0x3db1393cff8f62af, 8192},
-	{"w200/tilted/seed1", 0x3dd870220db034fe, 0x3da8de48a608322a, 8192},
-	{"w200/tilted/seed2", 0x3dc00f4f469b5a4f, 0x3db1cc66bb614178, 8192},
-	{"w200/tilted/seed3", 0x3de4934f124c63bb, 0x3dcdb0b8a4e08446, 8192},
+	{"w200/tilted/seed1", 0x3de7603f6a9266f5, 0x3dc4d76ad53bde13, 8192},
+	{"w200/tilted/seed2", 0x3de3103b86f4161c, 0x3da8441572944e0c, 8192},
+	{"w200/tilted/seed3", 0x3de59e714bde7576, 0x3dbde8b1e0df0bce, 8192},
 	{"w200/splitting/seed1", 0x3da448aba21c5815, 0x3da397195358718b, 229376},
 	{"w200/splitting/seed2", 0x3d51b050d58c2fd4, 0x3d44bee51e4bcf0c, 233472},
 	{"w200/splitting/seed3", 0x3da2b0c425bb9cda, 0x3d960230473813bd, 204800},
 	{"literal-unsorted/fixed", 0x3e52e5141522ffff, 0x3e3a4242b50f2deb, 1024},
 	{"literal-repeated/fixed", 0x3e5d236303267fff, 0x3e57c30c58784657, 1024},
-	{"literal-unsorted/tilted", 0x3e41b8f00ccaffa6, 0x3e1bd713fb29ed79, 8192},
-	{"literal-repeated/tilted", 0x3e447114049c7ec1, 0x3dfc6ac7772c1543, 8192},
+	{"literal-unsorted/tilted", 0x3e4cb8dc959f78e6, 0x3e1bdcd4e3b312c6, 8192},
+	{"literal-repeated/tilted", 0x3e45278961aaaf47, 0x3e064ad3b34b46da, 8192},
 	{"literal-unsorted/splitting", 0x3e45951f3752d320, 0x3e455494038155f4, 167936},
 	{"literal-repeated/splitting", 0x3e2d642d23e22638, 0x3e20adfcf2f05db0, 143360},
 }
